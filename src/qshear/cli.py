@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .suites import RunConfig, list_suites, run_suite
@@ -61,7 +60,6 @@ def build_parser():
                    help="comma-separated root-of-unity moduli (default 5,7)")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=20240229)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--list-suites", action="store_true")
     return p
 
@@ -84,25 +82,14 @@ def main(argv=None):
             oracle_moduli=moduli,
             samples=args.samples,
             seed=args.seed,
-            jobs=args.jobs,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    results = {}
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {name: pool.submit(run_suite, name, config) for name in config.suites}
-            for name, fut in futures.items():
-                results[name] = fut.result()
-    else:
-        for name in config.suites:
-            results[name] = run_suite(name, config)
-
     reports = []
     for name in config.suites:
-        for rep in results[name]:
+        for rep in run_suite(name, config):
             item = rep.to_json()
             item["suite"] = name
             reports.append(item)

@@ -108,9 +108,6 @@ class FatGraph:
     def is_internal(self, edge):
         return len(self._incidence[edge]) == 2
 
-    def is_spectator(self, edge):
-        return len(self._incidence[edge]) == 1 and edge not in self.pending
-
     def weight(self, edge):
         return self.pending[edge].weight
 
@@ -266,11 +263,6 @@ class PathWord:
             else:
                 bits.append(f"[X_{s[1]} F^{s[2]} X_{s[1]}]")
         return " ".join(bits)
-
-    def turn_counts(self):
-        r = sum(1 for s in self.steps if s[0] == "turn" and s[1] == "R")
-        l = sum(1 for s in self.steps if s[0] == "turn" and s[1] == "L")
-        return r, l
 
 
 def _check_turn(graph, after, turn, before):

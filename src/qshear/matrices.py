@@ -25,10 +25,6 @@ def _ore(a):
     return OreElement.from_torus(a) if isinstance(a, TorusElement) else a
 
 
-def ring_is_zero(a):
-    return a.is_zero()
-
-
 class AlgMatrix:
     """Square matrix with TorusElement or OreElement entries sharing one
     skew form."""
@@ -122,7 +118,7 @@ class AlgMatrix:
         return acc
 
     def is_zero(self):
-        return all(ring_is_zero(x) for row in self.rows for x in row)
+        return all(x.is_zero() for row in self.rows for x in row)
 
     def equals(self, other):
         return (self - other).is_zero()
@@ -247,18 +243,6 @@ def omega_commutant(form, a, c, omega):
     return AlgMatrix(form, [[am, cm], [-cm, corner]])
 
 
-def mat_mul(x, y):
-    return x.mul(y)
-
-
-def mat_trace(x):
-    return x.trace()
-
-
-def mat_scale(x, tpow):
-    return x.scale_t(tpow)
-
-
 def r_matrix(power):
     """The standard 4x4 quantum R-matrix at q**power (q = t**4):
 
@@ -293,21 +277,15 @@ def tensor_embed(m, slot):
         raise ValueError("slot must be 1 or 2")
     form = m.form
     zero = TorusElement.zero(form)
-    one = TorusElement.one(form)
     out = [[zero] * 4 for _ in range(4)]
     for i in range(2):
         for j in range(2):
             for k in range(2):
                 if slot == 1:
-                    out[2 * i + k][2 * j + k] = _entry_copy(m.rows[i][j])
+                    out[2 * i + k][2 * j + k] = m.rows[i][j]
                 else:
-                    out[2 * k + i][2 * k + j] = _entry_copy(m.rows[i][j])
-    del one
+                    out[2 * k + i][2 * k + j] = m.rows[i][j]
     return AlgMatrix(form, out)
-
-
-def _entry_copy(x):
-    return x
 
 
 def scalar_tensor(r, slots, nslots=3):

@@ -18,14 +18,7 @@ from .fatgraph import (
     pvi_graph,
     spine_graph_an,
 )
-from .matrices import (
-    AlgMatrix,
-    edge_matrix,
-    r_matrix,
-    scalar_tensor,
-    tensor_embed,
-    turn_matrix,
-)
+from .matrices import AlgMatrix, r_matrix, scalar_tensor, tensor_embed
 from .ore import ore_zero_test
 from .torus import TorusElement, even_check
 
@@ -41,9 +34,14 @@ class MonodromyRealization:
 
     Each matrix has the normal shape [[q a + w, -b], [c, -q**-1 a]]; the
     extraction validates it exactly and keeps (a, b, c) as torus elements.
+    The builders set `words` to the PathWords the matrices were compiled
+    from; it stays None when the matrices are not plain words (e.g. after
+    a braid move).
     """
 
-    __slots__ = ("graph", "form", "root", "points", "mats", "a", "b", "c", "omegas", "omega0")
+    __slots__ = (
+        "graph", "form", "root", "points", "mats", "words", "a", "b", "c", "omegas", "omega0"
+    )
 
     def __init__(self, graph, form, root, points, mats, omegas, omega0):
         self.graph = graph
@@ -51,6 +49,7 @@ class MonodromyRealization:
         self.root = root
         self.points = tuple(points)
         self.mats = tuple(mats)
+        self.words = None
         self.omegas = dict(omegas)
         self.omega0 = omega0
         self.a = []
@@ -76,6 +75,7 @@ class MonodromyRealization:
         return geodesic_G(self, i, j)
 
     def with_matrices(self, mats):
+        """Same spine and weights, new matrices; the words no longer apply."""
         return MonodromyRealization(
             self.graph, self.form, self.root, self.points, mats, self.omegas, self.omega0
         )
@@ -96,33 +96,25 @@ def extract_entries(mat, omega):
     return a, b, c
 
 
-def build_monodromy(graph, root="S", points=None, omega0=None, windings=None):
+def build_monodromy(graph, root="S", points=None, omega0=None):
     """Compile the root-to-point monodromy matrices of a rooted spine."""
     form = graph.skew_form()
     if points is None:
         points = an_point_order(graph)
-    omegas = {}
-    mats = []
-    for idx, point in enumerate(points, start=1):
-        k = (windings or {}).get(point, 1)
-        word = monodromy_path(graph, root, point, winding=k)
-        mats.append(compile_path(graph, word, form))
-        omegas[idx] = graph.weight(point)
+    words = tuple(monodromy_path(graph, root, point) for point in points)
+    mats = [compile_path(graph, word, form) for word in words]
+    omegas = {idx: graph.weight(point) for idx, point in enumerate(points, start=1)}
     if omega0 is None:
         omega0 = graph.weight(root)
-    return MonodromyRealization(graph, form, root, points, mats, omegas, omega0)
+    real = MonodromyRealization(graph, form, root, points, mats, omegas, omega0)
+    real.words = words
+    return real
 
 
 def an_realization(n, omega0_symbolic=True):
     """The order-2 chain realization with n points besides the root."""
-    graph = spine_graph_an(n)
-    real = build_monodromy(graph, root="S")
-    if not omega0_symbolic:
-        real = MonodromyRealization(
-            real.graph, real.form, real.root, real.points, real.mats,
-            real.omegas, Coefficient.zero(),
-        )
-    return real
+    omega0 = None if omega0_symbolic else Coefficient.zero()
+    return build_monodromy(spine_graph_an(n), root="S", omega0=omega0)
 
 
 def pvi_realization():
@@ -130,22 +122,17 @@ def pvi_realization():
     paths run out and back along the spectator leg X."""
     graph = pvi_graph()
     form = graph.skew_form()
-    xx = edge_matrix(form, "X")
-    left = turn_matrix(form, "L")
-    right = turn_matrix(form, "R")
-    w1 = PathWord(
-        [("edge", "X"), ("turn", "L"), ("orb", "Z", 1), ("turn", "R"), ("edge", "X")]
+    words = (
+        PathWord([("edge", "X"), ("turn", "L"), ("orb", "Z", 1), ("turn", "R"), ("edge", "X")]),
+        PathWord([("edge", "X"), ("turn", "R"), ("orb", "Y", 1), ("turn", "L"), ("edge", "X")]),
     )
-    w2 = PathWord(
-        [("edge", "X"), ("turn", "R"), ("orb", "Y", 1), ("turn", "L"), ("edge", "X")]
-    )
-    m1 = compile_path(graph, w1, form)
-    m2 = compile_path(graph, w2, form)
-    del xx, left, right
+    mats = [compile_path(graph, word, form) for word in words]
     omegas = {1: graph.weight("Z"), 2: graph.weight("Y")}
-    return MonodromyRealization(
-        graph, form, None, ("Z", "Y"), (m1, m2), omegas, Coefficient.parameter("omega0")
+    real = MonodromyRealization(
+        graph, form, None, ("Z", "Y"), mats, omegas, Coefficient.parameter("omega0")
     )
+    real.words = words
+    return real
 
 
 # -- entry algebra -----------------------------------------------------------

@@ -314,23 +314,14 @@ def rep_word_value(rep, graph, path, params):
 
 
 def numeric_realization(rep, real, params):
-    """Recompile the monodromy words numerically and extract (a, b, c)."""
-    from .fatgraph import monodromy_path
-
-    graph = real.graph
+    """Re-evaluate the realization's own monodromy words numerically and
+    extract (a, b, c); a realization without words cannot be re-checked."""
+    if real.words is None:
+        raise ValueError("realization carries no path words to re-evaluate")
     qinv = rep.t_value ** -4
     out = []
-    for idx, point in enumerate(real.points, start=1):
-        if real.root is not None:
-            word = monodromy_path(graph, real.root, point)
-        else:
-            from .fatgraph import PathWord
-
-            turn_in, turn_out = ("L", "R") if point == "Z" else ("R", "L")
-            word = PathWord(
-                [("edge", "X"), ("turn", turn_in), ("orb", point, 1), ("turn", turn_out), ("edge", "X")]
-            )
-        m = rep_word_value(rep, graph, word, params)
+    for idx, word in enumerate(real.words, start=1):
+        m = rep_word_value(rep, real.graph, word, params)
         a = -m[1][1] / qinv
         b = -m[0][1]
         c = m[1][0]
@@ -580,27 +571,6 @@ def _fmat(w):
     return np.array([[0.0, 1.0], [-1.0, -w]])
 
 
-def evaluate_path_numeric(graph, path, values, params=None):
-    """Float 2x2 value of a written word at a classical sample."""
-    params = params or {}
-    mat = np.eye(2)
-    started = False
-    for step in path.steps:
-        if step[0] == "turn":
-            factor = _L if step[1] == "L" else _R
-        elif step[0] == "edge":
-            factor = _xmat(values[step[1]])
-        else:
-            _, name, k = step
-            w = graph.pending[name].weight.evaluate(1.0, params).real
-            x = _xmat(values[name])
-            f = np.linalg.matrix_power(_fmat(w), k) * (-1.0) ** (k + 1)
-            factor = x @ f @ x
-        mat = factor if not started else mat @ factor
-        started = True
-    return mat
-
-
 def numeric_identity_deviation(ident, sample_count=1000, seed=20240229):
     """Max entrywise deviation of a classical flip identity over seeded
     random shears, evaluated through the exact-ring word catalog."""
@@ -704,23 +674,15 @@ def boundary_word_tokens(graph):
 
 def boundary_trace_deviation(graph, samples=200, seed=20240229):
     """| trace(boundary word) | - 2 cosh(half the center exponent sum)."""
-    steps = boundary_word_tokens(graph)
+    tokens = []
+    for step in boundary_word_tokens(graph):
+        tokens += [("turn", "L"), step]
     index = {e: i for i, e in enumerate(graph.edges)}
     (center,) = graph.center_elements()
     worst = 0.0
     for k in range(samples):
         state = random_state(graph, seed + k)
-        mat = np.eye(2)
-        for step in steps:
-            mat = mat @ _L
-            if step[0] == "edge":
-                mat = mat @ _xmat(state.values[step[1]])
-            else:
-                _, name, _ = step
-                w = state.weight_value(name)
-                x = _xmat(state.values[name])
-                mat = mat @ (x @ _fmat(w) @ x)
-        tr = np.trace(mat)
+        tr = np.trace(_word_value(graph, state, tokens))
         half = sum(center[index[e]] * state.values[e] for e in graph.edges) / 4.0
         worst = max(worst, abs(abs(tr) - 2 * math.cosh(half)))
     return worst

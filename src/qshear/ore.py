@@ -187,9 +187,6 @@ class OreElement:
 
     # -- zero test ---------------------------------------------------
 
-    def is_polynomial(self):
-        return all(not dens for _, dens in self.terms)
-
     def polynomial_part(self):
         acc = TorusElement.zero(self.form)
         for num, dens in self.terms:
@@ -299,9 +296,3 @@ def ore_zero_test(x):
         "denominator clearing did not terminate; mixed-direction chains "
         "beyond the supported class"
     )
-
-
-def ore_mul(x, y, form=None):
-    if form is not None and (x.form != form or y.form != form):
-        raise ValueError("operands do not live over the given form")
-    return x.mul(y)

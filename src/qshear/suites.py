@@ -54,14 +54,12 @@ class RunConfig:
         oracle_moduli=(5, 7),
         samples=1000,
         seed=20240229,
-        jobs=1,
     ):
         self.suites = tuple(suites)
         self.graphs = tuple(graphs)
         self.oracle_moduli = tuple(int(m) for m in oracle_moduli)
         self.samples = int(samples)
         self.seed = int(seed)
-        self.jobs = int(jobs)
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}; known: {sorted(SUITES)}")
@@ -72,8 +70,6 @@ class RunConfig:
             raise ValueError("need at least one oracle modulus")
         if self.samples < 1:
             raise ValueError("samples must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
 
 
 def _defect_report(ident, anchor, defects, extras=None):
@@ -96,10 +92,7 @@ def _bool_report(ident, anchor, ok, extras=None, witness=None):
 
 def _numeric_reports(prefix, anchor, real, config, indices=None, reflections=False):
     out = []
-    params = oracle.default_param_values([], config.seed)
-    params.setdefault("omega0", 0.47)
-    params.setdefault("omega1", 0.83)
-    params.setdefault("omega2", 1.21)
+    params = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
     for modulus in config.oracle_moduli:
         with timed() as tm:
             rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)

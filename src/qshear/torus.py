@@ -13,7 +13,7 @@ exp((u+v).Z) since q = t**4.
 
 from __future__ import annotations
 
-from .coeffs import Coefficient, ONE
+from .coeffs import ONE
 
 
 class SkewForm:
@@ -272,16 +272,6 @@ def even_check(x, affected):
             if du[i] % 2:
                 return False
     return True
-
-
-def torus_mul(x, y, form=None):
-    if form is not None and (x.form != form or y.form != form):
-        raise ValueError("operands do not live over the given form")
-    return x.mul(y)
-
-
-def torus_star(x):
-    return x.star()
 
 
 def commutative_shadow(form):

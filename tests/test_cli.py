@@ -68,10 +68,10 @@ def test_deterministic_reports(tmp_path):
     assert r1.read_text() == r2.read_text()
 
 
-def test_parallel_jobs(tmp_path):
-    report = tmp_path / "par.json"
+def test_report_order_follows_requested_suites(tmp_path):
+    report = tmp_path / "order.json"
     code = main(
-        ["--suite", "pvi", "--suite", "graph-validate", "--jobs", "2", "--report", str(report),
+        ["--suite", "pvi", "--suite", "graph-validate", "--report", str(report),
          "--oracle-mod", "5"]
     )
     assert code == 0

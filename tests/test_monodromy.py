@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from qshear import oracle
 from qshear.coeffs import Coefficient, ONE
 from qshear.fatgraph import FatGraph, PendingInfo, monodromy_path, compile_path
 from qshear.matrices import AlgMatrix
 from qshear.monodromy import (
     an_realization,
+    braid_apply,
     cross_relation_defects,
     element_is_zero,
     geodesic_G,
@@ -17,7 +21,8 @@ from qshear.monodromy import (
     uqsl2_defects,
     yang_baxter_defect,
 )
-from qshear.torus import commutative_shadow, ew
+from qshear.suites import _defect_report
+from qshear.torus import TorusElement, commutative_shadow, ew
 
 Q1 = Coefficient.q_power(1)
 QM1 = Coefficient.q_power(-1)
@@ -209,3 +214,59 @@ def test_classical_specialization_of_quantum_relations():
         b = chain.entry("b", i).at_t_one(sh2)
         c = chain.entry("c", i).at_t_one(sh2)
         assert (b.mul(c) - a.mul(a) - one2).is_zero()
+
+
+def test_stored_words_compile_to_the_matrices(an2, an3, an4, pvi):
+    for real in (an2, an3, an4, pvi):
+        assert len(real.words) == real.n
+        for word, mat in zip(real.words, real.mats):
+            assert compile_path(real.graph, word, real.form).rows == mat.rows
+
+
+def test_braided_realization_has_no_words_to_recheck(an3):
+    imaged = braid_apply(an3, 1)
+    assert imaged.words is None
+    rep = oracle.ClockShiftRep(an3.form, 5)
+    with pytest.raises(ValueError):
+        oracle.numeric_realization(rep, imaged, {"omega0": 0.47})
+
+
+def _an3_catalog_defects(an3):
+    defects = []
+    for i in range(1, 4):
+        defects += uqsl2_defects(an3, i)
+        for j in range(i + 1, 4):
+            defects += cross_relation_defects(an3, i, j)
+    return defects
+
+
+def _random_monomial(rng, form):
+    du = [rng.randint(-2, 2) for _ in range(form.dim)]
+    coeff = Coefficient.t_power(rng.randint(-8, 8), rng.choice((-2, -1, 1, 2)))
+    return TorusElement.monomial(form, du, coeff)
+
+
+def test_nonzero_defects_are_reported_nonzero(an3):
+    """The zero verdict must also work in the other direction: a catalog
+    defect plus a nonzero monomial W(u) t^k is never declared zero."""
+    rng = random.Random(20240229)
+    defects = _an3_catalog_defects(an3)
+    assert len(defects) > 20
+    for label, defect in defects:
+        mutant = defect + _random_monomial(rng, an3.form)
+        assert element_is_zero(mutant) is False, label
+
+
+def test_defect_report_fails_on_the_mutated_relation(an3):
+    rng = random.Random(7)
+    defects = _an3_catalog_defects(an3)
+    assert _defect_report("clean", "anchor", defects).status
+    for _ in range(5):
+        k = rng.randrange(len(defects))
+        label, defect = defects[k]
+        mutated = list(defects)
+        mutated[k] = (label, defect + _random_monomial(rng, an3.form))
+        rep = _defect_report("mutated", "anchor", mutated)
+        assert rep.status is False
+        assert rep.witness.startswith(f"{label}: ")
+        assert rep.to_json()["status"] == "fail"
