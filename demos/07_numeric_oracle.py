@@ -13,6 +13,7 @@ from qshear.oracle import (
     ClockShiftRep,
     mutation_check,
     numeric_pair_norms,
+    numeric_realization,
     numeric_relation_pairs,
     skew_normal_form,
 )
@@ -32,7 +33,8 @@ for modulus in (5, 7):
         tuple(a + b for a, b in zip(du, dv))
     )
     print("  defining relation defect:", float(np.max(np.abs(lhs - rhs))))
-    pairs = numeric_relation_pairs(rep, real, params)
+    data = numeric_realization(rep, real, params)
+    pairs = numeric_relation_pairs(rep, real, params, data)
     worst = max(n for _, n in numeric_pair_norms(pairs))
     print(f"  {len(pairs)} relations re-verified, worst norm {worst:.2e}")
     caught = mutation_check(pairs, count=50, seed=3, t_value=rep.t_value)

@@ -316,7 +316,7 @@ def compile_path(graph, path, form=None):
     return mat
 
 
-def monodromy_path(graph, root, target, winding=1):
+def monodromy_path(graph, root, target):
     """Written word for the open segment root -> around target -> root.
 
     Both root and target are pending edges; the route runs through the
@@ -374,7 +374,7 @@ def monodromy_path(graph, root, target, winding=1):
         true_tokens.append(("turn", t))
         if k + 1 < len(route) - 1:
             true_tokens.append(("edge", route[k + 1]))
-    true_tokens.append(("orb", target, winding))
+    true_tokens.append(("orb", target, 1))
     flip = {"L": "R", "R": "L"}
     back_tokens = []
     for tok in reversed(true_tokens[:-1]):

@@ -1,33 +1,15 @@
-"""Matrices over the quantum torus / Ore ring, scalar R-matrices, and the
+"""Matrices over the quantum torus, scalar R-matrices, and the
 constructors for edge, turn, orbifold-rotation and commutant matrices.
 """
 
 from __future__ import annotations
 
 from .coeffs import Coefficient, ONE, ZERO
-from .ore import OreElement
 from .torus import TorusElement
 
 
-def ring_add(a, b):
-    if isinstance(a, TorusElement) and isinstance(b, TorusElement):
-        return a + b
-    return _ore(a) + _ore(b)
-
-
-def ring_mul(a, b):
-    if isinstance(a, TorusElement) and isinstance(b, TorusElement):
-        return a.mul(b)
-    return _ore(a).mul(_ore(b))
-
-
-def _ore(a):
-    return OreElement.from_torus(a) if isinstance(a, TorusElement) else a
-
-
 class AlgMatrix:
-    """Square matrix with TorusElement or OreElement entries sharing one
-    skew form."""
+    """Square matrix with TorusElement entries sharing one skew form."""
 
     __slots__ = ("form", "n", "rows")
 
@@ -66,8 +48,8 @@ class AlgMatrix:
             for j in range(n):
                 acc = None
                 for k in range(n):
-                    p = ring_mul(self.rows[i][k], other.rows[k][j])
-                    acc = p if acc is None else ring_add(acc, p)
+                    p = self.rows[i][k].mul(other.rows[k][j])
+                    acc = p if acc is None else acc + p
                 row.append(acc)
             out.append(row)
         return AlgMatrix(self.form, out)
@@ -81,7 +63,7 @@ class AlgMatrix:
         return AlgMatrix(
             self.form,
             [
-                [ring_add(a, b) for a, b in zip(r1, r2)]
+                [a + b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.rows, other.rows)
             ],
         )
@@ -106,15 +88,15 @@ class AlgMatrix:
 
     def scalar_mul_left(self, element):
         """element * M entrywise, element an algebra scalar (not central)."""
-        return AlgMatrix(self.form, [[ring_mul(element, x) for x in row] for row in self.rows])
+        return AlgMatrix(self.form, [[element.mul(x) for x in row] for row in self.rows])
 
     def scalar_mul_right(self, element):
-        return AlgMatrix(self.form, [[ring_mul(x, element) for x in row] for row in self.rows])
+        return AlgMatrix(self.form, [[x.mul(element) for x in row] for row in self.rows])
 
     def trace(self):
         acc = None
         for i in range(self.n):
-            acc = self.rows[i][i] if acc is None else ring_add(acc, self.rows[i][i])
+            acc = self.rows[i][i] if acc is None else acc + self.rows[i][i]
         return acc
 
     def is_zero(self):

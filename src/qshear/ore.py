@@ -17,8 +17,6 @@ test below sound and complete.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .torus import TorusElement
 
 
@@ -81,17 +79,6 @@ class QDenominator:
 
     def __repr__(self):
         return f"QDen(step={self.step}, coeffs={list(self.coeffs)!r})"
-
-
-def _primitive_direction(step):
-    g = 0
-    for x in step:
-        g = gcd(g, abs(x))
-    vec = tuple(x // g for x in step)
-    for x in vec:
-        if x:
-            return vec if x > 0 else tuple(-y for y in vec)
-    raise ValueError("zero direction")
 
 
 class OreElement:
@@ -230,50 +217,13 @@ def _coerce(x, form):
     raise TypeError(f"cannot coerce {type(x).__name__} into the Ore ring")
 
 
-def _clear_same_line(x):
-    """Clear denominators when every factor lies on one direction line.
-
-    Such denominators span a commutative Laurent subalgebra, so each
-    term's chain product C_i is an ordinary polynomial there and
-
-        x * (C_1 C_2 ... C_r) = sum_i N_i * prod_{j != i} C_j
-
-    is a plain torus element.  Right multiplication by nonzero elements
-    is injective, so x = 0 iff the result vanishes.
-    """
-    chain_products = []
-    for num, dens in x.terms:
-        prod = None
-        for d in dens:
-            dt = d.as_torus()
-            prod = dt if prod is None else prod.mul(dt)
-        chain_products.append(prod)
-    acc = TorusElement.zero(x.form)
-    for i, (num, _) in enumerate(x.terms):
-        rest = num
-        for j, c in enumerate(chain_products):
-            if j != i and c is not None:
-                rest = rest.mul(c)
-        acc = acc + rest
-    return acc
-
-
 def ore_zero_test(x):
-    """Exact zero test in the localized ring."""
-    if all(not dens for _, dens in x.terms):
-        acc = TorusElement.zero(x.form)
-        for num, _ in x.terms:
-            acc = acc + num
-        return acc.is_zero()
+    """Exact zero test in the localized ring.
 
-    directions = {
-        _primitive_direction(d.step) for _, dens in x.terms for d in dens
-    }
-    if len(directions) == 1:
-        return _clear_same_line(x).is_zero()
-
-    # mixed directions: iteratively clear the rightmost denominator of a
-    # maximal chain; injectivity keeps zero-ness invariant at every step
+    Clears the rightmost denominator of a longest chain until no
+    denominators are left.  Right multiplication by a nonzero element is
+    injective, so zero-ness is invariant at every step.
+    """
     current = x
     for _ in range(200):
         target = None

@@ -2,25 +2,21 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 
 @dataclass
 class IdentityReport:
-    """One verified identity: stable id, source anchor, pass/fail, wall
-    time, and on failure a bounded digest of the nonzero witness."""
+    """One verified identity: stable id, source anchor, pass/fail, and on
+    failure a bounded digest of the nonzero witness."""
 
     ident: str
     anchor: str
     status: bool
-    elapsed: float
     witness: str | None = None
     extras: dict = field(default_factory=dict)
 
     def to_json(self):
-        # wall time stays out of the document so reports are reproducible
-        # bit for bit under a fixed seed
         out = {
             "id": self.ident,
             "anchor": self.anchor,
@@ -41,15 +37,3 @@ def witness_digest(element, limit=20):
     if len(pieces) > limit:
         text = " + ".join(pieces[:limit]) + f" + ... ({len(pieces) - limit} more terms)"
     return text
-
-
-class timed:
-    """Context manager measuring elapsed wall time."""
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start
-        return False

@@ -41,7 +41,7 @@ from .monodromy import (
     yang_baxter_defect,
 )
 from .ore import OreElement
-from .reports import IdentityReport, timed, witness_digest
+from .reports import IdentityReport, witness_digest
 
 
 class RunConfig:
@@ -73,33 +73,41 @@ class RunConfig:
 
 
 def _defect_report(ident, anchor, defects, extras=None):
-    with timed() as tm:
-        witness = None
-        for label, el in defects:
-            if not element_is_zero(el):
-                witness = f"{label}: {witness_digest(el)}"
-                break
+    witness = None
+    for label, el in defects:
+        if not element_is_zero(el):
+            witness = f"{label}: {witness_digest(el)}"
+            break
     ex = dict(extras or {})
     ex["checks"] = len(defects)
-    return IdentityReport(ident, anchor, witness is None, tm.elapsed, witness, ex)
+    return IdentityReport(ident, anchor, witness is None, witness, ex)
 
 
 def _bool_report(ident, anchor, ok, extras=None, witness=None):
     return IdentityReport(
-        ident, anchor, bool(ok), 0.0, None if ok else (witness or "failed"), dict(extras or {})
+        ident, anchor, bool(ok), None if ok else (witness or "failed"), dict(extras or {})
     )
+
+
+def _numeric_pairs(real, modulus, config, indices=None, reflections=False):
+    """(t, pairs): the root of unity of the clock-and-shift rep at
+    ``modulus`` and the numeric pairs of ``real`` in that rep, all built
+    from one numeric realization.  The rep and its image cache are freed
+    on return."""
+    params = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
+    rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
+    data = oracle.numeric_realization(rep, real, params)
+    pairs = oracle.numeric_relation_pairs(rep, real, params, data, indices)
+    if reflections:
+        pairs += oracle.numeric_reflection_pairs(rep, data)
+    return rep.t_value, pairs
 
 
 def _numeric_reports(prefix, anchor, real, config, indices=None, reflections=False):
     out = []
-    params = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
     for modulus in config.oracle_moduli:
-        with timed() as tm:
-            rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
-            pairs = oracle.numeric_relation_pairs(rep, real, params, indices)
-            if reflections:
-                pairs = pairs + oracle.numeric_reflection_pairs(rep, real, params)
-            norms = oracle.numeric_pair_norms(pairs)
+        _, pairs = _numeric_pairs(real, modulus, config, indices, reflections)
+        norms = oracle.numeric_pair_norms(pairs)
         worst = max(n for _, n in norms) if norms else 0.0
         bad = [lbl for lbl, n in norms if n > 1e-9]
         out.append(
@@ -107,7 +115,6 @@ def _numeric_reports(prefix, anchor, real, config, indices=None, reflections=Fal
                 f"{prefix}-oracle-N{modulus}",
                 anchor,
                 not bad,
-                tm.elapsed,
                 None if not bad else f"norms above 1e-9: {bad[:5]}",
                 {"pairs": len(norms), "max_norm": worst},
             )
@@ -306,24 +313,19 @@ def run_pvi(config):
 def run_flips_classical(config):
     reports = []
     for ident in CLASSICAL_FLIP_IDENTITIES:
-        with timed() as tm:
-            ok = verify_flip_matrix_identity_classical(ident)
         reports.append(
             IdentityReport(
                 f"classical-{ident}",
                 "flip matrix identities in the exact square-root ring",
-                ok,
-                tm.elapsed,
+                verify_flip_matrix_identity_classical(ident),
             )
         )
-        with timed() as tm:
-            dev = oracle.numeric_identity_deviation(ident, config.samples, config.seed)
+        dev = oracle.numeric_identity_deviation(ident, config.samples, config.seed)
         reports.append(
             IdentityReport(
                 f"classical-{ident}-numeric",
                 "same identity at random real shears",
                 dev < 1e-10,
-                tm.elapsed,
                 None if dev < 1e-10 else f"max deviation {dev}",
                 {"max_deviation": dev},
             )
@@ -358,31 +360,26 @@ def run_flips_classical(config):
                 f"classical-{name}",
                 "numeric classical consistency",
                 dev < tol,
-                0.0,
                 None if dev < tol else f"deviation {dev}",
                 {"max_deviation": dev},
             )
         )
-    with timed() as tm:
-        low = oracle.closed_trace_minimum(g4, min(config.samples, 200), config.seed)
+    low = oracle.closed_trace_minimum(g4, min(config.samples, 200), config.seed)
     reports.append(
         IdentityReport(
             "classical-closed-traces",
             "closed geodesic traces stay at or above two",
             low >= 2.0 - 1e-9,
-            tm.elapsed,
             None if low >= 2.0 - 1e-9 else f"minimum trace {low}",
             {"min_trace": low},
         )
     )
-    with timed() as tm:
-        viol = oracle.sign_structure_violation(g4, min(config.samples, 50), config.seed)
+    viol = oracle.sign_structure_violation(g4, min(config.samples, 50), config.seed)
     reports.append(
         IdentityReport(
             "classical-sign-structure",
             "block products keep the alternating sign pattern",
             viol < 1e-12,
-            tm.elapsed,
             None if viol < 1e-12 else f"violation {viol}",
             {"max_violation": viol},
         )
@@ -502,22 +499,14 @@ def run_graph_validate(config):
 def run_oracle_soundness(config):
     reports = []
     real = an_realization(3)
-    params = {"omega0": 0.47}
-    pairs = []
     for modulus in config.oracle_moduli:
-        rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
-        pairs = oracle.numeric_relation_pairs(rep, real, params)
-        pairs += oracle.numeric_reflection_pairs(rep, real, params)
-        with timed() as tm:
-            caught = oracle.mutation_check(
-                pairs, count=50, seed=config.seed, t_value=rep.t_value
-            )
+        t_value, pairs = _numeric_pairs(real, modulus, config, reflections=True)
+        caught = oracle.mutation_check(pairs, count=50, seed=config.seed, t_value=t_value)
         reports.append(
             IdentityReport(
                 f"mutations-N{modulus}",
                 "50 deliberately broken identities are all caught",
                 all(caught),
-                tm.elapsed,
                 None if all(caught) else f"missed {caught.count(False)}",
                 {"caught": sum(caught), "total": len(caught)},
             )

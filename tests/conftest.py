@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from qshear.torus import SkewForm
+from qshear.coeffs import Coefficient
+from qshear.torus import SkewForm, TorusElement
 
 
 @pytest.fixture
@@ -18,3 +19,10 @@ def random_skew_form(rng, n):
             beta[i][j] = v
             beta[j][i] = -v
     return SkewForm(tuple(f"g{i}" for i in range(n)), beta)
+
+
+def random_monomial(rng, form):
+    """A nonzero monomial W(u) t^k with a small integer coefficient."""
+    du = [rng.randint(-2, 2) for _ in range(form.dim)]
+    coeff = Coefficient.t_power(rng.randint(-8, 8), rng.choice((-2, -1, 1, 2)))
+    return TorusElement.monomial(form, du, coeff)

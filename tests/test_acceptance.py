@@ -40,6 +40,7 @@ from qshear.oracle import (
     mutation_check,
     numeric_identity_deviation,
     numeric_pair_norms,
+    numeric_realization,
     numeric_reflection_pairs,
     numeric_relation_pairs,
     oracle_check,
@@ -213,8 +214,9 @@ def test_criterion_8_oracle_coupling():
     ):
         for modulus in (5, 7):
             rep = ClockShiftRep(realization.form, modulus, seed=20240229)
-            pairs = numeric_relation_pairs(rep, realization, params)
-            pairs += numeric_reflection_pairs(rep, realization, params)
+            data = numeric_realization(rep, realization, params)
+            pairs = numeric_relation_pairs(rep, realization, params, data)
+            pairs += numeric_reflection_pairs(rep, data)
             norms = numeric_pair_norms(pairs)
             checked += len(norms)
             worst = max(worst, max(n for _, n in norms))
@@ -234,7 +236,8 @@ def test_criterion_8_oracle_coupling():
 
     real3 = an_realization(3)
     rep = ClockShiftRep(real3.form, 5, seed=20240229)
-    pairs = numeric_relation_pairs(rep, real3, {"omega0": 0.47})
+    params3 = {"omega0": 0.47}
+    pairs = numeric_relation_pairs(rep, real3, params3, numeric_realization(rep, real3, params3))
     caught = mutation_check(pairs, count=50, seed=20240229, t_value=rep.t_value)
     assert len(caught) == 50 and all(caught)
     elapsed = time.time() - start

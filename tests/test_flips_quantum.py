@@ -18,6 +18,8 @@ from qshear.monodromy import build_monodromy, geodesic_G
 from qshear.ore import OreElement, ore_zero_test
 from qshear.torus import TorusElement, ew, half
 
+from conftest import random_monomial
+
 
 @pytest.fixture(scope="module")
 def an4():
@@ -158,3 +160,24 @@ def test_scale_rule_bookkeeping():
     for ident, (lhs, rhs, tpow) in words.items():
         bal = lambda ts: sum(1 if t == "R" else -1 for t in ts)
         assert bal(lhs) - bal(rhs) == tpow, ident
+
+
+@pytest.mark.parametrize(
+    "make_sub",
+    [
+        lambda g: quantum_flip_substitution(g, "X1"),
+        lambda g: quantum_pending_substitution(g, "S"),
+    ],
+    ids=["X1", "S"],
+)
+def test_ore_valued_flip_defects_both_verdicts(make_sub):
+    """The Ore zero test must find every flip defect zero, and every
+    defect plus a nonzero monomial W(u) t^k nonzero."""
+    sub = make_sub(spine_graph_an(3))
+    defects = [*homomorphism_defects(sub), *star_defects(sub)]
+    assert any(dens for _, x in defects for _, dens in x.terms)
+    rng = random.Random(20240229)
+    for label, defect in defects:
+        assert ore_zero_test(defect) is True, label
+        mutant = defect + random_monomial(rng, defect.form)
+        assert ore_zero_test(mutant) is False, label

@@ -24,6 +24,8 @@ from qshear.monodromy import (
 from qshear.suites import _defect_report
 from qshear.torus import TorusElement, commutative_shadow, ew
 
+from conftest import random_monomial
+
 Q1 = Coefficient.q_power(1)
 QM1 = Coefficient.q_power(-1)
 
@@ -240,12 +242,6 @@ def _an3_catalog_defects(an3):
     return defects
 
 
-def _random_monomial(rng, form):
-    du = [rng.randint(-2, 2) for _ in range(form.dim)]
-    coeff = Coefficient.t_power(rng.randint(-8, 8), rng.choice((-2, -1, 1, 2)))
-    return TorusElement.monomial(form, du, coeff)
-
-
 def test_nonzero_defects_are_reported_nonzero(an3):
     """The zero verdict must also work in the other direction: a catalog
     defect plus a nonzero monomial W(u) t^k is never declared zero."""
@@ -253,7 +249,7 @@ def test_nonzero_defects_are_reported_nonzero(an3):
     defects = _an3_catalog_defects(an3)
     assert len(defects) > 20
     for label, defect in defects:
-        mutant = defect + _random_monomial(rng, an3.form)
+        mutant = defect + random_monomial(rng, an3.form)
         assert element_is_zero(mutant) is False, label
 
 
@@ -265,7 +261,7 @@ def test_defect_report_fails_on_the_mutated_relation(an3):
         k = rng.randrange(len(defects))
         label, defect = defects[k]
         mutated = list(defects)
-        mutated[k] = (label, defect + _random_monomial(rng, an3.form))
+        mutated[k] = (label, defect + random_monomial(rng, an3.form))
         rep = _defect_report("mutated", "anchor", mutated)
         assert rep.status is False
         assert rep.witness.startswith(f"{label}: ")

@@ -6,6 +6,7 @@ import pytest
 
 from qshear.coeffs import Coefficient
 from qshear.fatgraph import spine_graph_an
+from qshear.matrices import AlgMatrix
 from qshear.monodromy import an_realization, pvi_realization
 from qshear.oracle import (
     ClockShiftRep,
@@ -13,6 +14,7 @@ from qshear.oracle import (
     closed_trace_minimum,
     mutation_check,
     numeric_pair_norms,
+    numeric_realization,
     numeric_reflection_pairs,
     numeric_relation_pairs,
     oracle_check,
@@ -20,6 +22,7 @@ from qshear.oracle import (
     skew_normal_form,
     default_param_values,
 )
+from qshear.ore import OreElement
 from qshear.torus import SkewForm, TorusElement, ew
 
 from conftest import random_skew_form
@@ -97,8 +100,9 @@ def test_numeric_relations_two_moduli():
     params = {"omega0": 0.47}
     for modulus in (5, 7):
         rep = ClockShiftRep(real.form, modulus, seed=3)
-        pairs = numeric_relation_pairs(rep, real, params)
-        pairs += numeric_reflection_pairs(rep, real, params)
+        data = numeric_realization(rep, real, params)
+        pairs = numeric_relation_pairs(rep, real, params, data)
+        pairs += numeric_reflection_pairs(rep, data)
         worst = max(n for _, n in numeric_pair_norms(pairs))
         assert worst < 1e-9, (modulus, worst)
 
@@ -108,7 +112,8 @@ def test_numeric_pvi_relations():
     params = {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}
     for modulus in (5, 7):
         rep = ClockShiftRep(real.form, modulus, seed=3)
-        worst = max(n for _, n in numeric_pair_norms(numeric_relation_pairs(rep, real, params)))
+        data = numeric_realization(rep, real, params)
+        worst = max(n for _, n in numeric_pair_norms(numeric_relation_pairs(rep, real, params, data)))
         assert worst < 1e-9
 
 
@@ -116,9 +121,45 @@ def test_mutations_all_caught():
     real = an_realization(3)
     params = {"omega0": 0.47}
     rep = ClockShiftRep(real.form, 5, seed=3)
-    pairs = numeric_relation_pairs(rep, real, params)
+    pairs = numeric_relation_pairs(rep, real, params, numeric_realization(rep, real, params))
     caught = mutation_check(pairs, count=50, seed=5, t_value=rep.t_value)
     assert len(caught) == 50 and all(caught)
+
+
+def test_reflection_mutations_all_caught():
+    """Mutations of the (4, 4, dim, dim) reflection pairs alone."""
+    real = an_realization(3)
+    params = {"omega0": 0.47}
+    rep = ClockShiftRep(real.form, 5, seed=3)
+    pairs = numeric_reflection_pairs(rep, numeric_realization(rep, real, params))
+    assert all(lhs.shape == (4, 4, rep.dim, rep.dim) for _, lhs, _ in pairs)
+    caught = mutation_check(pairs, count=50, seed=5, t_value=rep.t_value)
+    assert len(caught) == 50 and all(caught)
+
+
+def _refuse_symbolic_product(*args, **kwargs):
+    raise AssertionError("the oracle must not use the symbolic product")
+
+
+@pytest.mark.parametrize(
+    "make_real, params",
+    [
+        (lambda: an_realization(3), {"omega0": 0.47}),
+        (pvi_realization, {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}),
+    ],
+    ids=["an3", "pvi"],
+)
+def test_oracle_uses_generator_images_only(monkeypatch, make_real, params):
+    """With every symbolic product disabled, the numeric realization and
+    both pair builders still run and still pass."""
+    real = make_real()
+    for cls in (TorusElement, OreElement, AlgMatrix):
+        monkeypatch.setattr(cls, "mul", _refuse_symbolic_product)
+    rep = ClockShiftRep(real.form, 5, seed=3)
+    data = numeric_realization(rep, real, params)
+    pairs = numeric_relation_pairs(rep, real, params, data)
+    pairs += numeric_reflection_pairs(rep, data)
+    assert max(n for _, n in numeric_pair_norms(pairs)) < 1e-9
 
 
 def test_seeded_reproducibility():
@@ -126,7 +167,8 @@ def test_seeded_reproducibility():
     params = default_param_values([], 99)
     def snapshot():
         rep = ClockShiftRep(real.form, 5, seed=99)
-        pairs = numeric_relation_pairs(rep, real, {"omega0": 0.5, **params})
+        values = {"omega0": 0.5, **params}
+        pairs = numeric_relation_pairs(rep, real, values, numeric_realization(rep, real, values))
         return json.dumps(numeric_pair_norms(pairs), sort_keys=True)
     assert snapshot() == snapshot()
 
