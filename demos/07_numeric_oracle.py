@@ -34,8 +34,8 @@ for modulus in (5, 7):
     )
     print("  defining relation defect:", float(np.max(np.abs(lhs - rhs))))
     data = numeric_realization(rep, real, params)
-    pairs = numeric_relation_pairs(rep, real, params, data)
+    pairs = list(numeric_relation_pairs(rep, real, params, data))
     worst = max(n for _, n in numeric_pair_norms(pairs))
     print(f"  {len(pairs)} relations re-verified, worst norm {worst:.2e}")
-    caught = mutation_check(pairs, count=50, seed=3, t_value=rep.t_value)
+    caught = mutation_check(pairs, rep.t_value, 3)
     print(f"  mutated identities caught: {sum(caught)}/{len(caught)}")

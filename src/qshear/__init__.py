@@ -19,7 +19,6 @@ from .fatgraph import (
 )
 from .matrices import (
     AlgMatrix,
-    ScalarMatrix,
     edge_matrix,
     f_matrix,
     omega_commutant,
@@ -47,7 +46,6 @@ __all__ = [
     "OreElement",
     "PathWord",
     "QDenominator",
-    "ScalarMatrix",
     "SkewForm",
     "TorusElement",
     "an_realization",

@@ -23,20 +23,15 @@ from __future__ import annotations
 import json
 
 from .coeffs import Coefficient
-from .matrices import (
-    AlgMatrix,
-    double_edge_matrix,
-    edge_matrix,
-    f_matrix,
-    turn_matrix,
-)
+from .matrices import AlgMatrix, edge_matrix, f_matrix, turn_matrix
 from .torus import SkewForm
 
 
 class PendingInfo:
     """Orbifold data of a pending edge: a weight coefficient and, when the
-    weight came from an integer order p, that order (used by the numeric
-    oracle)."""
+    weight came from an integer order p, that order.  The order is kept
+    only so that the graph format can write it back; compilation uses the
+    weight alone."""
 
     __slots__ = ("weight", "p")
 
@@ -130,8 +125,8 @@ class FatGraph:
         vb = {vi for vi, _ in self._incidence[b]}
         return sorted(va & vb)
 
-    def replace_vertices(self, new_vertices, pending=None):
-        return FatGraph(self.edges, new_vertices, pending or self.pending, self.meta)
+    def replace_vertices(self, new_vertices):
+        return FatGraph(self.edges, new_vertices, self.pending, self.meta)
 
     # -- induced algebraic structure ----------------------------------------
 
@@ -236,11 +231,10 @@ class PathWord:
     """A written matrix word: steps are ('edge', name), ('turn', 'L'|'R') or
     ('orb', name, k); the leftmost step is the final leg of the path."""
 
-    __slots__ = ("steps", "closed")
+    __slots__ = ("steps",)
 
-    def __init__(self, steps, closed=False):
+    def __init__(self, steps):
         self.steps = tuple(tuple(s) for s in steps)
-        self.closed = bool(closed)
         kinds = [s[0] for s in self.steps]
         for i, k in enumerate(kinds):
             if k not in ("edge", "turn", "orb"):
@@ -278,14 +272,13 @@ def _check_turn(graph, after, turn, before):
     )
 
 
-def compile_path(graph, path, form=None):
-    """Left-to-right product of edge, turn and winding factors.
+def compile_path(graph, path, form):
+    """Left-to-right product of edge, turn and winding factors over
+    ``form``, the skew form of ``graph``.
 
     Winding steps ('orb', e, k) insert X_e * (-1)**(k+1) F_w**k * X_e.
     For closed paths the caller takes the trace of the full cyclic word.
     """
-    if form is None:
-        form = graph.skew_form()
     mat = None
     steps = path.steps
     for i, step in enumerate(steps):
@@ -297,17 +290,13 @@ def compile_path(graph, path, form=None):
             _, name, k = step
             if not graph.is_pending(name):
                 raise ValueError(f"winding at non-pending edge {name!r}")
-            info = graph.pending[name]
-            if info.p == 2 and k == 1:
-                factor = double_edge_matrix(form, name)
-            else:
-                fw = f_matrix(form, info.weight)
-                acc = AlgMatrix.identity(form)
-                for _ in range(k):
-                    acc = acc.mul(fw)
-                if k % 2 == 0:
-                    acc = acc.neg()
-                factor = edge_matrix(form, name).mul(acc).mul(edge_matrix(form, name))
+            fw = f_matrix(form, graph.weight(name))
+            acc = AlgMatrix.identity(form)
+            for _ in range(k):
+                acc = acc.mul(fw)
+            if k % 2 == 0:
+                acc = acc.neg()
+            factor = edge_matrix(form, name).mul(acc).mul(edge_matrix(form, name))
         if i >= 2 and steps[i - 1][0] == "turn" and step[0] != "turn":
             _check_turn(graph, steps[i - 2], steps[i - 1][1], step)
         mat = factor if mat is None else mat.mul(factor)
@@ -336,7 +325,7 @@ def monodromy_path(graph, root, target):
         vi = queue.pop(0)
         if vi == vt:
             break
-        for e in self_edges(graph, vi):
+        for e in graph.vertices[vi]:
             if not graph.is_internal(e):
                 continue
             (va, _), (vb, _) = graph.incidence(e)
@@ -383,19 +372,15 @@ def monodromy_path(graph, root, target):
         else:
             back_tokens.append(tok)
     true_tokens.extend(back_tokens)
-    return PathWord(tuple(reversed(true_tokens)), closed=False)
-
-
-def self_edges(graph, vi):
-    return graph.vertices[vi]
+    return PathWord(tuple(reversed(true_tokens)))
 
 
 # -- bundled graphs -----------------------------------------------------------
 
 
-def spine_graph_an(n, root_param="omega0"):
-    """Caterpillar spine with root pending edge S and n ordered order-2
-    pending edges Z1..Zn.
+def spine_graph_an(n):
+    """Caterpillar spine with root pending edge S (weight parameter omega0)
+    and n ordered order-2 pending edges Z1..Zn.
 
     For n = 2 this is the two-vertex local picture with a spectator stub W
     at the root vertex; for n >= 3 the last point shares the root vertex
@@ -403,7 +388,7 @@ def spine_graph_an(n, root_param="omega0"):
     """
     if n < 2:
         raise ValueError("need at least two orbifold points besides the root")
-    pend = {"S": PendingInfo.from_param(root_param)}
+    pend = {"S": PendingInfo.from_param("omega0")}
     for i in range(1, n + 1):
         pend[f"Z{i}"] = PendingInfo.from_order(2)
     if n == 2:

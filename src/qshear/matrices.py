@@ -1,5 +1,7 @@
-"""Matrices over the quantum torus, scalar R-matrices, and the
-constructors for edge, turn, orbifold-rotation and commutant matrices.
+"""Matrices over the quantum torus and their constructors: edge, turn,
+orbifold-rotation and commutant matrices, and the R-matrix with its
+embeddings into tensor legs.  A scalar matrix such as R is an AlgMatrix
+whose entries are constants of the torus.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ class AlgMatrix:
         return self.rows[i][j]
 
     def mul(self, other):
-        if isinstance(other, ScalarMatrix):
-            other = other.promote(self.form)
         if self.n != other.n:
             raise ValueError("size mismatch")
         n = self.n
@@ -99,81 +99,14 @@ class AlgMatrix:
             acc = self.rows[i][i] if acc is None else acc + self.rows[i][i]
         return acc
 
+    def transpose(self):
+        return AlgMatrix(self.form, zip(*self.rows))
+
     def is_zero(self):
         return all(x.is_zero() for row in self.rows for x in row)
-
-    def equals(self, other):
-        return (self - other).is_zero()
 
     def __repr__(self):
         return "AlgMatrix[\n" + "\n".join("  " + repr(list(r)) for r in self.rows) + "\n]"
-
-
-class ScalarMatrix:
-    """Matrix over plain Coefficients (central scalars)."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(row) for row in rows)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("ScalarMatrix must be square")
-        self.n = n
-        self.rows = rows
-
-    @staticmethod
-    def identity(n):
-        return ScalarMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def mul(self, other):
-        if isinstance(other, AlgMatrix):
-            return self.promote(other.form).mul(other)
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        n = self.n
-        return ScalarMatrix(
-            [
-                [
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(n)),
-                        ZERO,
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def __sub__(self, other):
-        return ScalarMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def transpose(self):
-        return ScalarMatrix(tuple(zip(*self.rows)))
-
-    def is_zero(self):
-        return all(x.is_zero() for row in self.rows for x in row)
-
-    def equals(self, other):
-        return (self - other).is_zero()
-
-    def promote(self, form):
-        return AlgMatrix(
-            form,
-            [[TorusElement.scalar(form, c) for c in row] for row in self.rows],
-        )
-
-    def __repr__(self):
-        return "ScalarMatrix[\n" + "\n".join("  " + repr(list(r)) for r in self.rows) + "\n]"
 
 
 # -- constructors -------------------------------------------------------
@@ -184,15 +117,6 @@ def edge_matrix(form, name):
     zero = TorusElement.zero(form)
     up = TorusElement.monomial(form, form.du({name: 1}))
     dn = TorusElement.monomial(form, form.du({name: -1}))
-    return AlgMatrix(form, [[zero, -up], [dn, zero]])
-
-
-def double_edge_matrix(form, name):
-    """[[0, -exp(Z)], [exp(-Z), 0]]: an edge traversed with doubled value,
-    the order-2 collapse of edge * F_0 * edge."""
-    zero = TorusElement.zero(form)
-    up = TorusElement.monomial(form, form.du({name: 2}))
-    dn = TorusElement.monomial(form, form.du({name: -2}))
     return AlgMatrix(form, [[zero, -up], [dn, zero]])
 
 
@@ -225,8 +149,9 @@ def omega_commutant(form, a, c, omega):
     return AlgMatrix(form, [[am, cm], [-cm, corner]])
 
 
-def r_matrix(power):
-    """The standard 4x4 quantum R-matrix at q**power (q = t**4):
+def r_matrix(power, form):
+    """The standard 4x4 quantum R-matrix at q**power (q = t**4) over
+    ``form``:
 
         [[q, 0, 0,       0],
          [0, 1, q - 1/q,  0],
@@ -237,16 +162,13 @@ def r_matrix(power):
     """
     q = Coefficient.t_power(4 * power)
     qinv = Coefficient.t_power(-4 * power)
-    one = ONE
-    zero = ZERO
-    return ScalarMatrix(
-        [
-            [q, zero, zero, zero],
-            [zero, one, q - qinv, zero],
-            [zero, zero, one, zero],
-            [zero, zero, zero, q],
-        ]
-    )
+    rows = [
+        [q, ZERO, ZERO, ZERO],
+        [ZERO, ONE, q - qinv, ZERO],
+        [ZERO, ZERO, ONE, ZERO],
+        [ZERO, ZERO, ZERO, q],
+    ]
+    return AlgMatrix(form, [[TorusElement.scalar(form, c) for c in row] for row in rows])
 
 
 def tensor_embed(m, slot):
@@ -270,24 +192,24 @@ def tensor_embed(m, slot):
     return AlgMatrix(form, out)
 
 
-def scalar_tensor(r, slots, nslots=3):
+def scalar_tensor(r, slots):
     """Embed a 4x4 scalar matrix acting on tensor legs `slots` (a pair of
-    distinct legs in 1..nslots) into the 2**nslots scalar matrix."""
+    distinct legs in 1..3) into the 8x8 matrix on three legs."""
     if r.n != 4:
         raise ValueError("scalar_tensor expects a 4x4 matrix")
     a, b = slots
-    if a == b or not (1 <= a <= nslots and 1 <= b <= nslots):
+    if a == b or not (1 <= a <= 3 and 1 <= b <= 3):
         raise ValueError("slots must be two distinct legs")
-    dim = 2 ** nslots
-    out = [[ZERO] * dim for _ in range(dim)]
-    for row in range(dim):
-        rbits = [(row >> (nslots - 1 - k)) & 1 for k in range(nslots)]
-        for col in range(dim):
-            cbits = [(col >> (nslots - 1 - k)) & 1 for k in range(nslots)]
-            ok = all(rbits[k] == cbits[k] for k in range(nslots) if k not in (a - 1, b - 1))
+    zero = TorusElement.zero(r.form)
+    out = [[zero] * 8 for _ in range(8)]
+    for row in range(8):
+        rbits = [(row >> (2 - k)) & 1 for k in range(3)]
+        for col in range(8):
+            cbits = [(col >> (2 - k)) & 1 for k in range(3)]
+            ok = all(rbits[k] == cbits[k] for k in range(3) if k not in (a - 1, b - 1))
             if not ok:
                 continue
             ri = 2 * rbits[a - 1] + rbits[b - 1]
             ci = 2 * cbits[a - 1] + cbits[b - 1]
             out[row][col] = r.rows[ri][ci]
-    return ScalarMatrix(out)
+    return AlgMatrix(r.form, out)

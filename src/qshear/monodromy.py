@@ -19,8 +19,7 @@ from .fatgraph import (
     spine_graph_an,
 )
 from .matrices import AlgMatrix, r_matrix, scalar_tensor, tensor_embed
-from .ore import ore_zero_test
-from .torus import TorusElement, even_check
+from .torus import SkewForm, TorusElement, even_check
 
 Q1 = Coefficient.q_power(1)
 QM1 = Coefficient.q_power(-1)
@@ -71,9 +70,6 @@ class MonodromyRealization:
     def matrix(self, i):
         return self.mats[i - 1]
 
-    def geodesic(self, i, j):
-        return geodesic_G(self, i, j)
-
     def with_matrices(self, mats):
         """Same spine and weights, new matrices; the words no longer apply."""
         return MonodromyRealization(
@@ -96,25 +92,22 @@ def extract_entries(mat, omega):
     return a, b, c
 
 
-def build_monodromy(graph, root="S", points=None, omega0=None):
-    """Compile the root-to-point monodromy matrices of a rooted spine."""
+def build_monodromy(graph):
+    """Compile the monodromy matrices of an A-type spine, from the root
+    pending edge S to each of its points in linear order."""
     form = graph.skew_form()
-    if points is None:
-        points = an_point_order(graph)
-    words = tuple(monodromy_path(graph, root, point) for point in points)
+    points = an_point_order(graph)
+    words = tuple(monodromy_path(graph, "S", point) for point in points)
     mats = [compile_path(graph, word, form) for word in words]
     omegas = {idx: graph.weight(point) for idx, point in enumerate(points, start=1)}
-    if omega0 is None:
-        omega0 = graph.weight(root)
-    real = MonodromyRealization(graph, form, root, points, mats, omegas, omega0)
+    real = MonodromyRealization(graph, form, "S", points, mats, omegas, graph.weight("S"))
     real.words = words
     return real
 
 
-def an_realization(n, omega0_symbolic=True):
+def an_realization(n):
     """The order-2 chain realization with n points besides the root."""
-    omega0 = None if omega0_symbolic else Coefficient.zero()
-    return build_monodromy(spine_graph_an(n), root="S", omega0=omega0)
+    return build_monodromy(spine_graph_an(n))
 
 
 def pvi_realization():
@@ -288,8 +281,9 @@ def nelson_regge_defects(real, indices):
 
 
 def yang_baxter_defect():
-    """R12 R13 R23 - R23 R13 R12 on the 8x8 scalar space."""
-    r = r_matrix(1)
+    """R12 R13 R23 - R23 R13 R12 on the 8x8 space, over the form with no
+    generators."""
+    r = r_matrix(1, SkewForm((), ()))
     r12 = scalar_tensor(r, (1, 2))
     r13 = scalar_tensor(r, (1, 3))
     r23 = scalar_tensor(r, (2, 3))
@@ -302,8 +296,8 @@ def reflection_defects(real, i, j):
     The leading argument q^-1 is the one compatible with the entry
     relations and with the single-matrix form below.
     """
-    r_pos = r_matrix(-1).promote(real.form)
-    r_neg = r_matrix(1).promote(real.form)
+    r_pos = r_matrix(-1, real.form)
+    r_neg = r_matrix(1, real.form)
     mi1 = tensor_embed(real.matrix(i), 1)
     mj2 = tensor_embed(real.matrix(j), 2)
     lhs = r_pos.mul(mi1).mul(r_neg).mul(mj2)
@@ -318,9 +312,8 @@ def reflection_defects(real, i, j):
 
 def reflection_ii_defects(real, i):
     """R^T_12[q^-2] M_i^(2) M_i^(1) = M_i^(1) M_i^(2) R_12[q^-2]."""
-    r2 = r_matrix(-2)
-    rt = r2.transpose().promote(real.form)
-    rp = r2.promote(real.form)
+    rp = r_matrix(-2, real.form)
+    rt = rp.transpose()
     mi1 = tensor_embed(real.matrix(i), 1)
     mi2 = tensor_embed(real.matrix(i), 2)
     diff = rt.mul(mi2).mul(mi1) - mi1.mul(mi2).mul(rp)
@@ -520,6 +513,4 @@ def pvi_defects(real):
 
 
 def element_is_zero(x):
-    if isinstance(x, TorusElement):
-        return x.is_zero()
-    return ore_zero_test(x)
+    return x.is_zero()

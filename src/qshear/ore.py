@@ -39,10 +39,6 @@ class QDenominator:
         self.coeffs = coeffs
         self._key = None
 
-    @property
-    def degree(self):
-        return len(self.coeffs)
-
     def as_torus(self):
         el = TorusElement.one(self.form)
         for k, c in enumerate(self.coeffs, start=1):

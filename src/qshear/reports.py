@@ -29,11 +29,11 @@ class IdentityReport:
         return out
 
 
-def witness_digest(element, limit=20):
-    """First terms of a nonzero difference, for debuggability without
+def witness_digest(element):
+    """First 20 terms of a nonzero difference, for debuggability without
     gigantic dumps."""
     text = repr(element)
     pieces = text.split(" + ")
-    if len(pieces) > limit:
-        text = " + ".join(pieces[:limit]) + f" + ... ({len(pieces) - limit} more terms)"
+    if len(pieces) > 20:
+        text = " + ".join(pieces[:20]) + f" + ... ({len(pieces) - 20} more terms)"
     return text

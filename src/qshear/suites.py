@@ -64,50 +64,45 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown suites: {unknown}; known: {sorted(SUITES)}")
         for m in self.oracle_moduli:
-            if m < 3 or m % 2 == 0:
-                raise ValueError(f"oracle modulus {m} must be an odd integer >= 3")
+            # the an4 oracle holds dense blocks of dimension m**3, which
+            # bounds its memory only while m does
+            if m < 3 or m % 2 == 0 or m > 9:
+                raise ValueError(f"oracle modulus {m} must be an odd integer from 3 to 9")
         if not self.oracle_moduli:
             raise ValueError("need at least one oracle modulus")
         if self.samples < 1:
             raise ValueError("samples must be positive")
 
 
-def _defect_report(ident, anchor, defects, extras=None):
+def _defect_report(ident, anchor, defects):
     witness = None
     for label, el in defects:
         if not element_is_zero(el):
             witness = f"{label}: {witness_digest(el)}"
             break
-    ex = dict(extras or {})
-    ex["checks"] = len(defects)
-    return IdentityReport(ident, anchor, witness is None, witness, ex)
+    return IdentityReport(ident, anchor, witness is None, witness, {"checks": len(defects)})
 
 
-def _bool_report(ident, anchor, ok, extras=None, witness=None):
-    return IdentityReport(
-        ident, anchor, bool(ok), None if ok else (witness or "failed"), dict(extras or {})
-    )
+def _bool_report(ident, anchor, ok, witness=None):
+    return IdentityReport(ident, anchor, bool(ok), None if ok else (witness or "failed"))
 
 
-def _numeric_pairs(real, modulus, config, indices=None, reflections=False):
-    """(t, pairs): the root of unity of the clock-and-shift rep at
-    ``modulus`` and the numeric pairs of ``real`` in that rep, all built
-    from one numeric realization.  The rep and its image cache are freed
-    on return."""
+def _numeric_pairs(rep, real, reflections):
+    """The numeric pairs of ``real`` in ``rep``, all built from one numeric
+    realization and yielded one at a time, so that at most one pair is
+    alive while its caller reduces it."""
     params = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
-    rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
     data = oracle.numeric_realization(rep, real, params)
-    pairs = oracle.numeric_relation_pairs(rep, real, params, data, indices)
+    yield from oracle.numeric_relation_pairs(rep, real, params, data)
     if reflections:
-        pairs += oracle.numeric_reflection_pairs(rep, data)
-    return rep.t_value, pairs
+        yield from oracle.numeric_reflection_pairs(rep, data)
 
 
-def _numeric_reports(prefix, anchor, real, config, indices=None, reflections=False):
+def _numeric_reports(prefix, anchor, real, config, reflections=False):
     out = []
     for modulus in config.oracle_moduli:
-        _, pairs = _numeric_pairs(real, modulus, config, indices, reflections)
-        norms = oracle.numeric_pair_norms(pairs)
+        rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
+        norms = oracle.numeric_pair_norms(_numeric_pairs(rep, real, reflections))
         worst = max(n for _, n in norms) if norms else 0.0
         bad = [lbl for lbl, n in norms if n > 1e-9]
         out.append(
@@ -500,8 +495,8 @@ def run_oracle_soundness(config):
     reports = []
     real = an_realization(3)
     for modulus in config.oracle_moduli:
-        t_value, pairs = _numeric_pairs(real, modulus, config, reflections=True)
-        caught = oracle.mutation_check(pairs, count=50, seed=config.seed, t_value=t_value)
+        rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
+        caught = oracle.mutation_check(_numeric_pairs(rep, real, True), rep.t_value, config.seed)
         reports.append(
             IdentityReport(
                 f"mutations-N{modulus}",

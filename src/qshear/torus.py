@@ -210,11 +210,10 @@ class TorusElement:
         out.terms = {du: c.bar() for du, c in self.terms.items()}
         return out
 
-    def at_t_one(self, form_commutative=None):
-        """Classical specialization t -> 1, optionally re-homed on a
-        commutative (beta = 0) form with the same generator names."""
-        form = form_commutative if form_commutative is not None else self.form
-        out = TorusElement(form)
+    def at_t_one(self, form_commutative):
+        """Classical specialization t -> 1, re-homed on a commutative
+        (beta = 0) form with the same generator names."""
+        out = TorusElement(form_commutative)
         for du, c in self.terms.items():
             c1 = c.at_t_one()
             if not c1:

@@ -215,9 +215,12 @@ def test_criterion_8_oracle_coupling():
         for modulus in (5, 7):
             rep = ClockShiftRep(realization.form, modulus, seed=20240229)
             data = numeric_realization(rep, realization, params)
-            pairs = numeric_relation_pairs(rep, realization, params, data)
-            pairs += numeric_reflection_pairs(rep, data)
-            norms = numeric_pair_norms(pairs)
+            norms = numeric_pair_norms(
+                [
+                    *numeric_relation_pairs(rep, realization, params, data),
+                    *numeric_reflection_pairs(rep, data),
+                ]
+            )
             checked += len(norms)
             worst = max(worst, max(n for _, n in norms))
     assert worst < 1e-9, worst
@@ -238,7 +241,7 @@ def test_criterion_8_oracle_coupling():
     rep = ClockShiftRep(real3.form, 5, seed=20240229)
     params3 = {"omega0": 0.47}
     pairs = numeric_relation_pairs(rep, real3, params3, numeric_realization(rep, real3, params3))
-    caught = mutation_check(pairs, count=50, seed=20240229, t_value=rep.t_value)
+    caught = mutation_check(pairs, rep.t_value, 20240229)
     assert len(caught) == 50 and all(caught)
     elapsed = time.time() - start
     assert _report(

@@ -81,7 +81,14 @@ def test_report_order_follows_requested_suites(tmp_path):
     assert suites == sorted(suites, key=lambda s: ["pvi", "graph-validate"].index(s))
 
 
-def test_bad_oracle_modulus_is_usage_error(capsys):
+def test_bad_oracle_modulus_is_usage_error(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a bad configuration must stop before any suite runs")
+
+    monkeypatch.setattr("qshear.cli.run_suite", refuse)
     assert main(["--suite", "pvi", "--oracle-mod", "4"]) == 2
     assert main(["--suite", "pvi", "--oracle-mod", ""]) == 2
+    assert main(["--suite", "an-core", "--oracle-mod", "5,11"]) == 2
+    assert "from 3 to 9" in capsys.readouterr().err
+    assert RunConfig(oracle_moduli=(9,)).oracle_moduli == (9,)
     assert main(["--suite", "pvi", "--samples", "0"]) == 2

@@ -5,8 +5,6 @@ import pytest
 from qshear.coeffs import Coefficient, ONE
 from qshear.matrices import (
     AlgMatrix,
-    ScalarMatrix,
-    double_edge_matrix,
     edge_matrix,
     f_matrix,
     omega_commutant,
@@ -61,7 +59,13 @@ def test_winding_collapse_at_full_order(form):
     lhs = xx.mul(l).mul(xz).mul(f0.mul(f0).neg()).mul(xz).mul(l).mul(xy)
     rhs = xx.mul(r).mul(xy)
     assert (lhs - rhs).is_zero()
-    assert (xz.mul(f0).mul(xz) - double_edge_matrix(form, "Z")).is_zero()
+    # a single winding at an order-2 point doubles the edge value:
+    # X_Z F_0 X_Z = [[0, -exp(Z)], [exp(-Z), 0]]
+    doubled = AlgMatrix(
+        form,
+        [[TorusElement.zero(form), -ew(form, {"Z": 1})], [ew(form, {"Z": -1}), TorusElement.zero(form)]],
+    )
+    assert (xz.mul(f0).mul(xz) - doubled).is_zero()
 
 
 def test_omega_commutant(form):
@@ -130,31 +134,31 @@ def test_mat_scale(form):
     assert (e.scale_t(4).scale_t(-4) - e).is_zero()
 
 
-def test_r_matrix_entries():
-    r = r_matrix(1)
+def test_r_matrix_entries(form):
+    r = r_matrix(1, form)
     q = Coefficient.q_power(1)
     qi = Coefficient.q_power(-1)
-    assert r[0, 0] == q and r[3, 3] == q
-    assert r[1, 1] == ONE and r[2, 2] == ONE
-    assert r[1, 2] == q - qi
+    assert r[0, 0] == TorusElement.scalar(form, q) and r[3, 3] == TorusElement.scalar(form, q)
+    assert r[1, 1] == TorusElement.one(form) and r[2, 2] == TorusElement.one(form)
+    assert r[1, 2] == TorusElement.scalar(form, q - qi)
     assert r[2, 1].is_zero()
 
 
-def test_r_matrix_inverse_and_transpose():
-    r = r_matrix(1)
-    rinv = r_matrix(-1)
-    assert r.mul(rinv).equals(ScalarMatrix.identity(4))
+def test_r_matrix_inverse_and_transpose(form):
+    r = r_matrix(1, form)
+    rinv = r_matrix(-1, form)
+    assert (r.mul(rinv) - AlgMatrix.identity(form, 4)).is_zero()
     rt = r.transpose()
-    assert rt[2, 1] == Coefficient.q_power(1) - Coefficient.q_power(-1)
+    assert rt[2, 1] == TorusElement.scalar(form, Coefficient.q_power(1) - Coefficient.q_power(-1))
     assert rt[1, 2].is_zero()
 
 
 def test_yang_baxter_scalar():
-    r = r_matrix(1)
+    r = r_matrix(1, SkewForm((), ()))
     r12 = scalar_tensor(r, (1, 2))
     r13 = scalar_tensor(r, (1, 3))
     r23 = scalar_tensor(r, (2, 3))
-    assert r12.mul(r13).mul(r23).equals(r23.mul(r13).mul(r12))
+    assert (r12.mul(r13).mul(r23) - r23.mul(r13).mul(r12)).is_zero()
 
 
 def test_tensor_embed_identity(form):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from qshear.oracle import (
     default_param_values,
 )
 from qshear.ore import OreElement
+from qshear.suites import RunConfig, _numeric_reports
 from qshear.torus import SkewForm, TorusElement, ew
 
 from conftest import random_skew_form
@@ -84,7 +87,7 @@ def test_evaluate_unit_is_identity():
 
 
 def test_sound_on_zero_and_nonzero():
-    real = an_realization(2, omega0_symbolic=False)
+    real = an_realization(2)
     f = real.form
     b1, c1, a1 = real.entry("b", 1), real.entry("c", 1), real.entry("a", 1)
     el = b1.mul(c1) - a1.mul(a1).scale(Coefficient.q_power(2)) - TorusElement.one(f)
@@ -101,8 +104,7 @@ def test_numeric_relations_two_moduli():
     for modulus in (5, 7):
         rep = ClockShiftRep(real.form, modulus, seed=3)
         data = numeric_realization(rep, real, params)
-        pairs = numeric_relation_pairs(rep, real, params, data)
-        pairs += numeric_reflection_pairs(rep, data)
+        pairs = [*numeric_relation_pairs(rep, real, params, data), *numeric_reflection_pairs(rep, data)]
         worst = max(n for _, n in numeric_pair_norms(pairs))
         assert worst < 1e-9, (modulus, worst)
 
@@ -122,7 +124,7 @@ def test_mutations_all_caught():
     params = {"omega0": 0.47}
     rep = ClockShiftRep(real.form, 5, seed=3)
     pairs = numeric_relation_pairs(rep, real, params, numeric_realization(rep, real, params))
-    caught = mutation_check(pairs, count=50, seed=5, t_value=rep.t_value)
+    caught = mutation_check(pairs, rep.t_value, 5)
     assert len(caught) == 50 and all(caught)
 
 
@@ -131,9 +133,9 @@ def test_reflection_mutations_all_caught():
     real = an_realization(3)
     params = {"omega0": 0.47}
     rep = ClockShiftRep(real.form, 5, seed=3)
-    pairs = numeric_reflection_pairs(rep, numeric_realization(rep, real, params))
+    pairs = list(numeric_reflection_pairs(rep, numeric_realization(rep, real, params)))
     assert all(lhs.shape == (4, 4, rep.dim, rep.dim) for _, lhs, _ in pairs)
-    caught = mutation_check(pairs, count=50, seed=5, t_value=rep.t_value)
+    caught = mutation_check(pairs, rep.t_value, 5)
     assert len(caught) == 50 and all(caught)
 
 
@@ -157,9 +159,45 @@ def test_oracle_uses_generator_images_only(monkeypatch, make_real, params):
         monkeypatch.setattr(cls, "mul", _refuse_symbolic_product)
     rep = ClockShiftRep(real.form, 5, seed=3)
     data = numeric_realization(rep, real, params)
-    pairs = numeric_relation_pairs(rep, real, params, data)
-    pairs += numeric_reflection_pairs(rep, data)
+    pairs = [*numeric_relation_pairs(rep, real, params, data), *numeric_reflection_pairs(rep, data)]
     assert max(n for _, n in numeric_pair_norms(pairs)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "make_real, relations, reflections, digest",
+    [
+        (lambda: an_realization(3), 40, 6, "113478ee937fb9045d4f0c6604a106f4ff68f0047ee78a56e6f820260b7f558f"),
+        (lambda: an_realization(4), 74, 10, "ebc5e782c38e1362cd2dc2fa6ce1426955301ea9b32274727e79763d23afc7d0"),
+        (pvi_realization, 27, 1, "759b7278e007132e0350e43c38a08f396c02a7b1f511792fbbf9b51cc20747f5"),
+    ],
+    ids=["an3", "an4", "pvi"],
+)
+def test_pair_counts_and_label_order(make_real, relations, reflections, digest):
+    """Both pair builders yield the same pairs in the same order at N=5; the
+    digest is the sha256 of all labels joined by newlines."""
+    real = make_real()
+    params = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
+    rep = ClockShiftRep(real.form, 5, seed=20240229)
+    data = numeric_realization(rep, real, params)
+    rel = [label for label, _, _ in numeric_relation_pairs(rep, real, params, data)]
+    ref = [label for label, _, _ in numeric_reflection_pairs(rep, data)]
+    assert (len(rel), len(ref)) == (relations, reflections)
+    assert hashlib.sha256("\n".join(rel + ref).encode()).hexdigest() == digest
+
+
+def test_numeric_reports_hold_one_pair_at_a_time():
+    """At an4, N=5 (dim 125) the traced peak of the oracle stays below the
+    size of 100 dense sides; holding all 74 relation pairs (148 sides) at
+    once would exceed it."""
+    real = an_realization(4)
+    tracemalloc.start()
+    try:
+        (report,) = _numeric_reports("an4", "anchor", real, RunConfig(oracle_moduli=(5,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status and report.extras["pairs"] == 74
+    assert peak < 100 * 16 * 125 ** 2, peak
 
 
 def test_seeded_reproducibility():
