@@ -1,9 +1,11 @@
 """The clock-and-shift oracle: independent numeric checks at roots of unity.
 
 The skew form is put in integer normal form; each hyperbolic pair becomes
-a clock/shift pair at t = exp(i pi / N).  Monodromy words are recompiled
-blockwise in the representation (never touching the symbolic product) and
-every relation is re-verified numerically at two moduli.
+a clock/shift pair at t = exp(i pi / N).  Each generator image is a
+cyclic shift of the index grid times a phase vector.  Monodromy words act
+on seeded probe vectors in the representation (never touching the
+symbolic product or a dense matrix) and every relation is re-verified as
+a bilinear form u^T (L - R) w at two moduli.
 """
 
 import numpy as np
@@ -28,11 +30,15 @@ for modulus in (5, 7):
     print(f"\nmodulus {modulus}: representation dimension {rep.dim}")
     du = real.form.du({"X1": 2})
     dv = real.form.du({"S": 2})
-    lhs = rep.image(du) @ rep.image(dv)
-    rhs = rep.t_value ** real.form.pairing(du, dv) * rep.image(
-        tuple(a + b for a, b in zip(du, dv))
+    for name, d in (("X1", du), ("S", dv)):
+        image = rep.image(d)
+        print(f"  image of W({name}): grid shift {image.shift} times {len(image.phase)} phases")
+    probe = rep.probe(1)[0]
+    lhs = rep.act(rep.image(du), rep.act(rep.image(dv), probe))
+    rhs = rep.t_value ** real.form.pairing(du, dv) * rep.act(
+        rep.image(tuple(a + b for a, b in zip(du, dv))), probe
     )
-    print("  defining relation defect:", float(np.max(np.abs(lhs - rhs))))
+    print("  defining relation defect on the probe pair:", float(np.max(np.abs(lhs - rhs))))
     data = numeric_realization(rep, real, params)
     pairs = list(numeric_relation_pairs(rep, real, params, data))
     worst = max(n for _, n in numeric_pair_norms(pairs))

@@ -500,7 +500,21 @@ def graph_to_dict(graph):
     return out
 
 
+def _name_list(value, what):
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"{what} must be a list of edge names")
+    return value
+
+
+def _integer(value, what):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer")
+    return value
+
+
 def graph_from_dict(data):
+    """Build a FatGraph from its JSON document; any malformed field, of a
+    wrong type included, raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("graph document must be a JSON object")
     allowed = {"edges", "vertices", "pending", "meta"}
@@ -509,22 +523,31 @@ def graph_from_dict(data):
         raise ValueError(f"unknown graph fields: {sorted(unknown)}")
     if "edges" not in data or "vertices" not in data:
         raise ValueError("graph document needs 'edges' and 'vertices'")
+    edges = _name_list(data["edges"], "'edges'")
+    if not isinstance(data["vertices"], list):
+        raise ValueError("'vertices' must be a list of edge-name lists")
+    vertices = [_name_list(v, "each vertex") for v in data["vertices"]]
+    table = data.get("pending") or {}
+    if not isinstance(table, dict):
+        raise ValueError("'pending' must be an object keyed by edge name")
     pending = {}
-    for e, entry in (data.get("pending") or {}).items():
-        keys = set(entry)
-        if keys == {"param"}:
+    for e, entry in table.items():
+        keys = set(entry) if isinstance(entry, dict) else None
+        if keys == {"param"} and isinstance(entry["param"], str):
             pending[e] = PendingInfo.from_param(entry["param"])
         elif keys == {"p"}:
-            pending[e] = PendingInfo.from_order(entry["p"])
+            pending[e] = PendingInfo.from_order(_integer(entry["p"], f"order of {e!r}"))
         else:
-            raise ValueError(f"pending entry for {e!r} must have exactly 'param' or 'p'")
+            raise ValueError(
+                f"pending entry for {e!r} must have exactly a string 'param' or an integer 'p'"
+            )
     meta = None
     if "meta" in data:
         m = data["meta"]
-        if set(m) != {"g", "s", "r"}:
+        if not isinstance(m, dict) or set(m) != {"g", "s", "r"}:
             raise ValueError("meta must have exactly the fields g, s, r")
-        meta = (int(m["g"]), int(m["s"]), int(m["r"]))
-    return FatGraph(data["edges"], data["vertices"], pending, meta)
+        meta = tuple(_integer(m[k], f"meta {k}") for k in ("g", "s", "r"))
+    return FatGraph(edges, vertices, pending, meta)
 
 
 def load_graph(path):

@@ -3,10 +3,16 @@
 Two layers:
 
 * finite-dimensional clock-and-shift representations of the quantum torus
-  at a root of unity, built from an integer skew normal form of beta;
-  symbolic identities must evaluate to numerically zero matrices, and the
-  representations are sampled at two moduli to suppress lattice-mod-N
-  aliasing;
+  at a root of unity, built from an integer skew normal form of beta and
+  sampled at two moduli to suppress lattice-mod-N aliasing.  Every
+  generator image is monomial, a cyclic shift of the (N, ..., N) index grid
+  times a phase vector, so the re-verification of the catalog is
+  matrix-free: monodromy words act on blocks of vectors in O(dim) per
+  factor, and each identity L = R is compared as the bilinear form
+  u^T L w against u^T R w on a seeded pair of unit-modulus probe vectors
+  (Freivalds 1977).  The dense ``evaluate``/``norm`` path, built from the
+  same images, stays as the small-dimension reference for torus and Ore
+  elements;
 
 * the commutative q = 1 limit with random real shears, checking the
   classical flip identities, trace positivity of closed geodesics, the
@@ -19,6 +25,7 @@ import cmath
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,6 +145,15 @@ def _integer_inverse_transpose(u):
     return out  # transpose of the inverse
 
 
+class Monomial(NamedTuple):
+    """A generator image in a clock-and-shift representation: a cyclic
+    shift of the (N, ..., N) index grid followed by a phase multiply, so
+    that ``image @ v`` is ``phase * roll(v, shift)``."""
+
+    shift: tuple
+    phase: np.ndarray
+
+
 class ClockShiftRep:
     """Finite-dimensional model of a quantum torus at t = exp(i pi / N)."""
 
@@ -146,6 +162,7 @@ class ClockShiftRep:
             raise ValueError("modulus must be an odd integer >= 3")
         self.form = form
         self.modulus = modulus
+        self.seed = seed
         self.t_value = cmath.exp(1j * math.pi / modulus)
         u, pairings = skew_normal_form(form.beta)
         self.transform = _integer_inverse_transpose(u)
@@ -158,31 +175,55 @@ class ClockShiftRep:
         ]
         self.dim = modulus ** self.nblocks
         self._cache = {}
+        self._gather = {}
 
-    def _block_matrix(self, d, y1, y2):
+    def _block_phase(self, d, y1, y2):
         n = self.modulus
         zeta = self.t_value ** (2 * d)
-        mat = np.zeros((n, n), dtype=complex)
         phase = self.t_value ** (-d * y1 * y2)
-        for j in range(n):
-            mat[(j + y2) % n, j] = phase * zeta ** (y1 * (j + y2))
-        return mat
+        return np.array([phase * zeta ** (y1 * i) for i in range(n)])
 
     def image(self, du):
+        """The image of W(du) as a :class:`Monomial` on the grid of the
+        hyperbolic blocks; O(dim) numbers, never a dim x dim matrix."""
         du = tuple(du)
         if du in self._cache:
             return self._cache[du]
         y = [sum(self.transform[i][j] * du[j] for j in range(len(du))) for i in range(len(du))]
-        mat = np.eye(1, dtype=complex)
+        phase = np.ones(1, dtype=complex)
         for b, d in enumerate(self.pairings):
-            mat = np.kron(mat, self._block_matrix(d, y[2 * b], y[2 * b + 1]))
+            phase = np.kron(phase, self._block_phase(d, y[2 * b], y[2 * b + 1]))
         scalar = 1.0 + 0j
         for idx, lam in enumerate(self.free_phases):
             scalar *= lam ** y[2 * self.nblocks + idx]
-        out = scalar * mat
-        if len(self._cache) < 4096:
+        shift = tuple(y[2 * b + 1] % self.modulus for b in range(self.nblocks))
+        out = Monomial(shift, scalar * phase)
+        if len(self._cache) < 256:
             self._cache[du] = out
         return out
+
+    def act(self, image, block):
+        """``image @ block`` for a block of vectors of shape (dim, m)."""
+        index = self._gather.get(image.shift)
+        if index is None:
+            # flat position of (i_1 - s_1, ..., i_k - s_k) mod N, first
+            # block outermost as in the Kronecker order of the phases
+            n = self.modulus
+            index = np.zeros(1, dtype=np.intp)
+            for s in image.shift:
+                index = (index[:, None] * n + (np.arange(n) - s) % n).ravel()
+            self._gather[image.shift] = index
+        return image.phase[:, None] * block[index]
+
+    def matrix(self, du):
+        """Dense dim x dim image of W(du), for small-dimension references."""
+        return self.act(self.image(du), np.eye(self.dim, dtype=complex))
+
+    def probe(self, blocks):
+        """The seeded probe pair (u, w) on ``blocks`` copies of the space:
+        a (blocks, dim, 2) array of unit-modulus entries."""
+        rng = np.random.default_rng((self.seed, blocks))
+        return np.exp(2j * math.pi * rng.random((blocks, self.dim, 2)))
 
     def evaluate(self, element, params=None):
         """Dense image of a torus or Ore element; denominators are inverted
@@ -191,7 +232,7 @@ class ClockShiftRep:
         if isinstance(element, TorusElement):
             acc = np.zeros((self.dim, self.dim), dtype=complex)
             for du, coeff in element.terms.items():
-                acc += coeff.evaluate(self.t_value, params) * self.image(du)
+                acc += coeff.evaluate(self.t_value, params) * self.matrix(du)
             return acc
         if isinstance(element, OreElement):
             acc = np.zeros((self.dim, self.dim), dtype=complex)
@@ -251,92 +292,156 @@ def oracle_check(elements, form, moduli=(5, 7), seed=20240229):
 
 
 # ---------------------------------------------------------------------------
-# independent numeric re-verification (block matrix words in the rep)
+# independent numeric re-verification (matrix-free words in the rep)
 # ---------------------------------------------------------------------------
 
 
-def _bmat_mul(x, y):
-    """Product of two n x n block matrices as nested lists of dim x dim
-    blocks; each block sums its n products in order, starting from zero.
+class LinearOp:
+    """A linear operator known only by its action on blocks of vectors.
 
-    The blocks stay separate arrays: building one (n, n, dim, dim) array
-    per product in the word evaluation raised the peak RSS of the an4 N=7
-    oracle by about 12 MB through heap fragmentation."""
-    n = len(x)
-    zero = np.zeros(x[0][0].shape, dtype=complex)
-    return [[sum((x[i][k] @ y[k][j] for k in range(n)), zero) for j in range(n)] for i in range(n)]
+    ``@``, ``+``, ``-`` and scalar ``*`` compose actions, so an identity's
+    side is written as in matrix algebra and costs one pass of its words
+    over the probe block, never a dense product."""
+
+    __slots__ = ("act",)
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
+
+    def __init__(self, act):
+        self.act = act
+
+    def __matmul__(self, other):
+        return LinearOp(lambda x: self.act(other.act(x)))
+
+    def __add__(self, other):
+        return LinearOp(lambda x: self.act(x) + other.act(x))
+
+    def __sub__(self, other):
+        return LinearOp(lambda x: self.act(x) - other.act(x))
+
+    def __rmul__(self, scalar):
+        return LinearOp(lambda x: scalar * self.act(x))
+
+
+_IDENTITY = LinearOp(lambda x: x)
 
 
 def rep_word_value(rep, graph, path, params):
-    """Numeric 2x2 block value of a written word, built from generator
-    images only; this route never touches the symbolic product."""
-    dim = rep.dim
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
-    lmat = [[zero, eye], [-eye, -eye]]
-    rmat = [[eye, eye], [-eye, zero]]
+    """The 2x2 block value of a written word as an operator on (2, dim, m)
+    blocks of vectors, built from generator images only; this route never
+    touches the symbolic product.  The turn, edge and orb factors act right
+    to left, each as rolls and phase multiplies of the two components."""
     form = rep.form
 
-    def edge_block(name):
+    def edge(name):
         up = rep.image(form.du({name: 1}))
         dn = rep.image(form.du({name: -1}))
-        return [[zero, -up], [dn, zero]]
+        return lambda x0, x1: (-rep.act(up, x1), rep.act(dn, x0))
 
-    def f_block(weight):
-        w = weight.evaluate(rep.t_value, params) * eye
-        return [[zero, eye], [-eye, -w]]
+    def turn(kind):
+        if kind == "L":
+            return lambda x0, x1: (x1, -x0 - x1)
+        return lambda x0, x1: (x0 + x1, -x0)
 
-    mat = None
-    for step in path.steps:
-        if step[0] == "turn":
-            factor = lmat if step[1] == "L" else rmat
-        elif step[0] == "edge":
-            factor = edge_block(step[1])
-        else:
-            _, name, k = step
-            acc = [[eye, zero], [zero, eye]]
-            fb = f_block(graph.pending[name].weight)
+    def orb(name, k):
+        w = graph.pending[name].weight.evaluate(rep.t_value, params)
+        x_edge = edge(name)
+        sign = -1 if k % 2 == 0 else 1
+
+        def act(x0, x1):
+            x0, x1 = x_edge(x0, x1)
             for _ in range(k):
-                acc = _bmat_mul(acc, fb)
-            if k % 2 == 0:
-                acc = [[-b for b in row] for row in acc]
-            factor = _bmat_mul(_bmat_mul(edge_block(name), acc), edge_block(name))
-        mat = factor if mat is None else _bmat_mul(mat, factor)
-    return mat
+                x0, x1 = x1, -x0 - w * x1
+            return x_edge(sign * x0, sign * x1)
+
+        return act
+
+    factors = []
+    for step in reversed(path.steps):
+        if step[0] == "turn":
+            factors.append(turn(step[1]))
+        elif step[0] == "edge":
+            factors.append(edge(step[1]))
+        else:
+            factors.append(orb(step[1], step[2]))
+
+    def act(block):
+        x0, x1 = block
+        for factor in factors:
+            x0, x1 = factor(x0, x1)
+        return np.stack((x0, x1))
+
+    return LinearOp(act)
+
+
+def _entry(m, i, j):
+    """Entry (i, j) of a 2x2 block operator, as an operator on (dim, m)."""
+
+    def act(x):
+        block = np.zeros((2, *x.shape), dtype=complex)
+        block[j] = x
+        return m.act(block)[i]
+
+    return LinearOp(act)
 
 
 def numeric_realization(rep, real, params):
     """Re-evaluate the realization's own monodromy words numerically and
-    extract (a, b, c); a realization without words cannot be re-checked."""
+    extract (a, b, c), all as operators; a realization without words cannot
+    be re-checked."""
     if real.words is None:
         raise ValueError("realization carries no path words to re-evaluate")
     qinv = rep.t_value ** -4
     out = []
     for idx, word in enumerate(real.words, start=1):
         m = rep_word_value(rep, real.graph, word, params)
-        a = -m[1][1] / qinv
-        b = -m[0][1]
-        c = m[1][0]
+        a = -1 / qinv * _entry(m, 1, 1)
+        b = -1 * _entry(m, 0, 1)
+        c = _entry(m, 1, 0)
         w = real.omegas[idx].evaluate(rep.t_value, params)
         out.append({"M": m, "a": a, "b": b, "c": c, "w": w})
     return out
 
 
+def _bilinear_pairs(probe, sides):
+    """Yield (label, lhs, rhs) with each side operator L replaced by its
+    bilinear form P^T L P on the probe block P, whose last axis holds the
+    probe vectors; on the probe pair (u, w), P^T L P is 2x2 and its
+    [0, 1] entry is u^T L w."""
+    flat = probe.reshape(-1, probe.shape[-1])
+    for label, lhs, rhs in sides:
+        yield (
+            label,
+            flat.T @ lhs.act(probe).reshape(flat.shape),
+            flat.T @ rhs.act(probe).reshape(flat.shape),
+        )
+
+
 def numeric_relation_pairs(rep, real, params, data):
     """Yield (label, lhs, rhs) numeric pairs for the entry algebra,
     geodesic algebra and R-matrix form, all built from ``data``, the
-    :func:`numeric_realization` of ``real`` in ``rep``; each pair is built
-    only when it is asked for."""
+    :func:`numeric_realization` of ``real`` in ``rep``; each side is the
+    bilinear form of its operator on the rep's probe pair, computed only
+    when the pair is asked for."""
+    yield from _bilinear_pairs(rep.probe(1)[0], _relation_sides(rep, real, params, data))
+
+
+def numeric_pvi_pairs(rep, real, params, data):
+    """Yield the four-point-sphere extras: q-commuting a's, the consistency
+    condition, duality of the K elements and the AW(3) relations."""
+    yield from _bilinear_pairs(rep.probe(1)[0], _pvi_sides(rep, real, params, data))
+
+
+def _relation_sides(rep, real, params, data):
     q = rep.t_value ** 4
     qi = 1 / q
-    eye = np.eye(rep.dim, dtype=complex)
+    eye = _IDENTITY
     n = len(data)
     for i in range(1, n + 1):
         a, b, c, w = (data[i - 1][k] for k in ("a", "b", "c", "w"))
         yield (f"num q a{i} b{i} = q^-1 b{i} a{i}", q * a @ b, qi * b @ a)
         yield (f"num q^-1 a{i} c{i} = q c{i} a{i}", qi * a @ c, q * c @ a)
         yield (f"num b{i} c{i} = 1 + w q a{i} + q^2 a{i}^2", b @ c, eye + w * q * a + q * q * a @ a)
-        yield (f"num M{i}[00] = q a{i} + w", data[i - 1]["M"][0][0], q * a + w * eye)
+        yield (f"num M{i}[00] = q a{i} + w", _entry(data[i - 1]["M"], 0, 0), q * a + w * eye)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             ai, bi, ci, wi = (data[i - 1][k] for k in ("a", "b", "c", "w"))
@@ -389,15 +494,13 @@ def numeric_relation_pairs(rep, real, params, data):
                 d2 * gs[(i, k)],
             )
     elif n == 2:
-        yield from numeric_pvi_pairs(rep, real, params, data)
+        yield from _pvi_sides(rep, real, params, data)
 
 
-def numeric_pvi_pairs(rep, real, params, data):
-    """Yield the four-point-sphere extras: q-commuting a's, the consistency
-    condition, duality of the K elements and the AW(3) relations."""
+def _pvi_sides(rep, real, params, data):
     q = rep.t_value ** 4
     qi = 1 / q
-    eye = np.eye(rep.dim, dtype=complex)
+    eye = _IDENTITY
     a1, b1, c1, w1 = (data[0][k] for k in ("a", "b", "c", "w"))
     a2, b2, c2, w2 = (data[1][k] for k in ("a", "b", "c", "w"))
     w0 = real.omega0.evaluate(rep.t_value, params)
@@ -420,39 +523,38 @@ def numeric_pvi_pairs(rep, real, params, data):
     yield ("num AW3 (YZ,XY)", q * gyz @ gxy - qi * gxy @ gyz, d * gxz + e * (w0 * w1 * eye + w2 * om3))
 
 
-def numeric_reflection_pairs(rep, data):
-    """Yield the mixed and single-matrix reflection forms on the 2x2 tensor
-    of the representation space, built from ``data``, a
-    :func:`numeric_realization` in ``rep``; each side is a (4, 4, dim, dim)
-    block array."""
+def _reflection_sides(rep, data):
     q = rep.t_value ** 4
-    dim = rep.dim
-    eye = np.eye(dim, dtype=complex)
 
-    def r_scalar(power):
+    def r_scalar(power, transposed=False):
+        """R on the 2x2 tensor legs: diagonal (q^p, 1, 1, q^p) plus
+        (q^p - q^-p) at [1, 2], or at [2, 1] when transposed."""
         qq = q ** power
-        out = np.zeros((4, 4, dim, dim), dtype=complex)
-        for k, val in ((0, qq), (3, qq), (1, 1.0), (2, 1.0)):
-            out[k, k] = val * eye
-        out[1, 2] = (qq - 1 / qq) * eye
-        return out
+        src, dst = (1, 2) if transposed else (2, 1)
+
+        def act(x):
+            y = x * np.array([qq, 1.0, 1.0, qq])[:, None, None]
+            y[dst] += (qq - 1 / qq) * x[src]
+            return y
+
+        return LinearOp(act)
 
     def embed(m, slot):
-        out = np.zeros((4, 4, dim, dim), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    if slot == 1:
-                        out[2 * i + k, 2 * j + k] = m[i][j]
-                    else:
-                        out[2 * k + i, 2 * k + j] = m[i][j]
-        return out
+        """A 2x2 block operator on leg ``slot`` of the (4, dim, k) tensor
+        block; both copies go through the word in one pass."""
 
-    def product(*factors):
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = _bmat_mul(acc, f)
-        return np.array(acc)
+        def act(x):
+            legs = x.reshape(2, 2, *x.shape[1:])
+            if slot == 2:
+                legs = legs.swapaxes(0, 1)
+            k = x.shape[-1]
+            out = m.act(np.concatenate((legs[:, 0], legs[:, 1]), axis=-1))
+            out = np.stack((out[..., :k], out[..., k:]), axis=1)
+            if slot == 2:
+                out = out.swapaxes(0, 1)
+            return out.reshape(x.shape)
+
+        return LinearOp(act)
 
     rpos = r_scalar(-1)
     rneg = r_scalar(1)
@@ -460,29 +562,38 @@ def numeric_reflection_pairs(rep, data):
         for j in range(i + 1, len(data)):
             mi = embed(data[i]["M"], 1)
             mj = embed(data[j]["M"], 2)
-            yield (
-                f"num reflection ({i+1},{j+1})",
-                product(rpos, mi, rneg, mj),
-                product(mj, rpos, mi, rneg),
-            )
+            yield (f"num reflection ({i+1},{j+1})", rpos @ mi @ rneg @ mj, mj @ rpos @ mi @ rneg)
     rt = r_scalar(-2)
-    rtt = rt.swapaxes(0, 1)
+    rtt = r_scalar(-2, transposed=True)
     for i in range(len(data)):
         if abs(data[i]["w"]) > 1e-14:
             continue  # the single-matrix form holds only at weight zero
         mi1 = embed(data[i]["M"], 1)
         mi2 = embed(data[i]["M"], 2)
-        yield (f"num reflection-ii ({i+1})", product(rtt, mi2, mi1), product(mi1, mi2, rt))
+        yield (f"num reflection-ii ({i+1})", rtt @ mi2 @ mi1, mi1 @ mi2 @ rt)
+
+
+def numeric_reflection_pairs(rep, data):
+    """Yield the mixed and single-matrix reflection forms on the 2x2 tensor
+    of the representation space, built from ``data``, a
+    :func:`numeric_realization` in ``rep``; each side acts on (4, dim, k)
+    block vectors and is reduced to its bilinear form on the probe pair."""
+    yield from _bilinear_pairs(rep.probe(4), _reflection_sides(rep, data))
+
+
+def _gap(lhs, rhs):
+    """|u^T (L - R) w| of two bilinear-form sides."""
+    return float(abs(lhs[0, 1] - rhs[0, 1]))
 
 
 def numeric_pair_norms(pairs):
-    return [(label, float(np.max(np.abs(lhs - rhs)))) for label, lhs, rhs in pairs]
+    return [(label, _gap(lhs, rhs)) for label, lhs, rhs in pairs]
 
 
 def mutation_check(pairs, t_value, seed):
     """Perturb 50 passing numeric identities and verify every variant is
-    caught: one side is rescaled by a nontrivial power of t, or every
-    dim x dim block of one side is transposed."""
+    caught: one side is rescaled by a nontrivial power of t, or replaced by
+    its transpose, whose form u^T L^T w is w^T L u."""
     rng = np.random.default_rng(seed)
     pairs = list(pairs)
     if not pairs:
@@ -493,8 +604,8 @@ def mutation_check(pairs, t_value, seed):
         if int(rng.integers(2)) == 0:
             mutated = t_value ** int(rng.integers(1, 4)) * lhs
         else:
-            mutated = lhs.swapaxes(-1, -2)
-        caught.append(float(np.max(np.abs(mutated - rhs))) > 1e-6)
+            mutated = lhs.T
+        caught.append(_gap(mutated, rhs) > 1e-6)
     return caught
 
 

@@ -64,10 +64,10 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown suites: {unknown}; known: {sorted(SUITES)}")
         for m in self.oracle_moduli:
-            # the an4 oracle holds dense blocks of dimension m**3, which
-            # bounds its memory only while m does
-            if m < 3 or m % 2 == 0 or m > 9:
-                raise ValueError(f"oracle modulus {m} must be an odd integer from 3 to 9")
+            # the an4 oracle holds a few probe blocks of dimension m**3,
+            # which bounds its memory and time only while m does
+            if m < 3 or m % 2 == 0 or m > 13:
+                raise ValueError(f"oracle modulus {m} must be an odd integer from 3 to 13")
         if not self.oracle_moduli:
             raise ValueError("need at least one oracle modulus")
         if self.samples < 1:

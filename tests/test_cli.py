@@ -88,7 +88,25 @@ def test_bad_oracle_modulus_is_usage_error(monkeypatch, capsys):
     monkeypatch.setattr("qshear.cli.run_suite", refuse)
     assert main(["--suite", "pvi", "--oracle-mod", "4"]) == 2
     assert main(["--suite", "pvi", "--oracle-mod", ""]) == 2
-    assert main(["--suite", "an-core", "--oracle-mod", "5,11"]) == 2
-    assert "from 3 to 9" in capsys.readouterr().err
-    assert RunConfig(oracle_moduli=(9,)).oracle_moduli == (9,)
+    assert main(["--suite", "an-core", "--oracle-mod", "5,15"]) == 2
+    assert "from 3 to 13" in capsys.readouterr().err
+    assert RunConfig(oracle_moduli=(13,)).oracle_moduli == (13,)
     assert main(["--suite", "pvi", "--samples", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"edges": 5, "vertices": []},
+        {"edges": ["A", "B", "C"], "vertices": [["A", "B", "C"]], "pending": {"A": 3}},
+        {"edges": [["A"]], "vertices": []},
+    ],
+    ids=["edges-int", "pending-int", "edge-list"],
+)
+def test_malformed_graph_file_is_a_failing_record(tmp_path, document):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    report = tmp_path / "r.json"
+    assert main(["--suite", "graph-validate", "--graph", str(bad), "--report", str(report)]) == 1
+    (item,) = json.loads(report.read_text())["identities"]
+    assert item["status"] == "fail" and "must" in item["witness"]

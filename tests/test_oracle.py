@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qshear.matrices import AlgMatrix
 from qshear.monodromy import an_realization, pvi_realization
 from qshear.oracle import (
     ClockShiftRep,
+    LinearOp,
     boundary_trace_deviation,
     closed_trace_minimum,
     mutation_check,
@@ -53,15 +55,15 @@ def test_rank_two_pair():
     f = SkewForm(("u", "v"), [[0, 1], [-1, 0]])
     rep = ClockShiftRep(f, 5)
     du, dv = (2, 0), (0, 2)
-    lhs = rep.image(du) @ rep.image(dv)
-    rhs = rep.t_value ** f.pairing(du, dv) * rep.image((2, 2))
+    lhs = rep.matrix(du) @ rep.matrix(dv)
+    rhs = rep.t_value ** f.pairing(du, dv) * rep.matrix((2, 2))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_zero_form_commutes():
     f = SkewForm(("u", "v"), [[0, 0], [0, 0]])
     rep = ClockShiftRep(f, 5)
-    a, b = rep.image((2, 0)), rep.image((0, 2))
+    a, b = rep.matrix((2, 0)), rep.matrix((0, 2))
     assert np.max(np.abs(a @ b - b @ a)) < 1e-14
 
 
@@ -72,8 +74,8 @@ def test_basis_relations_on_spine_form():
     for _ in range(30):
         du = tuple(int(x) for x in rng.integers(-2, 3, f.dim))
         dv = tuple(int(x) for x in rng.integers(-2, 3, f.dim))
-        lhs = rep.image(du) @ rep.image(dv)
-        rhs = rep.t_value ** f.pairing(du, dv) * rep.image(
+        lhs = rep.matrix(du) @ rep.matrix(dv)
+        rhs = rep.t_value ** f.pairing(du, dv) * rep.matrix(
             tuple(a + b for a, b in zip(du, dv))
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -129,12 +131,14 @@ def test_mutations_all_caught():
 
 
 def test_reflection_mutations_all_caught():
-    """Mutations of the (4, 4, dim, dim) reflection pairs alone."""
+    """Mutations of the reflection pairs alone, whose sides act on 4 dim
+    vectors and are kept as 2x2 bilinear forms on the probe pair."""
     real = an_realization(3)
     params = {"omega0": 0.47}
     rep = ClockShiftRep(real.form, 5, seed=3)
     pairs = list(numeric_reflection_pairs(rep, numeric_realization(rep, real, params)))
-    assert all(lhs.shape == (4, 4, rep.dim, rep.dim) for _, lhs, _ in pairs)
+    assert rep.probe(4).shape == (4, rep.dim, 2)
+    assert all(lhs.shape == rhs.shape == (2, 2) for _, lhs, rhs in pairs)
     caught = mutation_check(pairs, rep.t_value, 5)
     assert len(caught) == 50 and all(caught)
 
@@ -187,8 +191,7 @@ def test_pair_counts_and_label_order(make_real, relations, reflections, digest):
 
 def test_numeric_reports_hold_one_pair_at_a_time():
     """At an4, N=5 (dim 125) the traced peak of the oracle stays below the
-    size of 100 dense sides; holding all 74 relation pairs (148 sides) at
-    once would exceed it."""
+    size of 100 dense sides."""
     real = an_realization(4)
     tracemalloc.start()
     try:
@@ -198,6 +201,162 @@ def test_numeric_reports_hold_one_pair_at_a_time():
         tracemalloc.stop()
     assert report.status and report.extras["pairs"] == 74
     assert peak < 100 * 16 * 125 ** 2, peak
+
+
+def test_numeric_reports_at_modulus_13_stay_below_one_dense_side():
+    """At an4, N=13 (dim 2197) the matrix-free oracle passes all 74 pairs
+    while its traced peak stays below the size of one dense side."""
+    real = an_realization(4)
+    tracemalloc.start()
+    try:
+        (report,) = _numeric_reports("an4", "anchor", real, RunConfig(oracle_moduli=(13,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status and report.extras["pairs"] == 74
+    assert report.extras["max_norm"] < 1e-9
+    assert peak < 16 * 2197 ** 2, peak
+
+
+# -- dense reference: 2x2 block products over dense generator images ---------
+
+
+def _bmat_mul(x, y):
+    n = len(x)
+    zero = np.zeros(x[0][0].shape, dtype=complex)
+    return [[sum((x[i][k] @ y[k][j] for k in range(n)), zero) for j in range(n)] for i in range(n)]
+
+
+def _dense_word_value(rep, graph, path, params):
+    eye = np.eye(rep.dim, dtype=complex)
+    zero = np.zeros((rep.dim, rep.dim), dtype=complex)
+
+    def edge_block(name):
+        up = rep.matrix(rep.form.du({name: 1}))
+        dn = rep.matrix(rep.form.du({name: -1}))
+        return [[zero, -up], [dn, zero]]
+
+    mat = [[eye, zero], [zero, eye]]
+    for step in path.steps:
+        if step[0] == "turn":
+            factor = [[zero, eye], [-eye, -eye]] if step[1] == "L" else [[eye, eye], [-eye, zero]]
+        elif step[0] == "edge":
+            factor = edge_block(step[1])
+        else:
+            _, name, k = step
+            w = graph.pending[name].weight.evaluate(rep.t_value, params)
+            acc = [[eye, zero], [zero, eye]]
+            for _ in range(k):
+                acc = _bmat_mul(acc, [[zero, eye], [-eye, -w * eye]])
+            if k % 2 == 0:
+                acc = [[-b for b in row] for row in acc]
+            factor = _bmat_mul(_bmat_mul(edge_block(name), acc), edge_block(name))
+        mat = _bmat_mul(mat, factor)
+    return np.array(mat)
+
+
+def _dense_reflection_sides(rep, mats, weights):
+    q = rep.t_value ** 4
+    dim = rep.dim
+    eye = np.eye(dim, dtype=complex)
+
+    def r_scalar(power):
+        qq = q ** power
+        out = np.zeros((4, 4, dim, dim), dtype=complex)
+        for k, val in ((0, qq), (3, qq), (1, 1.0), (2, 1.0)):
+            out[k, k] = val * eye
+        out[1, 2] = (qq - 1 / qq) * eye
+        return out
+
+    def embed(m, slot):
+        out = np.zeros((4, 4, dim, dim), dtype=complex)
+        for i, j, k in np.ndindex(2, 2, 2):
+            if slot == 1:
+                out[2 * i + k, 2 * j + k] = m[i][j]
+            else:
+                out[2 * k + i, 2 * k + j] = m[i][j]
+        return out
+
+    def product(*factors):
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = _bmat_mul(acc, f)
+        return np.array(acc).transpose(0, 2, 1, 3).reshape(4 * dim, 4 * dim)
+
+    rpos, rneg, rt = r_scalar(-1), r_scalar(1), r_scalar(-2)
+    out = []
+    for i, j in combinations(range(len(mats)), 2):
+        mi, mj = embed(mats[i], 1), embed(mats[j], 2)
+        out.append((product(rpos, mi, rneg, mj), product(mj, rpos, mi, rneg)))
+    for i, m in enumerate(mats):
+        if abs(weights[i]) <= 1e-14:
+            mi1, mi2 = embed(m, 1), embed(m, 2)
+            out.append((product(rt.swapaxes(0, 1), mi2, mi1), product(mi1, mi2, rt)))
+    return out
+
+
+def _identity_probe(rep):
+    return lambda copies: np.eye(copies * rep.dim).reshape(copies, rep.dim, copies * rep.dim)
+
+
+@pytest.mark.parametrize(
+    "make_real, params",
+    [
+        (lambda: an_realization(3), {"omega0": 0.47}),
+        (pvi_realization, {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}),
+    ],
+    ids=["an3", "pvi"],
+)
+def test_matrix_free_sides_match_dense_reference(monkeypatch, make_real, params):
+    """Probed with the identity block, every relation and reflection side
+    is the dense operator; it must match dense block products over dense
+    generator images to 1e-12."""
+    real = make_real()
+    rep = ClockShiftRep(real.form, 5, seed=3)
+    monkeypatch.setattr(rep, "probe", _identity_probe(rep))
+    data = numeric_realization(rep, real, params)
+    qinv = rep.t_value ** -4
+    mats, dense = [], []
+    for d, word in zip(data, real.words):
+        m = _dense_word_value(rep, real.graph, word, params)
+        mats.append(m)
+        dense.append({
+            "M": LinearOp(lambda x, m=m: np.einsum("ijab,jbk->iak", m, x)),
+            "a": LinearOp(lambda x, m=m: -m[1, 1] / qinv @ x),
+            "b": LinearOp(lambda x, m=m: -m[0, 1] @ x),
+            "c": LinearOp(lambda x, m=m: m[1, 0] @ x),
+            "w": d["w"],
+        })
+    free = list(numeric_relation_pairs(rep, real, params, data))
+    ref = list(numeric_relation_pairs(rep, real, params, dense))
+    assert [label for label, _, _ in free] == [label for label, _, _ in ref]
+    for (label, lhs, rhs), (_, dl, dr) in zip(free, ref):
+        assert lhs.shape == (rep.dim, rep.dim)
+        assert np.max(np.abs(lhs - dl)) < 1e-12 and np.max(np.abs(rhs - dr)) < 1e-12, label
+    reflections = list(numeric_reflection_pairs(rep, data))
+    expected = _dense_reflection_sides(rep, mats, [d["w"] for d in data])
+    assert len(reflections) == len(expected)
+    for (label, lhs, rhs), (dl, dr) in zip(reflections, expected):
+        assert np.max(np.abs(lhs - dl)) < 1e-12 and np.max(np.abs(rhs - dr)) < 1e-12, label
+
+
+def test_oracle_catches_a_broken_generator_image(monkeypatch):
+    """One edge image carrying a stray factor t breaks the realization;
+    the relation oracle must see it, not only its own mutants."""
+    real = an_realization(3)
+    params = {"omega0": 0.47}
+    broken = real.form.du({"X1": 1})
+    image = ClockShiftRep.image
+
+    def tampered(self, du):
+        out = image(self, du)
+        return out._replace(phase=self.t_value * out.phase) if tuple(du) == broken else out
+
+    monkeypatch.setattr(ClockShiftRep, "image", tampered)
+    rep = ClockShiftRep(real.form, 5, seed=3)
+    data = numeric_realization(rep, real, params)
+    norms = numeric_pair_norms(numeric_relation_pairs(rep, real, params, data))
+    assert max(n for _, n in norms) > 1e-6
 
 
 def test_seeded_reproducibility():
