@@ -110,7 +110,7 @@ def main(argv=None):
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     for r in reports:
-        mark = "pass" if r["status"] == "pass" else "FAIL"
+        mark = "pass" if r["status"] == "pass" else r["status"].upper()
         print(f"[{mark}] {r['suite']}: {r['id']}")
     print(f"{sum(1 for r in reports if r['status'] == 'pass')}/{len(reports)} identities pass")
     return 0 if ok else 1

@@ -206,9 +206,6 @@ class CElem:
     def __neg__(self):
         return CElem(self.ring, {k: -v for k, v in self.terms.items()}, self.tk)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def mul(self, other):
         ring = self.ring
         out = {}
@@ -235,15 +232,9 @@ class CElem:
                         del out[key]
         return CElem(ring, out, self.tk + other.tk)
 
-    def __mul__(self, other):
-        return self.mul(other)
-
     def equals(self, other):
         a, b, _ = self._aligned(other)
         return a == b
-
-    def is_zero(self):
-        return not self.terms
 
     def __repr__(self):
         return f"CElem({self.terms!r})/T^{self.tk}"
@@ -284,10 +275,6 @@ def _cmat_chain(*ms):
     return acc
 
 
-def _cmat_equal(x, y):
-    return all(x[i][j].equals(y[i][j]) for i in range(2) for j in range(2))
-
-
 def _c_edge(ring, name, half=1, rdeg=0, tk=0, extra=None):
     """[[0, -e^{v/2}], [e^{-v/2}, 0]] where v/2 carries optional r / T^k
     dressing and an extra half-integer exponent offset."""
@@ -304,122 +291,105 @@ def _c_edge(ring, name, half=1, rdeg=0, tk=0, extra=None):
     return [[z, -pos], [neg, z]]
 
 
-def _c_turn(ring, kind):
-    one = ring.one()
-    z = ring.zero()
-    if kind == "R":
-        return [[one, one], [-one, z]]
-    return [[z, one], [-one, -one]]
-
-
-def _c_f(ring, omega):
-    one = ring.one()
-    z = ring.zero()
-    return [[z, one], [-one, -ring.const(omega)]]
-
-
-def _c_omega(ring, a, c, omega):
+def _c_omega(ring, a, c, w):
+    """The commutant a + c F(w); F(w) = [[0, 1], [-1, -w]] is _c_omega(0, 1, w)."""
     return [
         [ring.const(a), ring.const(c)],
-        [-ring.const(c), ring.const(a - omega * c)],
+        [-ring.const(c), ring.const(a - w * c)],
     ]
 
 
-CLASSICAL_FLIP_IDENTITIES = (
-    "inner-1",
-    "inner-2",
-    "inner-3",
-    "pending-1",
-    "pending-2",
-    "pending-3",
-    "decoration-1",
-    "decoration-2",
-)
+# Each classical flip identity as a pair of true-order token words.  L and R
+# are turns, a name is the edge matrix X of that shear and a trailing ~ its
+# shear after the move; F is the winding matrix of the pending weight w and
+# O = a + c F a commutant insertion, -O its negative.
+CLASSICAL_FLIP_WORDS = {
+    "inner-1": ("D R Z R A", "D~ R A~"),
+    "inner-2": ("D R Z L B", "D~ L Z~ R B~"),
+    "inner-3": ("D L C", "D~ L Z~ L C~"),
+    # In the bounce-back cases the commutant insertion transforms with
+    # the same sign on both sides; only the pass-through case (pending-1)
+    # sends F_p Omega to -Omega.
+    "pending-1": ("A L Z F O Z L B", "A~ R Z~ -O Z~ R B~"),
+    "pending-2": ("A L Z O Z R A", "A~ R Z~ O Z~ L A~"),
+    "pending-3": ("B R Z O Z L B", "B~ L Z~ O Z~ R B~"),
+    "decoration-1": ("Y L P L Y", "Y~ L P~ L Y~"),
+    "decoration-2": ("Y R P R Y", "Y~ R P~ R Y~"),
+}
+
+CLASSICAL_FLIP_IDENTITIES = tuple(CLASSICAL_FLIP_WORDS)
+
+# Per family: the shear names, T = r**2 of the square-root ring, and the
+# _c_edge dressing of each ~ shear.  Atilde = A + log T and Btilde =
+# B - log(1 + e^-Z) with 1 + e^-Z = e^-Z T; the pending family likewise
+# with the trinomial T; a decoration change sends (Y, P) to (Y + P, -P).
+_INNER_SHIFT = {"rdeg": 1, "tk": 1, "extra": {"Z": 1}}
+_CLASSICAL_FAMILIES = {
+    "inner": (
+        ("A", "B", "C", "D", "Z"),
+        {(0, 0, 0, 0, 0): ONE, (0, 0, 0, 0, 2): ONE},
+        {"A": {"rdeg": 1}, "C": {"rdeg": 1}, "B": _INNER_SHIFT, "D": _INNER_SHIFT,
+         "Z": {"half": -1}},
+    ),
+    "pending": (
+        ("A", "B", "Z"),
+        {(0, 0, 0): ONE, (0, 0, 2): Coefficient.parameter("w"), (0, 0, 4): ONE},
+        {"A": {"rdeg": 1}, "B": {"rdeg": 1, "tk": 1, "extra": {"Z": 2}}, "Z": {"half": -1}},
+    ),
+    "decoration": (("Y", "P"), {(0, 0): ONE}, {"Y": {"extra": {"P": 1}}, "P": {"half": -1}}),
+}
+
+
+def _classical_token(text):
+    if text in ("L", "R"):
+        return ("turn", text)
+    if text == "F":
+        return ("F", "w")
+    if text.lstrip("-") == "O":
+        return ("omega", "w", -1 if text.startswith("-") else 1)
+    return ("edge", text)
+
+
+def classical_identity_words(ident):
+    """The two words of a classical flip identity as true-order token lists
+    of ('turn', t), ('edge', name), ('F', 'w') and ('omega', 'w', sign)."""
+    if ident not in CLASSICAL_FLIP_WORDS:
+        raise ValueError(f"unknown classical identity {ident!r}")
+    return tuple(
+        [_classical_token(t) for t in word.split()] for word in CLASSICAL_FLIP_WORDS[ident]
+    )
 
 
 def classical_identity_sides(ident):
     """Both sides of a classical flip identity as exact 2x2 matrices over
-    the square-root ring; returns (lhs, rhs)."""
-    if ident.startswith("inner"):
-        names = ("A", "B", "C", "D", "Z")
-        ring = SqrtRing(names, {(0, 0, 0, 0, 0): ONE, (0, 0, 0, 0, 2): ONE})
-        XA = _c_edge(ring, "A")
-        XB = _c_edge(ring, "B")
-        XC = _c_edge(ring, "C")
-        XD = _c_edge(ring, "D")
-        XZ = _c_edge(ring, "Z")
-        XZt = _c_edge(ring, "Z", half=-1)
-        # Atilde = A + log T, Btilde = B - log(1 + e^-Z) with 1 + e^-Z = e^-Z T
-        XAt = _c_edge(ring, "A", rdeg=1)
-        XCt = _c_edge(ring, "C", rdeg=1)
-        XBt = _c_edge(ring, "B", rdeg=1, tk=1, extra={"Z": 1})
-        XDt = _c_edge(ring, "D", rdeg=1, tk=1, extra={"Z": 1})
-        L = _c_turn(ring, "L")
-        R = _c_turn(ring, "R")
-        if ident == "inner-1":
-            return _cmat_chain(XD, R, XZ, R, XA), _cmat_chain(XDt, R, XAt)
-        if ident == "inner-2":
-            return _cmat_chain(XD, R, XZ, L, XB), _cmat_chain(XDt, L, XZt, R, XBt)
-        if ident == "inner-3":
-            return _cmat_chain(XD, L, XC), _cmat_chain(XDt, L, XZt, L, XCt)
-    if ident.startswith("pending"):
-        names = ("A", "B", "Z")
-        w = Coefficient.parameter("w")
-        ring = SqrtRing(
-            names,
-            {(0, 0, 0): ONE, (0, 0, 2): w, (0, 0, 4): ONE},
-        )
-        a = Coefficient.parameter("a")
-        c = Coefficient.parameter("c")
-        XA = _c_edge(ring, "A")
-        XB = _c_edge(ring, "B")
-        XZ = _c_edge(ring, "Z")
-        XZt = _c_edge(ring, "Z", half=-1)
-        XAt = _c_edge(ring, "A", rdeg=1)
-        XBt = _c_edge(ring, "B", rdeg=1, tk=1, extra={"Z": 2})
-        L = _c_turn(ring, "L")
-        R = _c_turn(ring, "R")
-        F = _c_f(ring, w)
-        Om = _c_omega(ring, a, c, w)
-        mOm = [[-x for x in row] for row in Om]
-        FOm = _cmat_mul(F, Om)
-        if ident == "pending-1":
-            return (
-                _cmat_chain(XA, L, XZ, FOm, XZ, L, XB),
-                _cmat_chain(XAt, R, XZt, mOm, XZt, R, XBt),
-            )
-        # In the bounce-back cases the commutant insertion transforms with
-        # the same sign on both sides; only the pass-through case (pending-1)
-        # sends F_p Omega to -Omega.
-        if ident == "pending-2":
-            return (
-                _cmat_chain(XA, L, XZ, Om, XZ, R, XA),
-                _cmat_chain(XAt, R, XZt, Om, XZt, L, XAt),
-            )
-        if ident == "pending-3":
-            return (
-                _cmat_chain(XB, R, XZ, Om, XZ, L, XB),
-                _cmat_chain(XBt, L, XZt, Om, XZt, R, XBt),
-            )
-    if ident.startswith("decoration"):
-        names = ("Y", "P")
-        ring = SqrtRing(names, {(0, 0): ONE})
-        XY = _c_edge(ring, "Y")
-        XP = _c_edge(ring, "P")
-        XYP = _c_edge(ring, "Y", extra={"P": 1})
-        XmP = _c_edge(ring, "P", half=-1)
-        L = _c_turn(ring, "L")
-        R = _c_turn(ring, "R")
-        t = L if ident == "decoration-1" else R
-        return _cmat_chain(XY, t, XP, t, XY), _cmat_chain(XYP, t, XmP, t, XYP)
-    raise ValueError(f"unknown classical identity {ident!r}")
+    the square-root ring, multiplied out from its token words; returns
+    (lhs, rhs)."""
+    words = classical_identity_words(ident)
+    names, t_poly, dressing = _CLASSICAL_FAMILIES[ident.rsplit("-", 1)[0]]
+    ring = SqrtRing(names, t_poly)
+
+    def factor(step):
+        kind, name = step[0], step[1]
+        if kind == "turn":
+            one, zero = ring.one(), ring.zero()
+            return [[one, one], [-one, zero]] if name == "R" else [[zero, one], [-one, -one]]
+        if kind == "edge":
+            base = name.rstrip("~")
+            return _c_edge(ring, base, **(dressing[base] if name != base else {}))
+        w = Coefficient.parameter(name)
+        if kind == "F":
+            return _c_omega(ring, ZERO, ONE, w)
+        a, c = Coefficient.parameter("a"), Coefficient.parameter("c")
+        return _c_omega(ring, a, c, w) if step[2] > 0 else _c_omega(ring, -a, -c, w)
+
+    return tuple(_cmat_chain(*map(factor, word)) for word in words)
 
 
 def verify_flip_matrix_identity_classical(ident):
     """Exact check in the commutative square-root ring; True iff the two
     matrix words agree entrywise."""
     lhs, rhs = classical_identity_sides(ident)
-    return _cmat_equal(lhs, rhs)
+    return all(lhs[i][j].equals(rhs[i][j]) for i in range(2) for j in range(2))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ Two layers:
   same images, stays as the small-dimension reference for torus and Ore
   elements;
 
-* the commutative q = 1 limit with random real shears, checking the
-  classical flip identities, trace positivity of closed geodesics, the
-  hole-boundary trace and the classical pentagon in floating point.
+* the commutative q = 1 limit with random real shears: one evaluator,
+  :func:`word_values`, multiplies float 2x2 token words at every sample at
+  once to check the classical flip identities from their words in
+  ``flips`` (never the exact ring's products), closed-geodesic trace
+  positivity, the hole-boundary trace and the block sign pattern.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ import numpy as np
 from .flips import (
     ShearState,
     classical_flip,
-    classical_identity_sides,
+    classical_identity_words,
     classical_pending_flip,
+    phi,
+    phi_pending,
 )
 from .ore import OreElement
 from .torus import TorusElement
@@ -613,58 +617,93 @@ def mutation_check(pairs, t_value, seed):
 # classical float layer
 # ---------------------------------------------------------------------------
 
-_L = np.array([[0.0, 1.0], [-1.0, -1.0]])
-_R = np.array([[1.0, 1.0], [-1.0, 0.0]])
+_TURNS = {"L": np.array([[0.0, 1.0], [-1.0, -1.0]]), "R": np.array([[1.0, 1.0], [-1.0, 0.0]])}
+_phi = np.vectorize(phi, otypes=[float])
+_phi_pending = np.vectorize(phi_pending, otypes=[float])
 
 
-def _xmat(v):
-    return np.array([[0.0, -math.exp(v / 2)], [math.exp(-v / 2), 0.0]])
+def _stack(a, b, c, d):
+    """[[a, b], [c, d]] at every sample of the floats or (S,) arrays given."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    return np.stack([a, b, c, d], -1).reshape(a.shape + (2, 2))
 
 
-def _fmat(w):
-    return np.array([[0.0, 1.0], [-1.0, -w]])
+def _edge(v):
+    return _stack(0.0, -np.exp(v / 2), np.exp(-v / 2), 0.0)
+
+
+def _omega(a, c, w):
+    """The commutant a + c F(w); F(w) = [[0, 1], [-1, -w]] is _omega(0, 1, w)."""
+    return _stack(a, c, -c, a - w * c)
+
+
+def word_values(tokens, values, weights):
+    """Value of a true-order token word at every sample at once, as an
+    (S, 2, 2) stack, with one batched matmul per factor.  ``values`` maps
+    each shear name, and the commutant parameters 'a' and 'c', to an (S,)
+    array; ``weights`` maps each pending edge, or the weight name of an
+    ('F', w) or ('omega', w, sign) token, to an (S,) array or a float.  A
+    winding step ('orb', e, 1) is X F X."""
+    acc = np.eye(2)
+    for step in tokens:
+        kind, name = step[0], step[1]
+        if kind == "turn":
+            factors = (_TURNS[name],)
+        elif kind == "edge":
+            factors = (_edge(values[name]),)
+        elif kind == "orb":
+            x = _edge(values[name])
+            factors = (x, _omega(0.0, 1.0, weights[name]), x)
+        elif kind == "F":
+            factors = (_omega(0.0, 1.0, weights[name]),)
+        else:
+            factors = (step[2] * _omega(values["a"], values["c"], weights[name]),)
+        for m in factors:
+            acc = acc @ m
+    return acc
+
+
+def _moved_shears(family, v, w):
+    """The ~ shears of a classical identity, from the formulas the classical
+    moves apply: a flip of Z negates it and shifts the successor roles A, C
+    by phi(Z), the predecessor roles B, D by -phi(-Z) (phi_pending with
+    weight w for a pending Z); a decoration change sends (Y, P) to
+    (Y + P, -P)."""
+    if family == "decoration":
+        return {"Y~": v["Y"] + v["P"], "P~": -v["P"]}
+    z = v["Z"]
+    up, down = (_phi(z), -_phi(-z)) if family == "inner" else (_phi_pending(z, w), -_phi_pending(-z, w))
+    shifts = {"A": up, "B": down, "C": up, "D": down}
+    return {"Z~": -z, **{f"{r}~": v[r] + shifts[r] for r in shifts if r in v}}
 
 
 def numeric_identity_deviation(ident, sample_count=1000, seed=20240229):
     """Max entrywise deviation of a classical flip identity over seeded
-    random shears, evaluated through the exact-ring word catalog."""
+    random shears.  Both token words are multiplied out from float generator
+    matrices, with the ~ shears from the classical move formulas, so this
+    check shares nothing with the exact square-root ring but the words."""
     rng = np.random.default_rng(seed)
-    lhs, rhs = classical_identity_sides(ident)
-    ring = lhs[0][0].ring
-
-    def value(celem, assign):
-        tval = sum(
-            coeff.evaluate(1.0, assign).real
-            * math.exp(sum(assign[n] * d / 2 for n, d in zip(ring.names, du)))
-            for du, coeff in ring.t_poly.items()
-        )
-        total = 0.0
-        for (du, rdeg), coeff in celem.terms.items():
-            x = coeff.evaluate(1.0, assign).real
-            x *= math.exp(sum(assign[n] * d / 2 for n, d in zip(ring.names, du)))
-            if rdeg:
-                x *= math.sqrt(tval)
-            total += x
-        return total / tval ** celem.tk
-
-    worst = 0.0
-    for _ in range(sample_count):
-        assign = {n: float(rng.uniform(-2, 2)) for n in ring.names}
-        assign["w"] = 2 * math.cos(math.pi / int(rng.integers(2, 7)))
-        assign["a"] = float(rng.uniform(-2, 2))
-        assign["c"] = float(rng.uniform(-2, 2))
-        for i in range(2):
-            for j in range(2):
-                dev = abs(value(lhs[i][j], assign) - value(rhs[i][j], assign))
-                worst = max(worst, dev)
-    return worst
+    lhs, rhs = classical_identity_words(ident)
+    names = sorted({s[1].rstrip("~") for s in lhs + rhs if s[0] == "edge"}) + ["a", "c"]
+    values = {n: rng.uniform(-2, 2, sample_count) for n in names}
+    weights = {"w": 2 * np.cos(np.pi / rng.integers(2, 7, sample_count))}
+    values.update(_moved_shears(ident.rsplit("-", 1)[0], values, weights["w"]))
+    gap = word_values(lhs, values, weights) - word_values(rhs, values, weights)
+    return float(np.max(np.abs(gap)))
 
 
-def random_state(graph, seed):
+def random_state(graph, seed, count=None):
+    """Seeded uniform shears on every edge: floats, or (count,) arrays of
+    independent samples when ``count`` is given."""
     rng = np.random.default_rng(seed)
-    values = {e: float(rng.uniform(-2.0, 2.0)) for e in graph.edges}
+    values = {e: rng.uniform(-2.0, 2.0, count) for e in graph.edges}
     params = {"omega0": 2 * math.cos(math.pi / 5)}
     return ShearState(graph, values, params)
+
+
+def _state_values(state, tokens):
+    weights = {e: state.weight_value(e) for e in state.graph.pending}
+    return word_values(tokens, state.values, weights)
 
 
 def flip_involution_deviation(graph, edge, samples=1000, seed=20240229):
@@ -731,15 +770,11 @@ def boundary_trace_deviation(graph, samples=200, seed=20240229):
     tokens = []
     for step in boundary_word_tokens(graph):
         tokens += [("turn", "L"), step]
-    index = {e: i for i, e in enumerate(graph.edges)}
     (center,) = graph.center_elements()
-    worst = 0.0
-    for k in range(samples):
-        state = random_state(graph, seed + k)
-        tr = np.trace(_word_value(graph, state, tokens))
-        half = sum(center[index[e]] * state.values[e] for e in graph.edges) / 4.0
-        worst = max(worst, abs(abs(tr) - 2 * math.cosh(half)))
-    return worst
+    state = random_state(graph, seed, samples)
+    tr = np.trace(_state_values(state, tokens), axis1=-2, axis2=-1)
+    half = sum(k * state.values[e] for k, e in zip(center, graph.edges)) / 4.0
+    return float(np.max(np.abs(np.abs(tr) - 2 * np.cosh(half))))
 
 
 def random_closed_words(graph, count, seed):
@@ -786,45 +821,28 @@ def random_closed_words(graph, count, seed):
     return words
 
 
-def _word_value(graph, state, tokens):
-    mat = np.eye(2)
-    for step in tokens:
-        if step[0] == "turn":
-            mat = mat @ (_L if step[1] == "L" else _R)
-        elif step[0] == "edge":
-            mat = mat @ _xmat(state.values[step[1]])
-        else:
-            w = state.weight_value(step[1])
-            x = _xmat(state.values[step[1]])
-            mat = mat @ (x @ _fmat(w) @ x)
-    return mat
-
-
 def closed_trace_minimum(graph, samples=200, seed=20240229, paths=25):
     """Minimum trace over random closed geodesic words and samples; the
     positivity statement says this never drops below 2."""
     words = random_closed_words(graph, paths, seed)
     if not words:
         raise ValueError("no closed words found")
-    lowest = math.inf
-    for k in range(samples):
-        state = random_state(graph, seed + 1000 + k)
-        for tokens in words:
-            lowest = min(lowest, float(np.trace(_word_value(graph, state, tokens))))
-    return lowest
+    state = random_state(graph, seed + 1000, samples)
+    return min(
+        float(np.min(np.trace(_state_values(state, tokens), axis1=-2, axis2=-1)))
+        for tokens in words
+    )
 
 
 def sign_structure_violation(graph, samples=50, seed=20240229, paths=15):
     """Products of turn-edge blocks must have the sign pattern
     [[+,-],[-,+]] (weakly); returns the largest wrong-signed magnitude."""
     words = random_closed_words(graph, paths, seed)
-    worst = 0.0
+    state = random_state(graph, seed + 5000, samples)
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    for k in range(samples):
-        state = random_state(graph, seed + 5000 + k)
-        for tokens in words:
-            # rotate so the word starts with a turn: block products only
-            mat = _word_value(graph, state, tokens[1:] + tokens[:1])
-            bad = np.minimum(mat * signs, 0.0)
-            worst = max(worst, float(np.max(np.abs(bad))))
+    worst = 0.0
+    for tokens in words:
+        # rotate so the word starts with a turn: block products only
+        mat = _state_values(state, tokens[1:] + tokens[:1])
+        worst = max(worst, float(np.max(np.abs(np.minimum(mat * signs, 0.0)))))
     return worst

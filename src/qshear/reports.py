@@ -7,12 +7,13 @@ from dataclasses import dataclass, field
 
 @dataclass
 class IdentityReport:
-    """One verified identity: stable id, source anchor, pass/fail, and on
-    failure a bounded digest of the nonzero witness."""
+    """One verified identity: stable id, source anchor, pass/fail (None
+    when the check raised), and on failure a bounded digest of the nonzero
+    witness or the exception."""
 
     ident: str
     anchor: str
-    status: bool
+    status: bool | None
     witness: str | None = None
     extras: dict = field(default_factory=dict)
 
@@ -20,7 +21,7 @@ class IdentityReport:
         out = {
             "id": self.ident,
             "anchor": self.anchor,
-            "status": "pass" if self.status else "fail",
+            "status": "error" if self.status is None else "pass" if self.status else "fail",
         }
         if self.witness is not None:
             out["witness"] = self.witness

@@ -5,6 +5,8 @@ its content numerically in clock-and-shift representations.
 
 from __future__ import annotations
 
+import traceback
+
 from . import oracle
 from .fatgraph import load_graph, spine_graph_an
 from .flips import (
@@ -531,6 +533,12 @@ def list_suites():
 
 
 def run_suite(name, config):
+    """The suite's reports sorted by id.  An exception in its runner becomes
+    one error record, so that the suites after it still run."""
     anchor, runner = SUITES[name]
-    reports = runner(config)
+    try:
+        reports = runner(config)
+    except Exception as exc:
+        traceback.print_exc()
+        return [IdentityReport(f"{name}-error", anchor, None, f"{type(exc).__name__}: {exc}")]
     return sorted(reports, key=lambda r: r.ident)

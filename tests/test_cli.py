@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qshear import suites
 from qshear.cli import main
 from qshear.fatgraph import graph_to_dict, spine_graph_an
 from qshear.suites import RunConfig, list_suites
@@ -110,3 +111,33 @@ def test_malformed_graph_file_is_a_failing_record(tmp_path, document):
     assert main(["--suite", "graph-validate", "--graph", str(bad), "--report", str(report)]) == 1
     (item,) = json.loads(report.read_text())["identities"]
     assert item["status"] == "fail" and "must" in item["witness"]
+
+
+def test_runner_exception_becomes_one_error_record(monkeypatch, tmp_path, capsys):
+    def broken(config):
+        raise ArithmeticError("ore clearing budget exhausted")
+
+    anchor, _ = suites.SUITES["pvi"]
+    monkeypatch.setitem(suites.SUITES, "pvi", (anchor, broken))
+    report = tmp_path / "r.json"
+    code = main(["--suite", "pvi", "--suite", "graph-validate", "--report", str(report)])
+    assert code == 1
+    items = json.loads(report.read_text())["identities"]
+    assert items[0] == {
+        "id": "pvi-error",
+        "anchor": anchor,
+        "status": "error",
+        "witness": "ArithmeticError: ore clearing budget exhausted",
+        "suite": "pvi",
+    }
+    # the suite after the failing one still runs
+    assert [r["status"] for r in items[1:]] == ["pass"] * 3
+    assert "[ERROR] pvi: pvi-error" in capsys.readouterr().out
+
+
+def test_flips_classical_at_one_sample(tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["--suite", "flips-classical", "--samples", "1", "--report", str(report)]) == 0
+    items = json.loads(report.read_text())["identities"]
+    assert len(items) == 22
+    assert all(r["status"] == "pass" for r in items)

@@ -2,9 +2,12 @@ import math
 
 import pytest
 
-from qshear.fatgraph import FatGraph, PendingInfo, spine_graph_an
+from qshear import flips, oracle
+from qshear.coeffs import Coefficient
+from qshear.fatgraph import FatGraph, PendingInfo, flip_roles, spine_graph_an
 from qshear.flips import (
     CLASSICAL_FLIP_IDENTITIES,
+    CElem,
     ShearState,
     classical_flip,
     classical_pending_flip,
@@ -29,6 +32,41 @@ def test_exact_identities(ident):
 def test_numeric_identities(ident):
     dev = numeric_identity_deviation(ident, sample_count=300)
     assert dev < 1e-10, f"{ident}: deviation {dev}"
+
+
+_exact_mul = flips._cmat_mul
+
+
+def _swapped_indices(x, y):
+    # the index slip sum_k x[i][k] y[j][k], i.e. x times the transpose of y
+    return _exact_mul(x, [[y[0][0], y[1][0]], [y[0][1], y[1][1]]])
+
+
+@pytest.mark.parametrize("ident", CLASSICAL_FLIP_IDENTITIES)
+def test_broken_exact_product_leaves_numeric_check_standing(monkeypatch, ident):
+    monkeypatch.setattr(flips, "_cmat_mul", _swapped_indices)
+    assert not verify_flip_matrix_identity_classical(ident)
+    assert numeric_identity_deviation(ident, sample_count=100) < 1e-10
+
+
+@pytest.mark.parametrize("ident", CLASSICAL_FLIP_IDENTITIES)
+def test_perturbed_float_tilde_shears_fail_numeric_check_only(monkeypatch, ident):
+    moved = oracle._moved_shears
+    monkeypatch.setattr(
+        oracle, "_moved_shears", lambda *args: {k: v + 1e-3 for k, v in moved(*args).items()}
+    )
+    assert verify_flip_matrix_identity_classical(ident)
+    assert numeric_identity_deviation(ident, sample_count=100) > 1e-6
+
+
+def test_numeric_check_uses_no_exact_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the float layer must not touch the exact ring")
+
+    monkeypatch.setattr(Coefficient, "evaluate", refuse)
+    monkeypatch.setattr(CElem, "mul", refuse)
+    for ident in CLASSICAL_FLIP_IDENTITIES:
+        assert numeric_identity_deviation(ident, sample_count=100) < 1e-10, ident
 
 
 def _state(graph, value=0.0):
@@ -58,13 +96,11 @@ def test_coincident_roles_double_the_shift():
         (("a", "Z", "e"), ("b", "Z", "e")),
         {"a": PendingInfo.from_order(2), "b": PendingInfo.from_order(2)},
     )
+    assert flip_roles(g, "Z") == ("e", "a", "e", "b")
     zval = 0.7
     s = ShearState(g, {"Z": zval, "e": 0.0, "a": 0.0, "b": 0.0})
-    roles_a = g.succ_at(0, "Z"), g.succ_at(1, "Z")
     out = classical_flip(s, "Z")
-    assert abs(out.values["e"] - 2 * phi(zval)) < 1e-12 or abs(
-        out.values["e"] + 2 * phi(-zval)
-    ) < 1e-12
+    assert abs(out.values["e"] - 2 * phi(zval)) < 1e-12
 
 
 def test_pending_flip_shifts():

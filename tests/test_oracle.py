@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 from itertools import combinations
@@ -22,8 +23,11 @@ from qshear.oracle import (
     numeric_reflection_pairs,
     numeric_relation_pairs,
     oracle_check,
+    boundary_word_tokens,
     random_closed_words,
+    random_state,
     skew_normal_form,
+    word_values,
     default_param_values,
 )
 from qshear.ore import OreElement
@@ -372,6 +376,40 @@ def test_seeded_reproducibility():
 
 def test_boundary_trace():
     assert boundary_trace_deviation(spine_graph_an(3), samples=100) < 1e-10
+
+
+def _scalar_word_value(state, k, tokens):
+    """One sample's 2x2 product, factor by factor, as a reference."""
+    def x(e):
+        v = state.values[e][k]
+        return np.array([[0.0, -math.exp(v / 2)], [math.exp(-v / 2), 0.0]])
+
+    turns = {"L": np.array([[0.0, 1.0], [-1.0, -1.0]]), "R": np.array([[1.0, 1.0], [-1.0, 0.0]])}
+    mat = np.eye(2)
+    for step in tokens:
+        if step[0] == "turn":
+            mat = mat @ turns[step[1]]
+        elif step[0] == "edge":
+            mat = mat @ x(step[1])
+        else:
+            f = np.array([[0.0, 1.0], [-1.0, -state.weight_value(step[1])]])
+            mat = mat @ x(step[1]) @ f @ x(step[1])
+    return mat
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_batched_word_values_match_scalar_products(n):
+    g = spine_graph_an(n)
+    words = random_closed_words(g, 8, seed=3)
+    words.append([t for step in boundary_word_tokens(g) for t in (("turn", "L"), step)])
+    state = random_state(g, 11, 7)
+    weights = {e: state.weight_value(e) for e in g.pending}
+    for tokens in words:
+        got = word_values(tokens, state.values, weights)
+        assert got.shape == (7, 2, 2)
+        for k in range(7):
+            want = _scalar_word_value(state, k, tokens)
+            assert np.allclose(got[k], want, rtol=1e-12, atol=1e-12), tokens
 
 
 def test_closed_traces_at_least_two():
