@@ -512,6 +512,9 @@ def _integer(value, what):
     return value
 
 
+MAX_GRAPH_EDGES = 256  # validation builds an n x n skew form in Python lists
+
+
 def graph_from_dict(data):
     """Build a FatGraph from its JSON document; any malformed field, of a
     wrong type included, raises ValueError."""
@@ -524,6 +527,8 @@ def graph_from_dict(data):
     if "edges" not in data or "vertices" not in data:
         raise ValueError("graph document needs 'edges' and 'vertices'")
     edges = _name_list(data["edges"], "'edges'")
+    if len(edges) > MAX_GRAPH_EDGES:
+        raise ValueError(f"a graph file must have at most {MAX_GRAPH_EDGES} edges")
     if not isinstance(data["vertices"], list):
         raise ValueError("'vertices' must be a list of edge-name lists")
     vertices = [_name_list(v, "each vertex") for v in data["vertices"]]

@@ -17,7 +17,7 @@ invariants exercised in the test suite.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .coeffs import Coefficient, ONE, ZERO
 from .fatgraph import (
@@ -36,22 +36,23 @@ from .torus import TorusElement, commutative_shadow, even_check
 
 
 def phi(z):
-    """log(1 + exp(z)) without overflow."""
-    if z > 0:
-        return z + math.log1p(math.exp(-z))
-    return math.log1p(math.exp(z))
+    """log(1 + exp(z)) at a float or an (S,) array of samples, without
+    overflow; an exp(-|z|) that underflows to 0 is harmless, so not flagged."""
+    with np.errstate(under="ignore"):
+        return np.logaddexp(0.0, z)
 
 
 def phi_pending(z, w):
-    """log(1 + w exp(z) + exp(2z)), the pending-edge shift for weight w."""
-    if z > 0:
-        return 2 * z + math.log1p(w * math.exp(-z) + math.exp(-2 * z))
-    return math.log1p(w * math.exp(z) + math.exp(2 * z))
+    """log(1 + w exp(z) + exp(2z)), the pending-edge shift for weight w, at a
+    float or an (S,) array: 2 max(z, 0) + log1p(w e^-|z| + e^-2|z|)."""
+    m = np.abs(z)
+    with np.errstate(under="ignore"):
+        return 2 * np.maximum(z, 0.0) + np.log1p(w * np.exp(-m) + np.exp(-2 * m))
 
 
 class ShearState:
-    """Classical point: a graph together with real shear values and numeric
-    values for any symbolic weight parameters."""
+    """Classical point: a graph with shear values, floats or (S,) sample
+    arrays that the moves never write into, and numeric weight parameters."""
 
     __slots__ = ("graph", "values", "params")
 
@@ -80,7 +81,7 @@ def classical_flip(state, edge):
     z = state.values[edge]
     values = dict(state.values)
     for role, shift in ((a, phi(z)), (b, -phi(-z)), (c, phi(z)), (d, -phi(-z))):
-        values[role] += shift
+        values[role] = values[role] + shift
     values[edge] = -z
     return ShearState(new_graph, values, state.params)
 
@@ -93,8 +94,8 @@ def classical_pending_flip(state, edge):
     z = state.values[edge]
     w = state.weight_value(edge)
     values = dict(state.values)
-    values[a] += phi_pending(z, w)
-    values[b] -= phi_pending(-z, w)
+    values[a] = values[a] + phi_pending(z, w)
+    values[b] = values[b] - phi_pending(-z, w)
     values[edge] = -z
     return ShearState(new_graph, values, state.params)
 

@@ -18,7 +18,8 @@ Two layers:
   :func:`word_values`, multiplies float 2x2 token words at every sample at
   once to check the classical flip identities from their words in
   ``flips`` (never the exact ring's products), closed-geodesic trace
-  positivity, the hole-boundary trace and the block sign pattern.
+  positivity, the hole-boundary trace and the block sign pattern; the
+  involution and pentagon checks move every sample at once.
 """
 
 from __future__ import annotations
@@ -618,8 +619,6 @@ def mutation_check(pairs, t_value, seed):
 # ---------------------------------------------------------------------------
 
 _TURNS = {"L": np.array([[0.0, 1.0], [-1.0, -1.0]]), "R": np.array([[1.0, 1.0], [-1.0, 0.0]])}
-_phi = np.vectorize(phi, otypes=[float])
-_phi_pending = np.vectorize(phi_pending, otypes=[float])
 
 
 def _stack(a, b, c, d):
@@ -672,7 +671,7 @@ def _moved_shears(family, v, w):
     if family == "decoration":
         return {"Y~": v["Y"] + v["P"], "P~": -v["P"]}
     z = v["Z"]
-    up, down = (_phi(z), -_phi(-z)) if family == "inner" else (_phi_pending(z, w), -_phi_pending(-z, w))
+    up, down = (phi(z), -phi(-z)) if family == "inner" else (phi_pending(z, w), -phi_pending(-z, w))
     shifts = {"A": up, "B": down, "C": up, "D": down}
     return {"Z~": -z, **{f"{r}~": v[r] + shifts[r] for r in shifts if r in v}}
 
@@ -692,9 +691,9 @@ def numeric_identity_deviation(ident, sample_count=1000, seed=20240229):
     return float(np.max(np.abs(gap)))
 
 
-def random_state(graph, seed, count=None):
-    """Seeded uniform shears on every edge: floats, or (count,) arrays of
-    independent samples when ``count`` is given."""
+def random_state(graph, seed, count):
+    """Seeded uniform shears on every edge, as (count,) arrays of
+    independent samples."""
     rng = np.random.default_rng(seed)
     values = {e: rng.uniform(-2.0, 2.0, count) for e in graph.edges}
     params = {"omega0": 2 * math.cos(math.pi / 5)}
@@ -706,42 +705,31 @@ def _state_values(state, tokens):
     return word_values(tokens, state.values, weights)
 
 
+def _largest_change(want, moved):
+    """Largest |moved shear - wanted shear| over every edge and sample."""
+    return float(np.max(np.abs([moved.values[e] - v for e, v in want.items()])))
+
+
 def flip_involution_deviation(graph, edge, samples=1000, seed=20240229):
-    worst = 0.0
-    for k in range(samples):
-        state = random_state(graph, seed + k)
-        back = classical_flip(classical_flip(state, edge), edge)
-        worst = max(
-            worst, max(abs(back.values[e] - state.values[e]) for e in graph.edges)
-        )
-    return worst
+    state = random_state(graph, seed, samples)
+    return _largest_change(state.values, classical_flip(classical_flip(state, edge), edge))
 
 
 def pending_flip_involution_deviation(graph, edge, samples=1000, seed=20240229):
-    worst = 0.0
-    for k in range(samples):
-        state = random_state(graph, seed + k)
-        back = classical_pending_flip(classical_pending_flip(state, edge), edge)
-        worst = max(
-            worst, max(abs(back.values[e] - state.values[e]) for e in graph.edges)
-        )
-    return worst
+    state = random_state(graph, seed, samples)
+    back = classical_pending_flip(classical_pending_flip(state, edge), edge)
+    return _largest_change(state.values, back)
 
 
 def pentagon_deviation(graph, e1, e2, samples=200, seed=20240229):
     """Five alternating flips of two adjacent inner edges must restore all
     shear values (edge labels swap roles)."""
-    worst = 0.0
-    for k in range(samples):
-        state = random_state(graph, seed + k)
-        cur = state
-        for edge in (e1, e2, e1, e2, e1):
-            cur = classical_flip(cur, edge)
-        swap = {e1: e2, e2: e1}
-        for e in graph.edges:
-            want = state.values[swap.get(e, e)]
-            worst = max(worst, abs(cur.values[e] - want))
-    return worst
+    state = random_state(graph, seed, samples)
+    cur = state
+    for edge in (e1, e2, e1, e2, e1):
+        cur = classical_flip(cur, edge)
+    swap = {e1: e2, e2: e1}
+    return _largest_change({e: state.values[swap.get(e, e)] for e in graph.edges}, cur)
 
 
 def boundary_word_tokens(graph):

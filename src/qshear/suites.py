@@ -46,6 +46,9 @@ from .ore import OreElement
 from .reports import IdentityReport, witness_digest
 
 
+MAX_SAMPLES = 100_000  # flips-classical peaks near 62 MB resident at this bound
+
+
 class RunConfig:
     """Suite selection plus oracle and sampling knobs."""
 
@@ -72,8 +75,8 @@ class RunConfig:
                 raise ValueError(f"oracle modulus {m} must be an odd integer from 3 to 13")
         if not self.oracle_moduli:
             raise ValueError("need at least one oracle modulus")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples {self.samples} must be an integer from 1 to {MAX_SAMPLES}")
 
 
 def _defect_report(ident, anchor, defects):

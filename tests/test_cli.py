@@ -4,8 +4,8 @@ import pytest
 
 from qshear import suites
 from qshear.cli import main
-from qshear.fatgraph import graph_to_dict, spine_graph_an
-from qshear.suites import RunConfig, list_suites
+from qshear.fatgraph import MAX_GRAPH_EDGES, graph_to_dict, save_graph, spine_graph_an
+from qshear.suites import MAX_SAMPLES, RunConfig, list_suites
 
 
 def test_list_suites_contains_names_and_anchors(capsys):
@@ -93,6 +93,8 @@ def test_bad_oracle_modulus_is_usage_error(monkeypatch, capsys):
     assert "from 3 to 13" in capsys.readouterr().err
     assert RunConfig(oracle_moduli=(13,)).oracle_moduli == (13,)
     assert main(["--suite", "pvi", "--samples", "0"]) == 2
+    assert main(["--suite", "pvi", "--samples", str(MAX_SAMPLES + 1)]) == 2
+    assert RunConfig(samples=MAX_SAMPLES).samples == 100_000
 
 
 @pytest.mark.parametrize(
@@ -101,8 +103,9 @@ def test_bad_oracle_modulus_is_usage_error(monkeypatch, capsys):
         {"edges": 5, "vertices": []},
         {"edges": ["A", "B", "C"], "vertices": [["A", "B", "C"]], "pending": {"A": 3}},
         {"edges": [["A"]], "vertices": []},
+        {"edges": [f"E{k}" for k in range(MAX_GRAPH_EDGES + 1)], "vertices": []},
     ],
-    ids=["edges-int", "pending-int", "edge-list"],
+    ids=["edges-int", "pending-int", "edge-list", "too-many-edges"],
 )
 def test_malformed_graph_file_is_a_failing_record(tmp_path, document):
     bad = tmp_path / "bad.json"
@@ -141,3 +144,19 @@ def test_flips_classical_at_one_sample(tmp_path):
     items = json.loads(report.read_text())["identities"]
     assert len(items) == 22
     assert all(r["status"] == "pass" for r in items)
+
+
+def test_flip_script_round_trip(tmp_path, capsys):
+    graph = tmp_path / "a3.json"
+    save_graph(spine_graph_an(3), graph)
+    script = tmp_path / "moves.txt"
+    script.write_text("# there and back\nflip X1\nflip X1\npflip S\npflip S\n")
+    assert main(["--graph", str(graph), "--flip-script", str(script)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["values"].keys() == doc["initial"].keys()
+    for e, v in doc["initial"].items():
+        assert abs(doc["values"][e] - v) < 1e-12, e
+    two = ["--graph", str(graph), "--graph", str(graph), "--flip-script", str(script)]
+    assert main(two) == 2
+    script.write_text("wobble X1\n")
+    assert main(["--graph", str(graph), "--flip-script", str(script)]) == 1

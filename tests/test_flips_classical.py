@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qshear import flips, oracle
@@ -13,6 +14,7 @@ from qshear.flips import (
     classical_pending_flip,
     decoration_change,
     phi,
+    phi_pending,
     verify_flip_matrix_identity_classical,
 )
 from qshear.oracle import (
@@ -20,6 +22,7 @@ from qshear.oracle import (
     numeric_identity_deviation,
     pending_flip_involution_deviation,
     pentagon_deviation,
+    random_state,
 )
 
 
@@ -73,6 +76,89 @@ def _state(graph, value=0.0):
     return ShearState(
         graph, {e: value for e in graph.edges}, {"omega0": 2 * math.cos(math.pi / 5)}
     )
+
+
+def _phi_reference(z):
+    if z > 0:
+        return z + math.log1p(math.exp(-z))
+    return math.log1p(math.exp(z))
+
+
+def _phi_pending_reference(z, w):
+    if z > 0:
+        return 2 * z + math.log1p(w * math.exp(-z) + math.exp(-2 * z))
+    return math.log1p(w * math.exp(z) + math.exp(2 * z))
+
+
+_EXTREME_SHEARS = (800.0, -800.0, 30.0, -30.0, 1e-3, -1e-3, 0.0)
+
+
+def test_phi_matches_scalar_reference_without_float_errors():
+    zs = np.array(_EXTREME_SHEARS)
+    with np.errstate(all="raise"):
+        cases = [(phi, _phi_reference, ())]
+        for w in (0.0, 1.0, 2 * math.cos(math.pi / 5)):
+            cases.append((phi_pending, _phi_pending_reference, (w,)))
+        for fn, reference, extra in cases:
+            batch = fn(zs, *extra)
+            for k, z in enumerate(_EXTREME_SHEARS):
+                want = reference(z, *extra)
+                assert fn(z, *extra) == pytest.approx(want, rel=1e-15, abs=0), (fn, z, extra)
+                assert batch[k] == pytest.approx(want, rel=1e-15, abs=0), (fn, z, extra)
+
+
+def _loop_graph():
+    # neck edge Y into a vertex carrying the perimeter loop P
+    return FatGraph(("Y", "P"), (("Y", "P", "P"),), {})
+
+
+@pytest.mark.parametrize(
+    "move, graph, where",
+    [
+        (classical_flip, spine_graph_an(4), "X2"),
+        (classical_pending_flip, spine_graph_an(3), "S"),
+        (decoration_change, _loop_graph(), ("Y", "P")),
+    ],
+    ids=["flip", "pending-flip", "decoration"],
+)
+def test_batched_move_matches_each_sample_and_keeps_its_input(move, graph, where):
+    state = random_state(graph, 5, 16)
+    before = {e: v.copy() for e, v in state.values.items()}
+    out = move(state, where)
+    for e, v in before.items():
+        assert np.array_equal(state.values[e], v), e
+    for k in range(16):
+        values = {e: float(v[k]) for e, v in before.items()}
+        one = move(ShearState(graph, values, state.params), where)
+        for e in graph.edges:
+            assert abs(out.values[e][k] - one.values[e]) <= 1e-15, (e, k)
+
+
+@pytest.mark.parametrize(
+    "check, n, edges",
+    [
+        (flip_involution_deviation, 3, ("X1",)),
+        (pending_flip_involution_deviation, 3, ("S",)),
+        (pentagon_deviation, 4, ("X1", "X2")),
+    ],
+    ids=["involution", "pending-involution", "pentagon"],
+)
+def test_move_checks_build_as_many_graphs_at_any_sample_count(monkeypatch, check, n, edges):
+    g = spine_graph_an(n)
+    built = []
+    init = FatGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FatGraph, "__init__", counted)
+    counts = []
+    for samples in (10, 1000):
+        built.clear()
+        assert check(g, *edges, samples=samples) < 1e-10
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
 
 
 def test_flip_at_zero_shears():
@@ -131,11 +217,6 @@ def test_flip_rejects_pending_and_loops():
     s = _state(g)
     with pytest.raises(ValueError):
         classical_flip(s, "S")
-    loopy = FatGraph(
-        ("P", "Y", "c"),
-        (("Y", "P", "P"), ),
-        {"Y": PendingInfo.from_order(2), "c": PendingInfo.from_order(2)},
-    ) if False else None
     # loop edge: both ends at one vertex
     g2 = FatGraph(
         ("P", "Y", "c"),
@@ -148,9 +229,7 @@ def test_flip_rejects_pending_and_loops():
 
 
 def test_decoration_change():
-    g = FatGraph(("Y", "P", "W"), (("W", "Y", "Y"), ("Y", "P", "P")), {}) if False else None
-    # neck edge Y into a vertex carrying the perimeter loop P
-    g = FatGraph(("Y", "P"), (("Y", "P", "P"),), {})
+    g = _loop_graph()
     s = ShearState(g, {"Y": 1.25, "P": -0.75})
     out = decoration_change(s, ("Y", "P"))
     assert abs(out.values["Y"] - 0.5) < 1e-15
