@@ -2,8 +2,9 @@
 
 Flips act by (A,B,C,D,Z) -> (A+phi(Z), B-phi(-Z), C+phi(Z), D-phi(-Z), -Z)
 with phi(z) = log(1+exp(z)); pending edges use the trinomial shift.  The
-matrix identities behind them are verified exactly in a commutative ring
-with one adjoined square root.
+matrix identities behind them are verified exactly over the commutative
+torus: a ~ shear carrying log T contributes a square root of T only as a
+scalar, so each side is T**(-m/2) times a matrix over the torus.
 """
 
 from qshear.fatgraph import spine_graph_an

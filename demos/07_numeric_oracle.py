@@ -21,7 +21,7 @@ from qshear.oracle import (
 )
 
 real = an_realization(3)
-u, pairings = skew_normal_form(real.form.beta)
+_, _, pairings = skew_normal_form(real.form.beta)
 print("skew normal form pairings:", pairings)
 
 params = {"omega0": 0.47}

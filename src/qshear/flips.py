@@ -1,6 +1,6 @@
 """Mapping-class-group moves: classical shear-coordinate flips, pending-edge
-flips and decoration changes, their exact commutative verification ring,
-and the quantum substitutions induced on the torus algebra.
+flips and decoration changes, and the quantum substitutions induced on the
+torus algebra.
 
 Quantum flip images, with Z the flipped edge and q = t**4:
 
@@ -17,17 +17,20 @@ invariants exercised in the test suite.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
-from .coeffs import Coefficient, ONE, ZERO
+from .coeffs import Coefficient
 from .fatgraph import (
     flip_graph,
     flip_roles,
     pending_flip_graph,
     pending_flip_roles,
 )
+from .matrices import AlgMatrix, edge_matrix, f_matrix, omega_commutant, turn_matrix
 from .ore import OreElement, QDenominator
-from .torus import TorusElement, commutative_shadow, even_check
+from .torus import SkewForm, TorusElement, commutative_shadow, even_check, half
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +129,9 @@ def run_flip_script(state, lines):
             continue
         parts = line.split()
         try:
+            unknown = [e for e in parts[1:] if e not in state.graph.edges]
+            if unknown:
+                raise ValueError(f"the graph has no edge {unknown[0]!r}")
             if parts[0] == "flip" and len(parts) == 2:
                 state = classical_flip(state, parts[1])
             elif parts[0] == "pflip" and len(parts) == 2:
@@ -140,164 +146,8 @@ def run_flip_script(state, lines):
 
 
 # ---------------------------------------------------------------------------
-# exact commutative ring with one adjoined square root
+# classical flip identities as token words
 # ---------------------------------------------------------------------------
-
-
-class SqrtRing:
-    """Q(params)[exp(+-edge/2)][r] / (r**2 - T) with T a Laurent polynomial;
-    elements carry a T**k denominator so the tilde matrix entries are exact."""
-
-    __slots__ = ("names", "t_poly")
-
-    def __init__(self, names, t_poly):
-        self.names = tuple(names)
-        self.t_poly = {tuple(du): c for du, c in t_poly.items() if c}
-
-    def du(self, exponents):
-        vec = [0] * len(self.names)
-        for name, dexp in exponents.items():
-            vec[self.names.index(name)] += int(dexp)
-        return tuple(vec)
-
-    def zero(self):
-        return CElem(self, {}, 0)
-
-    def const(self, coeff):
-        return CElem(self, {(self.du({}), 0): coeff}, 0)
-
-    def one(self):
-        return self.const(ONE)
-
-    def mono(self, exponents, coeff=ONE, rdeg=0, tk=0):
-        return CElem(self, {(self.du(exponents), rdeg % 2): coeff}, tk)
-
-
-class CElem:
-    """terms / T**tk with terms mapping (du, r-degree) to Coefficient."""
-
-    __slots__ = ("ring", "terms", "tk")
-
-    def __init__(self, ring, terms, tk):
-        self.ring = ring
-        self.terms = {k: v for k, v in terms.items() if v}
-        self.tk = tk
-
-    def _aligned(self, other):
-        if self.tk == other.tk:
-            return self.terms, other.terms, self.tk
-        ring = self.ring
-        if self.tk < other.tk:
-            lifted = _tmul(ring, self.terms, other.tk - self.tk)
-            return lifted, other.terms, other.tk
-        lifted = _tmul(ring, other.terms, self.tk - other.tk)
-        return self.terms, lifted, self.tk
-
-    def __add__(self, other):
-        a, b, tk = self._aligned(other)
-        out = dict(a)
-        for k, v in b.items():
-            nv = out.get(k, ZERO) + v
-            if nv:
-                out[k] = nv
-            elif k in out:
-                del out[k]
-        return CElem(self.ring, out, tk)
-
-    def __neg__(self):
-        return CElem(self.ring, {k: -v for k, v in self.terms.items()}, self.tk)
-
-    def mul(self, other):
-        ring = self.ring
-        out = {}
-        for (du1, r1), c1 in self.terms.items():
-            for (du2, r2), c2 in other.terms.items():
-                c = c1 * c2
-                if not c:
-                    continue
-                du = tuple(x + y for x, y in zip(du1, du2))
-                if r1 and r2:
-                    for dt, ct in ring.t_poly.items():
-                        key = (tuple(x + y for x, y in zip(du, dt)), 0)
-                        nv = out.get(key, ZERO) + c * ct
-                        if nv:
-                            out[key] = nv
-                        elif key in out:
-                            del out[key]
-                else:
-                    key = (du, r1 ^ r2)
-                    nv = out.get(key, ZERO) + c
-                    if nv:
-                        out[key] = nv
-                    elif key in out:
-                        del out[key]
-        return CElem(ring, out, self.tk + other.tk)
-
-    def equals(self, other):
-        a, b, _ = self._aligned(other)
-        return a == b
-
-    def __repr__(self):
-        return f"CElem({self.terms!r})/T^{self.tk}"
-
-
-def _tmul(ring, terms, k):
-    for _ in range(k):
-        out = {}
-        for (du, r), c in terms.items():
-            for dt, ct in ring.t_poly.items():
-                key = (tuple(x + y for x, y in zip(du, dt)), r)
-                nv = out.get(key, ZERO) + c * ct
-                if nv:
-                    out[key] = nv
-                elif key in out:
-                    del out[key]
-        terms = out
-    return terms
-
-
-def _cmat_mul(x, y):
-    return [
-        [
-            x[0][0].mul(y[0][0]) + x[0][1].mul(y[1][0]),
-            x[0][0].mul(y[0][1]) + x[0][1].mul(y[1][1]),
-        ],
-        [
-            x[1][0].mul(y[0][0]) + x[1][1].mul(y[1][0]),
-            x[1][0].mul(y[0][1]) + x[1][1].mul(y[1][1]),
-        ],
-    ]
-
-
-def _cmat_chain(*ms):
-    acc = ms[0]
-    for m in ms[1:]:
-        acc = _cmat_mul(acc, m)
-    return acc
-
-
-def _c_edge(ring, name, half=1, rdeg=0, tk=0, extra=None):
-    """[[0, -e^{v/2}], [e^{-v/2}, 0]] where v/2 carries optional r / T^k
-    dressing and an extra half-integer exponent offset."""
-    up = {name: half}
-    dn = {name: -half}
-    if extra:
-        for k, v in extra.items():
-            up[k] = up.get(k, 0) + v
-            dn[k] = dn.get(k, 0) - v
-    z = ring.zero()
-    pos = ring.mono(up, ONE, rdeg, tk)
-    neg_tk = 0 if tk else (1 if rdeg else 0)
-    neg = ring.mono(dn, ONE, rdeg, neg_tk)
-    return [[z, -pos], [neg, z]]
-
-
-def _c_omega(ring, a, c, w):
-    """The commutant a + c F(w); F(w) = [[0, 1], [-1, -w]] is _c_omega(0, 1, w)."""
-    return [
-        [ring.const(a), ring.const(c)],
-        [-ring.const(c), ring.const(a - w * c)],
-    ]
 
 
 # Each classical flip identity as a pair of true-order token words.  L and R
@@ -320,24 +170,24 @@ CLASSICAL_FLIP_WORDS = {
 
 CLASSICAL_FLIP_IDENTITIES = tuple(CLASSICAL_FLIP_WORDS)
 
-# Per family: the shear names, T = r**2 of the square-root ring, and the
-# _c_edge dressing of each ~ shear.  Atilde = A + log T and Btilde =
-# B - log(1 + e^-Z) with 1 + e^-Z = e^-Z T; the pending family likewise
-# with the trinomial T; a decoration change sends (Y, P) to (Y + P, -P).
-_INNER_SHIFT = {"rdeg": 1, "tk": 1, "extra": {"Z": 1}}
+# Per family: the shear names, the pending weight (None off a pending edge)
+# and each ~ shear as (half exponents of v, s) with v~ = v + s log T.  T is
+# 1 + e^Z, or the trinomial 1 + w e^Z + e^2Z at a pending edge: Atilde =
+# A + log T and Btilde = B - log(1 + e^-Z) = B + Z - log T (B + 2Z - log T
+# at a pending edge); a decoration change sends (Y, P) to (Y + P, -P).
 _CLASSICAL_FAMILIES = {
     "inner": (
         ("A", "B", "C", "D", "Z"),
-        {(0, 0, 0, 0, 0): ONE, (0, 0, 0, 0, 2): ONE},
-        {"A": {"rdeg": 1}, "C": {"rdeg": 1}, "B": _INNER_SHIFT, "D": _INNER_SHIFT,
-         "Z": {"half": -1}},
+        None,
+        {"A": ({"A": 1}, 1), "C": ({"C": 1}, 1), "B": ({"B": 1, "Z": 1}, -1),
+         "D": ({"D": 1, "Z": 1}, -1), "Z": ({"Z": -1}, 0)},
     ),
     "pending": (
         ("A", "B", "Z"),
-        {(0, 0, 0): ONE, (0, 0, 2): Coefficient.parameter("w"), (0, 0, 4): ONE},
-        {"A": {"rdeg": 1}, "B": {"rdeg": 1, "tk": 1, "extra": {"Z": 2}}, "Z": {"half": -1}},
+        Coefficient.parameter("w"),
+        {"A": ({"A": 1}, 1), "B": ({"B": 1, "Z": 2}, -1), "Z": ({"Z": -1}, 0)},
     ),
-    "decoration": (("Y", "P"), {(0, 0): ONE}, {"Y": {"extra": {"P": 1}}, "P": {"half": -1}}),
+    "decoration": (("Y", "P"), None, {"Y": ({"Y": 1, "P": 1}, 0), "P": ({"P": -1}, 0)}),
 }
 
 
@@ -362,35 +212,60 @@ def classical_identity_words(ident):
 
 
 def classical_identity_sides(ident):
-    """Both sides of a classical flip identity as exact 2x2 matrices over
-    the square-root ring, multiplied out from its token words; returns
-    (lhs, rhs)."""
-    words = classical_identity_words(ident)
-    names, t_poly, dressing = _CLASSICAL_FAMILIES[ident.rsplit("-", 1)[0]]
-    ring = SqrtRing(names, t_poly)
+    """Both sides of a classical flip identity, multiplied out from its
+    token words over the commutative torus of the family's shears.
+
+    X_{v + s log T} is T**(-1/2) X_v diag(1, T) for s = +1 and
+    T**(-1/2) X_v diag(T, 1) for s = -1, so a side with m T-dressed ~
+    factors is T**(-m/2) times a matrix with entries in the torus; returns
+    ((m, lhs), (m, rhs), T)."""
+    lhs, rhs = classical_identity_words(ident)
+    names, weight, tildes = _CLASSICAL_FAMILIES[ident.rsplit("-", 1)[0]]
+    form = SkewForm(names, [[0] * len(names)] * len(names))
+    t_poly = _binomial(form, "Z", +1, 0, weight) if "Z" in names else None
+    zero = TorusElement.zero(form)
 
     def factor(step):
         kind, name = step[0], step[1]
         if kind == "turn":
-            one, zero = ring.one(), ring.zero()
-            return [[one, one], [-one, zero]] if name == "R" else [[zero, one], [-one, -one]]
-        if kind == "edge":
-            base = name.rstrip("~")
-            return _c_edge(ring, base, **(dressing[base] if name != base else {}))
-        w = Coefficient.parameter(name)
+            return turn_matrix(form, name)
         if kind == "F":
-            return _c_omega(ring, ZERO, ONE, w)
-        a, c = Coefficient.parameter("a"), Coefficient.parameter("c")
-        return _c_omega(ring, a, c, w) if step[2] > 0 else _c_omega(ring, -a, -c, w)
+            return f_matrix(form, weight)
+        if kind == "omega":
+            o = omega_commutant(
+                form, Coefficient.parameter("a"), Coefficient.parameter("c"), weight
+            )
+            return o if step[2] > 0 else o.neg()
+        if not name.endswith("~"):
+            return edge_matrix(form, name)
+        exponents, s = tildes[name[:-1]]
+        up = half(form, exponents)
+        dn = half(form, {n: -e for n, e in exponents.items()})
+        if s > 0:
+            up = up.mul(t_poly)
+        elif s < 0:
+            dn = dn.mul(t_poly)
+        return AlgMatrix(form, [[zero, -up], [dn, zero]])
 
-    return tuple(_cmat_chain(*map(factor, word)) for word in words)
+    def side(word):
+        m = sum(1 for step in word if step[1].endswith("~") and tildes[step[1][:-1]][1])
+        return m, reduce(AlgMatrix.mul, map(factor, word))
+
+    return side(lhs), side(rhs), t_poly
 
 
 def verify_flip_matrix_identity_classical(ident):
-    """Exact check in the commutative square-root ring; True iff the two
-    matrix words agree entrywise."""
-    lhs, rhs = classical_identity_sides(ident)
-    return all(lhs[i][j].equals(rhs[i][j]) for i in range(2) for j in range(2))
+    """Exact check over the commutative torus; True iff the two sides
+    T**(-m/2) P agree.  Counts m of different parity never do, since T is
+    not a square."""
+    (m_lhs, lhs), (m_rhs, rhs), t_poly = classical_identity_sides(ident)
+    if (m_lhs - m_rhs) % 2:
+        return False
+    for _ in range((m_rhs - m_lhs) // 2):
+        lhs = lhs.scalar_mul_left(t_poly)
+    for _ in range((m_lhs - m_rhs) // 2):
+        rhs = rhs.scalar_mul_left(t_poly)
+    return (lhs - rhs).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +536,6 @@ def tilde_expansion_defects(sub):
     The (2,1) sign is the one actually produced by the displayed edge and
     turn matrices.
     """
-    from .matrices import edge_matrix, turn_matrix
-
     if sub.kind != "inner":
         raise ValueError("tilde expansion applies to inner flips")
     _, _, c, d = flip_roles(sub.source_graph, sub.edge)

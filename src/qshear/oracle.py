@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
@@ -51,11 +50,13 @@ from .torus import TorusElement
 
 def skew_normal_form(beta):
     """U with U beta U^T block-diagonal: hyperbolic blocks [[0,d],[-d,0]]
-    followed by zeros.  Returns (U, pairings) with pairings the list of d's.
+    followed by zeros.  Returns (U, V, pairings) with V = U^-T, tracked
+    through the same row operations, and pairings the list of d's.
     """
     n = len(beta)
     m = [list(row) for row in beta]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    v = [row[:] for row in u]
 
     def swap(i, j):
         if i == j:
@@ -64,13 +65,16 @@ def skew_normal_form(beta):
         for row in m:
             row[i], row[j] = row[j], row[i]
         u[i], u[j] = u[j], u[i]
+        v[i], v[j] = v[j], v[i]
 
     def add_row(i, j, t):
-        # row i += t * row j, and the congruent column operation
+        # row i += t * row j, and the congruent column operation; on the
+        # inverse transpose that is row j -= t * row i
         m[i] = [a + t * b for a, b in zip(m[i], m[j])]
         for row in m:
             row[i] += t * row[j]
         u[i] = [a + t * b for a, b in zip(u[i], u[j])]
+        v[j] = [b - t * a for a, b in zip(v[i], v[j])]
 
     pairings = []
     k = 0
@@ -122,32 +126,7 @@ def skew_normal_form(beta):
                 break
         pairings.append(m[k][k + 1])
         k += 2
-    return u, pairings
-
-
-def _integer_inverse_transpose(u):
-    n = len(u)
-    aug = [[Fraction(u[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    out = []
-    for j in range(n):
-        row = []
-        for i in range(n):
-            x = inv[i][j]
-            if x.denominator != 1:
-                raise ValueError("transform is not unimodular")
-            row.append(x.numerator)
-        out.append(row)
-    return out  # transpose of the inverse
+    return u, v, pairings
 
 
 class Monomial(NamedTuple):
@@ -169,10 +148,8 @@ class ClockShiftRep:
         self.modulus = modulus
         self.seed = seed
         self.t_value = cmath.exp(1j * math.pi / modulus)
-        u, pairings = skew_normal_form(form.beta)
-        self.transform = _integer_inverse_transpose(u)
-        self.pairings = pairings
-        self.nblocks = len(pairings)
+        _, self.transform, self.pairings = skew_normal_form(form.beta)
+        self.nblocks = len(self.pairings)
         rng = np.random.default_rng(seed)
         self.free_phases = [
             cmath.exp(2j * math.pi * rng.random())
@@ -680,7 +657,7 @@ def numeric_identity_deviation(ident, sample_count=1000, seed=20240229):
     """Max entrywise deviation of a classical flip identity over seeded
     random shears.  Both token words are multiplied out from float generator
     matrices, with the ~ shears from the classical move formulas, so this
-    check shares nothing with the exact square-root ring but the words."""
+    check shares nothing with the exact torus arithmetic but the words."""
     rng = np.random.default_rng(seed)
     lhs, rhs = classical_identity_words(ident)
     names = sorted({s[1].rstrip("~") for s in lhs + rhs if s[0] == "edge"}) + ["a", "c"]

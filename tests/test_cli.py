@@ -158,5 +158,9 @@ def test_flip_script_round_trip(tmp_path, capsys):
         assert abs(doc["values"][e] - v) < 1e-12, e
     two = ["--graph", str(graph), "--graph", str(graph), "--flip-script", str(script)]
     assert main(two) == 2
-    script.write_text("wobble X1\n")
-    assert main(["--graph", str(graph), "--flip-script", str(script)]) == 1
+    capsys.readouterr()
+    for text in ("wobble X1\n", "flip X2\n", "flip X1\ndecor S Q\n"):
+        script.write_text(text)
+        assert main(["--graph", str(graph), "--flip-script", str(script)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: flip script line ") and "Traceback" not in err, err

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qshear import flips, oracle
+from qshear import oracle
 from qshear.coeffs import Coefficient
 from qshear.fatgraph import FatGraph, PendingInfo, flip_roles, spine_graph_an
 from qshear.flips import (
     CLASSICAL_FLIP_IDENTITIES,
-    CElem,
+    CLASSICAL_FLIP_WORDS,
     ShearState,
     classical_flip,
     classical_pending_flip,
@@ -17,6 +17,7 @@ from qshear.flips import (
     phi_pending,
     verify_flip_matrix_identity_classical,
 )
+from qshear.matrices import AlgMatrix
 from qshear.oracle import (
     flip_involution_deviation,
     numeric_identity_deviation,
@@ -24,6 +25,7 @@ from qshear.oracle import (
     pentagon_deviation,
     random_state,
 )
+from qshear.torus import TorusElement
 
 
 @pytest.mark.parametrize("ident", CLASSICAL_FLIP_IDENTITIES)
@@ -37,17 +39,17 @@ def test_numeric_identities(ident):
     assert dev < 1e-10, f"{ident}: deviation {dev}"
 
 
-_exact_mul = flips._cmat_mul
+_exact_mul = AlgMatrix.mul
 
 
 def _swapped_indices(x, y):
     # the index slip sum_k x[i][k] y[j][k], i.e. x times the transpose of y
-    return _exact_mul(x, [[y[0][0], y[1][0]], [y[0][1], y[1][1]]])
+    return _exact_mul(x, y.transpose())
 
 
 @pytest.mark.parametrize("ident", CLASSICAL_FLIP_IDENTITIES)
 def test_broken_exact_product_leaves_numeric_check_standing(monkeypatch, ident):
-    monkeypatch.setattr(flips, "_cmat_mul", _swapped_indices)
+    monkeypatch.setattr(AlgMatrix, "mul", _swapped_indices)
     assert not verify_flip_matrix_identity_classical(ident)
     assert numeric_identity_deviation(ident, sample_count=100) < 1e-10
 
@@ -64,12 +66,38 @@ def test_perturbed_float_tilde_shears_fail_numeric_check_only(monkeypatch, ident
 
 def test_numeric_check_uses_no_exact_arithmetic(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the float layer must not touch the exact ring")
+        raise AssertionError("the float layer must not touch the exact torus")
 
     monkeypatch.setattr(Coefficient, "evaluate", refuse)
-    monkeypatch.setattr(CElem, "mul", refuse)
+    monkeypatch.setattr(TorusElement, "mul", refuse)
     for ident in CLASSICAL_FLIP_IDENTITIES:
         assert numeric_identity_deviation(ident, sample_count=100) < 1e-10, ident
+
+
+# the ~ shears that carry a log T, as opposed to Z~ = -Z, P~ = -P, Y~ = Y + P
+_T_DRESSED = ("A~", "B~", "C~", "D~")
+
+
+def _word_mutants(word):
+    """Each single-token slip of a right-hand word: one turn swapped L<->R,
+    the sign of one commutant O flipped, one T-dressed ~ dropped."""
+    tokens = word.split()
+    swap = {"L": "R", "R": "L", "O": "-O", "-O": "O"}
+    for k, tok in enumerate(tokens):
+        if tok in swap:
+            yield " ".join(tokens[:k] + [swap[tok]] + tokens[k + 1:])
+        elif tok in _T_DRESSED:
+            yield " ".join(tokens[:k] + [tok[:-1]] + tokens[k + 1:])
+
+
+@pytest.mark.parametrize("ident", CLASSICAL_FLIP_IDENTITIES)
+def test_word_mutants_fail_exact_check(monkeypatch, ident):
+    lhs, rhs = CLASSICAL_FLIP_WORDS[ident]
+    mutants = list(_word_mutants(rhs))
+    assert mutants
+    for mutant in mutants:
+        monkeypatch.setitem(CLASSICAL_FLIP_WORDS, ident, (lhs, mutant))
+        assert verify_flip_matrix_identity_classical(ident) is False, (ident, mutant)
 
 
 def _state(graph, value=0.0):

@@ -42,9 +42,10 @@ def test_skew_normal_form_random():
     for _ in range(60):
         n = rng.randint(2, 7)
         f = random_skew_form(rng, n)
-        u, pairings = skew_normal_form(f.beta)
+        u, v, pairings = skew_normal_form(f.beta)
         U = np.array(u)
         assert abs(round(np.linalg.det(U))) == 1
+        assert (np.array(v).T @ U == np.eye(n, dtype=int)).all()
         D = U @ np.array(f.beta) @ U.T
         k = 2 * len(pairings)
         for i in range(n):
