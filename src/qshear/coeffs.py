@@ -3,12 +3,23 @@ deformation variable t (q = t**4) whose coefficients are rational-number
 polynomials in named central parameters (orbifold weights, commutant
 entries).
 
-All arithmetic is exact; no floating point enters the symbolic layer.
+All arithmetic is exact; no floating point enters the symbolic layer.  A
+stored value is a nonzero int, or a Fraction when it is not integral:
+the catalog lives in Z[params][t, t^-1], so machine integers carry almost
+every product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _norm(val):
+    """An exact value as an int when it is integral, else as a Fraction."""
+    if type(val) is int:
+        return val
+    val = Fraction(val)
+    return val.numerator if val.denominator == 1 else val
 
 
 def _param_key(params):
@@ -23,9 +34,9 @@ def _param_key(params):
 class Coefficient:
     """Element of Q[params][t, t^-1].
 
-    Terms map (t-exponent, parameter monomial) to a nonzero Fraction; the
-    zero element has no terms.  Instances are immutable and hashable, so
-    they can key denominator tables.
+    Terms map (t-exponent, parameter monomial) to a nonzero int, or
+    Fraction when not integral; the zero element has no terms.  Instances
+    are immutable and hashable, so they can key denominator tables.
     """
 
     __slots__ = ("_terms", "_key")
@@ -34,13 +45,13 @@ class Coefficient:
         clean = {}
         if terms:
             for (texp, params), val in terms.items():
-                val = Fraction(val)
+                val = _norm(val)
                 if not val:
                     continue
                 k = (int(texp), _param_key(params))
-                newval = clean.get(k, Fraction(0)) + val
+                newval = clean.get(k, 0) + val
                 if newval:
-                    clean[k] = newval
+                    clean[k] = _norm(newval)
                 elif k in clean:
                     del clean[k]
         self._terms = clean
@@ -58,12 +69,12 @@ class Coefficient:
 
     @staticmethod
     def rational(x):
-        return Coefficient({(0, ()): Fraction(x)})
+        return Coefficient({(0, ()): x})
 
     @staticmethod
     def t_power(k, val=1):
         """val * t**k"""
-        return Coefficient({(int(k), ()): Fraction(val)})
+        return Coefficient({(int(k), ()): val})
 
     @staticmethod
     def q_power(k, val=1):
@@ -76,7 +87,7 @@ class Coefficient:
 
     @staticmethod
     def parameter(name, power=1, val=1):
-        return Coefficient({(0, ((name, power),)): Fraction(val)})
+        return Coefficient({(0, ((name, power),)): val})
 
     # -- ring operations ----------------------------------------------
 
@@ -87,9 +98,9 @@ class Coefficient:
             return other
         terms = dict(self._terms)
         for k, v in other._terms.items():
-            nv = terms.get(k, Fraction(0)) + v
+            nv = terms.get(k, 0) + v
             if nv:
-                terms[k] = nv
+                terms[k] = nv if type(nv) is int else _norm(nv)
             elif k in terms:
                 del terms[k]
         out = Coefficient.__new__(Coefficient)
@@ -125,9 +136,9 @@ class Coefficient:
                 else:
                     pk = p2
                 k = (t1 + t2 + tshift, pk)
-                nv = acc.get(k, Fraction(0)) + v1 * v2
+                nv = acc.get(k, 0) + v1 * v2
                 if nv:
-                    acc[k] = nv
+                    acc[k] = nv if type(nv) is int else _norm(nv)
                 elif k in acc:
                     del acc[k]
         out = Coefficient.__new__(Coefficient)
@@ -159,9 +170,9 @@ class Coefficient:
         acc = {}
         for (_, p), v in self._terms.items():
             k = (0, p)
-            nv = acc.get(k, Fraction(0)) + v
+            nv = acc.get(k, 0) + v
             if nv:
-                acc[k] = nv
+                acc[k] = nv if type(nv) is int else _norm(nv)
             elif k in acc:
                 del acc[k]
         out = Coefficient.__new__(Coefficient)
@@ -219,7 +230,7 @@ class Coefficient:
 
 
 _ZERO = Coefficient()
-_ONE = Coefficient({(0, ()): Fraction(1)})
+_ONE = Coefficient({(0, ()): 1})
 
 ZERO = _ZERO
 ONE = _ONE

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from .torus import TorusElement
 
+# Denominator-clearing steps ore_zero_test may take before it gives up.
+CLEARING_BUDGET = 200
+
 
 class QDenominator:
     """1 + c_1 W(step) + c_2 W(2*step) + ... + c_d W(d*step)."""
@@ -218,16 +221,26 @@ def ore_zero_test(x):
 
     Clears the rightmost denominator of a longest chain until no
     denominators are left.  Right multiplication by a nonzero element is
-    injective, so zero-ness is invariant at every step.
+    injective, so zero-ness is invariant at every step.  Raises
+    ArithmeticError after CLEARING_BUDGET steps with denominators left.
     """
     current = x
-    for _ in range(200):
+    steps = 0
+    while True:
         target = None
         for num, dens in current.terms:
             if dens and (target is None or len(dens) > len(target[1])):
                 target = (num, dens)
         if target is None:
             return current.polynomial_part().is_zero()
+        if steps == CLEARING_BUDGET:
+            raise ArithmeticError(
+                f"denominator clearing did not terminate within its budget of "
+                f"{CLEARING_BUDGET} steps; the longest denominator chain left has "
+                f"length {len(target[1])} (mixed-direction chains beyond the "
+                "supported class)"
+            )
+        steps += 1
         d = target[1][-1]
         d_poly = OreElement.from_torus(d.as_torus())
         out = []
@@ -238,7 +251,3 @@ def ore_zero_test(x):
                 term = OreElement(current.form, [(num, dens)]).mul(d_poly)
                 out.extend(term.terms)
         current = OreElement(current.form, out)
-    raise ArithmeticError(
-        "denominator clearing did not terminate; mixed-direction chains "
-        "beyond the supported class"
-    )

@@ -13,6 +13,8 @@ exp((u+v).Z) since q = t**4.
 
 from __future__ import annotations
 
+from operator import add as _add, mul as _mul
+
 from .coeffs import ONE
 
 
@@ -164,14 +166,17 @@ class TorusElement:
         """Bilinear extension of the Weyl product rule."""
         self._require_same(other)
         form = self.form
+        beta = form.beta
+        right = other.terms.items()
         out_terms = {}
         for du, cu in self.terms.items():
-            for dv, cv in other.terms.items():
-                tpow = form.pairing(du, dv)
-                c = cu.mul(cv, tshift=tpow)
+            # du . beta, by antisymmetry minus beta . du
+            row = [-sum(map(_mul, b, du)) for b in beta]
+            for dv, cv in right:
+                c = cu.mul(cv, sum(map(_mul, row, dv)))
                 if not c:
                     continue
-                dw = tuple(a + b for a, b in zip(du, dv))
+                dw = tuple(map(_add, du, dv))
                 prev = out_terms.get(dw)
                 nc = prev + c if prev is not None else c
                 if nc:

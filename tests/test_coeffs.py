@@ -38,6 +38,11 @@ def test_parameters_commute_and_merge():
 
 def test_hashable_and_exact():
     c1 = Coefficient.rational(Fraction(1, 3)) * Coefficient.rational(3)
+    # a whole product of Fractions is stored as a machine int
+    assert [(k, type(v)) for k, v in c1.items()] == [((0, ()), int)]
+    assert [type(v) for _, v in ONE.items()] == [int]
+    half = Coefficient.rational(Fraction(1, 2))
+    assert [type(v) for _, v in (half + half).items()] == [int]
     assert c1 == ONE
     assert hash(c1) == hash(ONE)
     d = {c1: "x"}

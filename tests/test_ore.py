@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qshear import ore
 from qshear.coeffs import Coefficient
 from qshear.ore import OreElement, QDenominator, ore_zero_test
 from qshear.torus import SkewForm, TorusElement, ew
@@ -122,3 +123,16 @@ def test_mixed_direction_fallback():
     )
     assert not ore_zero_test(x)
     assert ore_zero_test(x - x)
+
+
+def test_clearing_budget_names_itself_and_the_chain_left(form, monkeypatch):
+    x = OreElement.fraction(
+        ew(form, {"A": 1}), (_binomial_den(form), _binomial_den(form, "A", qpow=1))
+    )
+    assert ore_zero_test(x) is False  # two clearing steps within the default budget
+    monkeypatch.setattr(ore, "CLEARING_BUDGET", 1)
+    with pytest.raises(ArithmeticError) as err:
+        ore_zero_test(x)
+    message = str(err.value)
+    assert "budget of 1 steps" in message
+    assert "longest denominator chain left has length 1" in message
