@@ -5,7 +5,7 @@ a clock/shift pair at t = exp(i pi / N).  Each generator image is a
 cyclic shift of the index grid times a phase vector.  Monodromy words act
 on seeded probe vectors in the representation (never touching the
 symbolic product or a dense matrix) and every relation is re-verified as
-a bilinear form u^T (L - R) w at two moduli.
+a sesquilinear form u^H (L - R) w at two moduli.
 """
 
 import numpy as np

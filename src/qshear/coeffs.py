@@ -23,12 +23,16 @@ def _norm(val):
 
 
 def _param_key(params):
-    """Normalize a parameter monomial to a sorted tuple of (name, power)."""
-    items = tuple(sorted((n, int(e)) for n, e in params if e))
-    for _, e in items:
+    """Normalize a parameter monomial to a sorted tuple of (name, power),
+    summing the powers of a repeated name."""
+    merged = {}
+    for n, e in params:
+        e = int(e)
         if e < 0:
             raise ValueError("parameter powers must be non-negative")
-    return items
+        if e:
+            merged[n] = merged.get(n, 0) + e
+    return tuple(sorted(merged.items()))
 
 
 class Coefficient:
@@ -147,6 +151,9 @@ class Coefficient:
         return out
 
     def __mul__(self, other):
+        # a Coefficient times a torus element or matrix scales it
+        if not isinstance(other, Coefficient):
+            return NotImplemented
         return self.mul(other)
 
     def times_t(self, k):

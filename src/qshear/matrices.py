@@ -54,8 +54,11 @@ class AlgMatrix:
             out.append(row)
         return AlgMatrix(self.form, out)
 
-    def __mul__(self, other):
+    def __matmul__(self, other):
         return self.mul(other)
+
+    def __rmul__(self, coeff):
+        return self.scale(coeff)
 
     def add(self, other):
         if self.n != other.n:

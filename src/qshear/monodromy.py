@@ -2,14 +2,18 @@
 entries: the order-2 chain case, its braid action and geodesic-function
 algebra, and the four-point sphere case.
 
-Every verifier returns a list of (label, element) pairs whose elements
-must vanish; callers wrap these into reports and can feed the same
-elements to the numeric oracle.
+The catalog is written once for both rings: each relation family yields
+(label, lhs, rhs) triples over an entry source, which is a realization here
+and a clock-and-shift image in the numeric oracle.  Every verifier returns
+a list of (label, element) pairs whose elements must vanish; callers wrap
+these into reports.
 """
 
 from __future__ import annotations
 
-from .coeffs import Coefficient, ONE
+from itertools import combinations
+
+from .coeffs import Coefficient
 from .fatgraph import (
     PathWord,
     an_point_order,
@@ -22,10 +26,8 @@ from .matrices import AlgMatrix, r_matrix, scalar_tensor, tensor_embed
 from .torus import SkewForm, TorusElement, even_check
 
 Q1 = Coefficient.q_power(1)
-QM1 = Coefficient.q_power(-1)
 Q2 = Coefficient.q_power(2)
 QM2 = Coefficient.q_power(-2)
-Q3 = Coefficient.q_power(3)
 
 
 class MonodromyRealization:
@@ -75,6 +77,25 @@ class MonodromyRealization:
         return MonodromyRealization(
             self.graph, self.form, self.root, self.points, mats, self.omegas, self.omega0
         )
+
+    # the exact entry source of the relation families below
+
+    @property
+    def one(self):
+        return TorusElement.one(self.form)
+
+    @staticmethod
+    def q(k):
+        return Coefficient.q_power(k)
+
+    def identity(self):
+        return AlgMatrix.identity(self.form)
+
+    def r_matrix(self, power, transposed=False):
+        r = r_matrix(power, self.form)
+        return r.transpose() if transposed else r
+
+    embed = staticmethod(tensor_embed)
 
 
 def extract_entries(mat, omega):
@@ -128,99 +149,101 @@ def pvi_realization():
     return real
 
 
-# -- entry algebra -----------------------------------------------------------
+# -- the relation families ----------------------------------------------------
+#
+# Each family is written once, as a generator of (label, lhs, rhs) over an
+# entry source: a MonodromyRealization (torus elements, Coefficient scalars)
+# or an oracle.NumericSource (operators built from generator images, complex
+# scalars).  A source supplies entry(kind, i), matrix(i), omegas[i], omega0,
+# one, q(k), identity(), r_matrix(power, transposed) and embed(m, slot).  A
+# matrix relation is one triple whose label holds {} for the entry; the
+# exact layer checks it entry by entry, the oracle as a whole.
 
 
-def uqsl2_defects(real, i):
-    """Deformed U_q(sl2) for one matrix; the undeformed case is w = 0."""
-    a = real.entry("a", i)
-    b = real.entry("b", i)
-    c = real.entry("c", i)
-    w = real.omegas[i]
-    one = TorusElement.one(real.form)
-    out = [
-        (f"q a{i} b{i} = q^-1 b{i} a{i}", a.mul(b).scale(Q1) - b.mul(a).scale(QM1)),
-        (f"q^-1 a{i} c{i} = q c{i} a{i}", a.mul(c).scale(QM1) - c.mul(a).scale(Q1)),
-        (
-            f"b{i} c{i} - c{i} b{i} = (q^2-q^-2) a{i}^2 + (q-q^-1) w a{i}",
-            b.mul(c) - c.mul(b) - a.mul(a).scale(Q2 - QM2) - a.scale((Q1 - QM1) * w),
-        ),
-        (
-            f"b{i} c{i} = 1 + w q a{i} + q^2 a{i}^2",
-            b.mul(c) - one - a.scale(Q1 * w) - a.mul(a).scale(Q2),
-        ),
-        (
-            f"c{i} b{i} = 1 + w q^-1 a{i} + q^-2 a{i}^2",
-            c.mul(b) - one - a.scale(QM1 * w) - a.mul(a).scale(QM2),
-        ),
-    ]
-    if w.is_zero():
-        msq = real.matrix(i).mul(real.matrix(i)) + AlgMatrix.identity(real.form)
-        for r in range(2):
-            for s in range(2):
-                out.append((f"(M{i}^2 + E)[{r}{s}]", msq[r, s]))
+def _defects(relations):
+    """The exact defects lhs - rhs of a family, one per matrix entry."""
+    out = []
+    for label, lhs, rhs in relations:
+        diff = lhs - rhs
+        if isinstance(diff, AlgMatrix):
+            out.extend(
+                (label.format(f"{r}{s}"), diff[r, s]) for r in range(diff.n) for s in range(diff.n)
+            )
+        else:
+            out.append((label, diff))
     return out
 
 
-CROSS_RELATION_LABELS = (
-    "q^-1 b_i b_j = q b_j b_i",
-    "q^-1 c_i c_j = q c_j c_i",
-    "a_i b_j = b_j a_i",
-    "b_i a_j = a_j b_i + (q^2-q^-2) a_i b_j",
-    "b_i a_j = a_j b_i + (q^2-q^-2) b_j a_i",
-    "c_i a_j = a_j c_i",
-    "a_i c_j = c_j a_i + (q^2-q^-2) c_i a_j",
-    "a_i c_j = c_j a_i + (q^2-q^-2) a_j c_i",
-    "q c_i b_j = q^-1 b_j c_i",
-    "a_i a_j = a_j a_i + (1-q^-2) b_j c_i",
-    "a_i a_j = a_j a_i + (q^2-1) c_i b_j",
-    "q b_i c_j + q(q^-2-q^2) a_i a_j = q^-1 c_j b_i - q^-1 (q^-2-q^2) a_j a_i",
-)
+def uqsl2_relations(src, i):
+    """Deformed U_q(sl2) for one matrix; the undeformed case w = 0 adds
+    M^2 = -E."""
+    a, b, c = (src.entry(k, i) for k in "abc")
+    w = src.omegas[i]
+    q, qi, q2, qi2 = (src.q(k) for k in (1, -1, 2, -2))
+    bc, cb, aa = b @ c, c @ b, a @ a
+    yield (f"q a{i} b{i} = q^-1 b{i} a{i}", q * (a @ b), qi * (b @ a))
+    yield (f"q^-1 a{i} c{i} = q c{i} a{i}", qi * (a @ c), q * (c @ a))
+    yield (
+        f"b{i} c{i} - c{i} b{i} = (q^2-q^-2) a{i}^2 + (q-q^-1) w a{i}",
+        bc - cb,
+        (q2 - qi2) * aa + ((q - qi) * w) * a,
+    )
+    yield (f"b{i} c{i} = 1 + w q a{i} + q^2 a{i}^2", bc, src.one + (q * w) * a + q2 * aa)
+    yield (f"c{i} b{i} = 1 + w q^-1 a{i} + q^-2 a{i}^2", cb, src.one + (qi * w) * a + qi2 * aa)
+    if not w:
+        m = src.matrix(i)
+        yield (f"(M{i}^2 + E)[{{}}]", m @ m, -src.identity())
+
+
+def uqsl2_defects(real, i):
+    return _defects(uqsl2_relations(real, i))
+
+
+def cross_relations(src, i, j):
+    """The complete set of order-2 chain cross relations for i < j,
+    including both displayed variants of the mixed ones."""
+    ai, bi, ci = (src.entry(k, i) for k in "abc")
+    aj, bj, cj = (src.entry(k, j) for k in "abc")
+    q, qi, q2, qi2 = (src.q(k) for k in (1, -1, 2, -2))
+    d = q2 - qi2
+    bi_aj, aj_bi, ai_cj, cj_ai = bi @ aj, aj @ bi, ai @ cj, cj @ ai
+    ai_aj, aj_ai = ai @ aj, aj @ ai
+    for label, lhs, rhs in (
+        ("q^-1 b_i b_j = q b_j b_i", qi * (bi @ bj), q * (bj @ bi)),
+        ("q^-1 c_i c_j = q c_j c_i", qi * (ci @ cj), q * (cj @ ci)),
+        ("a_i b_j = b_j a_i", ai @ bj, bj @ ai),
+        ("b_i a_j = a_j b_i + (q^2-q^-2) a_i b_j", bi_aj, aj_bi + d * (ai @ bj)),
+        ("b_i a_j = a_j b_i + (q^2-q^-2) b_j a_i", bi_aj, aj_bi + d * (bj @ ai)),
+        ("c_i a_j = a_j c_i", ci @ aj, aj @ ci),
+        ("a_i c_j = c_j a_i + (q^2-q^-2) c_i a_j", ai_cj, cj_ai + d * (ci @ aj)),
+        ("a_i c_j = c_j a_i + (q^2-q^-2) a_j c_i", ai_cj, cj_ai + d * (aj @ ci)),
+        ("q c_i b_j = q^-1 b_j c_i", q * (ci @ bj), qi * (bj @ ci)),
+        ("a_i a_j = a_j a_i + (1-q^-2) b_j c_i", ai_aj, aj_ai + (src.q(0) - qi2) * (bj @ ci)),
+        ("a_i a_j = a_j a_i + (q^2-1) c_i b_j", ai_aj, aj_ai + (q2 - src.q(0)) * (ci @ bj)),
+        (
+            "q b_i c_j + q(q^-2-q^2) a_i a_j = q^-1 c_j b_i - q^-1 (q^-2-q^2) a_j a_i",
+            q * (bi @ cj) - (q * d) * ai_aj,
+            qi * (cj @ bi) + (qi * d) * aj_ai,
+        ),
+    ):
+        yield (f"({i},{j}) {label}", lhs, rhs)
 
 
 def cross_relation_defects(real, i, j):
-    """The complete set of order-2 chain cross relations for i < j,
-    including both displayed variants of the mixed ones."""
-    ai, bi, ci = (real.entry(k, i) for k in "abc")
-    aj, bj, cj = (real.entry(k, j) for k in "abc")
-    d = Q2 - QM2
-    rels = [
-        bi.mul(bj).scale(QM1) - bj.mul(bi).scale(Q1),
-        ci.mul(cj).scale(QM1) - cj.mul(ci).scale(Q1),
-        ai.mul(bj) - bj.mul(ai),
-        bi.mul(aj) - aj.mul(bi) - ai.mul(bj).scale(d),
-        bi.mul(aj) - aj.mul(bi) - bj.mul(ai).scale(d),
-        ci.mul(aj) - aj.mul(ci),
-        ai.mul(cj) - cj.mul(ai) - ci.mul(aj).scale(d),
-        ai.mul(cj) - cj.mul(ai) - aj.mul(ci).scale(d),
-        ci.mul(bj).scale(Q1) - bj.mul(ci).scale(QM1),
-        ai.mul(aj) - aj.mul(ai) - bj.mul(ci).scale(ONE - QM2),
-        ai.mul(aj) - aj.mul(ai) - ci.mul(bj).scale(Q2 - ONE),
-        bi.mul(cj).scale(Q1)
-        + ai.mul(aj).scale(Q1 * (QM2 - Q2))
-        - cj.mul(bi).scale(QM1)
-        + aj.mul(ai).scale(QM1 * (QM2 - Q2)),
-    ]
-    return [
-        (f"({i},{j}) {label}", rel)
-        for label, rel in zip(CROSS_RELATION_LABELS, rels)
-    ]
+    return _defects(cross_relations(real, i, j))
 
 
-def geodesic_G(real, i, j):
+def geodesic_G(src, i, j):
     """Quantum geodesic function for the pair (i, j), root index 0."""
-    if not 0 <= i < j <= real.n:
+    if not 0 <= i < j <= src.n:
         raise ValueError("need 0 <= i < j <= number of points")
     if i == 0:
-        a, b, c = (real.entry(k, j) for k in "abc")
-        return b + c + a.scale(real.omega0)
-    ai, bi, ci = (real.entry(k, i) for k in "abc")
-    aj, bj, cj = (real.entry(k, j) for k in "abc")
-    return (
-        bi.mul(cj).scale(Q1)
-        + ci.mul(bj).scale(Q3)
-        - ai.mul(aj).scale(Q3 + Q1)
-    )
+        a, b, c = (src.entry(k, j) for k in "abc")
+        return b + c + src.omega0 * a
+    ai, bi, ci = (src.entry(k, i) for k in "abc")
+    aj, bj, cj = (src.entry(k, j) for k in "abc")
+    q, q3 = src.q(1), src.q(3)
+    return q * (bi @ cj) + q3 * (ci @ bj) - (q3 + q) * (ai @ aj)
 
 
 def hermiticity_defects(real, pairs):
@@ -230,51 +253,34 @@ def hermiticity_defects(real, pairs):
     ]
 
 
-def nelson_regge_defects(real, indices):
+def nelson_regge_relations(src, indices):
     """All disjoint, nested, crossing and adjacent relations over the given
     index range (root 0 allowed)."""
     idx = sorted(indices)
-    G = {}
-    for x in range(len(idx)):
-        for y in range(x + 1, len(idx)):
-            G[(idx[x], idx[y])] = geodesic_G(real, idx[x], idx[y])
-    d = Q2 - QM2
-    out = []
-    from itertools import combinations
-
+    G = {(i, j): geodesic_G(src, i, j) for i, j in combinations(idx, 2)}
+    q, qi = src.q(1), src.q(-1)
+    d = src.q(2) - src.q(-2)
     for i, j, k, l in combinations(idx, 4):
-        out.append(
-            (
-                f"[G({i},{j}),G({k},{l})] = 0 (disjoint)",
-                G[(i, j)].mul(G[(k, l)]) - G[(k, l)].mul(G[(i, j)]),
-            )
-        )
-        out.append(
-            (
-                f"[G({i},{l}),G({j},{k})] = 0 (nested)",
-                G[(i, l)].mul(G[(j, k)]) - G[(j, k)].mul(G[(i, l)]),
-            )
-        )
+        outer, inner = G[i, j] @ G[k, l], G[i, l] @ G[j, k]
+        yield (f"[G({i},{j}),G({k},{l})] = 0 (disjoint)", outer, G[k, l] @ G[i, j])
+        yield (f"[G({i},{l}),G({j},{k})] = 0 (nested)", inner, G[j, k] @ G[i, l])
         # the crossing commutator that matches the adjacent and disjoint
         # conventions takes the outer geodesic first
-        out.append(
-            (
-                f"[G({j},{l}),G({i},{k})] = (q^2-q^-2)(G({i},{j})G({k},{l}) - G({i},{l})G({j},{k})) (crossing)",
-                G[(j, l)].mul(G[(i, k)])
-                - G[(i, k)].mul(G[(j, l)])
-                - (G[(i, j)].mul(G[(k, l)]) - G[(i, l)].mul(G[(j, k)])).scale(d),
-            )
+        yield (
+            f"[G({j},{l}),G({i},{k})] = (q^2-q^-2)(G({i},{j})G({k},{l}) - G({i},{l})G({j},{k})) (crossing)",
+            G[j, l] @ G[i, k] - G[i, k] @ G[j, l],
+            d * (outer - inner),
         )
     for i, j, k in combinations(idx, 3):
-        out.append(
-            (
-                f"q G({i},{j})G({j},{k}) - q^-1 G({j},{k})G({i},{j}) = (q^2-q^-2) G({i},{k}) (adjacent)",
-                G[(i, j)].mul(G[(j, k)]).scale(Q1)
-                - G[(j, k)].mul(G[(i, j)]).scale(QM1)
-                - G[(i, k)].scale(d),
-            )
+        yield (
+            f"q G({i},{j})G({j},{k}) - q^-1 G({j},{k})G({i},{j}) = (q^2-q^-2) G({i},{k}) (adjacent)",
+            q * (G[i, j] @ G[j, k]) - qi * (G[j, k] @ G[i, j]),
+            d * G[i, k],
         )
-    return out
+
+
+def nelson_regge_defects(real, indices):
+    return _defects(nelson_regge_relations(real, indices))
 
 
 # -- R-matrix form -----------------------------------------------------------
@@ -290,38 +296,35 @@ def yang_baxter_defect():
     return r12.mul(r13).mul(r23) - r23.mul(r13).mul(r12)
 
 
-def reflection_defects(real, i, j):
+def reflection_relations(src, i, j):
     """R12[q^-1] M_i^(1) R12[q] M_j^(2) = M_j^(2) R12[q^-1] M_i^(1) R12[q].
 
     The leading argument q^-1 is the one compatible with the entry
     relations and with the single-matrix form below.
     """
-    r_pos = r_matrix(-1, real.form)
-    r_neg = r_matrix(1, real.form)
-    mi1 = tensor_embed(real.matrix(i), 1)
-    mj2 = tensor_embed(real.matrix(j), 2)
-    lhs = r_pos.mul(mi1).mul(r_neg).mul(mj2)
-    rhs = mj2.mul(r_pos).mul(mi1).mul(r_neg)
-    diff = lhs - rhs
-    return [
-        (f"reflection ({i},{j}) entry {r}{s}", diff[r, s])
-        for r in range(4)
-        for s in range(4)
-    ]
+    r_pos, r_neg = src.r_matrix(-1), src.r_matrix(1)
+    mi1 = src.embed(src.matrix(i), 1)
+    mj2 = src.embed(src.matrix(j), 2)
+    yield (f"reflection ({i},{j}) entry {{}}", r_pos @ mi1 @ r_neg @ mj2, mj2 @ r_pos @ mi1 @ r_neg)
+
+
+def reflection_defects(real, i, j):
+    return _defects(reflection_relations(real, i, j))
+
+
+def reflection_ii_relations(src, i):
+    """R^T_12[q^-2] M_i^(2) M_i^(1) = M_i^(1) M_i^(2) R_12[q^-2]."""
+    mi1 = src.embed(src.matrix(i), 1)
+    mi2 = src.embed(src.matrix(i), 2)
+    yield (
+        f"reflection-ii ({i}) entry {{}}",
+        src.r_matrix(-2, transposed=True) @ mi2 @ mi1,
+        mi1 @ mi2 @ src.r_matrix(-2),
+    )
 
 
 def reflection_ii_defects(real, i):
-    """R^T_12[q^-2] M_i^(2) M_i^(1) = M_i^(1) M_i^(2) R_12[q^-2]."""
-    rp = r_matrix(-2, real.form)
-    rt = rp.transpose()
-    mi1 = tensor_embed(real.matrix(i), 1)
-    mi2 = tensor_embed(real.matrix(i), 2)
-    diff = rt.mul(mi2).mul(mi1) - mi1.mul(mi2).mul(rp)
-    return [
-        (f"reflection-ii ({i}) entry {r}{s}", diff[r, s])
-        for r in range(4)
-        for s in range(4)
-    ]
+    return _defects(reflection_ii_relations(real, i))
 
 
 # -- braid action -----------------------------------------------------------
@@ -430,86 +433,94 @@ def braid_product_invariance_defects(real, i):
 # -- four-point sphere --------------------------------------------------------
 
 
-def pvi_defects(real):
+def pvi_relations(src):
     """The full four-point catalog: deformed U_q(sl2), the nine cross
     relations, the consistency condition, centrality and duality of the
-    K elements, Hermitian geodesics, and the three AW(3) relations."""
-    form = real.form
-    one = TorusElement.one(form)
-    a1, b1, c1 = (real.entry(k, 1) for k in "abc")
-    a2, b2, c2 = (real.entry(k, 2) for k in "abc")
-    w0 = real.omega0
-    w1 = real.omegas[1]
-    w2 = real.omegas[2]
-    d = Q2 - QM2
-    out = []
+    K elements, Hermitian geodesics (exact sources only: an operator has no
+    star here), and the three AW(3) relations."""
+    one = src.one
+    a1, b1, c1 = (src.entry(k, 1) for k in "abc")
+    a2, b2, c2 = (src.entry(k, 2) for k in "abc")
+    w0, w1, w2 = src.omega0, src.omegas[1], src.omegas[2]
+    q, qi, q2, qi2, q3 = (src.q(k) for k in (1, -1, 2, -2, 3))
+    d = q2 - qi2
     for i in (1, 2):
-        out.extend(uqsl2_defects(real, i))
-    rels = {
-        "q^-1 a1a2 = q a2a1": a1.mul(a2).scale(QM1) - a2.mul(a1).scale(Q1),
-        "q^-1 b1b2 = q b2b1": b1.mul(b2).scale(QM1) - b2.mul(b1).scale(Q1),
-        "q^-1 c1c2 = q c2c1": c1.mul(c2).scale(QM1) - c2.mul(c1).scale(Q1),
-        "b-mixed": b1.mul(a2)
-        + a1.mul(b2).scale(QM2)
-        + b2.scale(QM1 * w1)
-        - a2.mul(b1)
-        - b2.mul(a1).scale(Q2)
-        - b2.scale(Q1 * w1),
-        "a1b2 = b2a1": a1.mul(b2) - b2.mul(a1),
-        "c-mixed": a1.mul(c2)
-        + c1.mul(a2).scale(QM2)
-        + c1.scale(QM1 * w2)
-        - c2.mul(a1)
-        - a2.mul(c1).scale(Q2)
-        - c1.scale(Q1 * w2),
-        "c1a2 = a2c1": c1.mul(a2) - a2.mul(c1),
-        "q c1b2 = q^-1 b2c1": c1.mul(b2).scale(Q1) - b2.mul(c1).scale(QM1),
-        "bc-mixed": b1.mul(c2).scale(Q1)
-        - c2.mul(b1).scale(QM1)
-        - (
-            a1.mul(a2).scale(Q1)
-            + a2.mul(a1).scale(QM1)
-            + a2.scale(w1)
-            + a1.scale(w2)
-        ).scale(d)
-        - one.scale((Q1 - QM1) * (w1 * w2)),
-        "a1a2 = q^2 c1b2": a1.mul(a2) - c1.mul(b2).scale(Q2),
-    }
-    out.extend(rels.items())
-
-    k1 = a1.mul(c2) - c1.mul(a2).scale(Q2) - c1.scale(Q1 * w2)
-    k2 = a2.mul(b1) - b2.mul(a1).scale(QM2) - b2.scale(QM1 * w1)
-    for name, k in (("K1", k1), ("K2", k2)):
-        for gname, g in (
-            ("a1", a1), ("b1", b1), ("c1", c1), ("a2", a2), ("b2", b2), ("c2", c2),
-        ):
-            out.append((f"{name} central vs {gname}", k.mul(g) - g.mul(k)))
-    out.append(("K1 K2 = 1", k1.mul(k2) - one))
-
-    gxz = c1 + b1 + a1.scale(w0)
-    gxy = c2 + b2 + a2.scale(w0)
-    gyz = (
-        b1.mul(c2).scale(Q1)
-        - a1.mul(a2).scale(Q3)
-        - (a2.scale(w1) + a1.scale(w2)).scale(Q2)
-        - one.scale(Q1 * (w1 * w2))
+        yield from uqsl2_relations(src, i)
+    a1a2 = a1 @ a2
+    yield ("q^-1 a1a2 = q a2a1", qi * a1a2, q * (a2 @ a1))
+    yield ("q^-1 b1b2 = q b2b1", qi * (b1 @ b2), q * (b2 @ b1))
+    yield ("q^-1 c1c2 = q c2c1", qi * (c1 @ c2), q * (c2 @ c1))
+    yield (
+        "b-mixed",
+        b1 @ a2 + qi2 * (a1 @ b2) + (qi * w1) * b2,
+        a2 @ b1 + q2 * (b2 @ a1) + (q * w1) * b2,
     )
-    om3 = k1 + k2
+    yield ("a1b2 = b2a1", a1 @ b2, b2 @ a1)
+    yield (
+        "c-mixed",
+        a1 @ c2 + qi2 * (c1 @ a2) + (qi * w2) * c1,
+        c2 @ a1 + q2 * (a2 @ c1) + (q * w2) * c1,
+    )
+    yield ("c1a2 = a2c1", c1 @ a2, a2 @ c1)
+    yield ("q c1b2 = q^-1 b2c1", q * (c1 @ b2), qi * (b2 @ c1))
+    yield (
+        "bc-mixed",
+        q * (b1 @ c2) - qi * (c2 @ b1),
+        d * (q * a1a2 + qi * (a2 @ a1) + w1 * a2 + w2 * a1) + ((q - qi) * (w1 * w2)) * one,
+    )
+    yield ("a1a2 = q^2 c1b2", a1a2, q2 * (c1 @ b2))
+
+    k1 = a1 @ c2 - q2 * (c1 @ a2) - (q * w2) * c1
+    k2 = a2 @ b1 - qi2 * (b2 @ a1) - (qi * w1) * b2
+    for name, k in (("K1", k1), ("K2", k2)):
+        for gname, g in (("a1", a1), ("b1", b1), ("c1", c1), ("a2", a2), ("b2", b2), ("c2", c2)):
+            yield (f"{name} central vs {gname}", k @ g, g @ k)
+    yield ("K1 K2 = 1", k1 @ k2, one)
+
+    gxz = c1 + b1 + w0 * a1
+    gxy = c2 + b2 + w0 * a2
+    gyz = q * (b1 @ c2) - q3 * a1a2 - q2 * (w1 * a2 + w2 * a1) - (q * (w1 * w2)) * one
     for name, g in (("G_XZ", gxz), ("G_XY", gxy), ("G_YZ", gyz)):
-        out.append((f"{name} Hermitian", g.star() - g))
+        if hasattr(g, "star"):
+            yield (f"{name} Hermitian", g.star(), g)
 
-    def aw_relation(ga, gb, gc, wa, wb):
-        return (
-            ga.mul(gb).scale(Q1)
-            - gb.mul(ga).scale(QM1)
-            - gc.scale(d)
-            - (one.scale(wa) + om3.scale(wb)).scale(Q1 - QM1)
-        )
+    om3 = k1 + k2
+    for label, ga, gb, gc, wa, wb in (
+        ("AW3 (XY,XZ)", gxy, gxz, gyz, w1 * w2, w0),
+        ("AW3 (XZ,YZ)", gxz, gyz, gxy, w2 * w0, w1),
+        ("AW3 (YZ,XY)", gyz, gxy, gxz, w0 * w1, w2),
+    ):
+        yield (label, q * (ga @ gb) - qi * (gb @ ga), d * gc + (q - qi) * (wa * one + wb * om3))
 
-    out.append(("AW3 (XY,XZ)", aw_relation(gxy, gxz, gyz, w1 * w2, w0)))
-    out.append(("AW3 (XZ,YZ)", aw_relation(gxz, gyz, gxy, w2 * w0, w1)))
-    out.append(("AW3 (YZ,XY)", aw_relation(gyz, gxy, gxz, w0 * w1, w2)))
-    return out
+
+def pvi_defects(real):
+    return _defects(pvi_relations(real))
+
+
+def relation_families(src, families):
+    """Every relation of the named families over all points of ``src``, in
+    order: 'entry', 'cross', 'nelson-regge' (all indices from the root),
+    'reflection' (the single-matrix form at weight zero only) or 'pvi'."""
+    points = range(1, src.n + 1)
+    for family in families:
+        if family == "entry":
+            for i in points:
+                yield from uqsl2_relations(src, i)
+        elif family == "cross":
+            for i, j in combinations(points, 2):
+                yield from cross_relations(src, i, j)
+        elif family == "nelson-regge":
+            yield from nelson_regge_relations(src, range(src.n + 1))
+        elif family == "reflection":
+            for i, j in combinations(points, 2):
+                yield from reflection_relations(src, i, j)
+            for i in points:
+                if not src.omegas[i]:
+                    yield from reflection_ii_relations(src, i)
+        elif family == "pvi":
+            yield from pvi_relations(src)
+        else:
+            raise ValueError(f"unknown relation family {family!r}")
 
 
 def element_is_zero(x):

@@ -8,11 +8,11 @@ Two layers:
   generator image is monomial, a cyclic shift of the (N, ..., N) index grid
   times a phase vector, so the re-verification of the catalog is
   matrix-free: monodromy words act on blocks of vectors in O(dim) per
-  factor, and each identity L = R is compared as the bilinear form
-  u^T L w against u^T R w on a seeded pair of unit-modulus probe vectors
-  (Freivalds 1977).  The dense ``evaluate``/``norm`` path, built from the
-  same images, stays as the small-dimension reference for torus and Ore
-  elements;
+  factor, and each identity L = R of the ``monodromy`` catalog families is
+  compared as the sesquilinear form u^H L w against u^H R w on a seeded
+  pair of unit-modulus probe vectors (Freivalds 1977).  The dense
+  ``evaluate``/``norm`` path, built from the same images, stays as the
+  small-dimension reference for torus and Ore elements;
 
 * the commutative q = 1 limit with random real shears: one evaluator,
   :func:`word_values`, multiplies float 2x2 token words at every sample at
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +38,7 @@ from .flips import (
     phi,
     phi_pending,
 )
+from .monodromy import relation_families
 from .ore import OreElement
 from .torus import TorusElement
 
@@ -279,29 +279,34 @@ def oracle_check(elements, form, moduli=(5, 7), seed=20240229):
 
 
 class LinearOp:
-    """A linear operator known only by its action on blocks of vectors.
+    """A linear operator known only by its action on blocks of vectors of
+    shape (legs, dim, m), or (dim, m) for a single leg.
 
     ``@``, ``+``, ``-`` and scalar ``*`` compose actions, so an identity's
     side is written as in matrix algebra and costs one pass of its words
     over the probe block, never a dense product."""
 
-    __slots__ = ("act",)
+    __slots__ = ("act", "legs")
     __array_ufunc__ = None  # numpy scalars defer to __rmul__
 
-    def __init__(self, act):
+    def __init__(self, act, legs=1):
         self.act = act
+        self.legs = legs
 
     def __matmul__(self, other):
-        return LinearOp(lambda x: self.act(other.act(x)))
+        return LinearOp(lambda x: self.act(other.act(x)), self.legs)
 
     def __add__(self, other):
-        return LinearOp(lambda x: self.act(x) + other.act(x))
+        return LinearOp(lambda x: self.act(x) + other.act(x), self.legs)
 
     def __sub__(self, other):
-        return LinearOp(lambda x: self.act(x) - other.act(x))
+        return LinearOp(lambda x: self.act(x) - other.act(x), self.legs)
+
+    def __neg__(self):
+        return LinearOp(lambda x: -self.act(x), self.legs)
 
     def __rmul__(self, scalar):
-        return LinearOp(lambda x: scalar * self.act(x))
+        return LinearOp(lambda x: scalar * self.act(x), self.legs)
 
 
 _IDENTITY = LinearOp(lambda x: x)
@@ -352,16 +357,22 @@ def rep_word_value(rep, graph, path, params):
             x0, x1 = factor(x0, x1)
         return np.stack((x0, x1))
 
-    return LinearOp(act)
+    return LinearOp(act, 2)
 
 
 def _entry(m, i, j):
-    """Entry (i, j) of a 2x2 block operator, as an operator on (dim, m)."""
+    """Entry (i, j) of a 2x2 block operator, as an operator on (dim, m).  It
+    remembers its last input and output, since the sides of a family apply
+    each entry to the same probe block many times; no action writes into
+    its input or into an output it returned."""
+    last = [None, None]
 
     def act(x):
-        block = np.zeros((2, *x.shape), dtype=complex)
-        block[j] = x
-        return m.act(block)[i]
+        if x is not last[0]:
+            block = np.zeros((2, *x.shape), dtype=complex)
+            block[j] = x
+            last[:] = x, m.act(block)[i]
+        return last[1]
 
     return LinearOp(act)
 
@@ -369,149 +380,57 @@ def _entry(m, i, j):
 def numeric_realization(rep, real, params):
     """Re-evaluate the realization's own monodromy words numerically and
     extract (a, b, c), all as operators; a realization without words cannot
-    be re-checked."""
+    be re-checked.  Raises ValueError when a word value misses the normal
+    shape M[00] = q a + w on the probe pair, as extract_entries does
+    exactly."""
     if real.words is None:
         raise ValueError("realization carries no path words to re-evaluate")
-    qinv = rep.t_value ** -4
+    q = rep.t_value ** 4
     out = []
     for idx, word in enumerate(real.words, start=1):
         m = rep_word_value(rep, real.graph, word, params)
-        a = -1 / qinv * _entry(m, 1, 1)
-        b = -1 * _entry(m, 0, 1)
-        c = _entry(m, 1, 0)
+        a = -q * _entry(m, 1, 1)
         w = real.omegas[idx].evaluate(rep.t_value, params)
-        out.append({"M": m, "a": a, "b": b, "c": c, "w": w})
+        ((_, lhs, rhs),) = _bilinear_pairs(rep, [("", _entry(m, 0, 0), q * a + w * _IDENTITY)])
+        gap = _gap(lhs, rhs)
+        if gap > 1e-9:
+            raise ValueError(f"word {idx} misses the normal shape M[00] = q a + w by {gap}")
+        out.append({"M": m, "a": a, "b": -_entry(m, 0, 1), "c": _entry(m, 1, 0), "w": w})
     return out
 
 
-def _bilinear_pairs(probe, sides):
-    """Yield (label, lhs, rhs) with each side operator L replaced by its
-    bilinear form P^T L P on the probe block P, whose last axis holds the
-    probe vectors; on the probe pair (u, w), P^T L P is 2x2 and its
-    [0, 1] entry is u^T L w."""
-    flat = probe.reshape(-1, probe.shape[-1])
-    for label, lhs, rhs in sides:
-        yield (
-            label,
-            flat.T @ lhs.act(probe).reshape(flat.shape),
-            flat.T @ rhs.act(probe).reshape(flat.shape),
-        )
+class NumericSource:
+    """The entry source of the relation families in ``monodromy`` over a
+    clock-and-shift representation: a, b, c and the monodromies M are the
+    operators of ``data``, a :func:`numeric_realization`, and every scalar
+    is complex.  M acts on (2, dim, m) blocks, R-matrices and embedded
+    monodromies on (4, dim, m) blocks of the 2x2 tensor legs."""
 
+    def __init__(self, rep, data, omega0=0j):
+        self.data = data
+        self.n = len(data)
+        self.omegas = {i: d["w"] for i, d in enumerate(data, start=1)}
+        self.omega0 = omega0
+        self.one = _IDENTITY
+        self.t_value = rep.t_value
 
-def numeric_relation_pairs(rep, real, params, data):
-    """Yield (label, lhs, rhs) numeric pairs for the entry algebra,
-    geodesic algebra and R-matrix form, all built from ``data``, the
-    :func:`numeric_realization` of ``real`` in ``rep``; each side is the
-    bilinear form of its operator on the rep's probe pair, computed only
-    when the pair is asked for."""
-    yield from _bilinear_pairs(rep.probe(1)[0], _relation_sides(rep, real, params, data))
+    def entry(self, kind, i):
+        return self.data[i - 1][kind]
 
+    def matrix(self, i):
+        return LinearOp(self.data[i - 1]["M"].act, 2)
 
-def numeric_pvi_pairs(rep, real, params, data):
-    """Yield the four-point-sphere extras: q-commuting a's, the consistency
-    condition, duality of the K elements and the AW(3) relations."""
-    yield from _bilinear_pairs(rep.probe(1)[0], _pvi_sides(rep, real, params, data))
+    def q(self, k):
+        return self.t_value ** (4 * k)
 
+    @staticmethod
+    def identity():
+        return LinearOp(lambda x: x, 2)
 
-def _relation_sides(rep, real, params, data):
-    q = rep.t_value ** 4
-    qi = 1 / q
-    eye = _IDENTITY
-    n = len(data)
-    for i in range(1, n + 1):
-        a, b, c, w = (data[i - 1][k] for k in ("a", "b", "c", "w"))
-        yield (f"num q a{i} b{i} = q^-1 b{i} a{i}", q * a @ b, qi * b @ a)
-        yield (f"num q^-1 a{i} c{i} = q c{i} a{i}", qi * a @ c, q * c @ a)
-        yield (f"num b{i} c{i} = 1 + w q a{i} + q^2 a{i}^2", b @ c, eye + w * q * a + q * q * a @ a)
-        yield (f"num M{i}[00] = q a{i} + w", _entry(data[i - 1]["M"], 0, 0), q * a + w * eye)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ai, bi, ci, wi = (data[i - 1][k] for k in ("a", "b", "c", "w"))
-            aj, bj, cj, wj = (data[j - 1][k] for k in ("a", "b", "c", "w"))
-            yield (f"num q^-1 b{i}b{j} = q b{j}b{i}", qi * bi @ bj, q * bj @ bi)
-            yield (f"num q^-1 c{i}c{j} = q c{j}c{i}", qi * ci @ cj, q * cj @ ci)
-            yield (f"num a{i}b{j} = b{j}a{i}", ai @ bj, bj @ ai)
-            yield (f"num c{i}a{j} = a{j}c{i}", ci @ aj, aj @ ci)
-            yield (f"num q c{i}b{j} = q^-1 b{j}c{i}", q * ci @ bj, qi * bj @ ci)
-            # mixed relations in the weight-deformed form (weights 0 gives
-            # back the plain chain case)
-            yield (
-                f"num b{i}a{j} mixed",
-                bi @ aj + qi * qi * ai @ bj + wi * qi * bj,
-                aj @ bi + q * q * bj @ ai + wi * q * bj,
-            )
-            yield (
-                f"num a{i}c{j} mixed",
-                ai @ cj + qi * qi * ci @ aj + wj * qi * ci,
-                cj @ ai + q * q * aj @ ci + wj * q * ci,
-            )
-    all_even = all(abs(d["w"]) < 1e-14 for d in data)
-    if all_even:
-        # the plain-chain extras: commuting a's up to b c corrections and
-        # the geodesic adjacency family
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                ai, bi, ci = (data[i - 1][k] for k in ("a", "b", "c"))
-                aj, bj, cj = (data[j - 1][k] for k in ("a", "b", "c"))
-                yield (f"num a{i}a{j} rel", ai @ aj, aj @ ai + (1 - qi * qi) * bj @ ci)
-        w0 = real.omega0.evaluate(rep.t_value, params)
-
-        def g_num(i, j):
-            if i == 0:
-                d = data[j - 1]
-                return d["b"] + d["c"] + w0 * d["a"]
-            di, dj = data[i - 1], data[j - 1]
-            return (
-                q * di["b"] @ dj["c"]
-                + q ** 3 * di["c"] @ dj["b"]
-                - (q ** 3 + q) * di["a"] @ dj["a"]
-            )
-
-        gs = {(i, j): g_num(i, j) for i, j in combinations(range(n + 1), 2)}
-        d2 = q * q - qi * qi
-        for i, j, k in combinations(range(n + 1), 3):
-            yield (
-                f"num adjacent G({i},{j})G({j},{k})",
-                q * gs[(i, j)] @ gs[(j, k)] - qi * gs[(j, k)] @ gs[(i, j)],
-                d2 * gs[(i, k)],
-            )
-    elif n == 2:
-        yield from _pvi_sides(rep, real, params, data)
-
-
-def _pvi_sides(rep, real, params, data):
-    q = rep.t_value ** 4
-    qi = 1 / q
-    eye = _IDENTITY
-    a1, b1, c1, w1 = (data[0][k] for k in ("a", "b", "c", "w"))
-    a2, b2, c2, w2 = (data[1][k] for k in ("a", "b", "c", "w"))
-    w0 = real.omega0.evaluate(rep.t_value, params)
-    yield ("num q^-1 a1a2 = q a2a1", qi * a1 @ a2, q * a2 @ a1)
-    yield ("num a1a2 = q^2 c1b2", a1 @ a2, q * q * c1 @ b2)
-    k1 = a1 @ c2 - q * q * c1 @ a2 - q * w2 * c1
-    k2 = a2 @ b1 - qi * qi * b2 @ a1 - qi * w1 * b2
-    yield ("num K1 K2 = 1", k1 @ k2, eye)
-    for nm, kk in (("K1", k1), ("K2", k2)):
-        for gn, g in (("a1", a1), ("b2", b2), ("c1", c1)):
-            yield (f"num {nm} central vs {gn}", kk @ g, g @ kk)
-    gxz = c1 + b1 + w0 * a1
-    gxy = c2 + b2 + w0 * a2
-    gyz = q * b1 @ c2 - q ** 3 * a1 @ a2 - q * q * (w1 * a2 + w2 * a1) - q * w1 * w2 * eye
-    om3 = k1 + k2
-    d = q * q - qi * qi
-    e = q - qi
-    yield ("num AW3 (XY,XZ)", q * gxy @ gxz - qi * gxz @ gxy, d * gyz + e * (w1 * w2 * eye + w0 * om3))
-    yield ("num AW3 (XZ,YZ)", q * gxz @ gyz - qi * gyz @ gxz, d * gxy + e * (w2 * w0 * eye + w1 * om3))
-    yield ("num AW3 (YZ,XY)", q * gyz @ gxy - qi * gxy @ gyz, d * gxz + e * (w0 * w1 * eye + w2 * om3))
-
-
-def _reflection_sides(rep, data):
-    q = rep.t_value ** 4
-
-    def r_scalar(power, transposed=False):
-        """R on the 2x2 tensor legs: diagonal (q^p, 1, 1, q^p) plus
-        (q^p - q^-p) at [1, 2], or at [2, 1] when transposed."""
-        qq = q ** power
+    def r_matrix(self, power, transposed=False):
+        """R at q**power: diagonal (q^p, 1, 1, q^p) plus (q^p - q^-p) at
+        [1, 2], or at [2, 1] when transposed."""
+        qq = self.q(power)
         src, dst = (1, 2) if transposed else (2, 1)
 
         def act(x):
@@ -519,8 +438,9 @@ def _reflection_sides(rep, data):
             y[dst] += (qq - 1 / qq) * x[src]
             return y
 
-        return LinearOp(act)
+        return LinearOp(act, 4)
 
+    @staticmethod
     def embed(m, slot):
         """A 2x2 block operator on leg ``slot`` of the (4, dim, k) tensor
         block; both copies go through the word in one pass."""
@@ -536,35 +456,59 @@ def _reflection_sides(rep, data):
                 out = out.swapaxes(0, 1)
             return out.reshape(x.shape)
 
-        return LinearOp(act)
+        return LinearOp(act, 4)
 
-    rpos = r_scalar(-1)
-    rneg = r_scalar(1)
-    for i in range(len(data)):
-        for j in range(i + 1, len(data)):
-            mi = embed(data[i]["M"], 1)
-            mj = embed(data[j]["M"], 2)
-            yield (f"num reflection ({i+1},{j+1})", rpos @ mi @ rneg @ mj, mj @ rpos @ mi @ rneg)
-    rt = r_scalar(-2)
-    rtt = r_scalar(-2, transposed=True)
-    for i in range(len(data)):
-        if abs(data[i]["w"]) > 1e-14:
-            continue  # the single-matrix form holds only at weight zero
-        mi1 = embed(data[i]["M"], 1)
-        mi2 = embed(data[i]["M"], 2)
-        yield (f"num reflection-ii ({i+1})", rtt @ mi2 @ mi1, mi1 @ mi2 @ rt)
+
+def _bilinear_pairs(rep, relations):
+    """Yield (label, lhs, rhs) with each side operator L replaced by its
+    sesquilinear form P^H L P on the probe block P of its legs, whose last
+    axis holds the probe vectors; on the probe pair (u, w), P^H L P is 2x2
+    and its [0, 1] entry is u^H L w.  A matrix relation is compared whole,
+    its label's {} standing for every entry."""
+    probes = {}
+    for label, lhs, rhs in relations:
+        if lhs.legs not in probes:
+            probe = rep.probe(lhs.legs)
+            probes[lhs.legs] = probe[0] if lhs.legs == 1 else probe
+        probe = probes[lhs.legs]
+        flat = probe.reshape(-1, probe.shape[-1])
+        yield (
+            label.format("**") if lhs.legs > 1 else label,
+            flat.conj().T @ lhs.act(probe).reshape(flat.shape),
+            flat.conj().T @ rhs.act(probe).reshape(flat.shape),
+        )
+
+
+def numeric_relation_pairs(rep, real, params, data, families=None):
+    """Yield (label, lhs, rhs) numeric pairs of the named relation families
+    of ``monodromy.relation_families``, all built from ``data``, the
+    :func:`numeric_realization` of ``real`` in ``rep``; each side is the
+    form of its operator on the rep's probe pair, computed only when the
+    pair is asked for.  The default families are the entry algebra and cross
+    relations of a chain, or the four-point catalog of the rootless
+    sphere."""
+    if families is None:
+        families = ("pvi",) if real.root is None else ("entry", "cross")
+    src = NumericSource(rep, data, real.omega0.evaluate(rep.t_value, params))
+    yield from _bilinear_pairs(rep, relation_families(src, families))
+
+
+def numeric_pvi_pairs(rep, real, params, data):
+    """Yield the four-point catalog but its star relations: the deformed
+    entry algebra, cross relations, K elements and AW(3) relations."""
+    yield from numeric_relation_pairs(rep, real, params, data, ("pvi",))
 
 
 def numeric_reflection_pairs(rep, data):
     """Yield the mixed and single-matrix reflection forms on the 2x2 tensor
     of the representation space, built from ``data``, a
     :func:`numeric_realization` in ``rep``; each side acts on (4, dim, k)
-    block vectors and is reduced to its bilinear form on the probe pair."""
-    yield from _bilinear_pairs(rep.probe(4), _reflection_sides(rep, data))
+    block vectors and is reduced to its form on the probe pair."""
+    yield from _bilinear_pairs(rep, relation_families(NumericSource(rep, data), ("reflection",)))
 
 
 def _gap(lhs, rhs):
-    """|u^T (L - R) w| of two bilinear-form sides."""
+    """|u^H (L - R) w| of two form sides."""
     return float(abs(lhs[0, 1] - rhs[0, 1]))
 
 
@@ -575,7 +519,8 @@ def numeric_pair_norms(pairs):
 def mutation_check(pairs, t_value, seed):
     """Perturb 50 passing numeric identities and verify every variant is
     caught: one side is rescaled by a nontrivial power of t, or replaced by
-    its transpose, whose form u^T L^T w is w^T L u."""
+    its transpose, whose form w^H L u differs from u^H L w even where L is
+    a multiple of the identity."""
     rng = np.random.default_rng(seed)
     pairs = list(pairs)
     if not pairs:

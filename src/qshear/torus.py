@@ -187,10 +187,11 @@ class TorusElement:
         out.terms = out_terms
         return out
 
-    def __mul__(self, other):
-        if isinstance(other, TorusElement):
-            return self.mul(other)
-        return NotImplemented
+    def __matmul__(self, other):
+        return self.mul(other)
+
+    def __rmul__(self, coeff):
+        return self.scale(coeff)
 
     def scale(self, coeff):
         out = TorusElement(self.form)

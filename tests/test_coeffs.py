@@ -36,6 +36,17 @@ def test_parameters_commute_and_merge():
     assert (w - w).is_zero()
 
 
+def test_repeated_parameter_names_merge():
+    """A monomial naming a parameter twice is that parameter to the summed
+    power, so a product written either way compares and cancels."""
+    repeated = Coefficient({(0, (("a", 1), ("a", 1))): 1})
+    assert repeated == Coefficient.parameter("a", 2)
+    assert (repeated - Coefficient.parameter("a", 2)).is_zero()
+    assert Coefficient({(1, (("w", 2), ("a", 1), ("w", 1))): 3}) == Coefficient.parameter(
+        "a"
+    ) * Coefficient.parameter("w", 3, 3).times_t(1)
+
+
 def test_hashable_and_exact():
     c1 = Coefficient.rational(Fraction(1, 3)) * Coefficient.rational(3)
     # a whole product of Fractions is stored as a machine int

@@ -11,10 +11,13 @@ import pytest
 from qshear.coeffs import Coefficient
 from qshear.fatgraph import spine_graph_an
 from qshear.matrices import AlgMatrix
-from qshear.monodromy import an_realization, pvi_realization
+from qshear.monodromy import _defects, an_realization, pvi_realization, relation_families
 from qshear.oracle import (
     ClockShiftRep,
     LinearOp,
+    NumericSource,
+    _bilinear_pairs,
+    _gap,
     boundary_trace_deviation,
     closed_trace_minimum,
     mutation_check,
@@ -152,32 +155,61 @@ def _refuse_symbolic_product(*args, **kwargs):
     raise AssertionError("the oracle must not use the symbolic product")
 
 
-@pytest.mark.parametrize(
-    "make_real, params",
-    [
-        (lambda: an_realization(3), {"omega0": 0.47}),
-        (pvi_realization, {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}),
-    ],
-    ids=["an3", "pvi"],
-)
-def test_oracle_uses_generator_images_only(monkeypatch, make_real, params):
+# every family an oracle record re-checks, on a chain and on the sphere
+SHARED_FAMILIES = [
+    (lambda: an_realization(3), {"omega0": 0.47}, ("entry", "cross", "nelson-regge", "reflection")),
+    (pvi_realization, {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}, ("pvi", "reflection")),
+]
+
+
+@pytest.mark.parametrize("make_real, params, families", SHARED_FAMILIES, ids=["an3", "pvi"])
+def test_oracle_uses_generator_images_only(monkeypatch, make_real, params, families):
     """With every symbolic product disabled, the numeric realization and
-    both pair builders still run and still pass."""
+    the pairs of every shared family still run and still pass."""
     real = make_real()
     for cls in (TorusElement, OreElement, AlgMatrix):
         monkeypatch.setattr(cls, "mul", _refuse_symbolic_product)
     rep = ClockShiftRep(real.form, 5, seed=3)
     data = numeric_realization(rep, real, params)
-    pairs = [*numeric_relation_pairs(rep, real, params, data), *numeric_reflection_pairs(rep, data)]
+    pairs = list(numeric_relation_pairs(rep, real, params, data, families))
     assert max(n for _, n in numeric_pair_norms(pairs)) < 1e-9
+
+
+@pytest.mark.parametrize("make_real, params, families", SHARED_FAMILIES, ids=["an3", "pvi"])
+def test_catalog_mutants_fail_in_both_rings(make_real, params, families):
+    """Each shared relation with a q factor on one side, or with that side's
+    sign flipped, has a nonzero exact defect and a numeric gap above 1e-6
+    at N=5.  The oracle re-checks the exact families relation by relation:
+    only the star relations have no operator form."""
+    real = make_real()
+    rep = ClockShiftRep(real.form, 5, seed=3)
+    data = numeric_realization(rep, real, params)
+    src = NumericSource(rep, data, real.omega0.evaluate(rep.t_value, params))
+    numeric = {label: (lhs, rhs) for label, lhs, rhs in relation_families(src, families)}
+    exact = list(relation_families(real, families))
+    assert [label for label, _, _ in exact if label not in numeric] == [
+        label for label, _, _ in exact if "Hermitian" in label
+    ]
+    checked = 0
+    for label, lhs, rhs in exact:
+        if label not in numeric:
+            continue
+        nlhs, nrhs = numeric[label]
+        for mutate in (lambda s, x: s.q(1) * x, lambda s, x: -x):
+            defects = _defects([(label, mutate(real, lhs), rhs)])
+            assert any(not d.is_zero() for _, d in defects), label
+            ((_, flhs, frhs),) = _bilinear_pairs(rep, [(label, mutate(src, nlhs), nrhs)])
+            assert _gap(flhs, frhs) > 1e-6, label
+        checked += 1
+    assert checked == len(numeric)
 
 
 @pytest.mark.parametrize(
     "make_real, relations, reflections, digest",
     [
-        (lambda: an_realization(3), 40, 6, "113478ee937fb9045d4f0c6604a106f4ff68f0047ee78a56e6f820260b7f558f"),
-        (lambda: an_realization(4), 74, 10, "ebc5e782c38e1362cd2dc2fa6ce1426955301ea9b32274727e79763d23afc7d0"),
-        (pvi_realization, 27, 1, "759b7278e007132e0350e43c38a08f396c02a7b1f511792fbbf9b51cc20747f5"),
+        (lambda: an_realization(3), 54, 6, "c6fe70dbe68c06f2d935c8c6709708de4e2d3e561ad577f596a85fb9f8b36231"),
+        (lambda: an_realization(4), 96, 10, "565cec85820fd3d91448a6eb60eb729f423d271bcb0a8a35eb1d77c10024d7fa"),
+        (pvi_realization, 36, 1, "7bcc9701fd709df079bb908a7cc3cd65e989dc0ce47ae873bd90884265f9df0a"),
     ],
     ids=["an3", "an4", "pvi"],
 )
@@ -194,31 +226,34 @@ def test_pair_counts_and_label_order(make_real, relations, reflections, digest):
     assert hashlib.sha256("\n".join(rel + ref).encode()).hexdigest() == digest
 
 
+AN_CORE = ("entry", "cross")  # the families of the an-core oracle records
+
+
 def test_numeric_reports_hold_one_pair_at_a_time():
     """At an4, N=5 (dim 125) the traced peak of the oracle stays below the
     size of 100 dense sides."""
     real = an_realization(4)
     tracemalloc.start()
     try:
-        (report,) = _numeric_reports("an4", "anchor", real, RunConfig(oracle_moduli=(5,)))
+        (report,) = _numeric_reports("an4", "anchor", real, RunConfig(oracle_moduli=(5,)), AN_CORE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.status and report.extras["pairs"] == 74
+    assert report.status and report.extras["pairs"] == 96
     assert peak < 100 * 16 * 125 ** 2, peak
 
 
 def test_numeric_reports_at_modulus_13_stay_below_one_dense_side():
-    """At an4, N=13 (dim 2197) the matrix-free oracle passes all 74 pairs
+    """At an4, N=13 (dim 2197) the matrix-free oracle passes all 96 pairs
     while its traced peak stays below the size of one dense side."""
     real = an_realization(4)
     tracemalloc.start()
     try:
-        (report,) = _numeric_reports("an4", "anchor", real, RunConfig(oracle_moduli=(13,)))
+        (report,) = _numeric_reports("an4", "anchor", real, RunConfig(oracle_moduli=(13,)), AN_CORE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.status and report.extras["pairs"] == 74
+    assert report.status and report.extras["pairs"] == 96
     assert report.extras["max_norm"] < 1e-9
     assert peak < 16 * 2197 ** 2, peak
 
@@ -314,8 +349,8 @@ def _identity_probe(rep):
 )
 def test_matrix_free_sides_match_dense_reference(monkeypatch, make_real, params):
     """Probed with the identity block, every relation and reflection side
-    is the dense operator; it must match dense block products over dense
-    generator images to 1e-12."""
+    is the dense operator on its legs; it must match dense block products
+    over dense generator images to 1e-12."""
     real = make_real()
     rep = ClockShiftRep(real.form, 5, seed=3)
     monkeypatch.setattr(rep, "probe", _identity_probe(rep))
@@ -336,7 +371,7 @@ def test_matrix_free_sides_match_dense_reference(monkeypatch, make_real, params)
     ref = list(numeric_relation_pairs(rep, real, params, dense))
     assert [label for label, _, _ in free] == [label for label, _, _ in ref]
     for (label, lhs, rhs), (_, dl, dr) in zip(free, ref):
-        assert lhs.shape == (rep.dim, rep.dim)
+        assert lhs.shape == rhs.shape and lhs.shape[0] in (rep.dim, 2 * rep.dim)
         assert np.max(np.abs(lhs - dl)) < 1e-12 and np.max(np.abs(rhs - dr)) < 1e-12, label
     reflections = list(numeric_reflection_pairs(rep, data))
     expected = _dense_reflection_sides(rep, mats, [d["w"] for d in data])
@@ -362,6 +397,17 @@ def test_oracle_catches_a_broken_generator_image(monkeypatch):
     data = numeric_realization(rep, real, params)
     norms = numeric_pair_norms(numeric_relation_pairs(rep, real, params, data))
     assert max(n for _, n in norms) > 1e-6
+
+
+def test_numeric_realization_rejects_a_word_off_the_normal_shape():
+    """A weight that does not match the word breaks M[00] = q a + w on the
+    probe pair; the numeric realization raises, so the suite records an
+    error instead of re-checking entries of the wrong shape."""
+    real = an_realization(3)
+    real.omegas[2] = Coefficient.rational(1)
+    rep = ClockShiftRep(real.form, 5, seed=3)
+    with pytest.raises(ValueError, match="word 2 misses the normal shape"):
+        numeric_realization(rep, real, {"omega0": 0.47})
 
 
 def test_seeded_reproducibility():
