@@ -58,6 +58,8 @@ class AlgMatrix:
         return self.mul(other)
 
     def __rmul__(self, coeff):
+        if not isinstance(coeff, Coefficient):
+            return NotImplemented
         return self.scale(coeff)
 
     def add(self, other):

@@ -361,18 +361,12 @@ def rep_word_value(rep, graph, path, params):
 
 
 def _entry(m, i, j):
-    """Entry (i, j) of a 2x2 block operator, as an operator on (dim, m).  It
-    remembers its last input and output, since the sides of a family apply
-    each entry to the same probe block many times; no action writes into
-    its input or into an output it returned."""
-    last = [None, None]
+    """Entry (i, j) of a 2x2 block operator, as an operator on (dim, m)."""
 
     def act(x):
-        if x is not last[0]:
-            block = np.zeros((2, *x.shape), dtype=complex)
-            block[j] = x
-            last[:] = x, m.act(block)[i]
-        return last[1]
+        block = np.zeros((2, *x.shape), dtype=complex)
+        block[j] = x
+        return m.act(block)[i]
 
     return LinearOp(act)
 

@@ -98,13 +98,7 @@ def _numeric_pairs(rep, real, families):
     time, so that at most one pair is alive while its caller reduces it."""
     params = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
     data = oracle.numeric_realization(rep, real, params)
-    for family in families:
-        if family == "reflection":
-            yield from oracle.numeric_reflection_pairs(rep, data)
-        elif family == "pvi":
-            yield from oracle.numeric_pvi_pairs(rep, real, params, data)
-        else:
-            yield from oracle.numeric_relation_pairs(rep, real, params, data, (family,))
+    yield from oracle.numeric_relation_pairs(rep, real, params, data, families)
 
 
 def _numeric_reports(prefix, anchor, real, config, families):
@@ -181,7 +175,7 @@ def run_an_nelson_regge(config):
     ]
     reports.extend(
         _numeric_reports(
-            "an4-nr", "numeric re-check incl. geodesic adjacency", real, config, ("nelson-regge",)
+            "an4-nr", "numeric re-check of the geodesic function algebra", real, config, ("nelson-regge",)
         )
     )
     return reports

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from operator import add as _add, mul as _mul
 
-from .coeffs import ONE
+from .coeffs import ONE, Coefficient
 
 
 class SkewForm:
@@ -191,6 +191,8 @@ class TorusElement:
         return self.mul(other)
 
     def __rmul__(self, coeff):
+        if not isinstance(coeff, Coefficient):
+            return NotImplemented
         return self.scale(coeff)
 
     def scale(self, coeff):

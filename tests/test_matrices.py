@@ -134,6 +134,18 @@ def test_mat_scale(form):
     assert (e.scale_t(4).scale_t(-4) - e).is_zero()
 
 
+def test_scalar_product_takes_coefficients_only(form):
+    # a Coefficient scales; a torus element and a matrix do not multiply
+    # each other with *, which would build entries that are not Coefficients
+    e = AlgMatrix.identity(form)
+    x = ew(form, {"X": 1})
+    assert (Coefficient.t_power(4) * e - e.scale_t(4)).is_zero()
+    assert (Coefficient.t_power(4) * x - x.times_t(4)).is_zero()
+    for left, right in ((x, e), (e, x), (2, x), (2, e)):
+        with pytest.raises(TypeError):
+            left * right
+
+
 def test_r_matrix_entries(form):
     r = r_matrix(1, form)
     q = Coefficient.q_power(1)

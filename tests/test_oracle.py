@@ -23,6 +23,7 @@ from qshear.oracle import (
     mutation_check,
     numeric_pair_norms,
     numeric_realization,
+    numeric_pvi_pairs,
     numeric_reflection_pairs,
     numeric_relation_pairs,
     oracle_check,
@@ -223,6 +224,8 @@ def test_pair_counts_and_label_order(make_real, relations, reflections, digest):
     rel = [label for label, _, _ in numeric_relation_pairs(rep, real, params, data)]
     ref = [label for label, _, _ in numeric_reflection_pairs(rep, data)]
     assert (len(rel), len(ref)) == (relations, reflections)
+    if real.root is None:
+        assert [label for label, _, _ in numeric_pvi_pairs(rep, real, params, data)] == rel
     assert hashlib.sha256("\n".join(rel + ref).encode()).hexdigest() == digest
 
 
