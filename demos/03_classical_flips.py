@@ -8,14 +8,13 @@ scalar, so each side is T**(-m/2) times a matrix over the torus.
 """
 
 from qshear.fatgraph import spine_graph_an
-from qshear.flips import (
-    CLASSICAL_FLIP_IDENTITIES,
+from qshear.flips import CLASSICAL_FLIP_IDENTITIES, verify_flip_matrix_identity_classical
+from qshear.oracle import (
     ShearState,
     classical_flip,
     classical_pending_flip,
-    verify_flip_matrix_identity_classical,
+    pentagon_deviation,
 )
-from qshear.oracle import pentagon_deviation
 
 for ident in CLASSICAL_FLIP_IDENTITIES:
     print(f"{ident:14s} exact:", verify_flip_matrix_identity_classical(ident))

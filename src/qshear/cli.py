@@ -14,14 +14,14 @@ def run_flip_script_file(args):
     import numpy as np
 
     from .fatgraph import graph_to_dict, load_graph
-    from .flips import ShearState, run_flip_script
+    from .oracle import ShearState, run_flip_script
 
     if len(args.graph) != 1:
         print("error: --flip-script needs exactly one --graph", file=sys.stderr)
         return 2
     try:
         graph = load_graph(args.graph[0])
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(RunConfig(seed=args.seed).seed)  # bounded as for suites
         values = {e: float(rng.uniform(-2, 2)) for e in graph.edges}
         params = {"omega0": 0.5, "omega1": 0.5, "omega2": 0.5}
         state = ShearState(graph, values, params)

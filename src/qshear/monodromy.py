@@ -253,34 +253,51 @@ def hermiticity_defects(real, pairs):
     ]
 
 
-def nelson_regge_relations(src, indices):
+def indexed_nelson_regge_relations(src, indices):
     """All disjoint, nested, crossing and adjacent relations over the given
-    index range (root 0 allowed)."""
+    index range (root 0 allowed), each as (the indices it involves, label,
+    lhs, rhs)."""
     idx = sorted(indices)
     G = {(i, j): geodesic_G(src, i, j) for i, j in combinations(idx, 2)}
     q, qi = src.q(1), src.q(-1)
     d = src.q(2) - src.q(-2)
-    for i, j, k, l in combinations(idx, 4):
+    for ix in combinations(idx, 4):
+        i, j, k, l = ix
         outer, inner = G[i, j] @ G[k, l], G[i, l] @ G[j, k]
-        yield (f"[G({i},{j}),G({k},{l})] = 0 (disjoint)", outer, G[k, l] @ G[i, j])
-        yield (f"[G({i},{l}),G({j},{k})] = 0 (nested)", inner, G[j, k] @ G[i, l])
+        yield (ix, f"[G({i},{j}),G({k},{l})] = 0 (disjoint)", outer, G[k, l] @ G[i, j])
+        yield (ix, f"[G({i},{l}),G({j},{k})] = 0 (nested)", inner, G[j, k] @ G[i, l])
         # the crossing commutator that matches the adjacent and disjoint
         # conventions takes the outer geodesic first
         yield (
+            ix,
             f"[G({j},{l}),G({i},{k})] = (q^2-q^-2)(G({i},{j})G({k},{l}) - G({i},{l})G({j},{k})) (crossing)",
             G[j, l] @ G[i, k] - G[i, k] @ G[j, l],
             d * (outer - inner),
         )
-    for i, j, k in combinations(idx, 3):
+    for ix in combinations(idx, 3):
+        i, j, k = ix
         yield (
+            ix,
             f"q G({i},{j})G({j},{k}) - q^-1 G({j},{k})G({i},{j}) = (q^2-q^-2) G({i},{k}) (adjacent)",
             q * (G[i, j] @ G[j, k]) - qi * (G[j, k] @ G[i, j]),
             d * G[i, k],
         )
 
 
+def nelson_regge_relations(src, indices):
+    for _, label, lhs, rhs in indexed_nelson_regge_relations(src, indices):
+        yield label, lhs, rhs
+
+
 def nelson_regge_defects(real, indices):
     return _defects(nelson_regge_relations(real, indices))
+
+
+def indexed_nelson_regge_defects(real, indices):
+    """The defects of :func:`nelson_regge_defects`, each as (the indices its
+    relation involves, label, defect)."""
+    relations = indexed_nelson_regge_relations(real, indices)
+    return [(ix, label, lhs - rhs) for ix, label, lhs, rhs in relations]
 
 
 # -- R-matrix form -----------------------------------------------------------

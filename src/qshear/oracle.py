@@ -1,4 +1,6 @@
-"""Independent numeric cross-checks.
+"""Independent numeric cross-checks: the float layer of qshear, and the
+only module that imports numpy.  The suites import it inside the runners
+that use it, so the exact core starts without numpy.
 
 Two layers:
 
@@ -14,7 +16,10 @@ Two layers:
   ``evaluate``/``norm`` path, built from the same images, stays as the
   small-dimension reference for torus and Ore elements;
 
-* the commutative q = 1 limit with random real shears: one evaluator,
+* the commutative q = 1 limit with random real shears: the classical
+  moves (:func:`classical_flip`, :func:`classical_pending_flip`,
+  :func:`decoration_change` and :func:`run_flip_script` over a
+  :class:`ShearState`) act on whole sample arrays, and one evaluator,
   :func:`word_values`, multiplies float 2x2 token words at every sample at
   once to check the classical flip identities from their words in
   ``flips`` (never the exact ring's products), closed-geodesic trace
@@ -30,14 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flips import (
-    ShearState,
-    classical_flip,
-    classical_identity_words,
-    classical_pending_flip,
-    phi,
-    phi_pending,
-)
+from .fatgraph import flip_graph, pending_flip_graph
+from .flips import classical_identity_words
 from .monodromy import relation_families
 from .ore import OreElement
 from .torus import TorusElement
@@ -533,6 +532,114 @@ def mutation_check(pairs, t_value, seed):
 # ---------------------------------------------------------------------------
 # classical float layer
 # ---------------------------------------------------------------------------
+
+
+def phi(z):
+    """log(1 + exp(z)) at a float or an (S,) array of samples, without
+    overflow; an exp(-|z|) that underflows to 0 is harmless, so not flagged."""
+    with np.errstate(under="ignore"):
+        return np.logaddexp(0.0, z)
+
+
+def phi_pending(z, w):
+    """log(1 + w exp(z) + exp(2z)), the pending-edge shift for weight w, at a
+    float or an (S,) array: 2 max(z, 0) + log1p(w e^-|z| + e^-2|z|)."""
+    m = np.abs(z)
+    with np.errstate(under="ignore"):
+        return 2 * np.maximum(z, 0.0) + np.log1p(w * np.exp(-m) + np.exp(-2 * m))
+
+
+class ShearState:
+    """Classical point: a graph with shear values, floats or (S,) sample
+    arrays that the moves never write into, and numeric weight parameters."""
+
+    __slots__ = ("graph", "values", "params")
+
+    def __init__(self, graph, values, params=None):
+        values = dict(values)
+        for e in graph.edges:
+            if e not in values:
+                raise ValueError(f"missing shear value for edge {e!r}")
+        self.graph = graph
+        self.values = values
+        self.params = dict(params or {})
+
+    def weight_value(self, edge):
+        info = self.graph.pending[edge]
+        return info.weight.evaluate(1.0, self.params).real
+
+
+def classical_flip(state, edge):
+    """Whitehead move on the shear values; coincident neighbor roles
+    accumulate their shifts, which reproduces the special-case list
+    (a doubled role gets 2*phi, paired +/- roles collapse to a shift by Z)."""
+    graph = state.graph
+    if graph.is_pending(edge):
+        raise ValueError(f"cannot flip pending edge {edge!r}")
+    new_graph, (a, b, c, d) = flip_graph(graph, edge)
+    z = state.values[edge]
+    values = dict(state.values)
+    for role, shift in ((a, phi(z)), (b, -phi(-z)), (c, phi(z)), (d, -phi(-z))):
+        values[role] = values[role] + shift
+    values[edge] = -z
+    return ShearState(new_graph, values, state.params)
+
+
+def classical_pending_flip(state, edge):
+    graph = state.graph
+    if not graph.is_pending(edge):
+        raise ValueError(f"{edge!r} is not a pending edge")
+    new_graph, (a, b) = pending_flip_graph(graph, edge)
+    z = state.values[edge]
+    w = state.weight_value(edge)
+    values = dict(state.values)
+    values[a] = values[a] + phi_pending(z, w)
+    values[b] = values[b] - phi_pending(-z, w)
+    values[edge] = -z
+    return ShearState(new_graph, values, state.params)
+
+
+def decoration_change(state, hole):
+    """Change the spiraling direction at a hole given as the (Y, P) pair of
+    its neck edge and perimeter loop: (Y, P) -> (Y + P, -P)."""
+    y_edge, p_edge = hole
+    graph = state.graph
+    slots = graph.incidence(p_edge)
+    if len(slots) != 2 or slots[0][0] != slots[1][0]:
+        raise ValueError(f"{p_edge!r} is not a perimeter loop")
+    if not graph.shared_vertices(y_edge, p_edge):
+        raise ValueError(f"{y_edge!r} does not meet the loop {p_edge!r}")
+    values = dict(state.values)
+    values[y_edge] = state.values[y_edge] + state.values[p_edge]
+    values[p_edge] = -state.values[p_edge]
+    return ShearState(graph, values, state.params)
+
+
+def run_flip_script(state, lines):
+    """Apply a flip script: lines of the form ``flip <edge>``,
+    ``pflip <edge>`` or ``decor <neck> <loop>``; blank lines and ``#``
+    comments are skipped."""
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            unknown = [e for e in parts[1:] if e not in state.graph.edges]
+            if unknown:
+                raise ValueError(f"the graph has no edge {unknown[0]!r}")
+            if parts[0] == "flip" and len(parts) == 2:
+                state = classical_flip(state, parts[1])
+            elif parts[0] == "pflip" and len(parts) == 2:
+                state = classical_pending_flip(state, parts[1])
+            elif parts[0] == "decor" and len(parts) == 3:
+                state = decoration_change(state, (parts[1], parts[2]))
+            else:
+                raise ValueError(f"unrecognized script line: {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"flip script line {ln}: {exc}") from exc
+    return state
+
 
 _TURNS = {"L": np.array([[0.0, 1.0], [-1.0, -1.0]]), "R": np.array([[1.0, 1.0], [-1.0, 0.0]])}
 

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qshear
 from qshear import suites
 from qshear.cli import main
 from qshear.fatgraph import MAX_GRAPH_EDGES, graph_to_dict, save_graph, spine_graph_an
+from qshear.monodromy import an_realization, nelson_regge_defects
 from qshear.suites import MAX_SAMPLES, RunConfig, list_suites
 
 
@@ -97,6 +103,19 @@ def test_bad_oracle_modulus_is_usage_error(monkeypatch, capsys):
     assert RunConfig(samples=MAX_SAMPLES).samples == 100_000
 
 
+def test_negative_seed_is_usage_error(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a bad seed must stop before any suite runs")
+
+    monkeypatch.setattr("qshear.cli.run_suite", refuse)
+    assert main(["--suite", "an-core", "--suite", "flips-classical", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed -1 ") and "Traceback" not in err, err
+    with pytest.raises(ValueError):
+        RunConfig(seed=-1)
+    assert RunConfig(seed=0).seed == 0
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -138,6 +157,47 @@ def test_runner_exception_becomes_one_error_record(monkeypatch, tmp_path, capsys
     assert "[ERROR] pvi: pvi-error" in capsys.readouterr().out
 
 
+def test_nelson_regge_0123_record_reads_the_full_family(monkeypatch):
+    built = {}
+    report = suites._defect_report
+
+    def record(ident, anchor, defects):
+        built[ident] = defects
+        return report(ident, anchor, defects)
+
+    monkeypatch.setattr(suites, "_defect_report", record)
+    monkeypatch.setattr(suites, "_numeric_reports", lambda *args: [])
+    suites.run_an_nelson_regge(RunConfig())
+    want = nelson_regge_defects(an_realization(4), [0, 1, 2, 3])
+    assert [label for label, _ in built["an4-nelson-regge-0123"]] == [label for label, _ in want]
+    assert len(built["an4-nelson-regge-full"]) == 25
+
+
+def _fresh_python(code):
+    src = str(Path(qshear.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_cli_import_leaves_numpy_and_the_oracle_unloaded():
+    out = _fresh_python("import sys, qshear.cli; "
+                        "print([m for m in ('numpy', 'qshear.oracle') if m in sys.modules])")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_exact_suites_run_without_numpy():
+    # a None entry makes every import of numpy fail
+    out = _fresh_python(
+        "import sys; sys.modules['numpy'] = None; import qshear.cli; sys.exit(qshear.cli.main("
+        "['--suite', 'an-braid', '--suite', 'flips-quantum', '--suite', 'graph-validate']))"
+    )
+    assert out.returncode == 0, out.stderr
+    passed, total = out.stdout.splitlines()[-1].split()[0].split("/")
+    assert passed == total and int(total) > 0, out.stdout
+
+
 def test_flips_classical_at_one_sample(tmp_path):
     report = tmp_path / "r.json"
     assert main(["--suite", "flips-classical", "--samples", "1", "--report", str(report)]) == 0
@@ -164,3 +224,13 @@ def test_flip_script_round_trip(tmp_path, capsys):
         assert main(["--graph", str(graph), "--flip-script", str(script)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: flip script line ") and "Traceback" not in err, err
+
+
+def test_flip_script_rejects_negative_seed(tmp_path, capsys):
+    graph = tmp_path / "a3.json"
+    save_graph(spine_graph_an(3), graph)
+    script = tmp_path / "moves.txt"
+    script.write_text("flip X1\n")
+    assert main(["--graph", str(graph), "--flip-script", str(script), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed -1 ") and "Traceback" not in err, err

@@ -9,20 +9,20 @@ from qshear.fatgraph import FatGraph, PendingInfo, flip_roles, spine_graph_an
 from qshear.flips import (
     CLASSICAL_FLIP_IDENTITIES,
     CLASSICAL_FLIP_WORDS,
-    ShearState,
-    classical_flip,
-    classical_pending_flip,
-    decoration_change,
-    phi,
-    phi_pending,
     verify_flip_matrix_identity_classical,
 )
 from qshear.matrices import AlgMatrix
 from qshear.oracle import (
+    ShearState,
+    classical_flip,
+    classical_pending_flip,
+    decoration_change,
     flip_involution_deviation,
     numeric_identity_deviation,
     pending_flip_involution_deviation,
     pentagon_deviation,
+    phi,
+    phi_pending,
     random_state,
 )
 from qshear.torus import TorusElement
@@ -271,7 +271,7 @@ def test_decoration_change():
 
 
 def test_run_flip_script():
-    from qshear.flips import run_flip_script
+    from qshear.oracle import run_flip_script
 
     g = spine_graph_an(3)
     s = ShearState(g, {e: 0.4 for e in g.edges}, {"omega0": 0.0})
