@@ -1,6 +1,7 @@
 """Ribbon graphs with pending (orbifold) edges, their induced skew forms,
 boundary faces and Poisson centers, and the compilation of paths into
-2x2 matrix words.
+2x2 matrix words: a path's turns are checked here and its factors applied
+by the word evaluator of ``matrices``.
 
 Conventions
 -----------
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 
 from .coeffs import Coefficient
-from .matrices import AlgMatrix, edge_matrix, f_matrix, turn_matrix
+from .matrices import word_matrix
 from .torus import SkewForm
 
 
@@ -274,35 +275,20 @@ def _check_turn(graph, after, turn, before):
 
 def compile_path(graph, path, form):
     """Left-to-right product of edge, turn and winding factors over
-    ``form``, the skew form of ``graph``.
-
-    Winding steps ('orb', e, k) insert X_e * (-1)**(k+1) F_w**k * X_e.
-    For closed paths the caller takes the trace of the full cyclic word.
+    ``form``, the skew form of ``graph``, after checking every turn against
+    the ribbon structure; the factors are those of
+    :func:`qshear.matrices.word_action`.  For closed paths the caller takes
+    the trace of the full cyclic word.
     """
-    mat = None
     steps = path.steps
+    if not steps:
+        raise ValueError("empty path")
     for i, step in enumerate(steps):
-        if step[0] == "turn":
-            factor = turn_matrix(form, step[1])
-        elif step[0] == "edge":
-            factor = edge_matrix(form, step[1])
-        else:
-            _, name, k = step
-            if not graph.is_pending(name):
-                raise ValueError(f"winding at non-pending edge {name!r}")
-            fw = f_matrix(form, graph.weight(name))
-            acc = AlgMatrix.identity(form)
-            for _ in range(k):
-                acc = acc.mul(fw)
-            if k % 2 == 0:
-                acc = acc.neg()
-            factor = edge_matrix(form, name).mul(acc).mul(edge_matrix(form, name))
+        if step[0] == "orb" and not graph.is_pending(step[1]):
+            raise ValueError(f"winding at non-pending edge {step[1]!r}")
         if i >= 2 and steps[i - 1][0] == "turn" and step[0] != "turn":
             _check_turn(graph, steps[i - 2], steps[i - 1][1], step)
-        mat = factor if mat is None else mat.mul(factor)
-    if mat is None:
-        raise ValueError("empty path")
-    return mat
+    return word_matrix(form, steps, graph.weight)
 
 
 def monodromy_path(graph, root, target):

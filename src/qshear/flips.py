@@ -1,6 +1,7 @@
 """Mapping-class-group moves, exactly: the classical flip identities as
 token words and over the commutative torus, and the quantum substitutions
-induced on the torus algebra.  The float moves on shear values live in
+induced on the torus algebra.  Words are multiplied out by the word
+evaluator of ``matrices``.  The float moves on shear values live in
 ``oracle``; this module does not import numpy.
 
 Quantum flip images, with Z the flipped edge and q = t**4:
@@ -18,8 +19,6 @@ invariants exercised in the test suite.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .coeffs import Coefficient
 from .fatgraph import (
     flip_graph,
@@ -27,7 +26,7 @@ from .fatgraph import (
     pending_flip_graph,
     pending_flip_roles,
 )
-from .matrices import AlgMatrix, edge_matrix, f_matrix, omega_commutant, turn_matrix
+from .matrices import word_matrix
 from .ore import OreElement, QDenominator
 from .torus import SkewForm, TorusElement, commutative_shadow, even_check, half
 
@@ -105,38 +104,26 @@ def classical_identity_sides(ident):
     X_{v + s log T} is T**(-1/2) X_v diag(1, T) for s = +1 and
     T**(-1/2) X_v diag(T, 1) for s = -1, so a side with m T-dressed ~
     factors is T**(-m/2) times a matrix with entries in the torus; returns
-    ((m, lhs), (m, rhs), T)."""
+    ((m, lhs), (m, rhs), T).  The tokens F and O take their weight w and
+    commutant entries a, c as parameters of those names."""
     lhs, rhs = classical_identity_words(ident)
     names, weight, tildes = _CLASSICAL_FAMILIES[ident.rsplit("-", 1)[0]]
     form = SkewForm(names, [[0] * len(names)] * len(names))
     t_poly = _binomial(form, "Z", +1, 0, weight) if "Z" in names else None
-    zero = TorusElement.zero(form)
 
-    def factor(step):
-        kind, name = step[0], step[1]
-        if kind == "turn":
-            return turn_matrix(form, name)
-        if kind == "F":
-            return f_matrix(form, weight)
-        if kind == "omega":
-            o = omega_commutant(
-                form, Coefficient.parameter("a"), Coefficient.parameter("c"), weight
-            )
-            return o if step[2] > 0 else o.neg()
-        if not name.endswith("~"):
-            return edge_matrix(form, name)
-        exponents, s = tildes[name[:-1]]
+    def edge(name):
+        exponents, s = tildes[name[:-1]] if name.endswith("~") else ({name: 1}, 0)
         up = half(form, exponents)
         dn = half(form, {n: -e for n, e in exponents.items()})
         if s > 0:
             up = up.mul(t_poly)
         elif s < 0:
             dn = dn.mul(t_poly)
-        return AlgMatrix(form, [[zero, -up], [dn, zero]])
+        return up.mul, dn.mul
 
     def side(word):
         m = sum(1 for step in word if step[1].endswith("~") and tildes[step[1][:-1]][1])
-        return m, reduce(AlgMatrix.mul, map(factor, word))
+        return m, word_matrix(form, word, Coefficient.parameter, edge)
 
     return side(lhs), side(rhs), t_poly
 
@@ -428,13 +415,8 @@ def tilde_expansion_defects(sub):
     _, _, c, d = flip_roles(sub.source_graph, sub.edge)
     tform = sub.target_form
     z = sub.edge
-    mat = (
-        edge_matrix(tform, d)
-        .mul(turn_matrix(tform, "L"))
-        .mul(edge_matrix(tform, z))
-        .mul(turn_matrix(tform, "L"))
-        .mul(edge_matrix(tform, c))
-    )
+    word = [("edge", d), ("turn", "L"), ("edge", z), ("turn", "L"), ("edge", c)]
+    mat = word_matrix(tform, word, sub.target_graph.weight)
     qm_half = Coefficient.t_power(-2)
     want = [
         [

@@ -2,6 +2,9 @@
 orbifold-rotation and commutant matrices, and the R-matrix with its
 embeddings into tensor legs.  A scalar matrix such as R is an AlgMatrix
 whose entries are constants of the torus.
+
+:func:`word_action` is the one word evaluator: it applies the factors the
+constructors display in every ring qshear evaluates words in.
 """
 
 from __future__ import annotations
@@ -152,6 +155,81 @@ def omega_commutant(form, a, c, omega):
     cm = TorusElement.scalar(form, c)
     corner = TorusElement.scalar(form, a - omega * c)
     return AlgMatrix(form, [[am, cm], [-cm, corner]])
+
+
+# -- words ----------------------------------------------------------------
+
+_TURNS = {
+    "R": lambda x0, x1: (x0 + x1, -x0),
+    "L": lambda x0, x1: (x1, -x0 - x1),  # L = R**2
+}
+
+
+def _factors(step, edge, scalar):
+    """The factors of one step of a word, in the order they act."""
+    kind, name = step[0], step[1]
+    if kind == "turn" and name in _TURNS:
+        return [_TURNS[name]]
+    if kind == "edge":
+        up, dn = edge(name)
+        return [lambda x0, x1: (-up(x1), dn(x0))]
+    if kind not in ("F", "omega", "orb"):
+        raise ValueError(f"unknown word step {tuple(step)!r}")
+    w = scalar(name)
+    f = lambda x0, x1: (x1, -x0 - w * x1)
+    if kind == "F":
+        return [f]
+    if kind == "omega":
+        a, c = scalar("a"), scalar("c")
+        if step[2] < 0:
+            a, c = -a, -c
+        corner = a - w * c
+        return [lambda x0, x1: (a * x0 + c * x1, corner * x1 - c * x0)]
+    k = step[2]
+    sign = [] if k % 2 else [lambda x0, x1: (-x0, -x1)]
+    x = _factors(("edge", name), edge, scalar)
+    return x + [f] * k + sign + x
+
+
+def word_action(steps, edge, scalar):
+    """The action x -> M x of a written word's product M on a column pair
+    (x0, x1), whose components lie in any ring with +, - and * by a scalar:
+    torus elements, (dim, m) probe blocks or (2, S) sample arrays.  The
+    factors act right to left and are resolved once, here:
+
+        ('turn', 'R'|'L')   turn_matrix R = [[1, 1], [-1, 0]] or L = R**2
+        ('edge', e)         edge_matrix X_e = [[0, -exp(Z/2)], [exp(-Z/2), 0]]
+        ('F', w)            f_matrix F_w = [[0, 1], [-1, -w]]
+        ('omega', w, sign)  sign * omega_commutant O = sign * (a + c F_w)
+        ('orb', e, k)       the winding X_e (-1)**(k+1) F_w**k X_e, w of e
+
+    ``edge(name)`` gives the maps x -> exp(Z/2) x and x -> exp(-Z/2) x of an
+    edge, ``scalar(name)`` a weight w by pending edge or name, and the
+    commutant parameters by 'a' and 'c'.
+    """
+    chain = [factor for step in reversed(steps) for factor in _factors(step, edge, scalar)]
+
+    def act(x0, x1):
+        for factor in chain:
+            x0, x1 = factor(x0, x1)
+        return x0, x1
+
+    return act
+
+
+def word_matrix(form, steps, scalar, edge=None):
+    """The exact product of a word over ``form``: its :func:`word_action`
+    on the two unit columns.  ``edge`` defaults to the edge matrices."""
+    if edge is None:
+
+        def edge(name):
+            up = TorusElement.monomial(form, form.du({name: 1}))
+            dn = TorusElement.monomial(form, form.du({name: -1}))
+            return up.mul, dn.mul
+
+    act = word_action(steps, edge, scalar)
+    one, zero = TorusElement.one(form), TorusElement.zero(form)
+    return AlgMatrix(form, zip(act(one, zero), act(zero, one)))
 
 
 def r_matrix(power, form):

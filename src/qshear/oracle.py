@@ -10,18 +10,19 @@ Two layers:
   generator image is monomial, a cyclic shift of the (N, ..., N) index grid
   times a phase vector, so the re-verification of the catalog is
   matrix-free: monodromy words act on blocks of vectors in O(dim) per
-  factor, and each identity L = R of the ``monodromy`` catalog families is
-  compared as the sesquilinear form u^H L w against u^H R w on a seeded
-  pair of unit-modulus probe vectors (Freivalds 1977).  The dense
+  factor, through the word evaluator of ``matrices``, and each identity
+  L = R of the ``monodromy`` catalog families is compared as the
+  sesquilinear form u^H L w against u^H R w on a seeded pair of
+  unit-modulus probe vectors (Freivalds 1977).  The dense
   ``evaluate``/``norm`` path, built from the same images, stays as the
   small-dimension reference for torus and Ore elements;
 
 * the commutative q = 1 limit with random real shears: the classical
   moves (:func:`classical_flip`, :func:`classical_pending_flip`,
   :func:`decoration_change` and :func:`run_flip_script` over a
-  :class:`ShearState`) act on whole sample arrays, and one evaluator,
-  :func:`word_values`, multiplies float 2x2 token words at every sample at
-  once to check the classical flip identities from their words in
+  :class:`ShearState`) act on whole sample arrays, and :func:`word_values`
+  applies the same word evaluator to float 2x2 token words at every sample
+  at once to check the classical flip identities from their words in
   ``flips`` (never the exact ring's products), closed-geodesic trace
   positivity, the hole-boundary trace and the block sign pattern; the
   involution and pentagon checks move every sample at once.
@@ -31,12 +32,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .fatgraph import flip_graph, pending_flip_graph
 from .flips import classical_identity_words
+from .matrices import word_action
 from .monodromy import relation_families
 from .ore import OreElement
 from .torus import TorusElement
@@ -314,49 +317,20 @@ _IDENTITY = LinearOp(lambda x: x)
 def rep_word_value(rep, graph, path, params):
     """The 2x2 block value of a written word as an operator on (2, dim, m)
     blocks of vectors, built from generator images only; this route never
-    touches the symbolic product.  The turn, edge and orb factors act right
-    to left, each as rolls and phase multiplies of the two components."""
+    touches the symbolic product.  Its :func:`word_action` turns each edge
+    into rolls and phase multiplies of the two components."""
     form = rep.form
 
     def edge(name):
         up = rep.image(form.du({name: 1}))
         dn = rep.image(form.du({name: -1}))
-        return lambda x0, x1: (-rep.act(up, x1), rep.act(dn, x0))
+        return partial(rep.act, up), partial(rep.act, dn)
 
-    def turn(kind):
-        if kind == "L":
-            return lambda x0, x1: (x1, -x0 - x1)
-        return lambda x0, x1: (x0 + x1, -x0)
+    def scalar(name):
+        return graph.pending[name].weight.evaluate(rep.t_value, params)
 
-    def orb(name, k):
-        w = graph.pending[name].weight.evaluate(rep.t_value, params)
-        x_edge = edge(name)
-        sign = -1 if k % 2 == 0 else 1
-
-        def act(x0, x1):
-            x0, x1 = x_edge(x0, x1)
-            for _ in range(k):
-                x0, x1 = x1, -x0 - w * x1
-            return x_edge(sign * x0, sign * x1)
-
-        return act
-
-    factors = []
-    for step in reversed(path.steps):
-        if step[0] == "turn":
-            factors.append(turn(step[1]))
-        elif step[0] == "edge":
-            factors.append(edge(step[1]))
-        else:
-            factors.append(orb(step[1], step[2]))
-
-    def act(block):
-        x0, x1 = block
-        for factor in factors:
-            x0, x1 = factor(x0, x1)
-        return np.stack((x0, x1))
-
-    return LinearOp(act, 2)
+    act = word_action(path.steps, edge, scalar)
+    return LinearOp(lambda block: np.stack(act(*block)), 2)
 
 
 def _entry(m, i, j):
@@ -386,7 +360,7 @@ def numeric_realization(rep, real, params):
         w = real.omegas[idx].evaluate(rep.t_value, params)
         ((_, lhs, rhs),) = _bilinear_pairs(rep, [("", _entry(m, 0, 0), q * a + w * _IDENTITY)])
         gap = _gap(lhs, rhs)
-        if gap > 1e-9:
+        if not gap <= 1e-9:  # a NaN gap fails too
             raise ValueError(f"word {idx} misses the normal shape M[00] = q a + w by {gap}")
         out.append({"M": m, "a": a, "b": -_entry(m, 0, 1), "c": _entry(m, 1, 0), "w": w})
     return out
@@ -565,8 +539,17 @@ class ShearState:
         self.params = dict(params or {})
 
     def weight_value(self, edge):
+        """The weight of a pending edge: 2 cos(pi/p) at an order p >= 4, the
+        exact 0 or 1 at p = 2 or 3, else the value of its parameter."""
         info = self.graph.pending[edge]
-        return info.weight.evaluate(1.0, self.params).real
+        if info.p is not None and info.p >= 4:
+            return 2 * math.cos(math.pi / info.p)
+        try:
+            return info.weight.evaluate(1.0, self.params).real
+        except KeyError as exc:
+            raise ValueError(
+                f"pending edge {edge!r} needs a value for its weight parameter {exc.args[0]!r}"
+            ) from None
 
 
 def classical_flip(state, edge):
@@ -641,48 +624,21 @@ def run_flip_script(state, lines):
     return state
 
 
-_TURNS = {"L": np.array([[0.0, 1.0], [-1.0, -1.0]]), "R": np.array([[1.0, 1.0], [-1.0, 0.0]])}
-
-
-def _stack(a, b, c, d):
-    """[[a, b], [c, d]] at every sample of the floats or (S,) arrays given."""
-    a, b, c, d = np.broadcast_arrays(a, b, c, d)
-    return np.stack([a, b, c, d], -1).reshape(a.shape + (2, 2))
-
-
-def _edge(v):
-    return _stack(0.0, -np.exp(v / 2), np.exp(-v / 2), 0.0)
-
-
-def _omega(a, c, w):
-    """The commutant a + c F(w); F(w) = [[0, 1], [-1, -w]] is _omega(0, 1, w)."""
-    return _stack(a, c, -c, a - w * c)
-
-
 def word_values(tokens, values, weights):
     """Value of a true-order token word at every sample at once, as an
-    (S, 2, 2) stack, with one batched matmul per factor.  ``values`` maps
-    each shear name, and the commutant parameters 'a' and 'c', to an (S,)
-    array; ``weights`` maps each pending edge, or the weight name of an
-    ('F', w) or ('omega', w, sign) token, to an (S,) array or a float.  A
-    winding step ('orb', e, 1) is X F X."""
-    acc = np.eye(2)
-    for step in tokens:
-        kind, name = step[0], step[1]
-        if kind == "turn":
-            factors = (_TURNS[name],)
-        elif kind == "edge":
-            factors = (_edge(values[name]),)
-        elif kind == "orb":
-            x = _edge(values[name])
-            factors = (x, _omega(0.0, 1.0, weights[name]), x)
-        elif kind == "F":
-            factors = (_omega(0.0, 1.0, weights[name]),)
-        else:
-            factors = (step[2] * _omega(values["a"], values["c"], weights[name]),)
-        for m in factors:
-            acc = acc @ m
-    return acc
+    (S, 2, 2) stack: the :func:`word_action` of the word on the unit
+    columns, whose components are (2, S) arrays.  ``values`` maps each
+    shear name to an (S,) array; ``weights`` maps each pending edge, the
+    weight name of an ('F', w) or ('omega', w, sign) token and the
+    commutant parameters 'a' and 'c' to an (S,) array or a float."""
+
+    def edge(name):
+        v = values[name]
+        return partial(np.multiply, np.exp(v / 2)), partial(np.multiply, np.exp(-v / 2))
+
+    act = word_action(tokens, edge, weights.__getitem__)
+    columns = act(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+    return np.moveaxis(np.stack(columns), -1, 0)
 
 
 def _moved_shears(family, v, w):
@@ -701,14 +657,16 @@ def _moved_shears(family, v, w):
 
 def numeric_identity_deviation(ident, sample_count=1000, seed=20240229):
     """Max entrywise deviation of a classical flip identity over seeded
-    random shears.  Both token words are multiplied out from float generator
-    matrices, with the ~ shears from the classical move formulas, so this
-    check shares nothing with the exact torus arithmetic but the words."""
+    random shears.  Both token words are evaluated on float samples, with
+    the ~ shears from the classical move formulas, so this check shares
+    nothing with the exact torus arithmetic but the words and the factor
+    conventions of the word evaluator."""
     rng = np.random.default_rng(seed)
     lhs, rhs = classical_identity_words(ident)
-    names = sorted({s[1].rstrip("~") for s in lhs + rhs if s[0] == "edge"}) + ["a", "c"]
+    names = sorted({s[1].rstrip("~") for s in lhs + rhs if s[0] == "edge"})
     values = {n: rng.uniform(-2, 2, sample_count) for n in names}
-    weights = {"w": 2 * np.cos(np.pi / rng.integers(2, 7, sample_count))}
+    weights = {n: rng.uniform(-2, 2, sample_count) for n in ("a", "c")}
+    weights["w"] = 2 * np.cos(np.pi / rng.integers(2, 7, sample_count))
     values.update(_moved_shears(ident.rsplit("-", 1)[0], values, weights["w"]))
     gap = word_values(lhs, values, weights) - word_values(rhs, values, weights)
     return float(np.max(np.abs(gap)))

@@ -150,12 +150,6 @@ class OreElement:
     def __mul__(self, other):
         return self.mul(other)
 
-    def scale(self, coeff):
-        return OreElement(self.form, [(num.scale(coeff), dens) for num, dens in self.terms])
-
-    def times_t(self, k):
-        return OreElement(self.form, [(num.times_t(k), dens) for num, dens in self.terms])
-
     def star(self):
         """star(N D1^-1 ... Dm^-1) = star(Dm)^-1 ... star(D1)^-1 star(N),
         renormalized to right-fraction form."""

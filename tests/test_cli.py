@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,14 @@ import pytest
 import qshear
 from qshear import suites
 from qshear.cli import main
-from qshear.fatgraph import MAX_GRAPH_EDGES, graph_to_dict, save_graph, spine_graph_an
+from qshear.fatgraph import (
+    MAX_GRAPH_EDGES,
+    graph_to_dict,
+    load_graph,
+    pending_flip_roles,
+    save_graph,
+    spine_graph_an,
+)
 from qshear.monodromy import an_realization, nelson_regge_defects
 from qshear.suites import MAX_SAMPLES, RunConfig, list_suites
 
@@ -198,6 +207,17 @@ def test_exact_suites_run_without_numpy():
     assert passed == total and int(total) > 0, out.stdout
 
 
+def test_exact_report_bytes_are_pinned(tmp_path, capsys):
+    """These three suites use exact arithmetic only, so under the default
+    seed their report bytes are the same on every platform; any change to
+    them is a change of behaviour."""
+    report = tmp_path / "r.json"
+    names = ("an-braid", "flips-quantum", "graph-validate")
+    assert main([arg for name in names for arg in ("--suite", name)] + ["--report", str(report)]) == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == "8d4a9a77288883a677d76eb1f16f5f2e41ea13d6fd489e109028ec07db2484da"
+
+
 def test_flips_classical_at_one_sample(tmp_path):
     report = tmp_path / "r.json"
     assert main(["--suite", "flips-classical", "--samples", "1", "--report", str(report)]) == 0
@@ -224,6 +244,30 @@ def test_flip_script_round_trip(tmp_path, capsys):
         assert main(["--graph", str(graph), "--flip-script", str(script)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: flip script line ") and "Traceback" not in err, err
+
+
+def test_flip_script_weighs_every_pending_edge(tmp_path, capsys):
+    """pflip at an order p >= 4 uses the weight 2 cos(pi/p); at a weight
+    parameter with no value it is an error line naming the edge and the
+    parameter, not a traceback."""
+    doc = graph_to_dict(spine_graph_an(3))
+    doc["pending"].update({"Z1": {"p": 5}, "Z2": {"param": "mu"}})
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(doc))
+    script = tmp_path / "moves.txt"
+    script.write_text("pflip Z1\n")
+    assert main(["--graph", str(graph), "--flip-script", str(script)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    a, _ = pending_flip_roles(load_graph(graph), "Z1")
+    z, w = out["initial"]["Z1"], 2 * math.cos(math.pi / 5)
+    assert out["values"]["Z1"] == -z
+    shifted = out["initial"][a] + math.log(1 + w * math.exp(z) + math.exp(2 * z))
+    assert out["values"][a] == pytest.approx(shifted, rel=1e-12)
+    script.write_text("pflip Z2\n")
+    assert main(["--graph", str(graph), "--flip-script", str(script)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: flip script line 1: ") and "Traceback" not in err, err
+    assert "'Z2'" in err and "'mu'" in err, err
 
 
 def test_flip_script_rejects_negative_seed(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshear.coeffs import Coefficient, ONE
 from qshear.matrices import (
@@ -12,14 +14,17 @@ from qshear.matrices import (
     scalar_tensor,
     tensor_embed,
     turn_matrix,
+    word_matrix,
 )
 from qshear.torus import SkewForm, TorusElement, ew
 
 
+_FORM = SkewForm(("X", "Y", "Z"), [[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
+
 
 @pytest.fixture
 def form():
-    return SkewForm(("X", "Y", "Z"), [[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
+    return _FORM
 
 
 def test_edge_matrix_squares_to_minus_identity(form):
@@ -221,3 +226,59 @@ def test_matrix_multiplication_associative():
 
         a, b, c = rand_mat(), rand_mat(), rand_mat()
         assert (a.mul(b).mul(c) - a.mul(b.mul(c))).is_zero()
+
+
+# -- the word fold against the displayed constructors ------------------------
+
+_W, _A, _C = (Coefficient.parameter(n) for n in ("w", "a", "c"))
+# Z is the pending edge of the windings, w its weight and a, c the commutant
+_SCALARS = {"Z": _W, "w": _W, "a": _A, "c": _C}
+_STEPS = [
+    ("turn", "L"),
+    ("turn", "R"),
+    ("edge", "X"),
+    ("edge", "Z"),
+    ("orb", "Z", 1),
+    ("orb", "Z", 2),
+    ("orb", "Z", 3),
+    ("F", "w"),
+    ("omega", "w", 1),
+    ("omega", "w", -1),
+]
+
+
+def _constructor(step):
+    """The factor of one step, multiplied out from the constructors."""
+    form, kind = _FORM, step[0]
+    if kind == "turn":
+        return turn_matrix(form, step[1])
+    if kind == "edge":
+        return edge_matrix(form, step[1])
+    if kind == "F":
+        return f_matrix(form, _W)
+    if kind == "omega":
+        o = omega_commutant(form, _A, _C, _W)
+        return o if step[2] > 0 else o.neg()
+    x = edge_matrix(form, step[1])
+    winding = reduce(AlgMatrix.mul, [f_matrix(form, _W)] * step[2])
+    return reduce(AlgMatrix.mul, [x, winding if step[2] % 2 else winding.neg(), x])
+
+
+@pytest.mark.parametrize("step", _STEPS, ids=lambda s: "-".join(map(str, s)))
+def test_word_matrix_of_each_step_is_its_constructor(step):
+    got = word_matrix(_FORM, [step], _SCALARS.__getitem__)
+    assert (got - _constructor(step)).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_STEPS), min_size=1, max_size=8))
+def test_word_matrix_is_the_product_of_constructors(word):
+    got = word_matrix(_FORM, word, _SCALARS.__getitem__)
+    assert (got - reduce(AlgMatrix.mul, map(_constructor, word))).is_zero()
+
+
+def test_word_matrix_rejects_unknown_steps():
+    with pytest.raises(ValueError, match="unknown word step"):
+        word_matrix(_FORM, [("turn", "U")], _SCALARS.__getitem__)
+    with pytest.raises(ValueError, match="unknown word step"):
+        word_matrix(_FORM, [("loop", "X")], _SCALARS.__getitem__)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qshear.coeffs import Coefficient
-from qshear.fatgraph import spine_graph_an
+from qshear.fatgraph import PathWord, spine_graph_an
 from qshear.matrices import AlgMatrix
 from qshear.monodromy import _defects, an_realization, pvi_realization, relation_families
 from qshear.oracle import (
@@ -30,6 +30,7 @@ from qshear.oracle import (
     boundary_word_tokens,
     random_closed_words,
     random_state,
+    rep_word_value,
     skew_normal_form,
     word_values,
     default_param_values,
@@ -383,6 +384,22 @@ def test_matrix_free_sides_match_dense_reference(monkeypatch, make_real, params)
         assert np.max(np.abs(lhs - dl)) < 1e-12 and np.max(np.abs(rhs - dr)) < 1e-12, label
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rep_word_value_matches_dense_windings(k):
+    """Words winding k times about each point of the four-point sphere act
+    on the identity block as the dense block product does."""
+    real = pvi_realization()
+    params = {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}
+    rep = ClockShiftRep(real.form, 5, seed=3)
+    dim = rep.dim
+    for word in real.words:
+        word = PathWord([(s[0], s[1], k) if s[0] == "orb" else s for s in word.steps])
+        dense = _dense_word_value(rep, real.graph, word, params)
+        free = rep_word_value(rep, real.graph, word, params).act(np.eye(2 * dim).reshape(2, dim, 2 * dim))
+        want = dense.transpose(0, 2, 1, 3).reshape(2, dim, 2 * dim)
+        assert np.max(np.abs(free - want)) < 1e-12, word
+
+
 def test_oracle_catches_a_broken_generator_image(monkeypatch):
     """One edge image carrying a stray factor t breaks the realization;
     the relation oracle must see it, not only its own mutants."""
@@ -400,6 +417,27 @@ def test_oracle_catches_a_broken_generator_image(monkeypatch):
     data = numeric_realization(rep, real, params)
     norms = numeric_pair_norms(numeric_relation_pairs(rep, real, params, data))
     assert max(n for _, n in norms) > 1e-6
+
+
+def test_oracle_fails_on_a_nan_gap(monkeypatch):
+    """NaN compares false with every bound: generator images with NaN
+    phases must make the numeric realization raise, and a NaN norm must
+    fail its record."""
+    real = an_realization(3)
+    config = RunConfig(oracle_moduli=(5,))
+    image = ClockShiftRep.image
+
+    def poisoned(self, du):
+        out = image(self, du)
+        return out._replace(phase=np.nan * out.phase)
+
+    monkeypatch.setattr(ClockShiftRep, "image", poisoned)
+    with pytest.raises(ValueError, match="misses the normal shape"):
+        _numeric_reports("an3", "anchor", real, config, AN_CORE)
+    monkeypatch.undo()
+    monkeypatch.setattr("qshear.oracle.numeric_pair_norms", lambda pairs: [("entry", math.nan)])
+    (report,) = _numeric_reports("an3", "anchor", real, config, AN_CORE)
+    assert report.status is False
 
 
 def test_numeric_realization_rejects_a_word_off_the_normal_shape():
@@ -428,11 +466,19 @@ def test_boundary_trace():
     assert boundary_trace_deviation(spine_graph_an(3), samples=100) < 1e-10
 
 
-def _scalar_word_value(state, k, tokens):
-    """One sample's 2x2 product, factor by factor, as a reference."""
+def _scalar_word_value(tokens, values, weights, k):
+    """Sample k of a token word, multiplied out factor by factor from float
+    constructor matrices, as a reference."""
+
+    def at(v):
+        return v[k] if np.ndim(v) else v
+
     def x(e):
-        v = state.values[e][k]
+        v = at(values[e])
         return np.array([[0.0, -math.exp(v / 2)], [math.exp(-v / 2), 0.0]])
+
+    def f(w):
+        return np.array([[0.0, 1.0], [-1.0, -at(weights[w])]])
 
     turns = {"L": np.array([[0.0, 1.0], [-1.0, -1.0]]), "R": np.array([[1.0, 1.0], [-1.0, 0.0]])}
     mat = np.eye(2)
@@ -441,9 +487,13 @@ def _scalar_word_value(state, k, tokens):
             mat = mat @ turns[step[1]]
         elif step[0] == "edge":
             mat = mat @ x(step[1])
+        elif step[0] == "F":
+            mat = mat @ f(step[1])
+        elif step[0] == "omega":
+            mat = mat @ (step[2] * (at(weights["a"]) * np.eye(2) + at(weights["c"]) * f(step[1])))
         else:
-            f = np.array([[0.0, 1.0], [-1.0, -state.weight_value(step[1])]])
-            mat = mat @ x(step[1]) @ f @ x(step[1])
+            winding = (-1) ** (step[2] + 1) * np.linalg.matrix_power(f(step[1]), step[2])
+            mat = mat @ x(step[1]) @ winding @ x(step[1])
     return mat
 
 
@@ -458,8 +508,25 @@ def test_batched_word_values_match_scalar_products(n):
         got = word_values(tokens, state.values, weights)
         assert got.shape == (7, 2, 2)
         for k in range(7):
-            want = _scalar_word_value(state, k, tokens)
+            want = _scalar_word_value(tokens, state.values, weights, k)
             assert np.allclose(got[k], want, rtol=1e-12, atol=1e-12), tokens
+
+
+def test_word_values_match_constructor_products_on_random_words():
+    """Every step kind, windings up to F**3 and commutants of both signs
+    included, against per-sample products of float constructor matrices,
+    within 1e-12 of the largest entry."""
+    rng = np.random.default_rng(5)
+    steps = [("turn", "L"), ("turn", "R"), ("edge", "X"), ("edge", "Y"), ("F", "w"),
+             ("omega", "w", 1), ("omega", "w", -1)] + [("orb", "Y", k) for k in (1, 2, 3)]
+    values = {n: rng.uniform(-2, 2, 6) for n in ("X", "Y")}
+    weights = {n: rng.uniform(-2, 2, 6) for n in ("Y", "w", "a", "c")}
+    for _ in range(50):
+        tokens = [steps[i] for i in rng.integers(len(steps), size=rng.integers(1, 9))]
+        want = np.array([_scalar_word_value(tokens, values, weights, k) for k in range(6)])
+        # a word of turns alone has no sample axis and broadcasts over it
+        got = np.broadcast_to(word_values(tokens, values, weights), want.shape)
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want))), tokens
 
 
 def test_closed_traces_at_least_two():
