@@ -20,7 +20,7 @@ print("exp(X) exp(S)      =", prod)
 print("matches q exp(X+S):", prod == ew(form, {"X": 1, "S": 1}, Coefficient.q_power(1)))
 
 # swapping twice costs q^2
-print("exp(X)exp(S) == q^2 exp(S)exp(X):", eX.mul(eS) == eS.mul(eX).times_t(8))
+print("exp(X)exp(S) == q^2 exp(S)exp(X):", eX.mul(eS) == Coefficient.q_power(2) * eS.mul(eX))
 
 # half-integer exponents live on the doubled lattice
 e_half = half(form, {"X": 1})  # exp(X/2)

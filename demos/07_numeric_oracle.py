@@ -18,6 +18,7 @@ from qshear.oracle import (
     numeric_realization,
     numeric_relation_pairs,
     skew_normal_form,
+    worst_norm,
 )
 
 real = an_realization(3)
@@ -41,7 +42,7 @@ for modulus in (5, 7):
     print("  defining relation defect on the probe pair:", float(np.max(np.abs(lhs - rhs))))
     data = numeric_realization(rep, real, params)
     pairs = list(numeric_relation_pairs(rep, real, params, data))
-    worst = max(n for _, n in numeric_pair_norms(pairs))
+    worst = worst_norm([n for _, n in numeric_pair_norms(pairs)])
     print(f"  {len(pairs)} relations re-verified, worst norm {worst:.2e}")
     caught = mutation_check(pairs, rep.t_value, 3)
     print(f"  mutated identities caught: {sum(caught)}/{len(caught)}")

@@ -65,7 +65,7 @@ class AlgMatrix:
             return NotImplemented
         return self.scale(coeff)
 
-    def add(self, other):
+    def __add__(self, other):
         if self.n != other.n:
             raise ValueError("size mismatch")
         return AlgMatrix(
@@ -76,20 +76,11 @@ class AlgMatrix:
             ],
         )
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def neg(self):
+    def __neg__(self):
         return AlgMatrix(self.form, [[-x for x in row] for row in self.rows])
 
-    def __neg__(self):
-        return self.neg()
-
     def __sub__(self, other):
-        return self.add(other.neg())
-
-    def scale_t(self, tpow):
-        return AlgMatrix(self.form, [[x.times_t(tpow) for x in row] for row in self.rows])
+        return self + (-other)
 
     def scale(self, coeff):
         return AlgMatrix(self.form, [[x.scale(coeff) for x in row] for row in self.rows])

@@ -11,7 +11,9 @@ these into reports.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import matmul
 
 from .coeffs import Coefficient
 from .fatgraph import (
@@ -26,6 +28,7 @@ from .matrices import AlgMatrix, r_matrix, scalar_tensor, tensor_embed
 from .torus import SkewForm, TorusElement, even_check
 
 Q1 = Coefficient.q_power(1)
+QM1 = Coefficient.q_power(-1)
 Q2 = Coefficient.q_power(2)
 QM2 = Coefficient.q_power(-2)
 
@@ -157,7 +160,9 @@ def pvi_realization():
 # scalars).  A source supplies entry(kind, i), matrix(i), omegas[i], omega0,
 # one, q(k), identity(), r_matrix(power, transposed) and embed(m, slot).  A
 # matrix relation is one triple whose label holds {} for the entry; the
-# exact layer checks it entry by entry, the oracle as a whole.
+# exact layer checks it entry by entry, the oracle as a whole.  The braid
+# families below and the star (Hermitian) relations are exact-only: they
+# read a MonodromyRealization and have no operator form in the oracle.
 
 
 def _defects(relations):
@@ -344,7 +349,7 @@ def reflection_ii_defects(real, i):
     return _defects(reflection_ii_relations(real, i))
 
 
-# -- braid action -----------------------------------------------------------
+# -- braid action (exact sources only) ---------------------------------------
 
 
 def braid_apply(real, i):
@@ -354,97 +359,92 @@ def braid_apply(real, i):
         raise ValueError("braid index out of range")
     mats = list(real.mats)
     mi = mats[i - 1]
-    mats[i - 1] = mi.mul(mats[i]).mul(mi).neg()
+    mats[i - 1] = -(mi @ mats[i] @ mi)
     mats[i] = mi
     return real.with_matrices(mats)
 
 
-def braid_relation_defects(real, i):
+def braid_relations(real, i):
     """beta_i beta_{i+1} beta_i = beta_{i+1} beta_i beta_{i+1}, compared
     matrix by matrix."""
     lhs = braid_apply(braid_apply(braid_apply(real, i), i + 1), i)
     rhs = braid_apply(braid_apply(braid_apply(real, i + 1), i), i + 1)
-    out = []
     for k in range(1, real.n + 1):
-        diff = lhs.matrix(k) - rhs.matrix(k)
-        for r in range(2):
-            for s in range(2):
-                out.append((f"braid rel ({i},{i+1}) M{k}[{r}{s}]", diff[r, s]))
-    return out
+        yield (f"braid rel ({i},{i+1}) M{k}[{{}}]", lhs.matrix(k), rhs.matrix(k))
 
 
-def braid_alternative_form_defects(real, i):
+def braid_relation_defects(real, i):
+    return _defects(braid_relations(real, i))
+
+
+def braid_alternative_form_relations(real, i):
     """-M_i M_{i+1} M_i = q M_i G_{i,i+1} - q^2 M_{i+1}
                         = q^-1 G_{i,i+1} M_i - q^-2 M_{i+1}."""
     mi = real.matrix(i)
     mj = real.matrix(i + 1)
     g = geodesic_G(real, i, i + 1)
-    prod = mi.mul(mj).mul(mi).neg()
-    rhs1 = mi.scalar_mul_right(g).scale_t(4) - mj.scale_t(8)
-    rhs2 = mi.scalar_mul_left(g).scale_t(-4) - mj.scale_t(-8)
-    out = []
-    for label, rhs in (("q M G - q^2 M'", rhs1), ("q^-1 G M - q^-2 M'", rhs2)):
-        diff = prod - rhs
-        for r in range(2):
-            for s in range(2):
-                out.append((f"braid form {i}: {label} [{r}{s}]", diff[r, s]))
-    return out
+    prod = -(mi @ mj @ mi)
+    # q is central: scaling G before the product scales fewer terms
+    yield (f"braid form {i}: q M G - q^2 M' [{{}}]", prod, mi.scalar_mul_right(Q1 * g) - Q2 * mj)
+    yield (f"braid form {i}: q^-1 G M - q^-2 M' [{{}}]", prod, mi.scalar_mul_left(QM1 * g) - QM2 * mj)
+
+
+def braid_alternative_form_defects(real, i):
+    return _defects(braid_alternative_form_relations(real, i))
+
+
+def quantum_determinant_relations(real):
+    """b_i c_i - q^2 a_i^2 = 1 for every matrix (the braid-preserved
+    Casimir in the order-2 case)."""
+    for i in range(1, real.n + 1):
+        a, b, c = (real.entry(k, i) for k in "abc")
+        yield (f"det {i}", b @ c - Q2 * (a @ a), real.one)
 
 
 def quantum_determinant_defects(real):
-    """b_i c_i - q^2 a_i^2 = 1 for every matrix (the braid-preserved
-    Casimir in the order-2 case)."""
-    one = TorusElement.one(real.form)
-    out = []
-    for i in range(1, real.n + 1):
-        a, b, c = (real.entry(k, i) for k in "abc")
-        out.append((f"det {i}", b.mul(c) - a.mul(a).scale(Q2) - one))
-    return out
+    return _defects(quantum_determinant_relations(real))
 
 
-def gm_relation_defects(real, i, j):
+def gm_relations(real, i, j):
     """Commutation of G_{i,j} with every M_k, including the middle-index
     relation for i < k < j."""
     g = geodesic_G(real, i, j)
+    qg, qig = Q1 * g, QM1 * g  # q is central, as in the braid form
     d2 = QM2 - Q2
-    out = []
     for k in range(1, real.n + 1):
         mk = real.matrix(k)
         if k == i:
-            diff = mk.scalar_mul_left(g).scale_t(-4) - mk.scalar_mul_right(g).scale_t(4) - real.matrix(j).scale(d2)
+            lhs, rhs = mk.scalar_mul_left(qig) - mk.scalar_mul_right(qg), d2 * real.matrix(j)
         elif k == j:
-            diff = mk.scalar_mul_left(g).scale_t(4) - mk.scalar_mul_right(g).scale_t(-4) - real.matrix(i).scale(-d2)
+            lhs, rhs = mk.scalar_mul_left(qg) - mk.scalar_mul_right(qig), -d2 * real.matrix(i)
         elif i < k < j:
             mid = real.matrix(i).scalar_mul_right(geodesic_G(real, k, j)) - real.matrix(j).scalar_mul_left(geodesic_G(real, i, k))
-            diff = mk.scalar_mul_left(g) - mk.scalar_mul_right(g) - mid.scale(-d2)
+            lhs, rhs = mk.scalar_mul_left(g) - mk.scalar_mul_right(g), -d2 * mid
         else:
-            diff = mk.scalar_mul_left(g) - mk.scalar_mul_right(g)
-        for r in range(2):
-            for s in range(2):
-                out.append((f"G({i},{j}) vs M{k} [{r}{s}]", diff[r, s]))
-    return out
+            lhs, rhs = mk.scalar_mul_left(g), mk.scalar_mul_right(g)
+        yield (f"G({i},{j}) vs M{k} [{{}}]", lhs, rhs)
 
 
-def braid_product_invariance_defects(real, i):
+def gm_relation_defects(real, i, j):
+    return _defects(gm_relations(real, i, j))
+
+
+def braid_product_invariance_relations(real, i):
     """The ordered products M_1 ... M_n and M_n ... M_1 are invariant under
     each braid generator."""
     imaged = braid_apply(real, i)
-
-    def product(r, order):
-        acc = None
-        for k in order:
-            acc = r.matrix(k) if acc is None else acc.mul(r.matrix(k))
-        return acc
-
     fwd = range(1, real.n + 1)
     back = range(real.n, 0, -1)
-    out = []
     for label, order in (("forward", fwd), ("reverse", back)):
-        diff = product(real, order) - product(imaged, order)
-        for r in range(2):
-            for s in range(2):
-                out.append((f"braid {i} {label} product [{r}{s}]", diff[r, s]))
-    return out
+        yield (
+            f"braid {i} {label} product [{{}}]",
+            reduce(matmul, map(real.matrix, order)),
+            reduce(matmul, map(imaged.matrix, order)),
+        )
+
+
+def braid_product_invariance_defects(real, i):
+    return _defects(braid_product_invariance_relations(real, i))
 
 
 # -- four-point sphere --------------------------------------------------------

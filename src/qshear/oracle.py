@@ -267,12 +267,15 @@ def oracle_check(elements, form, moduli=(5, 7), seed=20240229):
     params = default_param_values([el for _, el in elements], seed)
     reps = [ClockShiftRep(form, nn, seed=seed) for nn in moduli]
     results = []
-    worst = 0.0
     for label, el in elements:
-        norm = max(rep.norm(el, params) for rep in reps)
-        worst = max(worst, norm)
-        results.append((label, norm))
-    return worst, results
+        results.append((label, worst_norm([rep.norm(el, params) for rep in reps])))
+    return worst_norm([norm for _, norm in results]), results
+
+
+def worst_norm(norms):
+    """The largest of some norms, 0.0 for none and NaN if any is NaN (the
+    builtin max() skips a NaN that does not come first)."""
+    return math.nan if any(map(math.isnan, norms)) else max(norms, default=0.0)
 
 
 # ---------------------------------------------------------------------------

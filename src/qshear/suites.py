@@ -113,7 +113,7 @@ def _numeric_reports(prefix, anchor, real, config, families):
     for modulus in config.oracle_moduli:
         rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
         norms = oracle.numeric_pair_norms(_numeric_pairs(rep, real, families))
-        worst = max(n for _, n in norms) if norms else 0.0
+        worst = oracle.worst_norm([n for _, n in norms])
         bad = [lbl for lbl, n in norms if not n <= 1e-9]  # a NaN norm fails too
         out.append(
             IdentityReport(

@@ -203,11 +203,6 @@ class TorusElement:
                 out.terms[du] = nc
         return out
 
-    def times_t(self, k):
-        out = TorusElement(self.form)
-        out.terms = {du: c.times_t(k) for du, c in self.terms.items()}
-        return out
-
     def star(self):
         """The *-involution: coefficientwise bar, monomials fixed.
 

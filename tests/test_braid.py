@@ -1,11 +1,14 @@
 import pytest
 
+from qshear import monodromy
+from qshear.fatgraph import PendingInfo, spine_graph_an
 from qshear.monodromy import (
     an_realization,
     braid_alternative_form_defects,
     braid_apply,
     braid_product_invariance_defects,
     braid_relation_defects,
+    build_monodromy,
     cross_relation_defects,
     element_is_zero,
     geodesic_G,
@@ -78,3 +81,92 @@ def test_products_are_braid_invariants(an3, an4):
     for real in (an3, an4):
         for i in range(1, real.n):
             assert_clean(braid_product_invariance_defects(real, i))
+
+
+# -- fail direction ------------------------------------------------------------
+
+
+def _nonzero(defects):
+    return sum(1 for _, d in defects if not element_is_zero(d))
+
+
+def _transposed_G(src, i, j):
+    """G_ij with the transposed q-powers q^-1 b_i c_j + q^-3 c_i b_j - ..."""
+    if i == 0:
+        return geodesic_G(src, i, j)
+    ai, bi, ci = (src.entry(k, i) for k in "abc")
+    aj, bj, cj = (src.entry(k, j) for k in "abc")
+    q, q3 = src.q(-1), src.q(-3)
+    return q * (bi @ cj) + q3 * (ci @ bj) - (q3 + q) * (ai @ aj)
+
+
+def test_transposed_G_breaks_the_braid_form_and_gm_table(monkeypatch, an3):
+    monkeypatch.setattr(monodromy, "geodesic_G", _transposed_G)
+    assert _nonzero(braid_alternative_form_defects(an3, 1)) == 8
+    assert _nonzero(gm_relation_defects(an3, 1, 3)) == 12
+
+
+def test_unsigned_braid_image_breaks_product_invariance(monkeypatch, an3):
+    def unsigned(real, i):
+        mats = list(real.mats)
+        mats[i - 1], mats[i] = mats[i - 1] @ mats[i] @ mats[i - 1], mats[i - 1]
+        return real.with_matrices(mats)
+
+    monkeypatch.setattr(monodromy, "braid_apply", unsigned)
+    assert _nonzero(braid_product_invariance_defects(an3, 1)) == 6
+
+
+def test_order_three_point_breaks_the_determinant():
+    graph = spine_graph_an(3)
+    graph.pending["Z2"] = PendingInfo.from_order(3)  # w = 1 at Z2
+    defects = quantum_determinant_defects(build_monodromy(graph))
+    assert [lbl for lbl, d in defects if not element_is_zero(d)] == ["det 2"]
+
+
+def test_braid_relation_compares_the_two_sides(monkeypatch, an3):
+    """The braid relation stays zero under every image that extraction
+    accepts (a dropped sign, a negated M_{i+1} and conjugation on the other
+    side all satisfy it), so its fail direction is pinned by dropping the
+    last generator of each side: beta_1 beta_2 against beta_2 beta_1
+    differs in all 12 entries."""
+    calls = []
+
+    def one_short(real, i):
+        calls.append(i)
+        return real if len(calls) % 3 == 0 else braid_apply(real, i)
+
+    monkeypatch.setattr(monodromy, "braid_apply", one_short)
+    assert _nonzero(braid_relation_defects(an3, 1)) == 12
+    assert calls == [1, 2, 1, 2, 1, 2]
+
+
+# -- failure witnesses ---------------------------------------------------------
+
+
+def _entries(prefix):
+    return [f"{prefix}{rs}]" for rs in ("00", "01", "10", "11")]
+
+
+def test_witness_labels_are_pinned(an3):
+    """A passing record carries no witness, so the report bytes cannot see
+    these labels; they name the relation and entry a failure points at."""
+    assert [lbl for lbl, _ in braid_relation_defects(an3, 1)] == [
+        label for k in (1, 2, 3) for label in _entries(f"braid rel (1,2) M{k}[")
+    ]
+    assert _entries("G(1,3) vs M2 [") == [
+        "G(1,3) vs M2 [00]", "G(1,3) vs M2 [01]", "G(1,3) vs M2 [10]", "G(1,3) vs M2 [11]"
+    ]
+    for i in (1, 2):
+        assert [lbl for lbl, _ in braid_alternative_form_defects(an3, i)] == [
+            *_entries(f"braid form {i}: q M G - q^2 M' ["),
+            *_entries(f"braid form {i}: q^-1 G M - q^-2 M' ["),
+        ]
+        assert [lbl for lbl, _ in braid_product_invariance_defects(an3, i)] == [
+            *_entries(f"braid {i} forward product ["),
+            *_entries(f"braid {i} reverse product ["),
+        ]
+    assert [lbl for lbl, _ in quantum_determinant_defects(an3)] == ["det 1", "det 2", "det 3"]
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        assert [lbl for lbl, _ in gm_relation_defects(an3, i, j)] == [
+            label for k in (1, 2, 3) for label in _entries(f"G({i},{j}) vs M{k} [")
+        ]
