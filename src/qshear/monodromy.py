@@ -4,15 +4,18 @@ algebra, and the four-point sphere case.
 
 The catalog is written once for both rings: each relation family yields
 (label, lhs, rhs) triples over an entry source, which is a realization here
-and a clock-and-shift image in the numeric oracle.  Every verifier returns
-a list of (label, element) pairs whose elements must vanish; callers wrap
-these into reports.
+and a clock-and-shift image in the numeric oracle.  One record table,
+:func:`family_records`, decides which relations form which report record;
+the exact records (:func:`catalog_defects`) and the oracle's re-checks
+(:func:`relation_families`) both read it.  Every verifier returns a list of
+(label, element) pairs whose elements must vanish; callers wrap these into
+reports.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import matmul
 
 from .coeffs import Coefficient
@@ -162,7 +165,8 @@ def pvi_realization():
 # matrix relation is one triple whose label holds {} for the entry; the
 # exact layer checks it entry by entry, the oracle as a whole.  The braid
 # families below and the star (Hermitian) relations are exact-only: they
-# read a MonodromyRealization and have no operator form in the oracle.
+# read a MonodromyRealization and have no operator form in the oracle.  The
+# record table at the end groups the families' relations into records.
 
 
 def _defects(relations):
@@ -451,93 +455,161 @@ def braid_product_invariance_defects(real, i):
 
 
 def pvi_relations(src):
-    """The full four-point catalog: deformed U_q(sl2), the nine cross
-    relations, the consistency condition, centrality and duality of the
-    K elements, Hermitian geodesics (exact sources only: an operator has no
-    star here), and the three AW(3) relations."""
+    """The full four-point catalog as four records (record, anchor,
+    relations): deformed U_q(sl2) with the nine cross relations and the
+    consistency condition, centrality and duality of the K elements,
+    Hermitian geodesics (exact sources only: an operator has no star here),
+    and the three AW(3) relations."""
     one = src.one
     a1, b1, c1 = (src.entry(k, 1) for k in "abc")
     a2, b2, c2 = (src.entry(k, 2) for k in "abc")
     w0, w1, w2 = src.omega0, src.omegas[1], src.omegas[2]
     q, qi, q2, qi2, q3 = (src.q(k) for k in (1, -1, 2, -2, 3))
     d = q2 - qi2
-    for i in (1, 2):
-        yield from uqsl2_relations(src, i)
     a1a2 = a1 @ a2
-    yield ("q^-1 a1a2 = q a2a1", qi * a1a2, q * (a2 @ a1))
-    yield ("q^-1 b1b2 = q b2b1", qi * (b1 @ b2), q * (b2 @ b1))
-    yield ("q^-1 c1c2 = q c2c1", qi * (c1 @ c2), q * (c2 @ c1))
-    yield (
-        "b-mixed",
-        b1 @ a2 + qi2 * (a1 @ b2) + (qi * w1) * b2,
-        a2 @ b1 + q2 * (b2 @ a1) + (q * w1) * b2,
-    )
-    yield ("a1b2 = b2a1", a1 @ b2, b2 @ a1)
-    yield (
-        "c-mixed",
-        a1 @ c2 + qi2 * (c1 @ a2) + (qi * w2) * c1,
-        c2 @ a1 + q2 * (a2 @ c1) + (q * w2) * c1,
-    )
-    yield ("c1a2 = a2c1", c1 @ a2, a2 @ c1)
-    yield ("q c1b2 = q^-1 b2c1", q * (c1 @ b2), qi * (b2 @ c1))
-    yield (
-        "bc-mixed",
-        q * (b1 @ c2) - qi * (c2 @ b1),
-        d * (q * a1a2 + qi * (a2 @ a1) + w1 * a2 + w2 * a1) + ((q - qi) * (w1 * w2)) * one,
-    )
-    yield ("a1a2 = q^2 c1b2", a1a2, q2 * (c1 @ b2))
+
+    def entry_algebra():
+        for i in (1, 2):
+            yield from uqsl2_relations(src, i)
+        yield ("q^-1 a1a2 = q a2a1", qi * a1a2, q * (a2 @ a1))
+        yield ("q^-1 b1b2 = q b2b1", qi * (b1 @ b2), q * (b2 @ b1))
+        yield ("q^-1 c1c2 = q c2c1", qi * (c1 @ c2), q * (c2 @ c1))
+        yield (
+            "b-mixed",
+            b1 @ a2 + qi2 * (a1 @ b2) + (qi * w1) * b2,
+            a2 @ b1 + q2 * (b2 @ a1) + (q * w1) * b2,
+        )
+        yield ("a1b2 = b2a1", a1 @ b2, b2 @ a1)
+        yield (
+            "c-mixed",
+            a1 @ c2 + qi2 * (c1 @ a2) + (qi * w2) * c1,
+            c2 @ a1 + q2 * (a2 @ c1) + (q * w2) * c1,
+        )
+        yield ("c1a2 = a2c1", c1 @ a2, a2 @ c1)
+        yield ("q c1b2 = q^-1 b2c1", q * (c1 @ b2), qi * (b2 @ c1))
+        yield (
+            "bc-mixed",
+            q * (b1 @ c2) - qi * (c2 @ b1),
+            d * (q * a1a2 + qi * (a2 @ a1) + w1 * a2 + w2 * a1)
+            + ((q - qi) * (w1 * w2)) * one,
+        )
+        yield ("a1a2 = q^2 c1b2", a1a2, q2 * (c1 @ b2))
+
+    yield ("entry-algebra", "deformed entry algebra and consistency condition", entry_algebra())
 
     k1 = a1 @ c2 - q2 * (c1 @ a2) - (q * w2) * c1
     k2 = a2 @ b1 - qi2 * (b2 @ a1) - (qi * w1) * b2
-    for name, k in (("K1", k1), ("K2", k2)):
-        for gname, g in (("a1", a1), ("b1", b1), ("c1", c1), ("a2", a2), ("b2", b2), ("c2", c2)):
-            yield (f"{name} central vs {gname}", k @ g, g @ k)
-    yield ("K1 K2 = 1", k1 @ k2, one)
+
+    def k_relations():
+        gens = (("a1", a1), ("b1", b1), ("c1", c1), ("a2", a2), ("b2", b2), ("c2", c2))
+        for name, k in (("K1", k1), ("K2", k2)):
+            for gname, g in gens:
+                yield (f"{name} central vs {gname}", k @ g, g @ k)
+        yield ("K1 K2 = 1", k1 @ k2, one)
+
+    yield ("K1K2", "central elements with K1 K2 = 1", k_relations())
 
     gxz = c1 + b1 + w0 * a1
     gxy = c2 + b2 + w0 * a2
     gyz = q * (b1 @ c2) - q3 * a1a2 - q2 * (w1 * a2 + w2 * a1) - (q * (w1 * w2)) * one
-    for name, g in (("G_XZ", gxz), ("G_XY", gxy), ("G_YZ", gyz)):
-        if hasattr(g, "star"):
-            yield (f"{name} Hermitian", g.star(), g)
+    if hasattr(gxz, "star"):
+        gs = (("G_XZ", gxz), ("G_XY", gxy), ("G_YZ", gyz))
+        yield (
+            "hermitian",
+            "geodesic functions are star-fixed",
+            ((f"{name} Hermitian", g.star(), g) for name, g in gs),
+        )
 
     om3 = k1 + k2
-    for label, ga, gb, gc, wa, wb in (
-        ("AW3 (XY,XZ)", gxy, gxz, gyz, w1 * w2, w0),
-        ("AW3 (XZ,YZ)", gxz, gyz, gxy, w2 * w0, w1),
-        ("AW3 (YZ,XY)", gyz, gxy, gxz, w0 * w1, w2),
-    ):
-        yield (label, q * (ga @ gb) - qi * (gb @ ga), d * gc + (q - qi) * (wa * one + wb * om3))
+
+    def aw3_relations():
+        for label, ga, gb, gc, wa, wb in (
+            ("AW3 (XY,XZ)", gxy, gxz, gyz, w1 * w2, w0),
+            ("AW3 (XZ,YZ)", gxz, gyz, gxy, w2 * w0, w1),
+            ("AW3 (YZ,XY)", gyz, gxy, gxz, w0 * w1, w2),
+        ):
+            yield (label, q * (ga @ gb) - qi * (gb @ ga), d * gc + (q - qi) * (wa * one + wb * om3))
+
+    yield ("aw3", "three-term quadratic algebra of the geodesic functions", aw3_relations())
 
 
 def pvi_defects(real):
-    return _defects(pvi_relations(real))
+    return _defects(relation_families(real, ("pvi",)))
+
+
+# -- the record table ----------------------------------------------------------
+#
+# Which relations make up which record is decided here, once, for both rings:
+# the suites turn each record into one exact report, and the oracle re-checks
+# the chain of a family's records.  Records are lazy, so a relation's sides
+# can be freed as soon as its defect or its pair is taken.
+
+
+def family_records(src, family):
+    """Yield each record of one relation family over all points of ``src``,
+    in order, as (record, anchor, relations): 'entry', 'cross',
+    'nelson-regge' (all indices from the root), 'reflection' (the
+    single-matrix form at weight zero only), 'pvi' or 'braid' (exact
+    sources only)."""
+    points = range(1, src.n + 1)
+    if family == "entry":
+        anchor = "entry algebra of one monodromy matrix and M^2 = -E"
+        for i in points:
+            yield (f"uqsl2-{i}", anchor, uqsl2_relations(src, i))
+    elif family == "cross":
+        anchor = "complete cross relations between two matrices"
+        for i, j in combinations(points, 2):
+            yield (f"cross-{i}{j}", anchor, cross_relations(src, i, j))
+    elif family == "nelson-regge":
+        anchor = "geodesic function algebra over all index tuples"
+        yield ("nelson-regge-full", anchor, nelson_regge_relations(src, range(src.n + 1)))
+    elif family == "reflection":
+        anchor = "mixed reflection equation in R-matrix form"
+        for i, j in combinations(points, 2):
+            yield (f"reflection-{i}{j}", anchor, reflection_relations(src, i, j))
+        anchor = "single-matrix reflection equation"
+        for i in points:
+            if not src.omegas[i]:
+                yield (f"reflection-ii-{i}", anchor, reflection_ii_relations(src, i))
+    elif family == "pvi":
+        yield from pvi_relations(src)
+    elif family == "braid":
+        anchor = "braid group relation compared matrix by matrix"
+        for i in range(1, src.n - 1):
+            yield (f"braid-relation-{i}{i+1}", anchor, braid_relations(src, i))
+        for i in range(1, src.n):
+            anchor = "braid image as a geodesic-function combination"
+            yield (f"braid-alt-{i}", anchor, braid_alternative_form_relations(src, i))
+            imaged = braid_apply(src, i)
+            anchor = "quantum determinant preserved by the braid action"
+            yield (f"braid-det-{i}", anchor, quantum_determinant_relations(imaged))
+            anchor = "cross relations preserved by the braid action"
+            yield (f"braid-cross-{i}", anchor, relation_families(imaged, ("cross",)))
+            anchor = "ordered matrix products are braid invariants"
+            yield (f"braid-product-{i}", anchor, braid_product_invariance_relations(src, i))
+        anchor = "commutation table of geodesic functions with monodromies"
+        gm = (gm_relations(src, i, j) for i, j in combinations(points, 2))
+        yield ("gm-table", anchor, chain.from_iterable(gm))
+    else:
+        raise ValueError(f"unknown relation family {family!r}")
 
 
 def relation_families(src, families):
-    """Every relation of the named families over all points of ``src``, in
-    order: 'entry', 'cross', 'nelson-regge' (all indices from the root),
-    'reflection' (the single-matrix form at weight zero only) or 'pvi'."""
-    points = range(1, src.n + 1)
+    """Every relation of the named families of ``src``, in order: the chain
+    of their :func:`family_records`."""
     for family in families:
-        if family == "entry":
-            for i in points:
-                yield from uqsl2_relations(src, i)
-        elif family == "cross":
-            for i, j in combinations(points, 2):
-                yield from cross_relations(src, i, j)
-        elif family == "nelson-regge":
-            yield from nelson_regge_relations(src, range(src.n + 1))
-        elif family == "reflection":
-            for i, j in combinations(points, 2):
-                yield from reflection_relations(src, i, j)
-            for i in points:
-                if not src.omegas[i]:
-                    yield from reflection_ii_relations(src, i)
-        elif family == "pvi":
-            yield from pvi_relations(src)
-        else:
-            raise ValueError(f"unknown relation family {family!r}")
+        for _, _, relations in family_records(src, family):
+            yield from relations
+
+
+def catalog_defects(real, families):
+    """The exact defects of every record of the named families of ``real``,
+    each as (record, anchor, defects)."""
+    return [
+        (record, anchor, _defects(relations))
+        for family in families
+        for record, anchor, relations in family_records(real, family)
+    ]
 
 
 def element_is_zero(x):

@@ -800,10 +800,9 @@ def closed_trace_minimum(graph, samples=200, seed=20240229, paths=25):
     if not words:
         raise ValueError("no closed words found")
     state = random_state(graph, seed + 1000, samples)
-    return min(
-        float(np.min(np.trace(_state_values(state, tokens), axis1=-2, axis2=-1)))
-        for tokens in words
-    )
+    minima = [np.min(np.trace(_state_values(state, word), axis1=-2, axis2=-1)) for word in words]
+    # np.min, not the builtin min, which skips a NaN that does not come first
+    return float(np.min(minima))
 
 
 def sign_structure_violation(graph, samples=50, seed=20240229, paths=15):
@@ -812,9 +811,9 @@ def sign_structure_violation(graph, samples=50, seed=20240229, paths=15):
     words = random_closed_words(graph, paths, seed)
     state = random_state(graph, seed + 5000, samples)
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    worst = 0.0
+    violations = []
     for tokens in words:
         # rotate so the word starts with a turn: block products only
         mat = _state_values(state, tokens[1:] + tokens[:1])
-        worst = max(worst, float(np.max(np.abs(np.minimum(mat * signs, 0.0)))))
-    return worst
+        violations.append(float(np.max(np.abs(np.minimum(mat * signs, 0.0)))))
+    return worst_norm(violations)

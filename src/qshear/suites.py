@@ -22,23 +22,14 @@ from .flips import (
 )
 from .monodromy import (
     an_realization,
-    braid_alternative_form_defects,
-    braid_apply,
-    braid_product_invariance_defects,
-    braid_relation_defects,
     build_monodromy,
-    cross_relation_defects,
+    catalog_defects,
     element_is_zero,
     geodesic_G,
-    gm_relation_defects,
     hermiticity_defects,
     indexed_nelson_regge_defects,
-    pvi_defects,
     pvi_realization,
-    quantum_determinant_defects,
     reflection_defects,
-    reflection_ii_defects,
-    uqsl2_defects,
     yang_baxter_defect,
 )
 from .ore import OreElement
@@ -93,6 +84,15 @@ def _bool_report(ident, anchor, ok, witness=None):
     return IdentityReport(ident, anchor, bool(ok), None if ok else (witness or "failed"))
 
 
+def _catalog_reports(prefix, real, families):
+    """One exact record per record of the named families of ``real``, as
+    the record table of ``monodromy`` groups them."""
+    return [
+        _defect_report(f"{prefix}-{record}", anchor, defects)
+        for record, anchor, defects in catalog_defects(real, families)
+    ]
+
+
 def _numeric_pairs(rep, real, families):
     """The numeric pairs of the named relation families of ``real`` in
     ``rep``, all built from one numeric realization and yielded one at a
@@ -131,31 +131,13 @@ def _numeric_reports(prefix, anchor, real, config, families):
 
 
 def run_an_core(config):
+    families = ("entry", "cross")
+    anchor = "numeric re-check of the entry algebra"
     reports = []
     for n in (3, 4):
         real = an_realization(n)
-        for i in range(1, n + 1):
-            reports.append(
-                _defect_report(
-                    f"an{n}-uqsl2-{i}",
-                    "entry algebra of one monodromy matrix and M^2 = -E",
-                    uqsl2_defects(real, i),
-                )
-            )
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                reports.append(
-                    _defect_report(
-                        f"an{n}-cross-{i}{j}",
-                        "complete cross relations between two matrices",
-                        cross_relation_defects(real, i, j),
-                    )
-                )
-        reports.extend(
-            _numeric_reports(
-                f"an{n}-core", "numeric re-check of the entry algebra", real, config, ("entry", "cross")
-            )
-        )
+        reports += _catalog_reports(f"an{n}", real, families)
+        reports += _numeric_reports(f"an{n}-core", anchor, real, config, families)
     return reports
 
 
@@ -189,135 +171,41 @@ def run_an_nelson_regge(config):
 
 
 def run_an_rmatrix(config):
+    families = ("reflection",)
     reports = [
         _bool_report(
             "ybe-8x8",
             "quantum Yang-Baxter equation on three tensor legs",
             yang_baxter_defect().is_zero(),
-        )
-    ]
-    for n in (3, 4):
-        real = an_realization(n)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                reports.append(
-                    _defect_report(
-                        f"an{n}-reflection-{i}{j}",
-                        "mixed reflection equation in R-matrix form",
-                        reflection_defects(real, i, j),
-                    )
-                )
-        for i in range(1, n + 1):
-            reports.append(
-                _defect_report(
-                    f"an{n}-reflection-ii-{i}",
-                    "single-matrix reflection equation",
-                    reflection_ii_defects(real, i),
-                )
-            )
-    realp = pvi_realization()
-    reports.append(
+        ),
         _defect_report(
             "pvi-reflection-12",
             "four-point monodromies satisfy the same reflection equation",
-            reflection_defects(realp, 1, 2),
-        )
-    )
-    real = an_realization(3)
-    reports.extend(
-        _numeric_reports("an3-rmatrix", "numeric reflection equations", real, config, ("reflection",))
-    )
+            reflection_defects(pvi_realization(), 1, 2),
+        ),
+    ]
+    for n in (3, 4):
+        real = an_realization(n)
+        reports += _catalog_reports(f"an{n}", real, families)
+        if n == 3:  # the an4 reflection forms have no oracle record yet
+            anchor = "numeric reflection equations"
+            reports += _numeric_reports(f"an{n}-rmatrix", anchor, real, config, families)
     return reports
 
 
 def run_an_braid(config):
     reports = []
     for n in (3, 4):
-        real = an_realization(n)
-        for i in range(1, n - 1):
-            reports.append(
-                _defect_report(
-                    f"an{n}-braid-relation-{i}{i+1}",
-                    "braid group relation compared matrix by matrix",
-                    braid_relation_defects(real, i),
-                )
-            )
-        for i in range(1, n):
-            reports.append(
-                _defect_report(
-                    f"an{n}-braid-alt-{i}",
-                    "braid image as a geodesic-function combination",
-                    braid_alternative_form_defects(real, i),
-                )
-            )
-            imaged = braid_apply(real, i)
-            reports.append(
-                _defect_report(
-                    f"an{n}-braid-det-{i}",
-                    "quantum determinant preserved by the braid action",
-                    quantum_determinant_defects(imaged),
-                )
-            )
-            cross = []
-            for x in range(1, n + 1):
-                for y in range(x + 1, n + 1):
-                    cross.extend(cross_relation_defects(imaged, x, y))
-            reports.append(
-                _defect_report(
-                    f"an{n}-braid-cross-{i}",
-                    "cross relations preserved by the braid action",
-                    cross,
-                )
-            )
-            reports.append(
-                _defect_report(
-                    f"an{n}-braid-product-{i}",
-                    "ordered matrix products are braid invariants",
-                    braid_product_invariance_defects(real, i),
-                )
-            )
-        gm = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                gm.extend(gm_relation_defects(real, i, j))
-        reports.append(
-            _defect_report(
-                f"an{n}-gm-table",
-                "commutation table of geodesic functions with monodromies",
-                gm,
-            )
-        )
+        reports += _catalog_reports(f"an{n}", an_realization(n), ("braid",))
     return reports
 
 
 def run_pvi(config):
+    families = ("pvi",)
     real = pvi_realization()
-    defects = pvi_defects(real)
-    groups = {
-        "pvi-entry-algebra": [],
-        "pvi-K1K2": [],
-        "pvi-hermitian": [],
-        "pvi-aw3": [],
-    }
-    for label, el in defects:
-        if label.startswith("K"):
-            groups["pvi-K1K2"].append((label, el))
-        elif "Hermitian" in label:
-            groups["pvi-hermitian"].append((label, el))
-        elif label.startswith("AW3"):
-            groups["pvi-aw3"].append((label, el))
-        else:
-            groups["pvi-entry-algebra"].append((label, el))
-    anchors = {
-        "pvi-entry-algebra": "deformed entry algebra and consistency condition",
-        "pvi-K1K2": "central elements with K1 K2 = 1",
-        "pvi-hermitian": "geodesic functions are star-fixed",
-        "pvi-aw3": "three-term quadratic algebra of the geodesic functions",
-    }
-    reports = [_defect_report(k, anchors[k], v) for k, v in groups.items()]
-    reports.extend(
-        _numeric_reports("pvi", "numeric re-check of the four-point algebra", real, config, ("pvi",))
-    )
+    reports = _catalog_reports("pvi", real, families)
+    anchor = "numeric re-check of the four-point algebra"
+    reports += _numeric_reports("pvi", anchor, real, config, families)
     return reports
 
 

@@ -218,6 +218,26 @@ def test_exact_report_bytes_are_pinned(tmp_path, capsys):
     assert digest == "8d4a9a77288883a677d76eb1f16f5f2e41ea13d6fd489e109028ec07db2484da"
 
 
+def test_exact_records_of_the_oracle_suites_are_pinned(tmp_path, capsys):
+    """The exact records of the suites that also carry oracle records: their
+    id, anchor, status and check count do not depend on the modulus, so a
+    run at N=3 pins them.  The digest is the sha256 of one
+    id|anchor|status|checks line per record, in report order."""
+    report = tmp_path / "r.json"
+    names = ("an-core", "an-rmatrix", "an-nelson-regge", "pvi")
+    argv = [arg for name in names for arg in ("--suite", name)]
+    assert main(argv + ["--oracle-mod", "3", "--report", str(report)]) == 0
+    items = json.loads(report.read_text())["identities"]
+    lines = [
+        f"{r['id']}|{r['anchor']}|{r['status']}|{r.get('extras', {}).get('checks')}"
+        for r in items
+        if "-oracle-" not in r["id"]
+    ]
+    assert len(lines) == 41
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "462085063751e08df2377adbc9094bdc70529e860759124497c8e14edaf20bf3"
+
+
 def test_flips_classical_at_one_sample(tmp_path):
     report = tmp_path / "r.json"
     assert main(["--suite", "flips-classical", "--samples", "1", "--report", str(report)]) == 0

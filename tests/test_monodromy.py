@@ -9,8 +9,10 @@ from qshear.matrices import AlgMatrix
 from qshear.monodromy import (
     an_realization,
     braid_apply,
+    catalog_defects,
     cross_relation_defects,
     element_is_zero,
+    family_records,
     geodesic_G,
     hermiticity_defects,
     nelson_regge_defects,
@@ -18,6 +20,7 @@ from qshear.monodromy import (
     pvi_realization,
     reflection_defects,
     reflection_ii_defects,
+    relation_families,
     uqsl2_defects,
     yang_baxter_defect,
 )
@@ -266,3 +269,40 @@ def test_defect_report_fails_on_the_mutated_relation(an3):
         assert rep.status is False
         assert rep.witness.startswith(f"{label}: ")
         assert rep.to_json()["status"] == "fail"
+
+
+# -- the record table ------------------------------------------------------------
+
+
+def test_unknown_family_is_named(an3):
+    with pytest.raises(ValueError, match="'entries'"):
+        list(family_records(an3, "entries"))
+    with pytest.raises(ValueError, match="'entries'"):
+        list(relation_families(an3, ("entry", "entries")))
+    with pytest.raises(ValueError, match="'entries'"):
+        catalog_defects(an3, ("entries",))
+
+
+def test_no_single_matrix_reflection_record_at_nonzero_weight(pvi):
+    """The single-matrix reflection form holds at weight zero only, so the
+    four-point realization has no reflection-ii record in either ring."""
+    rep = oracle.ClockShiftRep(pvi.form, 5)
+    params = {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}
+    src = oracle.NumericSource(rep, oracle.numeric_realization(rep, pvi, params))
+    for ring in (pvi, src):
+        assert [record for record, _, _ in family_records(ring, "reflection")] == ["reflection-12"]
+
+
+def test_an3_braid_records_keep_their_ids_and_check_counts(an3):
+    assert [(record, len(defects)) for record, _, defects in catalog_defects(an3, ("braid",))] == [
+        ("braid-relation-12", 12),
+        ("braid-alt-1", 8),
+        ("braid-det-1", 3),
+        ("braid-cross-1", 36),
+        ("braid-product-1", 8),
+        ("braid-alt-2", 8),
+        ("braid-det-2", 3),
+        ("braid-cross-2", 36),
+        ("braid-product-2", 8),
+        ("gm-table", 36),
+    ]
