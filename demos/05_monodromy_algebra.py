@@ -10,11 +10,12 @@ automorphisms.
 from qshear.monodromy import (
     an_realization,
     braid_apply,
-    braid_relation_defects,
+    braid_relations,
     cross_relation_defects,
     element_is_zero,
     geodesic_G,
-    nelson_regge_defects,
+    nelson_regge_relations,
+    relation_defects,
     uqsl2_defects,
     yang_baxter_defect,
 )
@@ -39,11 +40,12 @@ g13 = geodesic_G(real, 1, 3)
 print("\nG(1,3) =", g13)
 print("G(1,3) is star-fixed:", (g13.star() - g13).is_zero())
 
-nr = nelson_regge_defects(real, [0, 1, 2, 3])
+nr = relation_defects(nelson_regge_relations(real, [0, 1, 2, 3]))
 print("geodesic algebra over {0..3}:", clean(nr), f"({len(nr)} relations)")
 
 print("\nscalar Yang-Baxter:", yang_baxter_defect().is_zero())
-print("braid relation b12 b23 b12 = b23 b12 b23:", clean(braid_relation_defects(real, 1)))
+braid = relation_defects(braid_relations(real, 1))
+print("braid relation b12 b23 b12 = b23 b12 b23:", clean(braid))
 imaged = braid_apply(real, 1)
 print("braided realization keeps the cross relations:",
       clean(cross_relation_defects(imaged, 1, 2)))

@@ -4,10 +4,37 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
 from .suites import RunConfig, list_suites, run_suite
+
+
+def check_report_target(path):
+    """Raise ValueError when ``path`` cannot take the report: a directory,
+    or a file in a directory that does not exist.  Run before any work."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ValueError(f"--report {path} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"--report {path}: no directory {folder}")
+
+
+def write_report(document, path):
+    """The document as JSON text, also written to ``path`` when one is
+    given; None, after an ``error:`` line, when the write fails."""
+    text = json.dumps(document, indent=1, sort_keys=True)
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return None
+    return text
 
 
 def run_flip_script_file(args):
@@ -20,6 +47,7 @@ def run_flip_script_file(args):
         print("error: --flip-script needs exactly one --graph", file=sys.stderr)
         return 2
     try:
+        check_report_target(args.report)
         graph = load_graph(args.graph[0])
         rng = np.random.default_rng(RunConfig(seed=args.seed).seed)  # bounded as for suites
         values = {e: float(rng.uniform(-2, 2)) for e in graph.edges}
@@ -35,10 +63,9 @@ def run_flip_script_file(args):
         "initial": values,
         "values": state.values,
     }
-    text = json.dumps(document, indent=1, sort_keys=True)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    text = write_report(document, args.report)
+    if text is None:
+        return 1
     print(text)
     return 0
 
@@ -75,6 +102,7 @@ def main(argv=None):
         print("error: no suites requested (use --suite NAME or --list-suites)", file=sys.stderr)
         return 2
     try:
+        check_report_target(args.report)
         moduli = tuple(int(x) for x in args.oracle_mod.split(",") if x)
         config = RunConfig(
             suites=args.suite,
@@ -105,10 +133,8 @@ def main(argv=None):
         },
         "identities": reports,
     }
-    text = json.dumps(document, indent=1, sort_keys=True)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if write_report(document, args.report) is None:
+        return 1
     for r in reports:
         mark = "pass" if r["status"] == "pass" else r["status"].upper()
         print(f"[{mark}] {r['suite']}: {r['id']}")

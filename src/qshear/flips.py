@@ -28,6 +28,7 @@ from .fatgraph import (
 )
 from .matrices import word_matrix
 from .ore import OreElement, QDenominator
+from .reports import witness_digest
 from .torus import SkewForm, TorusElement, commutative_shadow, even_check, half
 
 
@@ -128,18 +129,30 @@ def classical_identity_sides(ident):
     return side(lhs), side(rhs), t_poly
 
 
-def verify_flip_matrix_identity_classical(ident):
-    """Exact check over the commutative torus; True iff the two sides
-    T**(-m/2) P agree.  Counts m of different parity never do, since T is
-    not a square."""
+def classical_identity_witness(ident):
+    """None when the two sides T**(-m/2) P of a classical flip identity
+    agree over the commutative torus; otherwise the first nonzero entry of
+    their difference, or the parity of the counts m when it differs, since
+    T is not a square."""
     (m_lhs, lhs), (m_rhs, rhs), t_poly = classical_identity_sides(ident)
     if (m_lhs - m_rhs) % 2:
-        return False
+        return f"T-power parity: lhs T^(-{m_lhs}/2), rhs T^(-{m_rhs}/2)"
     for _ in range((m_rhs - m_lhs) // 2):
         lhs = lhs.scalar_mul_left(t_poly)
     for _ in range((m_lhs - m_rhs) // 2):
         rhs = rhs.scalar_mul_left(t_poly)
-    return (lhs - rhs).is_zero()
+    diff = lhs - rhs
+    for r in range(2):
+        for s in range(2):
+            if not diff[r, s].is_zero():
+                return f"[{r}{s}]: {witness_digest(diff[r, s])}"
+    return None
+
+
+def verify_flip_matrix_identity_classical(ident):
+    """Exact check over the commutative torus; True iff the two sides
+    agree (see :func:`classical_identity_witness`)."""
+    return classical_identity_witness(ident) is None
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ The catalog is written once for both rings: each relation family yields
 and a clock-and-shift image in the numeric oracle.  One record table,
 :func:`family_records`, decides which relations form which report record;
 the exact records (:func:`catalog_defects`) and the oracle's re-checks
-(:func:`relation_families`) both read it.  Every verifier returns a list of
-(label, element) pairs whose elements must vanish; callers wrap these into
-reports.
+(:func:`relation_families`) both read it.  :func:`relation_defects` turns
+any family's relations into (label, element) defects that must vanish;
+callers wrap these into reports.
 """
 
 from __future__ import annotations
@@ -169,8 +169,9 @@ def pvi_realization():
 # record table at the end groups the families' relations into records.
 
 
-def _defects(relations):
-    """The exact defects lhs - rhs of a family, one per matrix entry."""
+def relation_defects(relations):
+    """The exact defects lhs - rhs of a family's relations, one per matrix
+    entry, each as (label, element)."""
     out = []
     for label, lhs, rhs in relations:
         diff = lhs - rhs
@@ -204,8 +205,9 @@ def uqsl2_relations(src, i):
         yield (f"(M{i}^2 + E)[{{}}]", m @ m, -src.identity())
 
 
+# perfbench's mutant pool reads this and cross_relation_defects; their labels and order fix the pool
 def uqsl2_defects(real, i):
-    return _defects(uqsl2_relations(real, i))
+    return relation_defects(uqsl2_relations(real, i))
 
 
 def cross_relations(src, i, j):
@@ -239,7 +241,7 @@ def cross_relations(src, i, j):
 
 
 def cross_relation_defects(real, i, j):
-    return _defects(cross_relations(real, i, j))
+    return relation_defects(cross_relations(real, i, j))
 
 
 def geodesic_G(src, i, j):
@@ -255,11 +257,12 @@ def geodesic_G(src, i, j):
     return q * (bi @ cj) + q3 * (ci @ bj) - (q3 + q) * (ai @ aj)
 
 
-def hermiticity_defects(real, pairs):
-    return [
-        (f"G({i},{j})* = G({i},{j})", geodesic_G(real, i, j).star() - geodesic_G(real, i, j))
-        for i, j in pairs
-    ]
+def hermitian_relations(real):
+    """G(i,j)* = G(i,j) for 0 <= i < j <= n (exact sources only: an
+    operator has no star here)."""
+    for i, j in combinations(range(real.n + 1), 2):
+        g = geodesic_G(real, i, j)
+        yield (f"G({i},{j})* = G({i},{j})", g.star(), g)
 
 
 def indexed_nelson_regge_relations(src, indices):
@@ -298,13 +301,9 @@ def nelson_regge_relations(src, indices):
         yield label, lhs, rhs
 
 
-def nelson_regge_defects(real, indices):
-    return _defects(nelson_regge_relations(real, indices))
-
-
 def indexed_nelson_regge_defects(real, indices):
-    """The defects of :func:`nelson_regge_defects`, each as (the indices its
-    relation involves, label, defect)."""
+    """The defects of :func:`nelson_regge_relations`, each as (the indices
+    its relation involves, label, defect)."""
     relations = indexed_nelson_regge_relations(real, indices)
     return [(ix, label, lhs - rhs) for ix, label, lhs, rhs in relations]
 
@@ -334,10 +333,6 @@ def reflection_relations(src, i, j):
     yield (f"reflection ({i},{j}) entry {{}}", r_pos @ mi1 @ r_neg @ mj2, mj2 @ r_pos @ mi1 @ r_neg)
 
 
-def reflection_defects(real, i, j):
-    return _defects(reflection_relations(real, i, j))
-
-
 def reflection_ii_relations(src, i):
     """R^T_12[q^-2] M_i^(2) M_i^(1) = M_i^(1) M_i^(2) R_12[q^-2]."""
     mi1 = src.embed(src.matrix(i), 1)
@@ -347,10 +342,6 @@ def reflection_ii_relations(src, i):
         src.r_matrix(-2, transposed=True) @ mi2 @ mi1,
         mi1 @ mi2 @ src.r_matrix(-2),
     )
-
-
-def reflection_ii_defects(real, i):
-    return _defects(reflection_ii_relations(real, i))
 
 
 # -- braid action (exact sources only) ---------------------------------------
@@ -377,10 +368,6 @@ def braid_relations(real, i):
         yield (f"braid rel ({i},{i+1}) M{k}[{{}}]", lhs.matrix(k), rhs.matrix(k))
 
 
-def braid_relation_defects(real, i):
-    return _defects(braid_relations(real, i))
-
-
 def braid_alternative_form_relations(real, i):
     """-M_i M_{i+1} M_i = q M_i G_{i,i+1} - q^2 M_{i+1}
                         = q^-1 G_{i,i+1} M_i - q^-2 M_{i+1}."""
@@ -393,20 +380,12 @@ def braid_alternative_form_relations(real, i):
     yield (f"braid form {i}: q^-1 G M - q^-2 M' [{{}}]", prod, mi.scalar_mul_left(QM1 * g) - QM2 * mj)
 
 
-def braid_alternative_form_defects(real, i):
-    return _defects(braid_alternative_form_relations(real, i))
-
-
 def quantum_determinant_relations(real):
     """b_i c_i - q^2 a_i^2 = 1 for every matrix (the braid-preserved
     Casimir in the order-2 case)."""
     for i in range(1, real.n + 1):
         a, b, c = (real.entry(k, i) for k in "abc")
         yield (f"det {i}", b @ c - Q2 * (a @ a), real.one)
-
-
-def quantum_determinant_defects(real):
-    return _defects(quantum_determinant_relations(real))
 
 
 def gm_relations(real, i, j):
@@ -429,10 +408,6 @@ def gm_relations(real, i, j):
         yield (f"G({i},{j}) vs M{k} [{{}}]", lhs, rhs)
 
 
-def gm_relation_defects(real, i, j):
-    return _defects(gm_relations(real, i, j))
-
-
 def braid_product_invariance_relations(real, i):
     """The ordered products M_1 ... M_n and M_n ... M_1 are invariant under
     each braid generator."""
@@ -445,10 +420,6 @@ def braid_product_invariance_relations(real, i):
             reduce(matmul, map(real.matrix, order)),
             reduce(matmul, map(imaged.matrix, order)),
         )
-
-
-def braid_product_invariance_defects(real, i):
-    return _defects(braid_product_invariance_relations(real, i))
 
 
 # -- four-point sphere --------------------------------------------------------
@@ -512,7 +483,7 @@ def pvi_relations(src):
     gxz = c1 + b1 + w0 * a1
     gxy = c2 + b2 + w0 * a2
     gyz = q * (b1 @ c2) - q3 * a1a2 - q2 * (w1 * a2 + w2 * a1) - (q * (w1 * w2)) * one
-    if hasattr(gxz, "star"):
+    if hasattr(one, "star"):
         gs = (("G_XZ", gxz), ("G_XY", gxy), ("G_YZ", gyz))
         yield (
             "hermitian",
@@ -533,10 +504,6 @@ def pvi_relations(src):
     yield ("aw3", "three-term quadratic algebra of the geodesic functions", aw3_relations())
 
 
-def pvi_defects(real):
-    return _defects(relation_families(real, ("pvi",)))
-
-
 # -- the record table ----------------------------------------------------------
 #
 # Which relations make up which record is decided here, once, for both rings:
@@ -549,8 +516,8 @@ def family_records(src, family):
     """Yield each record of one relation family over all points of ``src``,
     in order, as (record, anchor, relations): 'entry', 'cross',
     'nelson-regge' (all indices from the root), 'reflection' (the
-    single-matrix form at weight zero only), 'pvi' or 'braid' (exact
-    sources only)."""
+    single-matrix form at weight zero only), 'pvi', or the exact-only
+    'hermitian' (nothing over a source without a star) and 'braid'."""
     points = range(1, src.n + 1)
     if family == "entry":
         anchor = "entry algebra of one monodromy matrix and M^2 = -E"
@@ -563,6 +530,9 @@ def family_records(src, family):
     elif family == "nelson-regge":
         anchor = "geodesic function algebra over all index tuples"
         yield ("nelson-regge-full", anchor, nelson_regge_relations(src, range(src.n + 1)))
+    elif family == "hermitian":
+        if hasattr(src.one, "star"):
+            yield ("hermitian", "geodesic functions are star-fixed", hermitian_relations(src))
     elif family == "reflection":
         anchor = "mixed reflection equation in R-matrix form"
         for i, j in combinations(points, 2):
@@ -606,7 +576,7 @@ def catalog_defects(real, families):
     """The exact defects of every record of the named families of ``real``,
     each as (record, anchor, defects)."""
     return [
-        (record, anchor, _defects(relations))
+        (record, anchor, relation_defects(relations))
         for family in families
         for record, anchor, relations in family_records(real, family)
     ]

@@ -6,11 +6,13 @@ its content numerically in clock-and-shift representations.
 from __future__ import annotations
 
 import traceback
+from functools import partial
 
 from .fatgraph import load_graph, spine_graph_an
 from .flips import (
     CLASSICAL_FLIP_IDENTITIES,
     apply_substitution,
+    classical_identity_witness,
     classical_limit_defects,
     homomorphism_defects,
     linear_sum_defect,
@@ -18,7 +20,6 @@ from .flips import (
     quantum_pending_substitution,
     star_defects,
     tilde_expansion_defects,
-    verify_flip_matrix_identity_classical,
 )
 from .monodromy import (
     an_realization,
@@ -26,10 +27,8 @@ from .monodromy import (
     catalog_defects,
     element_is_zero,
     geodesic_G,
-    hermiticity_defects,
     indexed_nelson_regge_defects,
     pvi_realization,
-    reflection_defects,
     yang_baxter_defect,
 )
 from .ore import OreElement
@@ -82,6 +81,12 @@ def _defect_report(ident, anchor, defects):
 
 def _bool_report(ident, anchor, ok, witness=None):
     return IdentityReport(ident, anchor, bool(ok), None if ok else (witness or "failed"))
+
+
+def _value_report(ident, anchor, key, value, ok, what):
+    """A float check's record: ``{key: value}`` as its extras and, when it
+    fails, ``what value`` as its witness."""
+    return IdentityReport(ident, anchor, ok, None if ok else f"{what} {value}", {key: value})
 
 
 def _catalog_reports(prefix, real, families):
@@ -156,11 +161,7 @@ def run_an_nelson_regge(config):
             "geodesic function algebra over all index tuples",
             [(label, d) for _, label, d in full],
         ),
-        _defect_report(
-            "an4-hermitian",
-            "geodesic functions are star-fixed",
-            hermiticity_defects(real, [(i, j) for i in range(0, 4) for j in range(i + 1, 5)]),
-        ),
+        *_catalog_reports("an4", real, ("hermitian",)),
     ]
     reports.extend(
         _numeric_reports(
@@ -172,6 +173,7 @@ def run_an_nelson_regge(config):
 
 def run_an_rmatrix(config):
     families = ("reflection",)
+    [(_, _, four_point)] = catalog_defects(pvi_realization(), families)
     reports = [
         _bool_report(
             "ybe-8x8",
@@ -181,7 +183,7 @@ def run_an_rmatrix(config):
         _defect_report(
             "pvi-reflection-12",
             "four-point monodromies satisfy the same reflection equation",
-            reflection_defects(pvi_realization(), 1, 2),
+            four_point,
         ),
     ]
     for n in (3, 4):
@@ -214,76 +216,38 @@ def run_flips_classical(config):
 
     reports = []
     for ident in CLASSICAL_FLIP_IDENTITIES:
-        reports.append(
-            IdentityReport(
-                f"classical-{ident}",
-                "flip matrix identities over the commutative torus",
-                verify_flip_matrix_identity_classical(ident),
-            )
-        )
+        witness = classical_identity_witness(ident)
+        anchor = "flip matrix identities over the commutative torus"
+        reports.append(IdentityReport(f"classical-{ident}", anchor, witness is None, witness))
         dev = oracle.numeric_identity_deviation(ident, config.samples, config.seed)
+        anchor = "same identity at random real shears"
+        ok = dev < 1e-10
         reports.append(
-            IdentityReport(
-                f"classical-{ident}-numeric",
-                "same identity at random real shears",
-                dev < 1e-10,
-                None if dev < 1e-10 else f"max deviation {dev}",
-                {"max_deviation": dev},
-            )
+            _value_report(f"classical-{ident}-numeric", anchor, "max_deviation", dev, ok, "max deviation")
         )
     g3 = spine_graph_an(3)
     g4 = spine_graph_an(4)
-    checks = [
-        (
-            "flip-involution",
-            oracle.flip_involution_deviation(g3, "X1", min(config.samples, 1000), config.seed),
-            1e-12,
-        ),
-        (
-            "pending-involution",
-            oracle.pending_flip_involution_deviation(g3, "S", min(config.samples, 1000), config.seed),
-            1e-12,
-        ),
-        (
-            "pentagon",
-            oracle.pentagon_deviation(g4, "X1", "X2", min(config.samples, 200), config.seed),
-            1e-10,
-        ),
-        (
-            "hole-boundary-trace",
-            oracle.boundary_trace_deviation(g3, min(config.samples, 200), config.seed),
-            1e-10,
-        ),
-    ]
-    for name, dev, tol in checks:
-        reports.append(
-            IdentityReport(
-                f"classical-{name}",
-                "numeric classical consistency",
-                dev < tol,
-                None if dev < tol else f"deviation {dev}",
-                {"max_deviation": dev},
-            )
-        )
-    low = oracle.closed_trace_minimum(g4, min(config.samples, 200), config.seed)
+    moves, traces, seed = min(config.samples, 1000), min(config.samples, 200), config.seed
+    anchor = "numeric classical consistency"
+    for name, dev, tol in (
+        ("flip-involution", oracle.flip_involution_deviation(g3, "X1", moves, seed), 1e-12),
+        ("pending-involution", oracle.pending_flip_involution_deviation(g3, "S", moves, seed), 1e-12),
+        ("pentagon", oracle.pentagon_deviation(g4, "X1", "X2", traces, seed), 1e-10),
+        ("hole-boundary-trace", oracle.boundary_trace_deviation(g3, traces, seed), 1e-10),
+    ):
+        ok = dev < tol
+        reports.append(_value_report(f"classical-{name}", anchor, "max_deviation", dev, ok, "deviation"))
+    low = oracle.closed_trace_minimum(g4, traces, seed)
+    anchor = "closed geodesic traces stay at or above two"
+    ok = low >= 2.0 - 1e-9
     reports.append(
-        IdentityReport(
-            "classical-closed-traces",
-            "closed geodesic traces stay at or above two",
-            low >= 2.0 - 1e-9,
-            None if low >= 2.0 - 1e-9 else f"minimum trace {low}",
-            {"min_trace": low},
-        )
+        _value_report("classical-closed-traces", anchor, "min_trace", low, ok, "minimum trace")
     )
-    viol = oracle.sign_structure_violation(g4, min(config.samples, 50), config.seed)
+    viol = oracle.sign_structure_violation(g4, min(config.samples, 50), seed)
+    anchor = "block products keep the alternating sign pattern"
+    ok = viol < 1e-12
     reports.append(
-        IdentityReport(
-            "classical-sign-structure",
-            "block products keep the alternating sign pattern",
-            viol < 1e-12,
-            None if viol < 1e-12 else f"violation {viol}",
-            {"max_violation": viol},
-        )
+        _value_report("classical-sign-structure", anchor, "max_violation", viol, ok, "violation")
     )
     return reports
 
@@ -363,37 +327,20 @@ def run_flips_quantum(config):
 
 
 def run_graph_validate(config):
+    if config.graphs:
+        anchor = "graph file validation incl. 6g-6+3s+2r edge count"
+        cases = [(f"graph-{path}", anchor, partial(load_graph, path)) for path in config.graphs]
+    else:
+        anchor = "structural validation incl. 6g-6+3s+2r edge count"
+        cases = [(f"builtin-an{n}-valid", anchor, partial(spine_graph_an, n)) for n in (2, 3, 4)]
     reports = []
-    if not config.graphs:
-        for n in (2, 3, 4):
-            g = spine_graph_an(n)
-            problems = g.validate()
-            reports.append(
-                _bool_report(
-                    f"builtin-an{n}-valid",
-                    "structural validation incl. 6g-6+3s+2r edge count",
-                    not problems,
-                    witness="; ".join(problems),
-                )
-            )
-        return reports
-    for path in config.graphs:
+    for ident, anchor, build in cases:
         try:
-            g = load_graph(path)
-            problems = g.validate()
+            problems = build().validate()
         except (ValueError, OSError) as exc:
-            reports.append(
-                _bool_report(f"graph-{path}", "graph file validation", False, witness=str(exc))
-            )
-            continue
-        reports.append(
-            _bool_report(
-                f"graph-{path}",
-                "graph file validation incl. 6g-6+3s+2r edge count",
-                not problems,
-                witness="; ".join(problems),
-            )
-        )
+            reports.append(_bool_report(ident, "graph file validation", False, witness=str(exc)))
+        else:
+            reports.append(_bool_report(ident, anchor, not problems, witness="; ".join(problems)))
     return reports
 
 

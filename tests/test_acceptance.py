@@ -15,21 +15,22 @@ from qshear.flips import (
 )
 from qshear.monodromy import (
     an_realization,
-    braid_alternative_form_defects,
+    braid_alternative_form_relations,
     braid_apply,
-    braid_product_invariance_defects,
-    braid_relation_defects,
+    braid_product_invariance_relations,
+    braid_relations,
     build_monodromy,
     cross_relation_defects,
     element_is_zero,
     geodesic_G,
-    gm_relation_defects,
-    nelson_regge_defects,
-    pvi_defects,
+    gm_relations,
+    nelson_regge_relations,
     pvi_realization,
-    quantum_determinant_defects,
-    reflection_defects,
-    reflection_ii_defects,
+    quantum_determinant_relations,
+    reflection_ii_relations,
+    reflection_relations,
+    relation_defects,
+    relation_families,
     uqsl2_defects,
     yang_baxter_defect,
 )
@@ -85,7 +86,7 @@ def test_criterion_2_nelson_regge():
     relation families, exact, under 5 min."""
     start = time.perf_counter()
     real = an_realization(4)
-    defects = nelson_regge_defects(real, [0, 1, 2, 3])
+    defects = relation_defects(nelson_regge_relations(real, [0, 1, 2, 3]))
     assert_clean(defects)
     elapsed = time.perf_counter() - start
     assert _report(
@@ -102,10 +103,10 @@ def test_criterion_3_rmatrix():
         real = an_realization(n)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                assert_clean(reflection_defects(real, i, j))
+                assert_clean(relation_defects(reflection_relations(real, i, j)))
         for i in range(1, n + 1):
-            assert_clean(reflection_ii_defects(real, i))
-    assert_clean(reflection_defects(pvi_realization(), 1, 2))
+            assert_clean(relation_defects(reflection_ii_relations(real, i)))
+    assert_clean(relation_defects(reflection_relations(pvi_realization(), 1, 2)))
     elapsed = time.perf_counter() - start
     assert _report("criterion-3 r-matrix", elapsed < 120, elapsed)
 
@@ -116,21 +117,21 @@ def test_criterion_4_braid():
     5 min."""
     start = time.perf_counter()
     real4 = an_realization(4)
-    assert_clean(braid_relation_defects(real4, 1))
-    assert_clean(braid_relation_defects(real4, 2))
+    assert_clean(relation_defects(braid_relations(real4, 1)))
+    assert_clean(relation_defects(braid_relations(real4, 2)))
     for i in range(1, 4):
         imaged = braid_apply(real4, i)
-        assert_clean(quantum_determinant_defects(imaged))
+        assert_clean(relation_defects(quantum_determinant_relations(imaged)))
         for x in range(1, 5):
             for y in range(x + 1, 5):
                 assert_clean(cross_relation_defects(imaged, x, y))
-        assert_clean(braid_alternative_form_defects(real4, i))
+        assert_clean(relation_defects(braid_alternative_form_relations(real4, i)))
     real3 = an_realization(3)
     for i in (1, 2):
-        assert_clean(braid_product_invariance_defects(real3, i))
+        assert_clean(relation_defects(braid_product_invariance_relations(real3, i)))
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            assert_clean(gm_relation_defects(real4, i, j))
+            assert_clean(relation_defects(gm_relations(real4, i, j)))
     elapsed = time.perf_counter() - start
     assert _report("criterion-4 braid", elapsed < 300, elapsed)
 
@@ -141,7 +142,7 @@ def test_criterion_5_pvi():
     weights symbolic, under 2 min."""
     start = time.perf_counter()
     real = pvi_realization()
-    assert_clean(pvi_defects(real))
+    assert_clean(relation_defects(relation_families(real, ("pvi",))))
     elapsed = time.perf_counter() - start
     assert _report("criterion-5 pvi-aw3", elapsed < 120, elapsed)
 

@@ -4,16 +4,17 @@ from qshear import monodromy
 from qshear.fatgraph import PendingInfo, spine_graph_an
 from qshear.monodromy import (
     an_realization,
-    braid_alternative_form_defects,
+    braid_alternative_form_relations,
     braid_apply,
-    braid_product_invariance_defects,
-    braid_relation_defects,
+    braid_product_invariance_relations,
+    braid_relations,
     build_monodromy,
     cross_relation_defects,
     element_is_zero,
     geodesic_G,
-    gm_relation_defects,
-    quantum_determinant_defects,
+    gm_relations,
+    quantum_determinant_relations,
+    relation_defects,
     uqsl2_defects,
 )
 
@@ -34,18 +35,18 @@ def an3():
 
 
 def test_braid_relation(an4):
-    assert_clean(braid_relation_defects(an4, 1))
-    assert_clean(braid_relation_defects(an4, 2))
+    assert_clean(relation_defects(braid_relations(an4, 1)))
+    assert_clean(relation_defects(braid_relations(an4, 2)))
 
 
 def test_braid_alternative_form(an4):
     for i in (1, 2, 3):
-        assert_clean(braid_alternative_form_defects(an4, i))
+        assert_clean(relation_defects(braid_alternative_form_relations(an4, i)))
 
 
 def test_braid_preserves_determinant(an4):
     for i in (1, 2, 3):
-        assert_clean(quantum_determinant_defects(braid_apply(an4, i)))
+        assert_clean(relation_defects(quantum_determinant_relations(braid_apply(an4, i))))
 
 
 def test_braid_preserves_shape_and_relations(an4):
@@ -67,7 +68,7 @@ def test_braid_index_bounds(an4):
 def test_gm_table(an4):
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            assert_clean(gm_relation_defects(an4, i, j))
+            assert_clean(relation_defects(gm_relations(an4, i, j)))
 
 
 def test_g_commutes_with_far_matrix(an3):
@@ -80,7 +81,7 @@ def test_g_commutes_with_far_matrix(an3):
 def test_products_are_braid_invariants(an3, an4):
     for real in (an3, an4):
         for i in range(1, real.n):
-            assert_clean(braid_product_invariance_defects(real, i))
+            assert_clean(relation_defects(braid_product_invariance_relations(real, i)))
 
 
 # -- fail direction ------------------------------------------------------------
@@ -102,8 +103,8 @@ def _transposed_G(src, i, j):
 
 def test_transposed_G_breaks_the_braid_form_and_gm_table(monkeypatch, an3):
     monkeypatch.setattr(monodromy, "geodesic_G", _transposed_G)
-    assert _nonzero(braid_alternative_form_defects(an3, 1)) == 8
-    assert _nonzero(gm_relation_defects(an3, 1, 3)) == 12
+    assert _nonzero(relation_defects(braid_alternative_form_relations(an3, 1))) == 8
+    assert _nonzero(relation_defects(gm_relations(an3, 1, 3))) == 12
 
 
 def test_unsigned_braid_image_breaks_product_invariance(monkeypatch, an3):
@@ -113,13 +114,13 @@ def test_unsigned_braid_image_breaks_product_invariance(monkeypatch, an3):
         return real.with_matrices(mats)
 
     monkeypatch.setattr(monodromy, "braid_apply", unsigned)
-    assert _nonzero(braid_product_invariance_defects(an3, 1)) == 6
+    assert _nonzero(relation_defects(braid_product_invariance_relations(an3, 1))) == 6
 
 
 def test_order_three_point_breaks_the_determinant():
     graph = spine_graph_an(3)
     graph.pending["Z2"] = PendingInfo.from_order(3)  # w = 1 at Z2
-    defects = quantum_determinant_defects(build_monodromy(graph))
+    defects = relation_defects(quantum_determinant_relations(build_monodromy(graph)))
     assert [lbl for lbl, d in defects if not element_is_zero(d)] == ["det 2"]
 
 
@@ -136,7 +137,7 @@ def test_braid_relation_compares_the_two_sides(monkeypatch, an3):
         return real if len(calls) % 3 == 0 else braid_apply(real, i)
 
     monkeypatch.setattr(monodromy, "braid_apply", one_short)
-    assert _nonzero(braid_relation_defects(an3, 1)) == 12
+    assert _nonzero(relation_defects(braid_relations(an3, 1))) == 12
     assert calls == [1, 2, 1, 2, 1, 2]
 
 
@@ -150,23 +151,27 @@ def _entries(prefix):
 def test_witness_labels_are_pinned(an3):
     """A passing record carries no witness, so the report bytes cannot see
     these labels; they name the relation and entry a failure points at."""
-    assert [lbl for lbl, _ in braid_relation_defects(an3, 1)] == [
+    assert [lbl for lbl, _ in relation_defects(braid_relations(an3, 1))] == [
         label for k in (1, 2, 3) for label in _entries(f"braid rel (1,2) M{k}[")
     ]
     assert _entries("G(1,3) vs M2 [") == [
         "G(1,3) vs M2 [00]", "G(1,3) vs M2 [01]", "G(1,3) vs M2 [10]", "G(1,3) vs M2 [11]"
     ]
     for i in (1, 2):
-        assert [lbl for lbl, _ in braid_alternative_form_defects(an3, i)] == [
+        assert [lbl for lbl, _ in relation_defects(braid_alternative_form_relations(an3, i))] == [
             *_entries(f"braid form {i}: q M G - q^2 M' ["),
             *_entries(f"braid form {i}: q^-1 G M - q^-2 M' ["),
         ]
-        assert [lbl for lbl, _ in braid_product_invariance_defects(an3, i)] == [
+        assert [lbl for lbl, _ in relation_defects(braid_product_invariance_relations(an3, i))] == [
             *_entries(f"braid {i} forward product ["),
             *_entries(f"braid {i} reverse product ["),
         ]
-    assert [lbl for lbl, _ in quantum_determinant_defects(an3)] == ["det 1", "det 2", "det 3"]
+    assert [lbl for lbl, _ in relation_defects(quantum_determinant_relations(an3))] == [
+        "det 1",
+        "det 2",
+        "det 3",
+    ]
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        assert [lbl for lbl, _ in gm_relation_defects(an3, i, j)] == [
+        assert [lbl for lbl, _ in relation_defects(gm_relations(an3, i, j))] == [
             label for k in (1, 2, 3) for label in _entries(f"G({i},{j}) vs M{k} [")
         ]

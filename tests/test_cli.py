@@ -19,7 +19,8 @@ from qshear.fatgraph import (
     save_graph,
     spine_graph_an,
 )
-from qshear.monodromy import an_realization, nelson_regge_defects
+from qshear.flips import CLASSICAL_FLIP_IDENTITIES, CLASSICAL_FLIP_WORDS
+from qshear.monodromy import an_realization, nelson_regge_relations, relation_defects
 from qshear.suites import MAX_SAMPLES, RunConfig, list_suites
 
 
@@ -177,7 +178,7 @@ def test_nelson_regge_0123_record_reads_the_full_family(monkeypatch):
     monkeypatch.setattr(suites, "_defect_report", record)
     monkeypatch.setattr(suites, "_numeric_reports", lambda *args: [])
     suites.run_an_nelson_regge(RunConfig())
-    want = nelson_regge_defects(an_realization(4), [0, 1, 2, 3])
+    want = relation_defects(nelson_regge_relations(an_realization(4), [0, 1, 2, 3]))
     assert [label for label, _ in built["an4-nelson-regge-0123"]] == [label for label, _ in want]
     assert len(built["an4-nelson-regge-full"]) == 25
 
@@ -298,3 +299,112 @@ def test_flip_script_rejects_negative_seed(tmp_path, capsys):
     assert main(["--graph", str(graph), "--flip-script", str(script), "--seed", "-1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: seed -1 ") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_report_is_refused_before_any_work(monkeypatch, tmp_path, capsys, target):
+    def refuse(*args):
+        raise AssertionError("a bad --report must stop before any suite runs or move is applied")
+
+    monkeypatch.setattr("qshear.cli.run_suite", refuse)
+    monkeypatch.setattr("qshear.oracle.run_flip_script", refuse)
+    report = tmp_path / "no-such-dir" / "r.json" if target == "missing-dir" else tmp_path
+    assert main(["--suite", "graph-validate", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --report ") and "Traceback" not in err, err
+    graph = tmp_path / "a3.json"
+    save_graph(spine_graph_an(3), graph)
+    script = tmp_path / "moves.txt"
+    script.write_text("flip X1\n")
+    assert main(["--graph", str(graph), "--flip-script", str(script), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --report ") and "Traceback" not in err, err
+
+
+def test_report_write_that_fails_at_the_end_is_an_error_line(monkeypatch, tmp_path, capsys):
+    """The target is checked before the work, but it can still vanish
+    during it: the write is then one error line with exit status 1."""
+    folder = tmp_path / "out"
+    report = str(folder / "r.json")
+
+    def remove_folder(result):
+        def run(*args):
+            folder.rmdir()
+            return result(*args)
+
+        return run
+
+    folder.mkdir()
+    monkeypatch.setattr("qshear.cli.run_suite", remove_folder(lambda *args: []))
+    assert main(["--suite", "graph-validate", "--report", report]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report: ") and "Traceback" not in err, err
+    folder.mkdir()
+    monkeypatch.setattr("qshear.oracle.run_flip_script", remove_folder(lambda state, lines: state))
+    graph = tmp_path / "a3.json"
+    save_graph(spine_graph_an(3), graph)
+    script = tmp_path / "moves.txt"
+    script.write_text("flip X1\n")
+    assert main(["--graph", str(graph), "--flip-script", str(script), "--report", report]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report: ") and "Traceback" not in err, err
+
+
+def _classical_records():
+    return {r.ident: r.to_json() for r in suites.run_suite("flips-classical", RunConfig(samples=1))}
+
+
+def test_flips_classical_record_shapes_are_pinned():
+    """Id, anchor, status, extras keys and whether a witness is present, for
+    each of the 22 flips-classical records in report order."""
+    lines = [
+        "|".join(
+            (r["id"], r["anchor"], r["status"], ",".join(sorted(r.get("extras", {}))), str("witness" in r))
+        )
+        for r in _classical_records().values()
+    ]
+    assert len(lines) == 22
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "122af7246d14f6152c2a9cac30c4483ec13e651e75501937e2f04b3e352a32bd"
+
+
+def test_failing_classical_float_checks_name_their_value(monkeypatch):
+    from qshear import oracle
+
+    deviations = (
+        "numeric_identity_deviation",
+        "flip_involution_deviation",
+        "pending_flip_involution_deviation",
+        "pentagon_deviation",
+        "boundary_trace_deviation",
+    )
+    for name in deviations:
+        monkeypatch.setattr(oracle, name, lambda *args: 0.25)
+    monkeypatch.setattr(oracle, "closed_trace_minimum", lambda *args: 1.5)
+    monkeypatch.setattr(oracle, "sign_structure_violation", lambda *args: 0.125)
+    witnesses = {ident: r.get("witness") for ident, r in _classical_records().items()}
+    want = {}
+    for ident in CLASSICAL_FLIP_IDENTITIES:
+        want[f"classical-{ident}"] = None
+        want[f"classical-{ident}-numeric"] = "max deviation 0.25"
+    for name in ("flip-involution", "pending-involution", "pentagon", "hole-boundary-trace"):
+        want[f"classical-{name}"] = "deviation 0.25"
+    want["classical-closed-traces"] = "minimum trace 1.5"
+    want["classical-sign-structure"] = "violation 0.125"
+    assert witnesses == want
+
+
+@pytest.mark.parametrize(
+    "rhs, witness",
+    [
+        ("D~ L A~", "[00]: (-1)*e^{-1/2*A+1/2*D+1/2*Z}"),
+        ("D R A~", "T-power parity: lhs T^(-0/2), rhs T^(-1/2)"),
+    ],
+    ids=["turn-swapped", "tilde-dropped"],
+)
+def test_word_mutant_gives_a_classical_record_with_a_witness(monkeypatch, rhs, witness):
+    lhs, _ = CLASSICAL_FLIP_WORDS["inner-1"]
+    monkeypatch.setitem(CLASSICAL_FLIP_WORDS, "inner-1", (lhs, rhs))
+    record = _classical_records()["classical-inner-1"]
+    assert record["status"] == "fail"
+    assert record["witness"] == witness

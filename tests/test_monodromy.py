@@ -14,12 +14,11 @@ from qshear.monodromy import (
     element_is_zero,
     family_records,
     geodesic_G,
-    hermiticity_defects,
-    nelson_regge_defects,
-    pvi_defects,
+    nelson_regge_relations,
     pvi_realization,
-    reflection_defects,
-    reflection_ii_defects,
+    reflection_ii_relations,
+    reflection_relations,
+    relation_defects,
     relation_families,
     uqsl2_defects,
     yang_baxter_defect,
@@ -115,8 +114,21 @@ def test_geodesic_classical_limit(an2):
 
 
 def test_geodesics_hermitian(an4):
-    pairs = [(i, j) for i in range(0, 4) for j in range(i + 1, 5)]
-    assert_clean(hermiticity_defects(an4, pairs))
+    [(record, anchor, defects)] = catalog_defects(an4, ("hermitian",))
+    assert (record, anchor) == ("hermitian", "geodesic functions are star-fixed")
+    assert [label for label, _ in defects] == [
+        "G(0,1)* = G(0,1)",
+        "G(0,2)* = G(0,2)",
+        "G(0,3)* = G(0,3)",
+        "G(0,4)* = G(0,4)",
+        "G(1,2)* = G(1,2)",
+        "G(1,3)* = G(1,3)",
+        "G(1,4)* = G(1,4)",
+        "G(2,3)* = G(2,3)",
+        "G(2,4)* = G(2,4)",
+        "G(3,4)* = G(3,4)",
+    ]
+    assert_clean(defects)
 
 
 def test_geodesic_with_root_weight(an3):
@@ -126,13 +138,13 @@ def test_geodesic_with_root_weight(an3):
 
 
 def test_nelson_regge_families(an4):
-    defects = nelson_regge_defects(an4, [0, 1, 2, 3])
+    defects = relation_defects(nelson_regge_relations(an4, [0, 1, 2, 3]))
     assert len(defects) == 7  # 3 quadruple families + 4 triples
     assert_clean(defects)
 
 
 def test_nelson_regge_counts(an4):
-    defects = nelson_regge_defects(an4, [0, 1, 2, 3, 4])
+    defects = relation_defects(nelson_regge_relations(an4, [0, 1, 2, 3, 4]))
     from math import comb
 
     assert len(defects) == 3 * comb(5, 4) + comb(5, 3)
@@ -146,13 +158,13 @@ def test_yang_baxter():
 def test_reflection_equations(an3):
     for i in (1, 2):
         for j in range(i + 1, 4):
-            assert_clean(reflection_defects(an3, i, j))
+            assert_clean(relation_defects(reflection_relations(an3, i, j)))
     for i in (1, 2, 3):
-        assert_clean(reflection_ii_defects(an3, i))
+        assert_clean(relation_defects(reflection_ii_relations(an3, i)))
 
 
 def test_pvi_reflection(pvi):
-    assert_clean(reflection_defects(pvi, 1, 2))
+    assert_clean(relation_defects(reflection_relations(pvi, 1, 2)))
 
 
 def test_pvi_entries(pvi):
@@ -164,7 +176,7 @@ def test_pvi_entries(pvi):
 
 
 def test_pvi_catalog(pvi):
-    assert_clean(pvi_defects(pvi))
+    assert_clean(relation_defects(relation_families(pvi, ("pvi",))))
 
 
 def test_pvi_k_elements_explicitly(pvi):
@@ -291,6 +303,22 @@ def test_no_single_matrix_reflection_record_at_nonzero_weight(pvi):
     src = oracle.NumericSource(rep, oracle.numeric_realization(rep, pvi, params))
     for ring in (pvi, src):
         assert [record for record, _, _ in family_records(ring, "reflection")] == ["reflection-12"]
+
+
+def test_no_hermitian_record_over_operators(an3):
+    """An operator has no star here, so the star relations stay exact and
+    add no oracle pair."""
+    rep = oracle.ClockShiftRep(an3.form, 5)
+    params = {"omega0": 0.47}
+    data = oracle.numeric_realization(rep, an3, params)
+    assert list(family_records(oracle.NumericSource(rep, data), "hermitian")) == []
+
+    def labels(families):
+        pairs = oracle.numeric_relation_pairs(rep, an3, params, data, families)
+        return [label for label, _, _ in pairs]
+
+    assert labels(("nelson-regge", "hermitian")) == labels(("nelson-regge",))
+    assert len(labels(("nelson-regge",))) == 7
 
 
 def test_an3_braid_records_keep_their_ids_and_check_counts(an3):

@@ -11,7 +11,7 @@ import pytest
 from qshear.coeffs import Coefficient
 from qshear.fatgraph import PathWord, spine_graph_an
 from qshear.matrices import AlgMatrix
-from qshear.monodromy import _defects, an_realization, pvi_realization, relation_families
+from qshear.monodromy import an_realization, pvi_realization, relation_defects, relation_families
 from qshear.oracle import (
     ClockShiftRep,
     LinearOp,
@@ -200,7 +200,7 @@ def test_catalog_mutants_fail_in_both_rings(make_real, params, families):
             continue
         nlhs, nrhs = numeric[label]
         for mutate in (lambda s, x: s.q(1) * x, lambda s, x: -x):
-            defects = _defects([(label, mutate(real, lhs), rhs)])
+            defects = relation_defects([(label, mutate(real, lhs), rhs)])
             assert any(not d.is_zero() for _, d in defects), label
             ((_, flhs, frhs),) = _bilinear_pairs(rep, [(label, mutate(src, nlhs), nrhs)])
             assert _gap(flhs, frhs) > 1e-6, label
