@@ -8,15 +8,9 @@ the flipped graph map back exactly onto the original ones.
 """
 
 from qshear.fatgraph import spine_graph_an
-from qshear.flips import (
-    apply_substitution,
-    homomorphism_defects,
-    linear_sum_defect,
-    quantum_flip_substitution,
-    quantum_pending_substitution,
-)
-from qshear.monodromy import build_monodromy, geodesic_G
-from qshear.ore import OreElement, ore_zero_test
+from qshear.flips import homomorphism_defects, linear_sum_relations, quantum_flip_substitution
+from qshear.monodromy import build_monodromy, catalog_defects, element_is_zero, relation_defects
+from qshear.ore import ore_zero_test
 
 g = spine_graph_an(4)
 sub = quantum_flip_substitution(g, "X2")
@@ -26,20 +20,10 @@ for name in sub.affected:
 
 bad = [k for k, d in homomorphism_defects(sub) if not ore_zero_test(d)]
 print("substitution is a homomorphism:", not bad)
-print("exp(D~+C~+Z~) maps to exp(D+C):", ore_zero_test(linear_sum_defect(sub)))
+((_, defect),) = relation_defects(linear_sum_relations(sub))
+print("exp(D~+C~+Z~) maps to exp(D+C):", ore_zero_test(defect))
 
-real = build_monodromy(g)
-real2 = build_monodromy(sub.target_graph)
-img = apply_substitution(sub, real2.matrix(1)[0, 0])
-print(
-    "M1[0][0] invariant under the flip:",
-    ore_zero_test(img - OreElement.from_torus(real.matrix(1)[0, 0])),
-)
-
-rsub = quantum_pending_substitution(g, "S")
-real3 = build_monodromy(rsub.target_graph)
-img = apply_substitution(rsub, geodesic_G(real3, 0, 2))
-print(
-    "G(0,2) invariant under the root pending flip:",
-    ore_zero_test(img - OreElement.from_torus(geodesic_G(real, 0, 2))),
-)
+print("the flip records of an4, one per inner edge and the root pending edge:")
+for record, anchor, defects in catalog_defects(build_monodromy(g), ("flip",)):
+    ok = all(element_is_zero(d) for _, d in defects)
+    print(f"  {record:22s} {len(defects):4d} checks  {'pass' if ok else 'FAIL'}  {anchor}")

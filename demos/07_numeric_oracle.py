@@ -41,7 +41,7 @@ for modulus in (5, 7):
     )
     print("  defining relation defect on the probe pair:", float(np.max(np.abs(lhs - rhs))))
     data = numeric_realization(rep, real, params)
-    pairs = list(numeric_relation_pairs(rep, real, params, data))
+    pairs = list(numeric_relation_pairs(rep, real, params, data, ("entry", "cross")))
     worst = worst_norm([n for _, n in numeric_pair_norms(pairs)])
     print(f"  {len(pairs)} relations re-verified, worst norm {worst:.2e}")
     caught = mutation_check(pairs, rep.t_value, 3)

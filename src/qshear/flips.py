@@ -312,14 +312,17 @@ def apply_substitution(sub, x):
     return out
 
 
-# -- substitution invariants (exercised by the suites and tests) ---------------
+# -- substitution invariants: relation families over a substitution ----------
+#
+# Each invariant yields (label, lhs, rhs) triples whose two sides must agree;
+# ``monodromy.family_records`` groups them into the records of the flip
+# family.  The *_defects reductions keep perfbench's mutant pool.
 
 
-def homomorphism_defects(sub):
-    """image(gh) - image(g) image(h) over all signed pairs of table
-    generators; all must vanish."""
+def homomorphism_relations(sub):
+    """image(gh) = image(g) image(h) over all signed pairs of table
+    generators."""
     tform = sub.target_form
-    defects = []
     gens = [(n, s) for n in sub.affected for s in (+1, -1)]
     for n1, s1 in gens:
         for n2, s2 in gens:
@@ -330,37 +333,36 @@ def homomorphism_defects(sub):
             )
             lhs = apply_substitution(sub, prod)
             rhs = sub.image_of_generator(n1, s1).mul(sub.image_of_generator(n2, s2))
-            defects.append(((n1, s1, n2, s2), lhs - rhs))
-    return defects
+            yield ((n1, s1, n2, s2), lhs, rhs)
+
+
+def homomorphism_defects(sub):
+    return [(label, lhs - rhs) for label, lhs, rhs in homomorphism_relations(sub)]
+
+
+def star_relations(sub):
+    """Generators are star-fixed Weyl monomials, so star must fix their
+    images."""
+    for name in sub.affected:
+        for sign in (+1, -1):
+            img = sub.image_of_generator(name, sign)
+            yield ((name, sign), img.star(), img)
 
 
 def star_defects(sub):
-    """Generators are star-fixed Weyl monomials, so star must fix their
-    images."""
-    out = []
-    for name in sub.affected:
-        for sign in (+1, -1):
-            img = sub.image_of_generator(name, sign)
-            out.append(((name, sign), img.star() - img))
-    return out
+    return [(label, lhs - rhs) for label, lhs, rhs in star_relations(sub)]
 
 
-def classical_limit_defects(sub):
+def classical_limit_relations(sub):
     """At t = 1 each image must reduce to the classical flip formula."""
-    sform = sub.source_form
-    shadow = commutative_shadow(sform)
-    edge = sub.edge
+    shadow = commutative_shadow(sub.source_form)
     weight = None
     if sub.kind == "pending":
-        weight = sub.source_graph.weight(edge).at_t_one()
-    defects = []
+        weight = sub.source_graph.weight(sub.edge).at_t_one()
     for name in sub.affected:
         for sign in (+1, -1):
-            img = sub.image_of_generator(name, sign)
-            got = _ore_to_shadow(img, shadow)
-            want = _classical_image(shadow, sub, name, sign, weight)
-            defects.append(((name, sign), got - want))
-    return defects
+            got = _ore_to_shadow(sub.image_of_generator(name, sign), shadow)
+            yield ((name, sign), got, _classical_image(shadow, sub, name, sign, weight))
 
 
 def _ore_to_shadow(x, shadow):
@@ -396,7 +398,7 @@ def _classical_image(shadow, sub, name, sign, weight):
     )
 
 
-def linear_sum_defect(sub):
+def linear_sum_relations(sub):
     """For an inner flip, exp(D~ + C~ + Z~) must map to exp(D + C) exactly."""
     if sub.kind != "inner":
         raise ValueError("linear-sum check applies to inner flips")
@@ -407,10 +409,21 @@ def linear_sum_defect(sub):
     want = OreElement.from_torus(
         TorusElement.monomial(sform, sform.du({c: 2, d: 2}))
     )
-    return apply_substitution(sub, target) - want
+    yield ("linear sum", apply_substitution(sub, target), want)
 
 
-def tilde_expansion_defects(sub):
+def morphism_relations(sub):
+    """The substitution is a star-algebra morphism with the classical flip
+    as its limit: the homomorphism, star and classical-limit relations,
+    then the linear sum of an inner flip."""
+    yield from homomorphism_relations(sub)
+    yield from star_relations(sub)
+    yield from classical_limit_relations(sub)
+    if sub.kind == "inner":
+        yield from linear_sum_relations(sub)
+
+
+def tilde_expansion_relations(sub):
     """Weyl expansion of X_D~ L X_Z~ L X_C~ over the flipped coordinates.
 
     Expected entries (q = t**4):
@@ -442,6 +455,10 @@ def tilde_expansion_defects(sub):
             TorusElement.zero(tform),
         ],
     ]
-    return [
-        ((i, j), mat[i, j] - want[i][j]) for i in range(2) for j in range(2)
-    ]
+    for i in range(2):
+        for j in range(2):
+            yield ((i, j), mat[i, j], want[i][j])
+
+
+def tilde_expansion_defects(sub):
+    return [(label, lhs - rhs) for label, lhs, rhs in tilde_expansion_relations(sub)]

@@ -14,7 +14,8 @@ from .torus import TorusElement
 
 
 class AlgMatrix:
-    """Square matrix with TorusElement entries sharing one skew form."""
+    """Square matrix with TorusElement (or OreElement) entries sharing one
+    skew form."""
 
     __slots__ = ("form", "n", "rows")
 

@@ -1,6 +1,7 @@
 """Monodromy matrices on rooted spines and the quantum algebras of their
 entries: the order-2 chain case, its braid action and geodesic-function
-algebra, and the four-point sphere case.
+algebra, its invariance under the quantum flips of ``flips``, and the
+four-point sphere case.
 
 The catalog is written once for both rings: each relation family yields
 (label, lhs, rhs) triples over an entry source, which is a realization here
@@ -27,7 +28,15 @@ from .fatgraph import (
     pvi_graph,
     spine_graph_an,
 )
+from .flips import (
+    apply_substitution,
+    morphism_relations,
+    quantum_flip_substitution,
+    quantum_pending_substitution,
+    tilde_expansion_relations,
+)
 from .matrices import AlgMatrix, r_matrix, scalar_tensor, tensor_embed
+from .ore import OreElement
 from .torus import SkewForm, TorusElement, even_check
 
 Q1 = Coefficient.q_power(1)
@@ -164,9 +173,10 @@ def pvi_realization():
 # one, q(k), identity(), r_matrix(power, transposed) and embed(m, slot).  A
 # matrix relation is one triple whose label holds {} for the entry; the
 # exact layer checks it entry by entry, the oracle as a whole.  The braid
-# families below and the star (Hermitian) relations are exact-only: they
-# read a MonodromyRealization and have no operator form in the oracle.  The
-# record table at the end groups the families' relations into records.
+# and flip families below and the star (Hermitian) relations are
+# exact-only: they read a MonodromyRealization and have no operator form in
+# the oracle.  The record table at the end groups the families' relations
+# into records.
 
 
 def relation_defects(relations):
@@ -422,6 +432,28 @@ def braid_product_invariance_relations(real, i):
         )
 
 
+# -- flip invariance (exact sources only) -------------------------------------
+
+
+def flip_invariance_relations(real, sub):
+    """Each monodromy matrix of the flipped spine maps back onto the matrix
+    of ``real`` under the substitution, entry by entry in the Ore field."""
+    flipped = build_monodromy(sub.target_graph)
+    for i in range(1, real.n + 1):
+        lhs = [[apply_substitution(sub, x) for x in row] for row in flipped.matrix(i).rows]
+        rhs = [[OreElement.from_torus(x) for x in row] for row in real.matrix(i).rows]
+        yield (f"M{i}[{{}}]", AlgMatrix(real.form, lhs), AlgMatrix(real.form, rhs))
+
+
+def root_flip_relations(real, sub):
+    """The two-point geodesic functions G(0,i) are invariant under the flip
+    of the root pending edge."""
+    flipped = build_monodromy(sub.target_graph)
+    for i in range(1, real.n + 1):
+        lhs = apply_substitution(sub, geodesic_G(flipped, 0, i))
+        yield (f"G(0,{i})", lhs, OreElement.from_torus(geodesic_G(real, 0, i)))
+
+
 # -- four-point sphere --------------------------------------------------------
 
 
@@ -517,7 +549,9 @@ def family_records(src, family):
     in order, as (record, anchor, relations): 'entry', 'cross',
     'nelson-regge' (all indices from the root), 'reflection' (the
     single-matrix form at weight zero only), 'pvi', or the exact-only
-    'hermitian' (nothing over a source without a star) and 'braid'."""
+    'hermitian' (nothing over a source without a star), 'braid' and 'flip'
+    (the substitution invariants of each inner edge and of the root
+    pending edge)."""
     points = range(1, src.n + 1)
     if family == "entry":
         anchor = "entry algebra of one monodromy matrix and M^2 = -E"
@@ -560,6 +594,21 @@ def family_records(src, family):
         anchor = "commutation table of geodesic functions with monodromies"
         gm = (gm_relations(src, i, j) for i, j in combinations(points, 2))
         yield ("gm-table", anchor, chain.from_iterable(gm))
+    elif family == "flip":
+        graph = src.graph
+        for edge in (e for e in graph.edges if graph.is_internal(e)):
+            sub = quantum_flip_substitution(graph, edge)
+            anchor = "flip substitution is a star-algebra morphism with the right classical limit"
+            yield (f"sub-{edge}-morphism", anchor, morphism_relations(sub))
+            anchor = "Weyl expansion of the flipped double-left word"
+            yield (f"tilde-expansion-{edge}", anchor, tilde_expansion_relations(sub))
+            anchor = "monodromy matrices invariant under the inner flip"
+            yield (f"flip-invariance-{edge}", anchor, flip_invariance_relations(src, sub))
+        sub = quantum_pending_substitution(graph, src.root)
+        anchor = "root pending substitution is a star-algebra morphism"
+        yield ("sub-root-morphism", anchor, morphism_relations(sub))
+        anchor = "two-point geodesic functions invariant under the root flip"
+        yield ("root-flip-G0i", anchor, root_flip_relations(src, sub))
     else:
         raise ValueError(f"unknown relation family {family!r}")
 

@@ -449,16 +449,12 @@ def _bilinear_pairs(rep, relations):
         )
 
 
-def numeric_relation_pairs(rep, real, params, data, families=None):
+def numeric_relation_pairs(rep, real, params, data, families):
     """Yield (label, lhs, rhs) numeric pairs of the named relation families
     of ``monodromy.relation_families``, all built from ``data``, the
     :func:`numeric_realization` of ``real`` in ``rep``; each side is the
     form of its operator on the rep's probe pair, computed only when the
-    pair is asked for.  The default families are the entry algebra and cross
-    relations of a chain, or the four-point catalog of the rootless
-    sphere."""
-    if families is None:
-        families = ("pvi",) if real.root is None else ("entry", "cross")
+    pair is asked for."""
     src = NumericSource(rep, data, real.omega0.evaluate(rep.t_value, params))
     yield from _bilinear_pairs(rep, relation_families(src, families))
 

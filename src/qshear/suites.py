@@ -9,29 +9,15 @@ import traceback
 from functools import partial
 
 from .fatgraph import load_graph, spine_graph_an
-from .flips import (
-    CLASSICAL_FLIP_IDENTITIES,
-    apply_substitution,
-    classical_identity_witness,
-    classical_limit_defects,
-    homomorphism_defects,
-    linear_sum_defect,
-    quantum_flip_substitution,
-    quantum_pending_substitution,
-    star_defects,
-    tilde_expansion_defects,
-)
+from .flips import CLASSICAL_FLIP_IDENTITIES, classical_identity_witness
 from .monodromy import (
     an_realization,
-    build_monodromy,
     catalog_defects,
     element_is_zero,
-    geodesic_G,
     indexed_nelson_regge_defects,
     pvi_realization,
     yang_baxter_defect,
 )
-from .ore import OreElement
 from .reports import IdentityReport, witness_digest
 
 
@@ -255,74 +241,7 @@ def run_flips_classical(config):
 def run_flips_quantum(config):
     reports = []
     for n in (2, 3, 4):
-        graph = spine_graph_an(n)
-        real = build_monodromy(graph)
-        inner = [e for e in graph.edges if graph.is_internal(e)]
-        for edge in inner:
-            sub = quantum_flip_substitution(graph, edge)
-            reports.append(
-                _defect_report(
-                    f"an{n}-sub-{edge}-morphism",
-                    "flip substitution is a star-algebra morphism with the right classical limit",
-                    [
-                        *homomorphism_defects(sub),
-                        *star_defects(sub),
-                        *classical_limit_defects(sub),
-                        ("linear sum", linear_sum_defect(sub)),
-                    ],
-                )
-            )
-            reports.append(
-                _defect_report(
-                    f"an{n}-tilde-expansion-{edge}",
-                    "Weyl expansion of the flipped double-left word",
-                    tilde_expansion_defects(sub),
-                )
-            )
-            real2 = build_monodromy(sub.target_graph)
-            defects = []
-            for i in range(1, n + 1):
-                m_src = real.matrix(i)
-                m_tgt = real2.matrix(i)
-                for r in range(2):
-                    for s in range(2):
-                        img = apply_substitution(sub, m_tgt[r, s])
-                        defects.append(
-                            (f"M{i}[{r}{s}]", img - OreElement.from_torus(m_src[r, s]))
-                        )
-            reports.append(
-                _defect_report(
-                    f"an{n}-flip-invariance-{edge}",
-                    "monodromy matrices invariant under the inner flip",
-                    defects,
-                )
-            )
-        sub = quantum_pending_substitution(graph, "S")
-        reports.append(
-            _defect_report(
-                f"an{n}-sub-root-morphism",
-                "root pending substitution is a star-algebra morphism",
-                [
-                    *homomorphism_defects(sub),
-                    *star_defects(sub),
-                    *classical_limit_defects(sub),
-                ],
-            )
-        )
-        real2 = build_monodromy(sub.target_graph)
-        defects = []
-        for i in range(1, n + 1):
-            img = apply_substitution(sub, geodesic_G(real2, 0, i))
-            defects.append(
-                (f"G(0,{i})", img - OreElement.from_torus(geodesic_G(real, 0, i)))
-            )
-        reports.append(
-            _defect_report(
-                f"an{n}-root-flip-G0i",
-                "two-point geodesic functions invariant under the root flip",
-                defects,
-            )
-        )
+        reports += _catalog_reports(f"an{n}", an_realization(n), ("flip",))
     return reports
 
 

@@ -208,17 +208,17 @@ def test_criterion_8_oracle_coupling():
     50 seeded mutations are all caught above 1e-6, under 5 min."""
     start = time.perf_counter()
     all_norms = []
-    for realization, params in (
-        (an_realization(3), {"omega0": 0.47}),
-        (an_realization(4), {"omega0": 0.47}),
-        (pvi_realization(), {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}),
+    for realization, params, families in (
+        (an_realization(3), {"omega0": 0.47}, ("entry", "cross")),
+        (an_realization(4), {"omega0": 0.47}, ("entry", "cross")),
+        (pvi_realization(), {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}, ("pvi",)),
     ):
         for modulus in (5, 7):
             rep = ClockShiftRep(realization.form, modulus, seed=20240229)
             data = numeric_realization(rep, realization, params)
             norms = numeric_pair_norms(
                 [
-                    *numeric_relation_pairs(rep, realization, params, data),
+                    *numeric_relation_pairs(rep, realization, params, data, families),
                     *numeric_reflection_pairs(rep, data),
                 ]
             )
@@ -241,7 +241,7 @@ def test_criterion_8_oracle_coupling():
     real3 = an_realization(3)
     rep = ClockShiftRep(real3.form, 5, seed=20240229)
     params3 = {"omega0": 0.47}
-    pairs = numeric_relation_pairs(rep, real3, params3, numeric_realization(rep, real3, params3))
+    pairs = numeric_relation_pairs(rep, real3, params3, numeric_realization(rep, real3, params3), ("entry", "cross"))
     caught = mutation_check(pairs, rep.t_value, 20240229)
     assert len(caught) == 50 and all(caught)
     elapsed = time.perf_counter() - start

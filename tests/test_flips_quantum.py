@@ -2,20 +2,22 @@ import random
 
 import pytest
 
+from qshear import flips
 from qshear.coeffs import Coefficient
 from qshear.fatgraph import flip_roles, spine_graph_an
 from qshear.flips import (
     apply_substitution,
-    classical_limit_defects,
+    classical_limit_relations,
     homomorphism_defects,
-    linear_sum_defect,
+    linear_sum_relations,
     quantum_flip_substitution,
     quantum_pending_substitution,
     star_defects,
     tilde_expansion_defects,
 )
-from qshear.monodromy import build_monodromy, geodesic_G
+from qshear.monodromy import an_realization, build_monodromy, catalog_defects, geodesic_G, relation_defects
 from qshear.ore import OreElement, ore_zero_test
+from qshear.suites import RunConfig, run_suite
 from qshear.torus import TorusElement, ew, half
 
 from conftest import random_monomial
@@ -66,7 +68,8 @@ def test_pending_image_trinomial(an4):
     want = OreElement.from_torus(trinom.mul(ew(form, {a: 1})))
     assert ore_zero_test(sub.image_of_generator(a, +1) - want)
     # q = 1 limit of the trinomial image is the classical formula
-    assert not [lbl for lbl, d in classical_limit_defects(sub) if not ore_zero_test(d)]
+    defects = relation_defects(classical_limit_relations(sub))
+    assert not [lbl for lbl, d in defects if not ore_zero_test(d)]
 
 
 def test_substitution_is_homomorphism(sub_x2):
@@ -78,11 +81,13 @@ def test_substitution_star_equivariant(sub_x2):
 
 
 def test_substitution_classical_limit(sub_x2):
-    assert not [lbl for lbl, d in classical_limit_defects(sub_x2) if not ore_zero_test(d)]
+    defects = relation_defects(classical_limit_relations(sub_x2))
+    assert not [lbl for lbl, d in defects if not ore_zero_test(d)]
 
 
 def test_linear_sum_invariant(sub_x2):
-    assert ore_zero_test(linear_sum_defect(sub_x2))
+    ((_, defect),) = relation_defects(linear_sum_relations(sub_x2))
+    assert ore_zero_test(defect)
 
 
 def test_apply_to_unit(sub_x2):
@@ -181,3 +186,47 @@ def test_ore_valued_flip_defects_both_verdicts(make_sub):
         assert ore_zero_test(defect) is True, label
         mutant = defect + random_monomial(rng, defect.form)
         assert ore_zero_test(mutant) is False, label
+
+
+def test_flip_witness_labels_are_pinned():
+    """A passing record carries no witness, so the report bytes cannot see
+    these labels; they name the relation and entry a failure points at."""
+    records = {record: defects for record, _, defects in catalog_defects(an_realization(3), ("flip",))}
+    assert list(records) == [
+        "sub-X1-morphism", "tilde-expansion-X1", "flip-invariance-X1", "sub-root-morphism", "root-flip-G0i"
+    ]
+
+    def morphism(affected):
+        gens = [(n, s) for n in affected for s in (+1, -1)]
+        return [(n1, s1, n2, s2) for n1, s1 in gens for n2, s2 in gens] + gens + gens
+
+    labels = {record: [lbl for lbl, _ in defects] for record, defects in records.items()}
+    assert labels["sub-X1-morphism"] == morphism(("S", "X1", "Z1", "Z2", "Z3")) + ["linear sum"]
+    assert labels["tilde-expansion-X1"] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert labels["flip-invariance-X1"] == [f"M{i}[{rs}]" for i in (1, 2, 3) for rs in ("00", "01", "10", "11")]
+    assert labels["sub-root-morphism"] == morphism(("S", "X1", "Z3"))
+    assert labels["root-flip-G0i"] == ["G(0,1)", "G(0,2)", "G(0,3)"]
+
+
+def test_broken_flip_fails_its_records(monkeypatch):
+    """With the q**-1 of every flip binomial read as q**0, the records that
+    use the quantum images fail at their first relation and entry, while
+    the tilde expansion, which uses none, still passes."""
+    binomial = flips._binomial
+
+    def broken(form, name, sign, qpow, weight=None):
+        return binomial(form, name, sign, 0 if qpow == -1 else qpow, weight)
+
+    monkeypatch.setattr(flips, "_binomial", broken)
+    reports = run_suite("flips-quantum", RunConfig(suites=("flips-quantum",)))
+    assert not [r.ident for r in reports if r.status is None]
+    an3 = {r.ident: r for r in reports if r.ident.startswith("an3-")}
+    failing = {ident: r.witness for ident, r in an3.items() if r.status is False}
+    assert sorted(failing) == [
+        "an3-flip-invariance-X1", "an3-root-flip-G0i", "an3-sub-X1-morphism", "an3-sub-root-morphism"
+    ]
+    assert failing["an3-sub-X1-morphism"].startswith("('S', 1, 'S', -1): ")
+    assert failing["an3-flip-invariance-X1"].startswith("M1[00]: ")
+    assert failing["an3-sub-root-morphism"].startswith("('X1', 1, 'X1', -1): ")
+    assert failing["an3-root-flip-G0i"].startswith("G(0,1): ")
+    assert an3["an3-tilde-expansion-X1"].status is True

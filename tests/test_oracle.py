@@ -42,6 +42,8 @@ from qshear.torus import SkewForm, TorusElement, ew
 
 from conftest import random_skew_form
 
+AN_CORE = ("entry", "cross")  # the families of the an-core oracle records
+
 
 def test_skew_normal_form_random():
     rng = random.Random(31)
@@ -117,7 +119,7 @@ def test_numeric_relations_two_moduli():
     for modulus in (5, 7):
         rep = ClockShiftRep(real.form, modulus, seed=3)
         data = numeric_realization(rep, real, params)
-        pairs = [*numeric_relation_pairs(rep, real, params, data), *numeric_reflection_pairs(rep, data)]
+        pairs = [*numeric_relation_pairs(rep, real, params, data, AN_CORE), *numeric_reflection_pairs(rep, data)]
         norms = [n for _, n in numeric_pair_norms(pairs)]
         assert all(n <= 1e-9 for n in norms), (modulus, worst_norm(norms))
 
@@ -128,7 +130,7 @@ def test_numeric_pvi_relations():
     for modulus in (5, 7):
         rep = ClockShiftRep(real.form, modulus, seed=3)
         data = numeric_realization(rep, real, params)
-        norms = [n for _, n in numeric_pair_norms(numeric_relation_pairs(rep, real, params, data))]
+        norms = [n for _, n in numeric_pair_norms(numeric_relation_pairs(rep, real, params, data, ("pvi",)))]
         assert all(n <= 1e-9 for n in norms), (modulus, worst_norm(norms))
 
 
@@ -136,7 +138,7 @@ def test_mutations_all_caught():
     real = an_realization(3)
     params = {"omega0": 0.47}
     rep = ClockShiftRep(real.form, 5, seed=3)
-    pairs = numeric_relation_pairs(rep, real, params, numeric_realization(rep, real, params))
+    pairs = numeric_relation_pairs(rep, real, params, numeric_realization(rep, real, params), AN_CORE)
     caught = mutation_check(pairs, rep.t_value, 5)
     assert len(caught) == 50 and all(caught)
 
@@ -209,30 +211,27 @@ def test_catalog_mutants_fail_in_both_rings(make_real, params, families):
 
 
 @pytest.mark.parametrize(
-    "make_real, relations, reflections, digest",
+    "make_real, families, relations, reflections, digest",
     [
-        (lambda: an_realization(3), 54, 6, "c6fe70dbe68c06f2d935c8c6709708de4e2d3e561ad577f596a85fb9f8b36231"),
-        (lambda: an_realization(4), 96, 10, "565cec85820fd3d91448a6eb60eb729f423d271bcb0a8a35eb1d77c10024d7fa"),
-        (pvi_realization, 36, 1, "7bcc9701fd709df079bb908a7cc3cd65e989dc0ce47ae873bd90884265f9df0a"),
+        (lambda: an_realization(3), AN_CORE, 54, 6, "c6fe70dbe68c06f2d935c8c6709708de4e2d3e561ad577f596a85fb9f8b36231"),
+        (lambda: an_realization(4), AN_CORE, 96, 10, "565cec85820fd3d91448a6eb60eb729f423d271bcb0a8a35eb1d77c10024d7fa"),
+        (pvi_realization, ("pvi",), 36, 1, "7bcc9701fd709df079bb908a7cc3cd65e989dc0ce47ae873bd90884265f9df0a"),
     ],
     ids=["an3", "an4", "pvi"],
 )
-def test_pair_counts_and_label_order(make_real, relations, reflections, digest):
+def test_pair_counts_and_label_order(make_real, families, relations, reflections, digest):
     """Both pair builders yield the same pairs in the same order at N=5; the
     digest is the sha256 of all labels joined by newlines."""
     real = make_real()
     params = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
     rep = ClockShiftRep(real.form, 5, seed=20240229)
     data = numeric_realization(rep, real, params)
-    rel = [label for label, _, _ in numeric_relation_pairs(rep, real, params, data)]
+    rel = [label for label, _, _ in numeric_relation_pairs(rep, real, params, data, families)]
     ref = [label for label, _, _ in numeric_reflection_pairs(rep, data)]
     assert (len(rel), len(ref)) == (relations, reflections)
     if real.root is None:
         assert [label for label, _, _ in numeric_pvi_pairs(rep, real, params, data)] == rel
     assert hashlib.sha256("\n".join(rel + ref).encode()).hexdigest() == digest
-
-
-AN_CORE = ("entry", "cross")  # the families of the an-core oracle records
 
 
 def test_numeric_reports_hold_one_pair_at_a_time():
@@ -346,14 +345,14 @@ def _identity_probe(rep):
 
 
 @pytest.mark.parametrize(
-    "make_real, params",
+    "make_real, params, families",
     [
-        (lambda: an_realization(3), {"omega0": 0.47}),
-        (pvi_realization, {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}),
+        (lambda: an_realization(3), {"omega0": 0.47}, AN_CORE),
+        (pvi_realization, {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}, ("pvi",)),
     ],
     ids=["an3", "pvi"],
 )
-def test_matrix_free_sides_match_dense_reference(monkeypatch, make_real, params):
+def test_matrix_free_sides_match_dense_reference(monkeypatch, make_real, params, families):
     """Probed with the identity block, every relation and reflection side
     is the dense operator on its legs; it must match dense block products
     over dense generator images to 1e-12."""
@@ -373,8 +372,8 @@ def test_matrix_free_sides_match_dense_reference(monkeypatch, make_real, params)
             "c": LinearOp(lambda x, m=m: m[1, 0] @ x),
             "w": d["w"],
         })
-    free = list(numeric_relation_pairs(rep, real, params, data))
-    ref = list(numeric_relation_pairs(rep, real, params, dense))
+    free = list(numeric_relation_pairs(rep, real, params, data, families))
+    ref = list(numeric_relation_pairs(rep, real, params, dense, families))
     assert [label for label, _, _ in free] == [label for label, _, _ in ref]
     for (label, lhs, rhs), (_, dl, dr) in zip(free, ref):
         assert lhs.shape == rhs.shape and lhs.shape[0] in (rep.dim, 2 * rep.dim)
@@ -417,7 +416,7 @@ def test_oracle_catches_a_broken_generator_image(monkeypatch):
     monkeypatch.setattr(ClockShiftRep, "image", tampered)
     rep = ClockShiftRep(real.form, 5, seed=3)
     data = numeric_realization(rep, real, params)
-    norms = numeric_pair_norms(numeric_relation_pairs(rep, real, params, data))
+    norms = numeric_pair_norms(numeric_relation_pairs(rep, real, params, data, AN_CORE))
     assert max(n for _, n in norms) > 1e-6
 
 
@@ -484,7 +483,7 @@ def test_seeded_reproducibility():
     def snapshot():
         rep = ClockShiftRep(real.form, 5, seed=99)
         values = {"omega0": 0.5, **params}
-        pairs = numeric_relation_pairs(rep, real, values, numeric_realization(rep, real, values))
+        pairs = numeric_relation_pairs(rep, real, values, numeric_realization(rep, real, values), AN_CORE)
         return json.dumps(numeric_pair_norms(pairs), sort_keys=True)
     assert snapshot() == snapshot()
 
