@@ -551,7 +551,9 @@ def family_records(src, family):
     single-matrix form at weight zero only), 'pvi', or the exact-only
     'hermitian' (nothing over a source without a star), 'braid' and 'flip'
     (the substitution invariants of each inner edge and of the root
-    pending edge)."""
+    pending edge), which raise ValueError over any other source."""
+    if family in ("braid", "flip") and not isinstance(src, MonodromyRealization):
+        raise ValueError(f"relation family {family!r} is exact-only")
     points = range(1, src.n + 1)
     if family == "entry":
         anchor = "entry algebra of one monodromy matrix and M^2 = -E"

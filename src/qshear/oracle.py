@@ -10,8 +10,11 @@ Two layers:
   generator image is monomial, a cyclic shift of the (N, ..., N) index grid
   times a phase vector, so the re-verification of the catalog is
   matrix-free: monodromy words act on blocks of vectors in O(dim) per
-  factor, through the word evaluator of ``matrices``, and each identity
-  L = R of the ``monodromy`` catalog families is compared as the
+  factor, through the word evaluator of ``matrices``.  A word runs once per
+  input vector, on both unit columns together, so a, b, c and M[00] are
+  slices of one pass; each realization keeps its recent passes in a memo of
+  bounded bytes, which the repeated entry products of a family hit.  Each
+  identity L = R of the ``monodromy`` catalog families is compared as the
   sesquilinear form u^H L w against u^H R w on a seeded pair of
   unit-modulus probe vectors (Freivalds 1977).  The dense
   ``evaluate``/``norm`` path, built from the same images, stays as the
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from functools import partial
 from typing import NamedTuple
 
@@ -197,7 +201,7 @@ class ClockShiftRep:
             for s in image.shift:
                 index = (index[:, None] * n + (np.arange(n) - s) % n).ravel()
             self._gather[image.shift] = index
-        return image.phase[:, None] * block[index]
+        return image.phase[:, None] * np.take(block, index, axis=0)
 
     def matrix(self, du):
         """Dense dim x dim image of W(du), for small-dimension references."""
@@ -336,15 +340,43 @@ def rep_word_value(rep, graph, path, params):
     return LinearOp(lambda block: np.stack(act(*block)), 2)
 
 
-def _entry(m, i, j):
-    """Entry (i, j) of a 2x2 block operator, as an operator on (dim, m)."""
+_MEMO_BYTES = 1 << 20
 
-    def act(x):
-        block = np.zeros((2, *x.shape), dtype=complex)
-        block[j] = x
-        return m.act(block)[i]
 
-    return LinearOp(act)
+class _ColumnMemo:
+    """A realization's recent word passes, least recently used out first
+    once inputs and results pass ``_MEMO_BYTES``; both are read-only, and a
+    hit must match the whole input, not only its hash."""
+
+    def __init__(self):
+        self.held = OrderedDict()
+        self.nbytes = 0
+
+    def columns(self, idx, m, x):
+        """Word ``idx``, operator ``m``, in one pass over [[x, 0], [0, x]]
+        for x of shape (dim, k): [i, :, j] of the (2, dim, 2, k) result is
+        entry (i, j) applied to x."""
+        raw = x.tobytes()
+        key = (idx, x.shape, hash(raw))
+        held = self.held.pop(key, None)
+        if held is not None:
+            self.nbytes -= held[0].nbytes + held[1].nbytes
+        if held is None or not np.array_equal(held[0], x):
+            block = np.zeros((2, len(x), 2, x.shape[1]), dtype=complex)
+            block[0, :, 0] = block[1, :, 1] = x
+            out = m.act(block.reshape(2, len(x), -1)).reshape(block.shape)
+            out.flags.writeable = False
+            held = (np.frombuffer(raw, dtype=x.dtype).reshape(x.shape), out)
+        self.held[key] = held
+        self.nbytes += held[0].nbytes + held[1].nbytes
+        while self.nbytes > _MEMO_BYTES:
+            old_x, old_out = self.held.popitem(last=False)[1]
+            self.nbytes -= old_x.nbytes + old_out.nbytes
+        return held[1]
+
+    def entry(self, idx, m, i, j):
+        """Entry (i, j) of word ``m``, as an operator on (dim, k)."""
+        return LinearOp(lambda x: self.columns(idx, m, x)[i, :, j])
 
 
 def numeric_realization(rep, real, params):
@@ -356,16 +388,18 @@ def numeric_realization(rep, real, params):
     if real.words is None:
         raise ValueError("realization carries no path words to re-evaluate")
     q = rep.t_value ** 4
+    memo = _ColumnMemo()
     out = []
     for idx, word in enumerate(real.words, start=1):
         m = rep_word_value(rep, real.graph, word, params)
-        a = -q * _entry(m, 1, 1)
+        entry = partial(memo.entry, idx, m)
+        a = -q * entry(1, 1)
         w = real.omegas[idx].evaluate(rep.t_value, params)
-        ((_, lhs, rhs),) = _bilinear_pairs(rep, [("", _entry(m, 0, 0), q * a + w * _IDENTITY)])
+        ((_, lhs, rhs),) = _bilinear_pairs(rep, [("", entry(0, 0), q * a + w * _IDENTITY)])
         gap = _gap(lhs, rhs)
         if not gap <= 1e-9:  # a NaN gap fails too
             raise ValueError(f"word {idx} misses the normal shape M[00] = q a + w by {gap}")
-        out.append({"M": m, "a": a, "b": -_entry(m, 0, 1), "c": _entry(m, 1, 0), "w": w})
+        out.append({"M": m, "a": a, "b": -entry(0, 1), "c": entry(1, 0), "w": w})
     return out
 
 

@@ -87,7 +87,10 @@ def _catalog_reports(prefix, real, families):
 def _numeric_pairs(rep, real, families):
     """The numeric pairs of the named relation families of ``real`` in
     ``rep``, all built from one numeric realization and yielded one at a
-    time, so that at most one pair is alive while its caller reduces it."""
+    time, so that at most one pair is alive while its caller reduces it.
+    The realization runs each word once per input vector for all its
+    entries, and its memo of recent passes stays within a fixed byte
+    budget at any modulus."""
     from . import oracle
 
     params = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}

@@ -321,6 +321,16 @@ def test_no_hermitian_record_over_operators(an3):
     assert len(labels(("nelson-regge",))) == 7
 
 
+@pytest.mark.parametrize("family", ["braid", "flip"])
+def test_exact_only_family_over_operators_is_named(an3, family):
+    """The braid and flip families read exact matrices and the graph, so
+    over an operator source they raise a ValueError that names them."""
+    rep = oracle.ClockShiftRep(an3.form, 5)
+    src = oracle.NumericSource(rep, oracle.numeric_realization(rep, an3, {"omega0": 0.47}))
+    with pytest.raises(ValueError, match=f"'{family}' is exact-only"):
+        list(family_records(src, family))
+
+
 def test_an3_braid_records_keep_their_ids_and_check_counts(an3):
     assert [(record, len(defects)) for record, _, defects in catalog_defects(an3, ("braid",))] == [
         ("braid-relation-12", 12),

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from qshear.coeffs import Coefficient
 from qshear.fatgraph import PathWord, spine_graph_an
+from qshear import oracle
 from qshear.matrices import AlgMatrix
 from qshear.monodromy import an_realization, pvi_realization, relation_defects, relation_families
 from qshear.oracle import (
@@ -475,6 +477,150 @@ def test_numeric_realization_rejects_a_word_off_the_normal_shape():
     rep = ClockShiftRep(real.form, 5, seed=3)
     with pytest.raises(ValueError, match="word 2 misses the normal shape"):
         numeric_realization(rep, real, {"omega0": 0.47})
+
+
+# -- one column pass per vector, through a bounded memo -------------------------
+
+SUITE_PARAMS = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}  # as suites._numeric_pairs
+
+
+class _RecordedMemo(oracle._ColumnMemo):
+    """The realization's memo, kept for inspection, counting the
+    applications of its entry operators."""
+
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        self.applications = 0
+        self.made.append(self)
+
+    def entry(self, idx, m, i, j):
+        op = super().entry(idx, m, i, j)
+
+        def act(x):
+            self.applications += 1
+            return op.act(x)
+
+        return LinearOp(act)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The memos made from here on, and the list of word passes (the calls
+    of each rep_word_value's act), by input shape."""
+    monkeypatch.setattr(_RecordedMemo, "made", [])
+    monkeypatch.setattr(oracle, "_ColumnMemo", _RecordedMemo)
+    passes = []
+    word_value = oracle.rep_word_value
+
+    def counted(*args):
+        op = word_value(*args)
+        act = op.act
+
+        def counting(block):
+            passes.append(block.shape)
+            return act(block)
+
+        op.act = counting
+        return op
+
+    monkeypatch.setattr(oracle, "rep_word_value", counted)
+    return _RecordedMemo.made, passes
+
+
+def _padded_entry(rep, real, word, params, i, j, x):
+    """Entry (i, j) of a word applied to x the one-column way: x in unit
+    column j of a zero block, one word pass, component i read off."""
+    block = np.zeros((2, *x.shape), dtype=complex)
+    block[j] = x
+    return rep_word_value(rep, real.graph, word, params).act(block)[i]
+
+
+@pytest.mark.parametrize(
+    "make_real, modulus",
+    [
+        (lambda: an_realization(3), 5),
+        (lambda: an_realization(3), 7),
+        (lambda: an_realization(4), 5),
+        (lambda: an_realization(4), 7),
+        (pvi_realization, 5),
+    ],
+    ids=["an3-N5", "an3-N7", "an4-N5", "an4-N7", "pvi-N5"],
+)
+def test_column_pass_gives_the_same_floats(make_real, modulus):
+    """a, b, c and M[00] read off one two-column pass are bit for bit the
+    one-column route's values, on the probe and on a random (dim, 3)
+    block: each column goes through the same elementwise operations."""
+    real = make_real()
+    rep = ClockShiftRep(real.form, modulus, seed=20240229)
+    data = numeric_realization(rep, real, SUITE_PARAMS)
+    q = rep.t_value ** 4
+    rng = np.random.default_rng(11)
+    blocks = [rep.probe(1)[0], rng.standard_normal((rep.dim, 3)) + 1j * rng.standard_normal((rep.dim, 3))]
+    memo = oracle._ColumnMemo()
+    for idx, (d, word) in enumerate(zip(data, real.words), start=1):
+        for x in blocks:
+            padded = partial(_padded_entry, rep, real, word, SUITE_PARAMS, x=x)
+            assert np.array_equal(d["a"].act(x), -q * padded(1, 1))
+            assert np.array_equal(d["b"].act(x), -padded(0, 1))
+            assert np.array_equal(d["c"].act(x), padded(1, 0))
+            assert np.array_equal(memo.entry(idx, d["M"], 0, 0).act(x), padded(0, 0))
+
+
+def test_memo_hit_is_read_only_and_checks_the_whole_input(recorded, monkeypatch):
+    """A second application to the same input is served from the memo as a
+    read-only array; an input whose hash key collides but whose content
+    differs is recomputed, not served."""
+    memos, passes = recorded
+    real = an_realization(3)
+    rep = ClockShiftRep(real.form, 5, seed=3)
+    data = numeric_realization(rep, real, {"omega0": 0.47})
+    x = rep.probe(1)[0]
+    first = data[0]["c"].act(x)
+    count = len(passes)
+    served = data[0]["c"].act(x.copy())
+    assert len(passes) == count and np.shares_memory(served, first)
+    assert not served.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        served[0, 0] = 0
+    monkeypatch.setattr(oracle, "hash", lambda raw: 0, raising=False)
+    y = 2 * x
+    fresh = [data[0]["c"].act(v) for v in (x, y)]
+    assert len(passes) == count + 2
+    assert np.array_equal(fresh[0], first)
+    assert np.array_equal(fresh[1], 2 * first)
+    (memo,) = memos
+    assert memo.nbytes == sum(a.nbytes + b.nbytes for a, b in memo.held.values())
+
+
+def test_memo_stays_within_its_budget_at_modulus_13(recorded):
+    """At an4, N=13 (dim 2197) a pass holds 351 KB, so the memo evicts;
+    after every an4 family its held bytes are within the budget and equal
+    to the bytes of what it holds."""
+    memos, _ = recorded
+    real = an_realization(4)
+    rep = ClockShiftRep(real.form, 13, seed=20240229)
+    data = numeric_realization(rep, real, SUITE_PARAMS)
+    (memo,) = memos
+    for family in ("entry", "cross", "nelson-regge", "reflection"):
+        norms = numeric_pair_norms(numeric_relation_pairs(rep, real, SUITE_PARAMS, data, (family,)))
+        assert all(n <= 1e-9 for _, n in norms), family
+        assert 0 < memo.nbytes <= oracle._MEMO_BYTES, family
+        assert memo.nbytes == sum(a.nbytes + b.nbytes for a, b in memo.held.values())
+
+
+def test_word_passes_of_the_an4_core_records(recorded):
+    """The an4 an-core oracle record at N=7 (dim 343) makes 61 word passes,
+    at most a third of its 492 applications of a, b, c and M[00]; one pass
+    per application, plus the 8 of M**2 = -E, made 500."""
+    memos, passes = recorded
+    real = an_realization(4)
+    (report,) = _numeric_reports("an4-core", "anchor", real, RunConfig(oracle_moduli=(7,)), AN_CORE)
+    (memo,) = memos
+    assert report.status and report.extras["pairs"] == 96
+    assert (len(passes), memo.applications) == (61, 492)
+    assert 3 * len(passes) <= memo.applications
 
 
 def test_seeded_reproducibility():
