@@ -40,8 +40,7 @@ for modulus in (5, 7):
         rep.image(tuple(a + b for a, b in zip(du, dv))), probe
     )
     print("  defining relation defect on the probe pair:", float(np.max(np.abs(lhs - rhs))))
-    data = numeric_realization(rep, real, params)
-    pairs = list(numeric_relation_pairs(rep, real, params, data, ("entry", "cross")))
+    pairs = numeric_relation_pairs(numeric_realization(rep, real, params), ("entry", "cross"))
     worst = worst_norm([n for _, n in numeric_pair_norms(pairs)])
     print(f"  {len(pairs)} relations re-verified, worst norm {worst:.2e}")
     caught = mutation_check(pairs, rep.t_value, 3)

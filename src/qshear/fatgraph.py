@@ -294,11 +294,12 @@ def compile_path(graph, path, form):
 def monodromy_path(graph, root, target):
     """Written word for the open segment root -> around target -> root.
 
-    Both root and target are pending edges; the route runs through the
-    unique chain of internal edges joining their base vertices.
+    The root is a pending edge or a spectator stub, the target a pending
+    edge; the route runs through the unique chain of internal edges joining
+    their base vertices.
     """
-    if not graph.is_pending(root) or not graph.is_pending(target):
-        raise ValueError("monodromy paths join pending edges")
+    if len(graph.incidence(root)) != 1 or not graph.is_pending(target):
+        raise ValueError("monodromy paths run from a pending edge or stub to a pending edge")
     if root == target:
         raise ValueError("root and target must differ")
     vr = graph.vertex_of_pending(root)
@@ -321,13 +322,17 @@ def monodromy_path(graph, root, target):
                 queue.append(other)
     if vt not in prev:
         raise ValueError(f"no path between {root!r} and {target!r}")
-    chain = []
+    # walk back from the target: the edges of the route and the vertex
+    # where each consecutive pair of them meets
+    route, vertex_route = [target], [vt]
     vi = vt
     while prev[vi] is not None:
-        back, e = prev[vi]
-        chain.append(e)
-        vi = back
-    chain.reverse()
+        vi, e = prev[vi]
+        route.append(e)
+        vertex_route.append(vi)
+    route.append(root)
+    route.reverse()
+    vertex_route.reverse()
 
     def turn_token(vi, incoming, outgoing):
         if graph.succ_at(vi, incoming) == outgoing:
@@ -337,27 +342,14 @@ def monodromy_path(graph, root, target):
         raise ValueError("edges do not meet at the vertex")
 
     true_tokens = [("edge", root)]
-    route = [root] + chain + [target]
-    vertex_route = [vr]
-    vi = vr
-    for e in chain:
-        (va, _), (vb, _) = graph.incidence(e)
-        vi = vb if va == vi else va
-        vertex_route.append(vi)
-    for k in range(len(route) - 1):
-        t = turn_token(vertex_route[k], route[k], route[k + 1])
-        true_tokens.append(("turn", t))
-        if k + 1 < len(route) - 1:
+    for k, vi in enumerate(vertex_route):
+        true_tokens.append(("turn", turn_token(vi, route[k], route[k + 1])))
+        if k + 2 < len(route):
             true_tokens.append(("edge", route[k + 1]))
     true_tokens.append(("orb", target, 1))
     flip = {"L": "R", "R": "L"}
-    back_tokens = []
-    for tok in reversed(true_tokens[:-1]):
-        if tok[0] == "turn":
-            back_tokens.append(("turn", flip[tok[1]]))
-        else:
-            back_tokens.append(tok)
-    true_tokens.extend(back_tokens)
+    back = reversed(true_tokens[:-1])
+    true_tokens.extend(("turn", flip[t[1]]) if t[0] == "turn" else t for t in back)
     return PathWord(tuple(reversed(true_tokens)))
 
 

@@ -21,7 +21,6 @@ from operator import matmul
 
 from .coeffs import Coefficient
 from .fatgraph import (
-    PathWord,
     an_point_order,
     compile_path,
     monodromy_path,
@@ -50,22 +49,21 @@ class MonodromyRealization:
 
     Each matrix has the normal shape [[q a + w, -b], [c, -q**-1 a]]; the
     extraction validates it exactly and keeps (a, b, c) as torus elements.
-    The builders set `words` to the PathWords the matrices were compiled
-    from; it stays None when the matrices are not plain words (e.g. after
-    a braid move).
+    `words` are the PathWords the matrices were compiled from, or None
+    when the matrices are not plain words (e.g. after a braid move).
     """
 
     __slots__ = (
         "graph", "form", "root", "points", "mats", "words", "a", "b", "c", "omegas", "omega0"
     )
 
-    def __init__(self, graph, form, root, points, mats, omegas, omega0):
+    def __init__(self, graph, form, root, points, mats, omegas, omega0, words):
         self.graph = graph
         self.form = form
         self.root = root
         self.points = tuple(points)
         self.mats = tuple(mats)
-        self.words = None
+        self.words = words
         self.omegas = dict(omegas)
         self.omega0 = omega0
         self.a = []
@@ -90,7 +88,7 @@ class MonodromyRealization:
     def with_matrices(self, mats):
         """Same spine and weights, new matrices; the words no longer apply."""
         return MonodromyRealization(
-            self.graph, self.form, self.root, self.points, mats, self.omegas, self.omega0
+            self.graph, self.form, self.root, self.points, mats, self.omegas, self.omega0, None
         )
 
     # the exact entry source of the relation families below
@@ -128,17 +126,20 @@ def extract_entries(mat, omega):
     return a, b, c
 
 
-def build_monodromy(graph):
-    """Compile the monodromy matrices of an A-type spine, from the root
-    pending edge S to each of its points in linear order."""
+def _realization(graph, root, points, omega0):
+    """Compile the monodromy words from ``root`` around each of ``points``,
+    in order."""
     form = graph.skew_form()
-    points = an_point_order(graph)
-    words = tuple(monodromy_path(graph, "S", point) for point in points)
+    words = tuple(monodromy_path(graph, root, point) for point in points)
     mats = [compile_path(graph, word, form) for word in words]
     omegas = {idx: graph.weight(point) for idx, point in enumerate(points, start=1)}
-    real = MonodromyRealization(graph, form, "S", points, mats, omegas, graph.weight("S"))
-    real.words = words
-    return real
+    return MonodromyRealization(graph, form, root, points, mats, omegas, omega0, words)
+
+
+def build_monodromy(graph):
+    """The monodromy matrices of an A-type spine, from the root pending
+    edge S to each of its points in linear order."""
+    return _realization(graph, "S", an_point_order(graph), graph.weight("S"))
 
 
 def an_realization(n):
@@ -149,19 +150,7 @@ def an_realization(n):
 def pvi_realization():
     """Monodromies of the four-point sphere over the one-vertex graph; the
     paths run out and back along the spectator leg X."""
-    graph = pvi_graph()
-    form = graph.skew_form()
-    words = (
-        PathWord([("edge", "X"), ("turn", "L"), ("orb", "Z", 1), ("turn", "R"), ("edge", "X")]),
-        PathWord([("edge", "X"), ("turn", "R"), ("orb", "Y", 1), ("turn", "L"), ("edge", "X")]),
-    )
-    mats = [compile_path(graph, word, form) for word in words]
-    omegas = {1: graph.weight("Z"), 2: graph.weight("Y")}
-    real = MonodromyRealization(
-        graph, form, None, ("Z", "Y"), mats, omegas, Coefficient.parameter("omega0")
-    )
-    real.words = words
-    return real
+    return _realization(pvi_graph(), "X", ("Z", "Y"), Coefficient.parameter("omega0"))
 
 
 # -- the relation families ----------------------------------------------------

@@ -10,13 +10,16 @@ Two layers:
   generator image is monomial, a cyclic shift of the (N, ..., N) index grid
   times a phase vector, so the re-verification of the catalog is
   matrix-free: monodromy words act on blocks of vectors in O(dim) per
-  factor, through the word evaluator of ``matrices``.  A word runs once per
-  input vector, on both unit columns together, so a, b, c and M[00] are
-  slices of one pass; each realization keeps its recent passes in a memo of
-  bounded bytes, which the repeated entry products of a family hit.  Each
-  identity L = R of the ``monodromy`` catalog families is compared as the
-  sesquilinear form u^H L w against u^H R w on a seeded pair of
-  unit-modulus probe vectors (Freivalds 1977).  The dense
+  factor, through the word evaluator of ``matrices``.
+  :func:`numeric_realization` turns a realization's own words into a
+  :class:`NumericSource`, the one numeric entry source of the
+  ``monodromy`` catalog families.  A word runs once per input vector, on
+  both unit columns together, so a, b, c and M[00] are slices of one pass;
+  each source keeps its recent passes in a memo of bounded bytes, which
+  the repeated entry products of a family hit.  Each identity L = R of
+  the families is compared as the sesquilinear form u^H L w against
+  u^H R w on a seeded pair of unit-modulus probe vectors (Freivalds
+  1977).  The dense
   ``evaluate``/``norm`` path, built from the same images, stays as the
   small-dimension reference for torus and Ore elements;
 
@@ -380,16 +383,16 @@ class _ColumnMemo:
 
 
 def numeric_realization(rep, real, params):
-    """Re-evaluate the realization's own monodromy words numerically and
-    extract (a, b, c), all as operators; a realization without words cannot
-    be re-checked.  Raises ValueError when a word value misses the normal
-    shape M[00] = q a + w on the probe pair, as extract_entries does
-    exactly."""
+    """The :class:`NumericSource` of a realization in ``rep``: its own
+    monodromy words re-evaluated numerically, with (a, b, c) read off them,
+    all as operators; a realization without words cannot be re-checked.
+    Raises ValueError when a word value misses the normal shape
+    M[00] = q a + w on the probe pair, as extract_entries does exactly."""
     if real.words is None:
         raise ValueError("realization carries no path words to re-evaluate")
     q = rep.t_value ** 4
     memo = _ColumnMemo()
-    out = []
+    mats, entries, omegas = [], {}, {}
     for idx, word in enumerate(real.words, start=1):
         m = rep_word_value(rep, real.graph, word, params)
         entry = partial(memo.entry, idx, m)
@@ -399,33 +402,36 @@ def numeric_realization(rep, real, params):
         gap = _gap(lhs, rhs)
         if not gap <= 1e-9:  # a NaN gap fails too
             raise ValueError(f"word {idx} misses the normal shape M[00] = q a + w by {gap}")
-        out.append({"M": m, "a": a, "b": -entry(0, 1), "c": entry(1, 0), "w": w})
-    return out
+        mats.append(m)
+        entries.update({("a", idx): a, ("b", idx): -entry(0, 1), ("c", idx): entry(1, 0)})
+        omegas[idx] = w
+    return NumericSource(rep, mats, entries, omegas, real.omega0.evaluate(rep.t_value, params))
 
 
 class NumericSource:
     """The entry source of the relation families in ``monodromy`` over a
-    clock-and-shift representation: a, b, c and the monodromies M are the
-    operators of ``data``, a :func:`numeric_realization`, and every scalar
-    is complex.  M acts on (2, dim, m) blocks, R-matrices and embedded
-    monodromies on (4, dim, m) blocks of the 2x2 tensor legs."""
+    clock-and-shift representation ``rep``: the monodromies ``mats`` and
+    the entries ``entries[kind, i]`` (kind a, b or c) are operators, and
+    every scalar is complex.  M acts on (2, dim, m) blocks, R-matrices and
+    embedded monodromies on (4, dim, m) blocks of the 2x2 tensor legs."""
 
-    def __init__(self, rep, data, omega0=0j):
-        self.data = data
-        self.n = len(data)
-        self.omegas = {i: d["w"] for i, d in enumerate(data, start=1)}
+    def __init__(self, rep, mats, entries, omegas, omega0):
+        self.rep = rep
+        self.mats = mats
+        self.entries = entries
+        self.n = len(mats)
+        self.omegas = omegas
         self.omega0 = omega0
         self.one = _IDENTITY
-        self.t_value = rep.t_value
 
     def entry(self, kind, i):
-        return self.data[i - 1][kind]
+        return self.entries[kind, i]
 
     def matrix(self, i):
-        return LinearOp(self.data[i - 1]["M"].act, 2)
+        return self.mats[i - 1]
 
     def q(self, k):
-        return self.t_value ** (4 * k)
+        return self.rep.t_value ** (4 * k)
 
     @staticmethod
     def identity():
@@ -483,28 +489,25 @@ def _bilinear_pairs(rep, relations):
         )
 
 
-def numeric_relation_pairs(rep, real, params, data, families):
-    """Yield (label, lhs, rhs) numeric pairs of the named relation families
-    of ``monodromy.relation_families``, all built from ``data``, the
-    :func:`numeric_realization` of ``real`` in ``rep``; each side is the
-    form of its operator on the rep's probe pair, computed only when the
-    pair is asked for."""
-    src = NumericSource(rep, data, real.omega0.evaluate(rep.t_value, params))
-    yield from _bilinear_pairs(rep, relation_families(src, families))
+def numeric_relation_pairs(src, families):
+    """The (label, lhs, rhs) numeric pairs of the named relation families
+    of ``monodromy.relation_families`` over ``src``, a
+    :func:`numeric_realization`: each side is the form of its operator on
+    the probe pair of ``src.rep``.  The operators are built and freed pair
+    by pair; only the 2x2 forms are kept."""
+    return list(_bilinear_pairs(src.rep, relation_families(src, families)))
 
 
-def numeric_pvi_pairs(rep, real, params, data):
-    """Yield the four-point catalog but its star relations: the deformed
-    entry algebra, cross relations, K elements and AW(3) relations."""
-    yield from numeric_relation_pairs(rep, real, params, data, ("pvi",))
+def numeric_pvi_pairs(src):
+    """The four-point catalog but its star relations: the deformed entry
+    algebra, cross relations, K elements and AW(3) relations."""
+    return numeric_relation_pairs(src, ("pvi",))
 
 
-def numeric_reflection_pairs(rep, data):
-    """Yield the mixed and single-matrix reflection forms on the 2x2 tensor
-    of the representation space, built from ``data``, a
-    :func:`numeric_realization` in ``rep``; each side acts on (4, dim, k)
-    block vectors and is reduced to its form on the probe pair."""
-    yield from _bilinear_pairs(rep, relation_families(NumericSource(rep, data), ("reflection",)))
+def numeric_reflection_pairs(src):
+    """The mixed and single-matrix reflection forms on the 2x2 tensor of
+    the representation space; each side acts on (4, dim, k) blocks."""
+    return numeric_relation_pairs(src, ("reflection",))
 
 
 def _gap(lhs, rhs):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .ore import OreElement
+from .torus import TorusElement
+
 
 @dataclass
 class IdentityReport:
@@ -31,10 +34,14 @@ class IdentityReport:
 
 
 def witness_digest(element):
-    """First 20 terms of a nonzero difference, for debuggability without
-    gigantic dumps."""
-    text = repr(element)
-    pieces = text.split(" + ")
-    if len(pieces) > 20:
-        text = " + ".join(pieces[:20]) + f" + ... ({len(pieces) - 20} more terms)"
-    return text
+    """The text of a nonzero difference cut after its first 20 terms (the
+    monomials of a torus element, the fractions of an Ore element), for
+    debuggability without gigantic dumps."""
+    more = len(element.terms) - 20
+    if more <= 0:
+        return repr(element)
+    if isinstance(element, TorusElement):
+        head = TorusElement(element.form, dict(element.monomials()[:20]))
+    else:
+        head = OreElement(element.form, element.terms[:20])
+    return f"{head!r} + ... ({more} more terms)"

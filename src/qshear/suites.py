@@ -43,6 +43,10 @@ class RunConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}; known: {sorted(SUITES)}")
+        for what, values in (("suites", self.suites), ("oracle moduli", self.oracle_moduli)):
+            # each would give its records twice, under the same ids
+            if len(set(values)) != len(values):
+                raise ValueError(f"repeated {what}: {list(values)}")
         for m in self.oracle_moduli:
             # the an4 oracle holds a few probe blocks of dimension m**3,
             # which bounds its memory and time only while m does
@@ -84,18 +88,20 @@ def _catalog_reports(prefix, real, families):
     ]
 
 
-def _numeric_pairs(rep, real, families):
-    """The numeric pairs of the named relation families of ``real`` in
-    ``rep``, all built from one numeric realization and yielded one at a
-    time, so that at most one pair is alive while its caller reduces it.
-    The realization runs each word once per input vector for all its
-    entries, and its memo of recent passes stays within a fixed byte
-    budget at any modulus."""
+def _numeric_pairs(real, config, families):
+    """For each oracle modulus, in order, (rep, pairs): the clock-and-shift
+    representation and the numeric pairs of the named relation families of
+    ``real`` in it, all read off one numeric realization.  That realization
+    runs each word once per input vector for all its entries, its memo of
+    recent passes stays within a fixed byte budget at any modulus, and each
+    pair keeps only the 2x2 forms of its sides."""
     from . import oracle
 
     params = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
-    data = oracle.numeric_realization(rep, real, params)
-    yield from oracle.numeric_relation_pairs(rep, real, params, data, families)
+    for modulus in config.oracle_moduli:
+        rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
+        # the source and its memo are freed before the caller reads the pairs
+        yield rep, oracle.numeric_relation_pairs(oracle.numeric_realization(rep, real, params), families)
 
 
 def _numeric_reports(prefix, anchor, real, config, families):
@@ -104,14 +110,13 @@ def _numeric_reports(prefix, anchor, real, config, families):
     from . import oracle
 
     out = []
-    for modulus in config.oracle_moduli:
-        rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
-        norms = oracle.numeric_pair_norms(_numeric_pairs(rep, real, families))
+    for rep, pairs in _numeric_pairs(real, config, families):
+        norms = oracle.numeric_pair_norms(pairs)
         worst = oracle.worst_norm([n for _, n in norms])
         bad = [lbl for lbl, n in norms if not n <= 1e-9]  # a NaN norm fails too
         out.append(
             IdentityReport(
-                f"{prefix}-oracle-N{modulus}",
+                f"{prefix}-oracle-N{rep.modulus}",
                 anchor,
                 not bad,
                 None if not bad else f"norms above 1e-9: {bad[:5]}",
@@ -270,14 +275,11 @@ def run_oracle_soundness(config):
     from . import oracle
 
     reports = []
-    real = an_realization(3)
-    for modulus in config.oracle_moduli:
-        rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
-        pairs = _numeric_pairs(rep, real, ("entry", "cross", "reflection"))
+    for rep, pairs in _numeric_pairs(an_realization(3), config, ("entry", "cross", "reflection")):
         caught = oracle.mutation_check(pairs, rep.t_value, config.seed)
         reports.append(
             IdentityReport(
-                f"mutations-N{modulus}",
+                f"mutations-N{rep.modulus}",
                 "50 deliberately broken identities are all caught",
                 all(caught),
                 None if all(caught) else f"missed {caught.count(False)}",

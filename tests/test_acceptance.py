@@ -215,12 +215,9 @@ def test_criterion_8_oracle_coupling():
     ):
         for modulus in (5, 7):
             rep = ClockShiftRep(realization.form, modulus, seed=20240229)
-            data = numeric_realization(rep, realization, params)
+            src = numeric_realization(rep, realization, params)
             norms = numeric_pair_norms(
-                [
-                    *numeric_relation_pairs(rep, realization, params, data, families),
-                    *numeric_reflection_pairs(rep, data),
-                ]
+                [*numeric_relation_pairs(src, families), *numeric_reflection_pairs(src)]
             )
             all_norms.extend(n for _, n in norms)
     worst = worst_norm(all_norms)
@@ -241,7 +238,7 @@ def test_criterion_8_oracle_coupling():
     real3 = an_realization(3)
     rep = ClockShiftRep(real3.form, 5, seed=20240229)
     params3 = {"omega0": 0.47}
-    pairs = numeric_relation_pairs(rep, real3, params3, numeric_realization(rep, real3, params3), ("entry", "cross"))
+    pairs = numeric_relation_pairs(numeric_realization(rep, real3, params3), ("entry", "cross"))
     caught = mutation_check(pairs, rep.t_value, 20240229)
     assert len(caught) == 50 and all(caught)
     elapsed = time.perf_counter() - start

@@ -239,6 +239,44 @@ def test_exact_records_of_the_oracle_suites_are_pinned(tmp_path, capsys):
     assert digest == "462085063751e08df2377adbc9094bdc70529e860759124497c8e14edaf20bf3"
 
 
+def test_oracle_records_are_pinned(tmp_path, capsys):
+    """The oracle records of the five suites that carry them, at N=3: one
+    id|anchor|status|count line per record, in report order, where the
+    count is the pair count or caught/total.  No float enters a line, so
+    the digest holds on every platform."""
+    report = tmp_path / "r.json"
+    names = ("an-core", "an-rmatrix", "an-nelson-regge", "pvi", "oracle-soundness")
+    argv = [arg for name in names for arg in ("--suite", name)]
+    assert main(argv + ["--oracle-mod", "3", "--report", str(report)]) == 0
+    lines = []
+    for r in json.loads(report.read_text())["identities"]:
+        extras = r.get("extras", {})
+        if "pairs" in extras:
+            lines.append(f"{r['id']}|{r['anchor']}|{r['status']}|{extras['pairs']}")
+        elif "caught" in extras:
+            lines.append(f"{r['id']}|{r['anchor']}|{r['status']}|{extras['caught']}/{extras['total']}")
+    assert len(lines) == 6
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f9b3275dbc9ae1f775c2a0459379866c144bd5bb604df125aa29d9440ff8102b"
+
+
+def test_repeated_suite_or_modulus_is_usage_error(monkeypatch, capsys):
+    """A repeated suite or modulus would write its records twice under the
+    same ids; it stops with one error line before any suite runs."""
+
+    def refuse(*args):
+        raise AssertionError("a repeated argument must stop before any suite runs")
+
+    monkeypatch.setattr("qshear.cli.run_suite", refuse)
+    assert main(["--suite", "oracle-soundness", "--oracle-mod", "5,5"]) == 2
+    assert capsys.readouterr().err == "error: repeated oracle moduli: [5, 5]\n"
+    assert main(["--suite", "graph-validate", "--suite", "graph-validate"]) == 2
+    assert capsys.readouterr().err == "error: repeated suites: ['graph-validate', 'graph-validate']\n"
+    with pytest.raises(ValueError, match="repeated oracle moduli"):
+        RunConfig(oracle_moduli=(7, 5, 7))
+    assert RunConfig(suites=("pvi", "an-core"), oracle_moduli=(7, 5)).oracle_moduli == (7, 5)
+
+
 def test_flips_classical_at_one_sample(tmp_path):
     report = tmp_path / "r.json"
     assert main(["--suite", "flips-classical", "--samples", "1", "--report", str(report)]) == 0

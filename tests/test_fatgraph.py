@@ -144,6 +144,18 @@ def test_monodromy_words_match_figure():
     )
 
 
+def test_monodromy_path_roots_at_a_pending_edge_or_a_stub():
+    """A root is a pending edge or a spectator stub, a target a pending
+    edge; an internal root, a stub target and root == target are refused."""
+    g = spine_graph_an(2)
+    word = monodromy_path(g, "W", "Z1")
+    assert word.steps[0] == word.steps[-1] == ("edge", "W")
+    compile_path(g, word, g.skew_form())
+    for root, target in (("X1", "Z1"), ("S", "W"), ("Z1", "Z1")):
+        with pytest.raises(ValueError):
+            monodromy_path(g, root, target)
+
+
 def test_compiled_monodromy_entry():
     g = spine_graph_an(2)
     f = g.skew_form()

@@ -23,6 +23,8 @@ from qshear.monodromy import (
     uqsl2_defects,
     yang_baxter_defect,
 )
+from qshear.ore import OreElement, QDenominator
+from qshear.reports import witness_digest
 from qshear.suites import _defect_report
 from qshear.torus import TorusElement, commutative_shadow, ew
 
@@ -240,6 +242,16 @@ def test_stored_words_compile_to_the_matrices(an2, an3, an4, pvi):
             assert compile_path(real.graph, word, real.form).rows == mat.rows
 
 
+def test_four_point_words_are_the_steps_around_each_point(pvi):
+    """The four-point words, derived from the spectator root X, run out
+    along X, around Z or Y and back, in this order."""
+    assert (pvi.root, pvi.points) == ("X", ("Z", "Y"))
+    assert [word.steps for word in pvi.words] == [
+        (("edge", "X"), ("turn", "L"), ("orb", "Z", 1), ("turn", "R"), ("edge", "X")),
+        (("edge", "X"), ("turn", "R"), ("orb", "Y", 1), ("turn", "L"), ("edge", "X")),
+    ]
+
+
 def test_braided_realization_has_no_words_to_recheck(an3):
     imaged = braid_apply(an3, 1)
     assert imaged.words is None
@@ -283,6 +295,28 @@ def test_defect_report_fails_on_the_mutated_relation(an3):
         assert rep.to_json()["status"] == "fail"
 
 
+def test_witness_digest_cuts_between_whole_terms():
+    """A long difference is cut after 20 whole terms, never inside a
+    multi-term coefficient, and the rest is counted in terms: monomials of
+    a torus element, fractions of an Ore element.  Up to 20 terms the
+    digest is the element's text."""
+    form = an_realization(2).form
+    coeff = Coefficient.t_power(-2, 3) + ONE + Coefficient.t_power(2)
+
+    def torus(n):
+        return TorusElement(form, {form.du({"S": k}): coeff for k in range(n)})
+
+    for n in (8, 20):
+        assert witness_digest(torus(n)) == repr(torus(n))
+    assert witness_digest(torus(25)) == repr(torus(20)) + " + ... (5 more terms)"
+    step = form.du({"X1": 1})
+    fractions = [(torus(2), (QDenominator(form, step, (Coefficient.rational(k),)),)) for k in range(1, 24)]
+    assert len(OreElement(form, fractions).terms) == 23
+    head = repr(OreElement(form, fractions[:20]))
+    assert witness_digest(OreElement(form, fractions[:20])) == head
+    assert witness_digest(OreElement(form, fractions)) == head + " + ... (3 more terms)"
+
+
 # -- the record table ------------------------------------------------------------
 
 
@@ -300,7 +334,7 @@ def test_no_single_matrix_reflection_record_at_nonzero_weight(pvi):
     four-point realization has no reflection-ii record in either ring."""
     rep = oracle.ClockShiftRep(pvi.form, 5)
     params = {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}
-    src = oracle.NumericSource(rep, oracle.numeric_realization(rep, pvi, params))
+    src = oracle.numeric_realization(rep, pvi, params)
     for ring in (pvi, src):
         assert [record for record, _, _ in family_records(ring, "reflection")] == ["reflection-12"]
 
@@ -310,11 +344,11 @@ def test_no_hermitian_record_over_operators(an3):
     add no oracle pair."""
     rep = oracle.ClockShiftRep(an3.form, 5)
     params = {"omega0": 0.47}
-    data = oracle.numeric_realization(rep, an3, params)
-    assert list(family_records(oracle.NumericSource(rep, data), "hermitian")) == []
+    src = oracle.numeric_realization(rep, an3, params)
+    assert list(family_records(src, "hermitian")) == []
 
     def labels(families):
-        pairs = oracle.numeric_relation_pairs(rep, an3, params, data, families)
+        pairs = oracle.numeric_relation_pairs(src, families)
         return [label for label, _, _ in pairs]
 
     assert labels(("nelson-regge", "hermitian")) == labels(("nelson-regge",))
@@ -326,7 +360,7 @@ def test_exact_only_family_over_operators_is_named(an3, family):
     """The braid and flip families read exact matrices and the graph, so
     over an operator source they raise a ValueError that names them."""
     rep = oracle.ClockShiftRep(an3.form, 5)
-    src = oracle.NumericSource(rep, oracle.numeric_realization(rep, an3, {"omega0": 0.47}))
+    src = oracle.numeric_realization(rep, an3, {"omega0": 0.47})
     with pytest.raises(ValueError, match=f"'{family}' is exact-only"):
         list(family_records(src, family))
 

@@ -120,8 +120,8 @@ def test_numeric_relations_two_moduli():
     params = {"omega0": 0.47}
     for modulus in (5, 7):
         rep = ClockShiftRep(real.form, modulus, seed=3)
-        data = numeric_realization(rep, real, params)
-        pairs = [*numeric_relation_pairs(rep, real, params, data, AN_CORE), *numeric_reflection_pairs(rep, data)]
+        src = numeric_realization(rep, real, params)
+        pairs = [*numeric_relation_pairs(src, AN_CORE), *numeric_reflection_pairs(src)]
         norms = [n for _, n in numeric_pair_norms(pairs)]
         assert all(n <= 1e-9 for n in norms), (modulus, worst_norm(norms))
 
@@ -131,8 +131,8 @@ def test_numeric_pvi_relations():
     params = {"omega0": 0.31, "omega1": 0.83, "omega2": 1.21}
     for modulus in (5, 7):
         rep = ClockShiftRep(real.form, modulus, seed=3)
-        data = numeric_realization(rep, real, params)
-        norms = [n for _, n in numeric_pair_norms(numeric_relation_pairs(rep, real, params, data, ("pvi",)))]
+        src = numeric_realization(rep, real, params)
+        norms = [n for _, n in numeric_pair_norms(numeric_relation_pairs(src, ("pvi",)))]
         assert all(n <= 1e-9 for n in norms), (modulus, worst_norm(norms))
 
 
@@ -140,7 +140,7 @@ def test_mutations_all_caught():
     real = an_realization(3)
     params = {"omega0": 0.47}
     rep = ClockShiftRep(real.form, 5, seed=3)
-    pairs = numeric_relation_pairs(rep, real, params, numeric_realization(rep, real, params), AN_CORE)
+    pairs = numeric_relation_pairs(numeric_realization(rep, real, params), AN_CORE)
     caught = mutation_check(pairs, rep.t_value, 5)
     assert len(caught) == 50 and all(caught)
 
@@ -151,7 +151,7 @@ def test_reflection_mutations_all_caught():
     real = an_realization(3)
     params = {"omega0": 0.47}
     rep = ClockShiftRep(real.form, 5, seed=3)
-    pairs = list(numeric_reflection_pairs(rep, numeric_realization(rep, real, params)))
+    pairs = numeric_reflection_pairs(numeric_realization(rep, real, params))
     assert rep.probe(4).shape == (4, rep.dim, 2)
     assert all(lhs.shape == rhs.shape == (2, 2) for _, lhs, rhs in pairs)
     caught = mutation_check(pairs, rep.t_value, 5)
@@ -177,8 +177,7 @@ def test_oracle_uses_generator_images_only(monkeypatch, make_real, params, famil
     for cls in (TorusElement, OreElement, AlgMatrix):
         monkeypatch.setattr(cls, "mul", _refuse_symbolic_product)
     rep = ClockShiftRep(real.form, 5, seed=3)
-    data = numeric_realization(rep, real, params)
-    pairs = list(numeric_relation_pairs(rep, real, params, data, families))
+    pairs = numeric_relation_pairs(numeric_realization(rep, real, params), families)
     norms = [n for _, n in numeric_pair_norms(pairs)]
     assert all(n <= 1e-9 for n in norms), worst_norm(norms)
 
@@ -191,8 +190,7 @@ def test_catalog_mutants_fail_in_both_rings(make_real, params, families):
     only the star relations have no operator form."""
     real = make_real()
     rep = ClockShiftRep(real.form, 5, seed=3)
-    data = numeric_realization(rep, real, params)
-    src = NumericSource(rep, data, real.omega0.evaluate(rep.t_value, params))
+    src = numeric_realization(rep, real, params)
     numeric = {label: (lhs, rhs) for label, lhs, rhs in relation_families(src, families)}
     exact = list(relation_families(real, families))
     assert [label for label, _, _ in exact if label not in numeric] == [
@@ -227,12 +225,12 @@ def test_pair_counts_and_label_order(make_real, families, relations, reflections
     real = make_real()
     params = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
     rep = ClockShiftRep(real.form, 5, seed=20240229)
-    data = numeric_realization(rep, real, params)
-    rel = [label for label, _, _ in numeric_relation_pairs(rep, real, params, data, families)]
-    ref = [label for label, _, _ in numeric_reflection_pairs(rep, data)]
+    src = numeric_realization(rep, real, params)
+    rel = [label for label, _, _ in numeric_relation_pairs(src, families)]
+    ref = [label for label, _, _ in numeric_reflection_pairs(src)]
     assert (len(rel), len(ref)) == (relations, reflections)
-    if real.root is None:
-        assert [label for label, _, _ in numeric_pvi_pairs(rep, real, params, data)] == rel
+    if families == ("pvi",):
+        assert [label for label, _, _ in numeric_pvi_pairs(src)] == rel
     assert hashlib.sha256("\n".join(rel + ref).encode()).hexdigest() == digest
 
 
@@ -361,27 +359,24 @@ def test_matrix_free_sides_match_dense_reference(monkeypatch, make_real, params,
     real = make_real()
     rep = ClockShiftRep(real.form, 5, seed=3)
     monkeypatch.setattr(rep, "probe", _identity_probe(rep))
-    data = numeric_realization(rep, real, params)
+    src = numeric_realization(rep, real, params)
     qinv = rep.t_value ** -4
-    mats, dense = [], []
-    for d, word in zip(data, real.words):
-        m = _dense_word_value(rep, real.graph, word, params)
-        mats.append(m)
-        dense.append({
-            "M": LinearOp(lambda x, m=m: np.einsum("ijab,jbk->iak", m, x)),
-            "a": LinearOp(lambda x, m=m: -m[1, 1] / qinv @ x),
-            "b": LinearOp(lambda x, m=m: -m[0, 1] @ x),
-            "c": LinearOp(lambda x, m=m: m[1, 0] @ x),
-            "w": d["w"],
-        })
-    free = list(numeric_relation_pairs(rep, real, params, data, families))
-    ref = list(numeric_relation_pairs(rep, real, params, dense, families))
+    mats = [_dense_word_value(rep, real.graph, word, params) for word in real.words]
+    ops = [LinearOp(lambda x, m=m: np.einsum("ijab,jbk->iak", m, x), 2) for m in mats]
+    entries = {}
+    for i, m in enumerate(mats, start=1):
+        entries["a", i] = LinearOp(lambda x, m=m: -m[1, 1] / qinv @ x)
+        entries["b", i] = LinearOp(lambda x, m=m: -m[0, 1] @ x)
+        entries["c", i] = LinearOp(lambda x, m=m: m[1, 0] @ x)
+    dense = NumericSource(rep, ops, entries, src.omegas, src.omega0)
+    free = numeric_relation_pairs(src, families)
+    ref = numeric_relation_pairs(dense, families)
     assert [label for label, _, _ in free] == [label for label, _, _ in ref]
     for (label, lhs, rhs), (_, dl, dr) in zip(free, ref):
         assert lhs.shape == rhs.shape and lhs.shape[0] in (rep.dim, 2 * rep.dim)
         assert np.max(np.abs(lhs - dl)) < 1e-12 and np.max(np.abs(rhs - dr)) < 1e-12, label
-    reflections = list(numeric_reflection_pairs(rep, data))
-    expected = _dense_reflection_sides(rep, mats, [d["w"] for d in data])
+    reflections = numeric_reflection_pairs(src)
+    expected = _dense_reflection_sides(rep, mats, [src.omegas[i] for i in range(1, src.n + 1)])
     assert len(reflections) == len(expected)
     for (label, lhs, rhs), (dl, dr) in zip(reflections, expected):
         assert np.max(np.abs(lhs - dl)) < 1e-12 and np.max(np.abs(rhs - dr)) < 1e-12, label
@@ -417,8 +412,7 @@ def test_oracle_catches_a_broken_generator_image(monkeypatch):
 
     monkeypatch.setattr(ClockShiftRep, "image", tampered)
     rep = ClockShiftRep(real.form, 5, seed=3)
-    data = numeric_realization(rep, real, params)
-    norms = numeric_pair_norms(numeric_relation_pairs(rep, real, params, data, AN_CORE))
+    norms = numeric_pair_norms(numeric_relation_pairs(numeric_realization(rep, real, params), AN_CORE))
     assert max(n for _, n in norms) > 1e-6
 
 
@@ -554,18 +548,18 @@ def test_column_pass_gives_the_same_floats(make_real, modulus):
     block: each column goes through the same elementwise operations."""
     real = make_real()
     rep = ClockShiftRep(real.form, modulus, seed=20240229)
-    data = numeric_realization(rep, real, SUITE_PARAMS)
+    src = numeric_realization(rep, real, SUITE_PARAMS)
     q = rep.t_value ** 4
     rng = np.random.default_rng(11)
     blocks = [rep.probe(1)[0], rng.standard_normal((rep.dim, 3)) + 1j * rng.standard_normal((rep.dim, 3))]
     memo = oracle._ColumnMemo()
-    for idx, (d, word) in enumerate(zip(data, real.words), start=1):
+    for idx, word in enumerate(real.words, start=1):
         for x in blocks:
             padded = partial(_padded_entry, rep, real, word, SUITE_PARAMS, x=x)
-            assert np.array_equal(d["a"].act(x), -q * padded(1, 1))
-            assert np.array_equal(d["b"].act(x), -padded(0, 1))
-            assert np.array_equal(d["c"].act(x), padded(1, 0))
-            assert np.array_equal(memo.entry(idx, d["M"], 0, 0).act(x), padded(0, 0))
+            assert np.array_equal(src.entry("a", idx).act(x), -q * padded(1, 1))
+            assert np.array_equal(src.entry("b", idx).act(x), -padded(0, 1))
+            assert np.array_equal(src.entry("c", idx).act(x), padded(1, 0))
+            assert np.array_equal(memo.entry(idx, src.matrix(idx), 0, 0).act(x), padded(0, 0))
 
 
 def test_memo_hit_is_read_only_and_checks_the_whole_input(recorded, monkeypatch):
@@ -575,18 +569,18 @@ def test_memo_hit_is_read_only_and_checks_the_whole_input(recorded, monkeypatch)
     memos, passes = recorded
     real = an_realization(3)
     rep = ClockShiftRep(real.form, 5, seed=3)
-    data = numeric_realization(rep, real, {"omega0": 0.47})
+    c1 = numeric_realization(rep, real, {"omega0": 0.47}).entry("c", 1)
     x = rep.probe(1)[0]
-    first = data[0]["c"].act(x)
+    first = c1.act(x)
     count = len(passes)
-    served = data[0]["c"].act(x.copy())
+    served = c1.act(x.copy())
     assert len(passes) == count and np.shares_memory(served, first)
     assert not served.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         served[0, 0] = 0
     monkeypatch.setattr(oracle, "hash", lambda raw: 0, raising=False)
     y = 2 * x
-    fresh = [data[0]["c"].act(v) for v in (x, y)]
+    fresh = [c1.act(v) for v in (x, y)]
     assert len(passes) == count + 2
     assert np.array_equal(fresh[0], first)
     assert np.array_equal(fresh[1], 2 * first)
@@ -601,10 +595,10 @@ def test_memo_stays_within_its_budget_at_modulus_13(recorded):
     memos, _ = recorded
     real = an_realization(4)
     rep = ClockShiftRep(real.form, 13, seed=20240229)
-    data = numeric_realization(rep, real, SUITE_PARAMS)
+    src = numeric_realization(rep, real, SUITE_PARAMS)
     (memo,) = memos
     for family in ("entry", "cross", "nelson-regge", "reflection"):
-        norms = numeric_pair_norms(numeric_relation_pairs(rep, real, SUITE_PARAMS, data, (family,)))
+        norms = numeric_pair_norms(numeric_relation_pairs(src, (family,)))
         assert all(n <= 1e-9 for _, n in norms), family
         assert 0 < memo.nbytes <= oracle._MEMO_BYTES, family
         assert memo.nbytes == sum(a.nbytes + b.nbytes for a, b in memo.held.values())
@@ -629,7 +623,7 @@ def test_seeded_reproducibility():
     def snapshot():
         rep = ClockShiftRep(real.form, 5, seed=99)
         values = {"omega0": 0.5, **params}
-        pairs = numeric_relation_pairs(rep, real, values, numeric_realization(rep, real, values), AN_CORE)
+        pairs = numeric_relation_pairs(numeric_realization(rep, real, values), AN_CORE)
         return json.dumps(numeric_pair_norms(pairs), sort_keys=True)
     assert snapshot() == snapshot()
 
