@@ -23,6 +23,6 @@ k1 = a1.mul(c2) - c1.mul(a2).scale(q2) - c1.scale(Coefficient.q_power(1) * real.
 print("\nK1 =", k1, " (a single central monomial)")
 print("K1 == exp(-X-Y-Z):", k1 == ew(f, {"X": -1, "Y": -1, "Z": -1}))
 
-defects = relation_defects(relation_families(real, ("pvi",)))
+defects = relation_defects(relation_families(real, ("pvi", "hermitian")))
 bad = [lbl for lbl, d in defects if not element_is_zero(d)]
-print(f"\nfull catalog ({len(defects)} relations incl. AW(3)):", "all pass" if not bad else bad)
+print(f"\nfull catalog ({len(defects)} relations incl. AW(3) and the star checks):", "all pass" if not bad else bad)

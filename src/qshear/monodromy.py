@@ -1,7 +1,7 @@
 """Monodromy matrices on rooted spines and the quantum algebras of their
-entries: the order-2 chain case, its braid action and geodesic-function
-algebra, its invariance under the quantum flips of ``flips``, and the
-four-point sphere case.
+entries: the chain case at the orbifold weights of its points, its braid
+action and geodesic-function algebra, its invariance under the quantum
+flips of ``flips``, and the four-point sphere case.
 
 The catalog is written once for both rings: each relation family yields
 (label, lhs, rhs) triples over an entry source, which is a realization here
@@ -209,31 +209,44 @@ def uqsl2_defects(real, i):
     return relation_defects(uqsl2_relations(real, i))
 
 
+def _weighted(x, w, scale, y):
+    """x + (scale w) y, or x itself at weight w = 0, so that at order-2
+    points the weighted formulas build exactly the order-2 elements and
+    operators."""
+    return x + (scale * w) * y if w else x
+
+
 def cross_relations(src, i, j):
-    """The complete set of order-2 chain cross relations for i < j,
-    including both displayed variants of the mixed ones."""
+    """The complete set of chain cross relations for i < j, including both
+    displayed variants of the mixed ones, at the weights w_i, w_j of the
+    two points.  The labels name the order-2 case w = 0; otherwise b_i a_j
+    gains (q-q^-1) w_i b_j, a_i c_j gains (q-q^-1) w_j c_i, and the last
+    relation (q^2-q^-2)(w_i a_j + w_j a_i) + (q-q^-1) w_i w_j."""
     ai, bi, ci = (src.entry(k, i) for k in "abc")
     aj, bj, cj = (src.entry(k, j) for k in "abc")
+    wi, wj = src.omegas[i], src.omegas[j]
     q, qi, q2, qi2 = (src.q(k) for k in (1, -1, 2, -2))
-    d = q2 - qi2
+    d, e = q2 - qi2, q - qi
     bi_aj, aj_bi, ai_cj, cj_ai = bi @ aj, aj @ bi, ai @ cj, cj @ ai
     ai_aj, aj_ai = ai @ aj, aj @ ai
+    last = _weighted(qi * (cj @ bi) + (qi * d) * aj_ai, wi, d, aj)
+    last = _weighted(_weighted(last, wj, d, ai), wi * wj, e, src.one)
     for label, lhs, rhs in (
         ("q^-1 b_i b_j = q b_j b_i", qi * (bi @ bj), q * (bj @ bi)),
         ("q^-1 c_i c_j = q c_j c_i", qi * (ci @ cj), q * (cj @ ci)),
         ("a_i b_j = b_j a_i", ai @ bj, bj @ ai),
-        ("b_i a_j = a_j b_i + (q^2-q^-2) a_i b_j", bi_aj, aj_bi + d * (ai @ bj)),
-        ("b_i a_j = a_j b_i + (q^2-q^-2) b_j a_i", bi_aj, aj_bi + d * (bj @ ai)),
+        ("b_i a_j = a_j b_i + (q^2-q^-2) a_i b_j", bi_aj, _weighted(aj_bi + d * (ai @ bj), wi, e, bj)),
+        ("b_i a_j = a_j b_i + (q^2-q^-2) b_j a_i", bi_aj, _weighted(aj_bi + d * (bj @ ai), wi, e, bj)),
         ("c_i a_j = a_j c_i", ci @ aj, aj @ ci),
-        ("a_i c_j = c_j a_i + (q^2-q^-2) c_i a_j", ai_cj, cj_ai + d * (ci @ aj)),
-        ("a_i c_j = c_j a_i + (q^2-q^-2) a_j c_i", ai_cj, cj_ai + d * (aj @ ci)),
+        ("a_i c_j = c_j a_i + (q^2-q^-2) c_i a_j", ai_cj, _weighted(cj_ai + d * (ci @ aj), wj, e, ci)),
+        ("a_i c_j = c_j a_i + (q^2-q^-2) a_j c_i", ai_cj, _weighted(cj_ai + d * (aj @ ci), wj, e, ci)),
         ("q c_i b_j = q^-1 b_j c_i", q * (ci @ bj), qi * (bj @ ci)),
         ("a_i a_j = a_j a_i + (1-q^-2) b_j c_i", ai_aj, aj_ai + (src.q(0) - qi2) * (bj @ ci)),
         ("a_i a_j = a_j a_i + (q^2-1) c_i b_j", ai_aj, aj_ai + (q2 - src.q(0)) * (ci @ bj)),
         (
             "q b_i c_j + q(q^-2-q^2) a_i a_j = q^-1 c_j b_i - q^-1 (q^-2-q^2) a_j a_i",
             q * (bi @ cj) - (q * d) * ai_aj,
-            qi * (cj @ bi) + (qi * d) * aj_ai,
+            last,
         ),
     ):
         yield (f"({i},{j}) {label}", lhs, rhs)
@@ -244,7 +257,11 @@ def cross_relation_defects(real, i, j):
 
 
 def geodesic_G(src, i, j):
-    """Quantum geodesic function for the pair (i, j), root index 0."""
+    """Quantum geodesic function for the pair (i, j), root index 0: at the
+    root b_j + c_j + w_0 a_j, and between two points the ordering
+    G_ij = q b_i c_j + q^3 c_i b_j - (q^3+q) a_i a_j
+           - q^2 (w_i a_j + w_j a_i) - q w_i w_j,
+    whose weight terms vanish at order-2 points."""
     if not 0 <= i < j <= src.n:
         raise ValueError("need 0 <= i < j <= number of points")
     if i == 0:
@@ -252,8 +269,11 @@ def geodesic_G(src, i, j):
         return b + c + src.omega0 * a
     ai, bi, ci = (src.entry(k, i) for k in "abc")
     aj, bj, cj = (src.entry(k, j) for k in "abc")
-    q, q3 = src.q(1), src.q(3)
-    return q * (bi @ cj) + q3 * (ci @ bj) - (q3 + q) * (ai @ aj)
+    wi, wj = src.omegas[i], src.omegas[j]
+    q, q2, q3 = src.q(1), src.q(2), src.q(3)
+    g = q * (bi @ cj) + q3 * (ci @ bj) - (q3 + q) * (ai @ aj)
+    g = _weighted(_weighted(g, wi, -q2, aj), wj, -q2, ai)
+    return _weighted(g, wi * wj, -q, src.one)
 
 
 def hermitian_relations(real):
@@ -447,44 +467,25 @@ def root_flip_relations(real, sub):
 
 
 def pvi_relations(src):
-    """The full four-point catalog as four records (record, anchor,
-    relations): deformed U_q(sl2) with the nine cross relations and the
-    consistency condition, centrality and duality of the K elements,
-    Hermitian geodesics (exact sources only: an operator has no star here),
-    and the three AW(3) relations."""
+    """The four-point catalog as three records (record, anchor,
+    relations): deformed U_q(sl2) with the weighted cross relations of the
+    pair (1, 2), the commutation of a1 with a2 and the consistency
+    condition; centrality and duality of the K elements; and the three
+    AW(3) relations of the geodesic functions G_XZ = G(0,1), G_XY = G(0,2)
+    and G_YZ = G(1,2).  Their star relations are the 'hermitian' family."""
     one = src.one
     a1, b1, c1 = (src.entry(k, 1) for k in "abc")
     a2, b2, c2 = (src.entry(k, 2) for k in "abc")
     w0, w1, w2 = src.omega0, src.omegas[1], src.omegas[2]
-    q, qi, q2, qi2, q3 = (src.q(k) for k in (1, -1, 2, -2, 3))
+    q, qi, q2, qi2 = (src.q(k) for k in (1, -1, 2, -2))
     d = q2 - qi2
-    a1a2 = a1 @ a2
 
     def entry_algebra():
         for i in (1, 2):
             yield from uqsl2_relations(src, i)
+        yield from cross_relations(src, 1, 2)
+        a1a2 = a1 @ a2
         yield ("q^-1 a1a2 = q a2a1", qi * a1a2, q * (a2 @ a1))
-        yield ("q^-1 b1b2 = q b2b1", qi * (b1 @ b2), q * (b2 @ b1))
-        yield ("q^-1 c1c2 = q c2c1", qi * (c1 @ c2), q * (c2 @ c1))
-        yield (
-            "b-mixed",
-            b1 @ a2 + qi2 * (a1 @ b2) + (qi * w1) * b2,
-            a2 @ b1 + q2 * (b2 @ a1) + (q * w1) * b2,
-        )
-        yield ("a1b2 = b2a1", a1 @ b2, b2 @ a1)
-        yield (
-            "c-mixed",
-            a1 @ c2 + qi2 * (c1 @ a2) + (qi * w2) * c1,
-            c2 @ a1 + q2 * (a2 @ c1) + (q * w2) * c1,
-        )
-        yield ("c1a2 = a2c1", c1 @ a2, a2 @ c1)
-        yield ("q c1b2 = q^-1 b2c1", q * (c1 @ b2), qi * (b2 @ c1))
-        yield (
-            "bc-mixed",
-            q * (b1 @ c2) - qi * (c2 @ b1),
-            d * (q * a1a2 + qi * (a2 @ a1) + w1 * a2 + w2 * a1)
-            + ((q - qi) * (w1 * w2)) * one,
-        )
         yield ("a1a2 = q^2 c1b2", a1a2, q2 * (c1 @ b2))
 
     yield ("entry-algebra", "deformed entry algebra and consistency condition", entry_algebra())
@@ -501,17 +502,7 @@ def pvi_relations(src):
 
     yield ("K1K2", "central elements with K1 K2 = 1", k_relations())
 
-    gxz = c1 + b1 + w0 * a1
-    gxy = c2 + b2 + w0 * a2
-    gyz = q * (b1 @ c2) - q3 * a1a2 - q2 * (w1 * a2 + w2 * a1) - (q * (w1 * w2)) * one
-    if hasattr(one, "star"):
-        gs = (("G_XZ", gxz), ("G_XY", gxy), ("G_YZ", gyz))
-        yield (
-            "hermitian",
-            "geodesic functions are star-fixed",
-            ((f"{name} Hermitian", g.star(), g) for name, g in gs),
-        )
-
+    gxz, gxy, gyz = (geodesic_G(src, i, j) for i, j in ((0, 1), (0, 2), (1, 2)))
     om3 = k1 + k2
 
     def aw3_relations():
@@ -535,12 +526,14 @@ def pvi_relations(src):
 
 def family_records(src, family):
     """Yield each record of one relation family over all points of ``src``,
-    in order, as (record, anchor, relations): 'entry', 'cross',
-    'nelson-regge' (all indices from the root), 'reflection' (the
-    single-matrix form at weight zero only), 'pvi', or the exact-only
-    'hermitian' (nothing over a source without a star), 'braid' and 'flip'
-    (the substitution invariants of each inner edge and of the root
-    pending edge), which raise ValueError over any other source."""
+    in order, as (record, anchor, relations): 'entry', 'cross' (at the
+    points' weights), 'nelson-regge' (all indices from the root),
+    'reflection' (the single-matrix form at weight zero only), 'pvi' (the
+    four-point sphere), or the exact-only 'hermitian' (G(i,j)* = G(i,j)
+    for every pair from the root; the one star check of the catalog, which
+    yields nothing over a source without a star), 'braid' and 'flip' (the
+    substitution invariants of each inner edge and of the root pending
+    edge), which raise ValueError over any other source."""
     if family in ("braid", "flip") and not isinstance(src, MonodromyRealization):
         raise ValueError(f"relation family {family!r} is exact-only")
     points = range(1, src.n + 1)

@@ -499,8 +499,8 @@ def numeric_relation_pairs(src, families):
 
 
 def numeric_pvi_pairs(src):
-    """The four-point catalog but its star relations: the deformed entry
-    algebra, cross relations, K elements and AW(3) relations."""
+    """The pairs of the four-point family: the deformed entry algebra with
+    the weighted cross relations, the K elements and the AW(3) relations."""
     return numeric_relation_pairs(src, ("pvi",))
 
 

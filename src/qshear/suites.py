@@ -43,7 +43,9 @@ class RunConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}; known: {sorted(SUITES)}")
-        for what, values in (("suites", self.suites), ("oracle moduli", self.oracle_moduli)):
+        for what, values in (
+            ("suites", self.suites), ("graphs", self.graphs), ("oracle moduli", self.oracle_moduli)
+        ):
             # each would give its records twice, under the same ids
             if len(set(values)) != len(values):
                 raise ValueError(f"repeated {what}: {list(values)}")
@@ -197,7 +199,7 @@ def run_an_braid(config):
 
 
 def run_pvi(config):
-    families = ("pvi",)
+    families = ("pvi", "hermitian")
     real = pvi_realization()
     reports = _catalog_reports("pvi", real, families)
     anchor = "numeric re-check of the four-point algebra"

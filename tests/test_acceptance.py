@@ -142,7 +142,7 @@ def test_criterion_5_pvi():
     weights symbolic, under 2 min."""
     start = time.perf_counter()
     real = pvi_realization()
-    assert_clean(relation_defects(relation_families(real, ("pvi",))))
+    assert_clean(relation_defects(relation_families(real, ("pvi", "hermitian"))))
     elapsed = time.perf_counter() - start
     assert _report("criterion-5 pvi-aw3", elapsed < 120, elapsed)
 

@@ -236,7 +236,7 @@ def test_exact_records_of_the_oracle_suites_are_pinned(tmp_path, capsys):
     ]
     assert len(lines) == 41
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "462085063751e08df2377adbc9094bdc70529e860759124497c8e14edaf20bf3"
+    assert digest == "f5d453fe8582aea4ab04de2ecf956740840f87f4ed861edbde7a56567a66ccea"
 
 
 def test_oracle_records_are_pinned(tmp_path, capsys):
@@ -257,12 +257,13 @@ def test_oracle_records_are_pinned(tmp_path, capsys):
             lines.append(f"{r['id']}|{r['anchor']}|{r['status']}|{extras['caught']}/{extras['total']}")
     assert len(lines) == 6
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "f9b3275dbc9ae1f775c2a0459379866c144bd5bb604df125aa29d9440ff8102b"
+    assert digest == "665a46646030386583ff39d8c82173613a56eca4c5fd00a7323ef13eeec34c69"
 
 
 def test_repeated_suite_or_modulus_is_usage_error(monkeypatch, capsys):
-    """A repeated suite or modulus would write its records twice under the
-    same ids; it stops with one error line before any suite runs."""
+    """A repeated suite, graph or modulus would write its records twice
+    under the same ids; it stops with one error line before any suite
+    runs."""
 
     def refuse(*args):
         raise AssertionError("a repeated argument must stop before any suite runs")
@@ -272,6 +273,8 @@ def test_repeated_suite_or_modulus_is_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: repeated oracle moduli: [5, 5]\n"
     assert main(["--suite", "graph-validate", "--suite", "graph-validate"]) == 2
     assert capsys.readouterr().err == "error: repeated suites: ['graph-validate', 'graph-validate']\n"
+    assert main(["--suite", "graph-validate", "--graph", "a.json", "--graph", "a.json"]) == 2
+    assert capsys.readouterr().err == "error: repeated graphs: ['a.json', 'a.json']\n"
     with pytest.raises(ValueError, match="repeated oracle moduli"):
         RunConfig(oracle_moduli=(7, 5, 7))
     assert RunConfig(suites=("pvi", "an-core"), oracle_moduli=(7, 5)).oracle_moduli == (7, 5)

@@ -1,14 +1,16 @@
 import random
+import sys
 
 import pytest
 
-from qshear import oracle
+from qshear import monodromy, oracle
 from qshear.coeffs import Coefficient, ONE
-from qshear.fatgraph import FatGraph, PendingInfo, monodromy_path, compile_path
+from qshear.fatgraph import FatGraph, PendingInfo, monodromy_path, compile_path, spine_graph_an
 from qshear.matrices import AlgMatrix
 from qshear.monodromy import (
     an_realization,
     braid_apply,
+    build_monodromy,
     catalog_defects,
     cross_relation_defects,
     element_is_zero,
@@ -25,7 +27,7 @@ from qshear.monodromy import (
 )
 from qshear.ore import OreElement, QDenominator
 from qshear.reports import witness_digest
-from qshear.suites import _defect_report
+from qshear.suites import RunConfig, _defect_report, run_pvi
 from qshear.torus import TorusElement, commutative_shadow, ew
 
 from conftest import random_monomial
@@ -178,7 +180,7 @@ def test_pvi_entries(pvi):
 
 
 def test_pvi_catalog(pvi):
-    assert_clean(relation_defects(relation_families(pvi, ("pvi",))))
+    assert_clean(relation_defects(relation_families(pvi, ("pvi", "hermitian"))))
 
 
 def test_pvi_k_elements_explicitly(pvi):
@@ -378,3 +380,62 @@ def test_an3_braid_records_keep_their_ids_and_check_counts(an3):
         ("braid-product-2", 8),
         ("gm-table", 36),
     ]
+
+
+# -- weighted points --------------------------------------------------------------
+
+
+def weighted_spine(n):
+    """The A_n spine whose points Z1..Zn carry the parameters omega1..omegan
+    instead of order 2: a graph edit only."""
+    g = spine_graph_an(n)
+    pending = dict(g.pending)
+    pending.update({f"Z{k}": PendingInfo.from_param(f"omega{k}") for k in range(1, n + 1)})
+    return build_monodromy(FatGraph(g.edges, g.vertices, pending, g.meta))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_weighted_chain_cross_relations_and_star(n):
+    """At symbolic weights on every point, every pair's cross relations and
+    every geodesic function's star relation vanish exactly."""
+    real = weighted_spine(n)
+    assert all(real.omegas.values())
+    pairs = n * (n - 1) // 2
+    cross = catalog_defects(real, ("cross",))
+    assert [len(defects) for _, _, defects in cross] == [12] * pairs
+    [(_, _, star)] = catalog_defects(real, ("hermitian",))
+    assert len(star) == pairs + n
+    for _, _, defects in cross:
+        assert_clean(defects)
+    assert_clean(star)
+
+
+def test_dropping_any_weight_term_fails_pvi_and_the_weighted_chain(monkeypatch):
+    """Each of the ten weight terms, seven in the cross relations and three
+    in the geodesic function, dropped alone, fails an exact pvi record,
+    pvi-oracle-N5 and the cross or star relations of the weighted A3
+    spine.  A term is told by its call site of monodromy._weighted."""
+    weighted = monodromy._weighted
+    chain = weighted_spine(3)
+
+    def failures(drop=None):
+        sites = set()
+
+        def traced(x, w, scale, y):
+            caller = sys._getframe(1)
+            site = (caller.f_code.co_name, caller.f_lasti)
+            sites.add(site)
+            return x if site == drop else weighted(x, w, scale, y)
+
+        monkeypatch.setattr(monodromy, "_weighted", traced)
+        pvi = {r.ident for r in run_pvi(RunConfig(oracle_moduli=(5,))) if r.status is not True}
+        defects = relation_defects(relation_families(chain, ("cross", "hermitian")))
+        return sites, pvi, [label for label, d in defects if not d.is_zero()]
+
+    sites, pvi, bad = failures()
+    assert (pvi, bad) == (set(), [])
+    names = [name for name, _ in sites]
+    assert (names.count("cross_relations"), names.count("geodesic_G"), len(names)) == (7, 3, 10)
+    for site in sorted(sites):
+        _, pvi, bad = failures(drop=site)
+        assert "pvi-oracle-N5" in pvi and pvi - {"pvi-oracle-N5"} and bad, (site, pvi)
