@@ -85,7 +85,11 @@ def build_parser():
     p.add_argument("--report", metavar="FILE", help="write the JSON report here")
     p.add_argument("--oracle-mod", default="5,7", metavar="LIST",
                    help="comma-separated root-of-unity moduli (default 5,7)")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=1000,
+                   help="random shear samples for flips-classical (default 1000); "
+                        "the involution checks use at most 1000, the pentagon, "
+                        "hole-boundary and closed-trace checks at most 200, the "
+                        "sign-pattern check at most 50")
     p.add_argument("--seed", type=int, default=20240229)
     p.add_argument("--list-suites", action="store_true")
     return p

@@ -405,12 +405,16 @@ def an_point_order(graph):
 # -- graph-level mutation moves ------------------------------------------------
 
 
+# Flip shift sign of each role in flip_roles/pending_flip_roles order.
+ROLE_SIGNS = (+1, -1, +1, -1)
+
+
 def flip_roles(graph, edge):
     """The four surrounding edges of an internal edge, by role.
 
     Returns (A, B, C, D): A/B are the cyclic successor/predecessor at the
     first endpoint, C/D at the second.  A and C receive the positive
-    shift under the flip, B and D the negative one.
+    shift under the flip, B and D the negative one (ROLE_SIGNS).
     """
     slots = graph.incidence(edge)
     if len(slots) != 2:

@@ -10,17 +10,19 @@ Quantum flip images, with Z the flipped edge and q = t**4:
     successor roles (A, C):   exp(Atilde) -> (1 + q**-1 exp(Z)) exp(A)
     predecessor roles (B, D): exp(Btilde) -> (1 + q**-1 exp(-Z))**-1 exp(B)
 
-and for a pending edge of weight w the binomial is replaced by the
-trinomial 1 + q**-1 w exp(Z) + q**-2 exp(2Z).  The bracket of a successor
-role with Z is -1, of a predecessor role +1; the whole table is pinned by
-the homomorphism, star-equivariance, classical-limit and roundtrip
-invariants exercised in the test suite.
+and for a pending edge of weight w, with roles A and B, the binomial is
+replaced by the trinomial 1 + q**-1 w exp(Z) + q**-2 exp(2Z); one table
+builder serves both kinds over the signed roles of ``fatgraph.ROLE_SIGNS``.
+The bracket of a successor role with Z is -1, of a predecessor role +1;
+the whole table is pinned by the homomorphism, star-equivariance,
+classical-limit and roundtrip invariants exercised in the test suite.
 """
 
 from __future__ import annotations
 
 from .coeffs import Coefficient
 from .fatgraph import (
+    ROLE_SIGNS,
     flip_graph,
     flip_roles,
     pending_flip_graph,
@@ -210,66 +212,44 @@ def _qden(form, name, sign, qpow, weight=None):
     )
 
 
-def _positive_role_images(form, role, edge, weight=None):
-    """Images for a +phi role: exp(role~) = B exp(role), exp(-role~) =
-    exp(-role) B**-1 with B the (tri)nomial in exp(edge)."""
-    binom = _binomial(form, edge, +1, -1, weight)
-    e_pos = TorusElement.monomial(form, form.du({role: 2}))
-    e_neg = TorusElement.monomial(form, form.du({role: -2}))
-    img_pos = OreElement.from_torus(binom.mul(e_pos))
-    img_neg = OreElement.fraction(e_neg, (_qden(form, edge, +1, -1, weight),))
-    return img_pos, img_neg
+def _role_images(form, role, edge, sign, weight=None):
+    """Images of exp(role~) and exp(-role~) for a role of the given sign:
+    B**sign exp(role) and exp(-role) B**-sign, B the (tri)nomial in
+    exp(sign*edge); a B**-1 left of exp(role) moves right by a shift."""
+    du = form.du({role: 2})
+    up = TorusElement.monomial(form, du)
+    down = TorusElement.monomial(form, form.du({role: -2}))
+    binom = _binomial(form, edge, sign, -1, weight)
+    den = _qden(form, edge, sign, -1, weight)
+    if sign > 0:
+        return OreElement.from_torus(binom.mul(up)), OreElement.fraction(down, (den,))
+    return OreElement.fraction(up, (den.shifted(du),)), OreElement.from_torus(down.mul(binom))
 
 
-def _negative_role_images(form, role, edge, weight=None):
-    """Images for a -phi(-Z) role: exp(role~) = B(-Z)**-1 exp(role)."""
-    den = _qden(form, edge, -1, -1, weight)
-    du_pos = form.du({role: 2})
-    du_neg = form.du({role: -2})
-    img_pos = OreElement.fraction(
-        TorusElement.monomial(form, du_pos), (den.shifted(du_pos),)
-    )
-    img_neg = OreElement.from_torus(
-        TorusElement.monomial(form, du_neg).mul(_binomial(form, edge, -1, -1, weight))
-    )
-    return img_pos, img_neg
+def _flip_substitution(graph, edge, kind, new_graph, roles, weight=None):
+    """exp(Z~) -> exp(-Z), and each role dressed by its sign in ROLE_SIGNS."""
+    if len({edge, *roles}) != len(roles) + 1:
+        raise ValueError(f"quantum {kind} substitution requires distinct neighbor edges")
+    form = graph.skew_form()
+    e_neg = TorusElement.monomial(form, form.du({edge: -2}))
+    e_pos = TorusElement.monomial(form, form.du({edge: 2}))
+    table = {edge: (OreElement.from_torus(e_neg), OreElement.from_torus(e_pos))}
+    for role, sign in zip(roles, ROLE_SIGNS):
+        table[role] = _role_images(form, role, edge, sign, weight)
+    return QuantumSubstitution(graph, new_graph, edge, kind, table)
 
 
 def quantum_flip_substitution(graph, edge):
     if graph.is_pending(edge):
         raise ValueError(f"{edge!r} is pending; use quantum_pending_substitution")
-    new_graph, (a, b, c, d) = flip_graph(graph, edge)
-    if len({a, b, c, d, edge}) != 5:
-        raise ValueError("quantum substitution requires four distinct neighbor edges")
-    form = graph.skew_form()
-    e_neg = TorusElement.monomial(form, form.du({edge: -2}))
-    e_pos = TorusElement.monomial(form, form.du({edge: 2}))
-    table = {
-        edge: (OreElement.from_torus(e_neg), OreElement.from_torus(e_pos)),
-        a: _positive_role_images(form, a, edge),
-        c: _positive_role_images(form, c, edge),
-        b: _negative_role_images(form, b, edge),
-        d: _negative_role_images(form, d, edge),
-    }
-    return QuantumSubstitution(graph, new_graph, edge, "inner", table)
+    return _flip_substitution(graph, edge, "inner", *flip_graph(graph, edge))
 
 
 def quantum_pending_substitution(graph, edge):
     if not graph.is_pending(edge):
         raise ValueError(f"{edge!r} is not pending")
-    new_graph, (a, b) = pending_flip_graph(graph, edge)
-    if len({a, b, edge}) != 3:
-        raise ValueError("quantum pending substitution requires distinct neighbors")
-    form = graph.skew_form()
-    weight = graph.weight(edge)
-    e_neg = TorusElement.monomial(form, form.du({edge: -2}))
-    e_pos = TorusElement.monomial(form, form.du({edge: 2}))
-    table = {
-        edge: (OreElement.from_torus(e_neg), OreElement.from_torus(e_pos)),
-        a: _positive_role_images(form, a, edge, weight),
-        b: _negative_role_images(form, b, edge, weight),
-    }
-    return QuantumSubstitution(graph, new_graph, edge, "pending", table)
+    flipped = pending_flip_graph(graph, edge)
+    return _flip_substitution(graph, edge, "pending", *flipped, graph.weight(edge))
 
 
 def apply_substitution(sub, x):
@@ -383,18 +363,14 @@ def _classical_image(shadow, sub, name, sign, weight):
         return OreElement.from_torus(
             TorusElement.monomial(shadow, shadow.du({name: -2 * sign}))
         )
-    if sub.kind == "pending":
-        a, b = pending_flip_roles(sub.source_graph, edge)
-        positive = name == a
-    else:
-        a, b, c, d = flip_roles(sub.source_graph, edge)
-        positive = name in (a, c)
-    binom = _binomial(shadow, edge, +1 if positive else -1, 0, weight)
+    roles = (pending_flip_roles if sub.kind == "pending" else flip_roles)(sub.source_graph, edge)
+    role_sign = ROLE_SIGNS[roles.index(name)]
+    binom = _binomial(shadow, edge, role_sign, 0, weight)
     mono = TorusElement.monomial(shadow, shadow.du({name: 2 * sign}))
-    if (sign > 0) == positive:
+    if sign == role_sign:
         return OreElement.from_torus(binom.mul(mono))
     return OreElement.fraction(
-        mono, (_qden(shadow, edge, +1 if positive else -1, 0, weight).shifted(shadow.du({name: 2 * sign})),)
+        mono, (_qden(shadow, edge, role_sign, 0, weight).shifted(shadow.du({name: 2 * sign})),)
     )
 
 

@@ -216,35 +216,47 @@ def _weighted(x, w, scale, y):
     return x + (scale * w) * y if w else x
 
 
+def _weight_terms(*terms):
+    """Label suffix naming the (w, text) weight terms that _weighted adds,
+    those with w nonzero, so a label names the relation checked."""
+    return "".join(f" + {text}" for w, text in terms if w)
+
+
 def cross_relations(src, i, j):
     """The complete set of chain cross relations for i < j, including both
     displayed variants of the mixed ones, at the weights w_i, w_j of the
-    two points.  The labels name the order-2 case w = 0; otherwise b_i a_j
-    gains (q-q^-1) w_i b_j, a_i c_j gains (q-q^-1) w_j c_i, and the last
-    relation (q^2-q^-2)(w_i a_j + w_j a_i) + (q-q^-1) w_i w_j."""
+    two points: b_i a_j gains (q-q^-1) w_i b_j, a_i c_j gains (q-q^-1)
+    w_j c_i, and the last relation (q^2-q^-2)(w_i a_j + w_j a_i) +
+    (q-q^-1) w_i w_j; a label names the terms its weights add."""
     ai, bi, ci = (src.entry(k, i) for k in "abc")
     aj, bj, cj = (src.entry(k, j) for k in "abc")
     wi, wj = src.omegas[i], src.omegas[j]
+    wij = wi * wj
     q, qi, q2, qi2 = (src.q(k) for k in (1, -1, 2, -2))
     d, e = q2 - qi2, q - qi
     bi_aj, aj_bi, ai_cj, cj_ai = bi @ aj, aj @ bi, ai @ cj, cj @ ai
     ai_aj, aj_ai = ai @ aj, aj @ ai
     last = _weighted(qi * (cj @ bi) + (qi * d) * aj_ai, wi, d, aj)
-    last = _weighted(_weighted(last, wj, d, ai), wi * wj, e, src.one)
+    last = _weighted(_weighted(last, wj, d, ai), wij, e, src.one)
+    wb = _weight_terms((wi, "(q-q^-1) w_i b_j"))
+    wc = _weight_terms((wj, "(q-q^-1) w_j c_i"))
+    wl = _weight_terms(
+        (wi, "(q^2-q^-2) w_i a_j"), (wj, "(q^2-q^-2) w_j a_i"), (wij, "(q-q^-1) w_i w_j")
+    )
     for label, lhs, rhs in (
         ("q^-1 b_i b_j = q b_j b_i", qi * (bi @ bj), q * (bj @ bi)),
         ("q^-1 c_i c_j = q c_j c_i", qi * (ci @ cj), q * (cj @ ci)),
         ("a_i b_j = b_j a_i", ai @ bj, bj @ ai),
-        ("b_i a_j = a_j b_i + (q^2-q^-2) a_i b_j", bi_aj, _weighted(aj_bi + d * (ai @ bj), wi, e, bj)),
-        ("b_i a_j = a_j b_i + (q^2-q^-2) b_j a_i", bi_aj, _weighted(aj_bi + d * (bj @ ai), wi, e, bj)),
+        (f"b_i a_j = a_j b_i + (q^2-q^-2) a_i b_j{wb}", bi_aj, _weighted(aj_bi + d * (ai @ bj), wi, e, bj)),
+        (f"b_i a_j = a_j b_i + (q^2-q^-2) b_j a_i{wb}", bi_aj, _weighted(aj_bi + d * (bj @ ai), wi, e, bj)),
         ("c_i a_j = a_j c_i", ci @ aj, aj @ ci),
-        ("a_i c_j = c_j a_i + (q^2-q^-2) c_i a_j", ai_cj, _weighted(cj_ai + d * (ci @ aj), wj, e, ci)),
-        ("a_i c_j = c_j a_i + (q^2-q^-2) a_j c_i", ai_cj, _weighted(cj_ai + d * (aj @ ci), wj, e, ci)),
+        (f"a_i c_j = c_j a_i + (q^2-q^-2) c_i a_j{wc}", ai_cj, _weighted(cj_ai + d * (ci @ aj), wj, e, ci)),
+        (f"a_i c_j = c_j a_i + (q^2-q^-2) a_j c_i{wc}", ai_cj, _weighted(cj_ai + d * (aj @ ci), wj, e, ci)),
         ("q c_i b_j = q^-1 b_j c_i", q * (ci @ bj), qi * (bj @ ci)),
         ("a_i a_j = a_j a_i + (1-q^-2) b_j c_i", ai_aj, aj_ai + (src.q(0) - qi2) * (bj @ ci)),
         ("a_i a_j = a_j a_i + (q^2-1) c_i b_j", ai_aj, aj_ai + (q2 - src.q(0)) * (ci @ bj)),
         (
-            "q b_i c_j + q(q^-2-q^2) a_i a_j = q^-1 c_j b_i - q^-1 (q^-2-q^2) a_j a_i",
+            f"q b_i c_j + q(q^-2-q^2) a_i a_j = q^-1 c_j b_i - q^-1 (q^-2-q^2) a_j a_i{wl}",
             q * (bi @ cj) - (q * d) * ai_aj,
             last,
         ),

@@ -26,12 +26,14 @@ Two layers:
 * the commutative q = 1 limit with random real shears: the classical
   moves (:func:`classical_flip`, :func:`classical_pending_flip`,
   :func:`decoration_change` and :func:`run_flip_script` over a
-  :class:`ShearState`) act on whole sample arrays, and :func:`word_values`
-  applies the same word evaluator to float 2x2 token words at every sample
-  at once to check the classical flip identities from their words in
-  ``flips`` (never the exact ring's products), closed-geodesic trace
-  positivity, the hole-boundary trace and the block sign pattern; the
-  involution and pentagon checks move every sample at once.
+  :class:`ShearState`) act on whole sample arrays, both flips through one
+  shift over signed roles that also gives the identity check its ~ shears,
+  and :func:`word_values` applies the same word evaluator to float 2x2
+  token words at every sample at once to check the classical flip
+  identities from their words in ``flips`` (never the exact ring's
+  products), closed-geodesic trace positivity, the hole-boundary trace
+  and the block sign pattern; the involution and pentagon checks move
+  every sample at once.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fatgraph import flip_graph, pending_flip_graph
+from .fatgraph import ROLE_SIGNS, flip_graph, pending_flip_graph
 from .flips import classical_identity_words
 from .matrices import word_action
 from .monodromy import relation_families
@@ -588,34 +590,37 @@ class ShearState:
             ) from None
 
 
+def _flipped(values, edge, roles, log_t):
+    """Shear values after a flip of ``edge``: Z -> -Z and each role moves by
+    sign * log_t(sign * Z), its sign from ROLE_SIGNS.  Coincident roles
+    accumulate their shifts, which reproduces the special-case list (a
+    doubled role gets 2*phi, paired +/- roles collapse to a shift by Z)."""
+    z = values[edge]
+    up, down = log_t(z), -log_t(-z)
+    out = dict(values)
+    for role, sign in zip(roles, ROLE_SIGNS):
+        out[role] = out[role] + (up if sign > 0 else down)
+    out[edge] = -z
+    return out
+
+
 def classical_flip(state, edge):
-    """Whitehead move on the shear values; coincident neighbor roles
-    accumulate their shifts, which reproduces the special-case list
-    (a doubled role gets 2*phi, paired +/- roles collapse to a shift by Z)."""
+    """Whitehead move on the shear values, log T = phi."""
     graph = state.graph
     if graph.is_pending(edge):
         raise ValueError(f"cannot flip pending edge {edge!r}")
-    new_graph, (a, b, c, d) = flip_graph(graph, edge)
-    z = state.values[edge]
-    values = dict(state.values)
-    for role, shift in ((a, phi(z)), (b, -phi(-z)), (c, phi(z)), (d, -phi(-z))):
-        values[role] = values[role] + shift
-    values[edge] = -z
-    return ShearState(new_graph, values, state.params)
+    new_graph, roles = flip_graph(graph, edge)
+    return ShearState(new_graph, _flipped(state.values, edge, roles, phi), state.params)
 
 
 def classical_pending_flip(state, edge):
+    """Pending-edge move, log T = phi_pending at the edge's weight."""
     graph = state.graph
     if not graph.is_pending(edge):
         raise ValueError(f"{edge!r} is not a pending edge")
-    new_graph, (a, b) = pending_flip_graph(graph, edge)
-    z = state.values[edge]
-    w = state.weight_value(edge)
-    values = dict(state.values)
-    values[a] = values[a] + phi_pending(z, w)
-    values[b] = values[b] - phi_pending(-z, w)
-    values[edge] = -z
-    return ShearState(new_graph, values, state.params)
+    new_graph, roles = pending_flip_graph(graph, edge)
+    log_t = partial(phi_pending, w=state.weight_value(edge))
+    return ShearState(new_graph, _flipped(state.values, edge, roles, log_t), state.params)
 
 
 def decoration_change(state, hole):
@@ -678,17 +683,17 @@ def word_values(tokens, values, weights):
 
 
 def _moved_shears(family, v, w):
-    """The ~ shears of a classical identity, from the formulas the classical
-    moves apply: a flip of Z negates it and shifts the successor roles A, C
-    by phi(Z), the predecessor roles B, D by -phi(-Z) (phi_pending with
-    weight w for a pending Z); a decoration change sends (Y, P) to
-    (Y + P, -P)."""
+    """The ~ shears of a classical identity, from the moves' own shift code:
+    an inner or pending flip of Z with the names A, B, C, D in role order
+    (an absent role moves from 0 and is dropped), phi_pending at weight w
+    for a pending Z; a decoration change sends (Y, P) to (Y + P, -P)."""
     if family == "decoration":
         return {"Y~": v["Y"] + v["P"], "P~": -v["P"]}
-    z = v["Z"]
-    up, down = (phi(z), -phi(-z)) if family == "inner" else (phi_pending(z, w), -phi_pending(-z, w))
-    shifts = {"A": up, "B": down, "C": up, "D": down}
-    return {"Z~": -z, **{f"{r}~": v[r] + shifts[r] for r in shifts if r in v}}
+    roles, log_t = ("A", "B", "C", "D"), phi
+    if family == "pending":
+        roles, log_t = ("A", "B"), partial(phi_pending, w=w)
+    moved = _flipped({**dict.fromkeys(roles, 0.0), **v}, "Z", roles, log_t)
+    return {f"{n}~": moved[n] for n in v}
 
 
 def numeric_identity_deviation(ident, sample_count=1000, seed=20240229):

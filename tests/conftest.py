@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qshear.coeffs import Coefficient
+from qshear.fatgraph import FatGraph, PendingInfo
 from qshear.torus import SkewForm, TorusElement
 
 
@@ -26,3 +27,13 @@ def random_monomial(rng, form):
     du = [rng.randint(-2, 2) for _ in range(form.dim)]
     coeff = Coefficient.t_power(rng.randint(-8, 8), rng.choice((-2, -1, 1, 2)))
     return TorusElement.monomial(form, du, coeff)
+
+
+def bigon_graph():
+    """Two vertices joined by Z and e: flipping Z sees e as both its A and
+    its C role, flip_roles(Z) = (e, a, e, b)."""
+    return FatGraph(
+        ("Z", "e", "a", "b"),
+        (("a", "Z", "e"), ("b", "Z", "e")),
+        {"a": PendingInfo.from_order(2), "b": PendingInfo.from_order(2)},
+    )

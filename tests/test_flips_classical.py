@@ -26,6 +26,8 @@ from qshear.oracle import (
 )
 from qshear.torus import TorusElement
 
+from conftest import bigon_graph
+
 
 @pytest.mark.parametrize("ident", CLASSICAL_FLIP_IDENTITIES)
 def test_exact_identities(ident):
@@ -164,6 +166,34 @@ def test_batched_move_matches_each_sample_and_keeps_its_input(move, graph, where
 
 
 @pytest.mark.parametrize(
+    "family, move, graph, where",
+    [
+        ("inner", classical_flip, FatGraph("ZABCD", (("Z", "A", "B"), ("Z", "C", "D"))), "Z"),
+        (
+            "pending",
+            classical_pending_flip,
+            FatGraph("ZAB", (("Z", "A", "B"),), {"Z": PendingInfo.from_param("w")}),
+            "Z",
+        ),
+        ("decoration", decoration_change, _loop_graph(), ("Y", "P")),
+    ],
+    ids=["inner", "pending", "decoration"],
+)
+def test_identity_tilde_shears_are_the_shipped_moves(family, move, graph, where):
+    """On the local graph of each family, whose edges carry the names of
+    the identity words, the ~ shears of the float identity check equal the
+    moved shears of the shipped move exactly; this pins the name of each
+    role A, B, C, D to its place in flip_roles."""
+    state = random_state(graph, 7, 64)
+    state.params["w"] = 1.3
+    moved = move(state, where).values
+    tilde = oracle._moved_shears(family, state.values, 1.3)
+    assert sorted(tilde) == sorted(f"{e}~" for e in graph.edges)
+    for e in graph.edges:
+        assert np.array_equal(tilde[f"{e}~"], moved[e]), e
+
+
+@pytest.mark.parametrize(
     "check, n, edges",
     [
         (flip_involution_deviation, 3, ("X1",)),
@@ -204,13 +234,9 @@ def test_flip_at_zero_shears():
 
 
 def test_coincident_roles_double_the_shift():
-    # a bigon between two vertices: flipping Z sees the same edge e as both
-    # the A and C role, so it shifts by 2 phi(Z)
-    g = FatGraph(
-        ("Z", "e", "a", "b"),
-        (("a", "Z", "e"), ("b", "Z", "e")),
-        {"a": PendingInfo.from_order(2), "b": PendingInfo.from_order(2)},
-    )
+    # flipping Z sees the same edge e as both the A and C role, so it
+    # shifts by 2 phi(Z)
+    g = bigon_graph()
     assert flip_roles(g, "Z") == ("e", "a", "e", "b")
     zval = 0.7
     s = ShearState(g, {"Z": zval, "e": 0.0, "a": 0.0, "b": 0.0})

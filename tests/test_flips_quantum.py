@@ -4,7 +4,7 @@ import pytest
 
 from qshear import flips
 from qshear.coeffs import Coefficient
-from qshear.fatgraph import flip_roles, spine_graph_an
+from qshear.fatgraph import FatGraph, PendingInfo, flip_roles, spine_graph_an
 from qshear.flips import (
     apply_substitution,
     classical_limit_relations,
@@ -20,7 +20,7 @@ from qshear.ore import OreElement, ore_zero_test
 from qshear.suites import RunConfig, run_suite
 from qshear.torus import TorusElement, ew, half
 
-from conftest import random_monomial
+from conftest import bigon_graph, random_monomial
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +206,23 @@ def test_flip_witness_labels_are_pinned():
     assert labels["flip-invariance-X1"] == [f"M{i}[{rs}]" for i in (1, 2, 3) for rs in ("00", "01", "10", "11")]
     assert labels["sub-root-morphism"] == morphism(("S", "X1", "Z3"))
     assert labels["root-flip-G0i"] == ["G(0,1)", "G(0,2)", "G(0,3)"]
+
+
+def test_substitution_builders_refuse_wrong_kind_and_repeated_roles():
+    """Each builder refuses the other kind of edge, and a role that occurs
+    twice, which the float moves accumulate: the bigon's e is both A and C
+    of Z, and a pending Z next to a loop P has P as both A and B."""
+    an3 = spine_graph_an(3)
+    with pytest.raises(ValueError, match="'S' is pending"):
+        quantum_flip_substitution(an3, "S")
+    with pytest.raises(ValueError, match="'X1' is not pending"):
+        quantum_pending_substitution(an3, "X1")
+    bigon = bigon_graph()
+    with pytest.raises(ValueError, match="requires distinct neighbor edges"):
+        quantum_flip_substitution(bigon, "Z")
+    loop = FatGraph(("Z", "P"), (("Z", "P", "P"),), {"Z": PendingInfo.from_order(3)})
+    with pytest.raises(ValueError, match="requires distinct neighbor edges"):
+        quantum_pending_substitution(loop, "Z")
 
 
 def test_broken_flip_fails_its_records(monkeypatch):

@@ -104,6 +104,21 @@ def test_cross_relations(an3):
             assert_clean(cross_relation_defects(an3, i, j))
 
 
+def test_cross_relation_labels_name_the_weight_terms(an3):
+    """At order-2 points no weight term is added or named; at the weighted
+    points of the four-point sphere each added term is in the label."""
+    assert not [label for label, _ in cross_relation_defects(an3, 1, 2) if "w_" in label]
+    labels = [label for label, _, _ in monodromy.cross_relations(pvi_realization(), 1, 2)]
+    assert [label.split(" = ", 1)[1] for label in labels if "w_" in label] == [
+        "a_j b_i + (q^2-q^-2) a_i b_j + (q-q^-1) w_i b_j",
+        "a_j b_i + (q^2-q^-2) b_j a_i + (q-q^-1) w_i b_j",
+        "c_j a_i + (q^2-q^-2) c_i a_j + (q-q^-1) w_j c_i",
+        "c_j a_i + (q^2-q^-2) a_j c_i + (q-q^-1) w_j c_i",
+        "q^-1 c_j b_i - q^-1 (q^-2-q^2) a_j a_i"
+        " + (q^2-q^-2) w_i a_j + (q^2-q^-2) w_j a_i + (q-q^-1) w_i w_j",
+    ]
+
+
 def test_geodesic_classical_limit(an2):
     g12 = geodesic_G(an2, 1, 2)
     assert len(g12.terms) == 3

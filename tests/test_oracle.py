@@ -216,7 +216,7 @@ def test_catalog_mutants_fail_in_both_rings(make_real, params, families):
     [
         (lambda: an_realization(3), AN_CORE, 54, 6, "c6fe70dbe68c06f2d935c8c6709708de4e2d3e561ad577f596a85fb9f8b36231"),
         (lambda: an_realization(4), AN_CORE, 96, 10, "565cec85820fd3d91448a6eb60eb729f423d271bcb0a8a35eb1d77c10024d7fa"),
-        (pvi_realization, ("pvi",), 40, 1, "0d84411367f782224fc7e605b2e193b61920daf8507698ad79aa20b0de773ac0"),
+        (pvi_realization, ("pvi",), 40, 1, "7f239da7a58f983ed6bfb5f8c53884ca90674f236efcc64221346e2d59c5688e"),
     ],
     ids=["an3", "an4", "pvi"],
 )
