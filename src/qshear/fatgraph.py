@@ -14,9 +14,13 @@ A written matrix word multiplies left to right while the underlying path
 runs right to left.  For consecutive written factors ``X_a T X_b`` the
 path enters the shared vertex along b and leaves along a, and the turn
 token T is L when a is the cyclic successor of b, R when a is its
-predecessor.  Pending edges may carry a symbolic weight parameter or an
-exact weight 2*cos(pi/p); edges with a single attachment and no orbifold
-point are spectators standing for the unexplored rest of the surface.
+predecessor.  A turn is read at a slot (vertex, position), not at an
+edge name: the two ends of a loop are two slots of one vertex, and a
+word is checked as one walk through slots, so each turn is read where
+the walk stands.  Pending edges may carry a symbolic weight parameter or
+an exact weight 2*cos(pi/p); edges with a single attachment and no
+orbifold point are spectators standing for the unexplored rest of the
+surface.
 """
 
 from __future__ import annotations
@@ -111,20 +115,22 @@ class FatGraph:
         (vi, _), = self.incidence(edge)
         return vi
 
-    def succ_at(self, vi, edge):
-        v = self.vertices[vi]
-        pos = v.index(edge)
-        return v[(pos + 1) % 3]
+    # -- slots: (vertex, position) -------------------------------------------
 
-    def pred_at(self, vi, edge):
-        v = self.vertices[vi]
-        pos = v.index(edge)
-        return v[(pos + 2) % 3]
+    def edge_at(self, slot):
+        vi, pos = slot
+        return self.vertices[vi][pos]
 
-    def shared_vertices(self, a, b):
-        va = {vi for vi, _ in self._incidence[a]}
-        vb = {vi for vi, _ in self._incidence[b]}
-        return sorted(va & vb)
+    def turn(self, slot, token):
+        """The slot after (L) or before (R) ``slot`` in its vertex's cyclic order."""
+        vi, pos = slot
+        return vi, (pos + (1 if token == "L" else 2)) % 3
+
+    def across(self, slot):
+        """The slot at the far end of the slot's edge; a free end (orbifold
+        point or spectator stub) is its own far end, a U-turn."""
+        slots = self._incidence[self.edge_at(slot)]
+        return slots[-1] if slots[0] == slot else slots[0]
 
     def replace_vertices(self, new_vertices):
         return FatGraph(self.edges, new_vertices, self.pending, self.meta)
@@ -156,15 +162,9 @@ class FatGraph:
                 if k >= len(slots):
                     nexts[(e, k)] = (e, 0)
                     continue
-                vi, pos = slots[k]
-                out_pos = (pos + 1) % 3
-                e2 = self.vertices[vi][out_pos]
-                slots2 = self._incidence[e2]
-                start = slots2.index((vi, out_pos))
-                if len(slots2) == 2:
-                    nexts[(e, k)] = (e2, 1 - start)
-                else:
-                    nexts[(e, k)] = (e2, 1)
+                out = self.turn(slots[k], "L")
+                e2, far = self.edge_at(out), self.across(out)
+                nexts[(e, k)] = (e2, 1 if far == out else self._incidence[e2].index(far))
         seen = set()
         faces = []
         for d0 in nexts:
@@ -179,13 +179,14 @@ class FatGraph:
             faces.append(cyc)
         return faces
 
-    def center_elements(self):
-        """One doubled-exponent vector per face: each boundary traversal of
-        an edge contributes a full unit of that edge, so pending edges
-        (walked out and back) count twice."""
+    def center_elements(self, faces=None):
+        """One doubled-exponent vector per face (of ``faces`` when the caller
+        has them, else of ``self.faces()``): each boundary traversal of an
+        edge contributes a full unit of that edge, so pending edges (walked
+        out and back) count twice."""
         index = {e: i for i, e in enumerate(self.edges)}
         centers = []
-        for face in self.faces():
+        for face in self.faces() if faces is None else faces:
             du = [0] * len(self.edges)
             for e, _ in face:
                 du[index[e]] += 2
@@ -195,6 +196,7 @@ class FatGraph:
     def validate(self):
         """Collect structural problems; empty list means valid."""
         problems = []
+        faces = self.faces()
         for e in self.edges:
             k = len(self._incidence[e])
             if k == 0:
@@ -210,10 +212,10 @@ class FatGraph:
             pend = len(self.pending)
             if pend != r:
                 problems.append(f"pending edge count {pend} does not match declared r={r}")
-            if len(self.faces()) != s:
-                problems.append(f"face count {len(self.faces())} does not match declared s={s}")
+            if len(faces) != s:
+                problems.append(f"face count {len(faces)} does not match declared s={s}")
         form = self.skew_form()
-        for c in self.center_elements():
+        for c in self.center_elements(faces):
             for i in range(form.dim):
                 basis = tuple(2 if j == i else 0 for j in range(form.dim))
                 if form.pairing(c, basis) != 0:
@@ -236,17 +238,14 @@ class PathWord:
 
     def __init__(self, steps):
         self.steps = tuple(tuple(s) for s in steps)
-        kinds = [s[0] for s in self.steps]
-        for i, k in enumerate(kinds):
-            if k not in ("edge", "turn", "orb"):
-                raise ValueError(f"unknown step kind {k!r}")
-            if k == "orb" and self.steps[i][2] < 1:
+        for i, s in enumerate(self.steps):
+            if s[0] not in ("edge", "turn", "orb"):
+                raise ValueError(f"unknown step kind {s[0]!r}")
+            if s[0] == "orb" and s[2] < 1:
                 raise ValueError("winding count must be at least 1")
-            if k == "turn":
-                if i == 0 or i + 1 == len(kinds):
-                    raise ValueError("turn cannot start or end a word")
-                if kinds[i - 1] == "turn" or kinds[i + 1] == "turn":
-                    raise ValueError("turns must sit between traversals")
+            if (s[0] == "turn") != (i % 2 == 1) or len(self.steps) % 2 == 0:
+                raise ValueError("a word alternates traversals and turns, "
+                                 "and starts and ends with a traversal")
 
     def __repr__(self):
         bits = []
@@ -260,97 +259,76 @@ class PathWord:
         return " ".join(bits)
 
 
-def _check_turn(graph, after, turn, before):
-    """Validate the written fragment X_after TURN X_before."""
-    a = after[1]
-    b = before[1]
-    for vi in graph.shared_vertices(a, b):
-        want = graph.succ_at(vi, b) if turn == "L" else graph.pred_at(vi, b)
-        if want == a:
-            return
-    raise ValueError(
-        f"turn {turn} from {b!r} to {a!r} is inconsistent with the ribbon structure"
-    )
-
-
 def compile_path(graph, path, form):
     """Left-to-right product of edge, turn and winding factors over
-    ``form``, the skew form of ``graph``, after checking every turn against
-    the ribbon structure; the factors are those of
+    ``form``, the skew form of ``graph``, after checking the word as one
+    walk against the ribbon structure; the factors are those of
     :func:`qshear.matrices.word_action`.  For closed paths the caller takes
     the trace of the full cyclic word.
+
+    The walk starts from each slot of the first leg (the right end of the
+    word); at each turn T the next leg must be the edge at ``turn(slot,
+    T)``, and the walk goes on from ``across`` that slot.  A refused word
+    names the turn where the walk that went furthest stopped.
     """
     steps = path.steps
     if not steps:
         raise ValueError("empty path")
-    for i, step in enumerate(steps):
+    for step in steps[::2]:
         if step[0] == "orb" and not graph.is_pending(step[1]):
             raise ValueError(f"winding at non-pending edge {step[1]!r}")
-        if i >= 2 and steps[i - 1][0] == "turn" and step[0] != "turn":
-            _check_turn(graph, steps[i - 2], steps[i - 1][1], step)
+    legs, turns = [s[1] for s in steps[::-2]], [s[1] for s in steps[-2::-2]]
+    k = max((_walked(graph, slot, legs, turns) for slot in graph.incidence(legs[0])), default=0)
+    if k < len(turns):
+        raise ValueError(
+            f"turn {turns[k]} from {legs[k]!r} to {legs[k + 1]!r} "
+            "is inconsistent with the ribbon structure"
+        )
     return word_matrix(form, steps, graph.weight)
+
+
+def _walked(graph, slot, legs, turns):
+    """How many turns of a word (legs and turns in path order) the walk
+    that arrives at ``slot`` along the first leg passes."""
+    for k, (token, leg) in enumerate(zip(turns, legs[1:])):
+        slot = graph.turn(slot, token)
+        if graph.edge_at(slot) != leg:
+            return k
+        slot = graph.across(slot)
+    return len(turns)
 
 
 def monodromy_path(graph, root, target):
     """Written word for the open segment root -> around target -> root.
 
     The root is a pending edge or a spectator stub, the target a pending
-    edge; the route runs through the unique chain of internal edges joining
-    their base vertices.
+    edge; the route is the first one a breadth-first walk over arrival
+    slots finds through internal edges (on a tree spine, the unique one).
     """
     if len(graph.incidence(root)) != 1 or not graph.is_pending(target):
         raise ValueError("monodromy paths run from a pending edge or stub to a pending edge")
     if root == target:
         raise ValueError("root and target must differ")
-    vr = graph.vertex_of_pending(root)
-    vt = graph.vertex_of_pending(target)
-
-    # BFS through internal edges
-    prev = {vr: None}
-    queue = [vr]
-    while queue:
-        vi = queue.pop(0)
-        if vi == vt:
-            break
-        for e in graph.vertices[vi]:
-            if not graph.is_internal(e):
-                continue
-            (va, _), (vb, _) = graph.incidence(e)
-            other = vb if va == vi else va
-            if other not in prev:
-                prev[other] = (vi, e)
-                queue.append(other)
-    if vt not in prev:
-        raise ValueError(f"no path between {root!r} and {target!r}")
-    # walk back from the target: the edges of the route and the vertex
-    # where each consecutive pair of them meets
-    route, vertex_route = [target], [vt]
-    vi = vt
-    while prev[vi] is not None:
-        vi, e = prev[vi]
-        route.append(e)
-        vertex_route.append(vi)
-    route.append(root)
-    route.reverse()
-    vertex_route.reverse()
-
-    def turn_token(vi, incoming, outgoing):
-        if graph.succ_at(vi, incoming) == outgoing:
-            return "L"
-        if graph.pred_at(vi, incoming) == outgoing:
-            return "R"
-        raise ValueError("edges do not meet at the vertex")
-
-    true_tokens = [("edge", root)]
-    for k, vi in enumerate(vertex_route):
-        true_tokens.append(("turn", turn_token(vi, route[k], route[k + 1])))
-        if k + 2 < len(route):
-            true_tokens.append(("edge", route[k + 1]))
-    true_tokens.append(("orb", target, 1))
-    flip = {"L": "R", "R": "L"}
-    back = reversed(true_tokens[:-1])
-    true_tokens.extend(("turn", flip[t[1]]) if t[0] == "turn" else t for t in back)
-    return PathWord(tuple(reversed(true_tokens)))
+    (start,), (goal,) = graph.incidence(root), graph.incidence(target)
+    # prev maps an arrival slot to the arrival slot and turn it was reached by
+    prev, queue = {start: None}, [start]
+    for slot in queue:
+        for token in "LR":
+            out = graph.turn(slot, token)
+            if out == goal:
+                # the way out in written order, read back from the target
+                back = []
+                while slot is not None:
+                    back += [("turn", token), ("edge", graph.edge_at(slot))]
+                    slot, token = prev[slot] or (None, None)
+                flip = {"L": "R", "R": "L"}
+                there = [("turn", flip[s[1]]) if s[0] == "turn" else s for s in reversed(back)]
+                return PathWord(there + [("orb", target, 1)] + back)
+            far = graph.across(out)
+            if far != out and far not in prev:
+                prev[far] = (slot, token)
+                queue.append(far)
+    raise ValueError(f"no path between {root!r} and {target!r}")
 
 
 # -- bundled graphs -----------------------------------------------------------
@@ -409,6 +387,11 @@ def an_point_order(graph):
 ROLE_SIGNS = (+1, -1, +1, -1)
 
 
+def _neighbours(graph, slots):
+    """The edges after and before each slot, in that order."""
+    return tuple(graph.edge_at(graph.turn(slot, t)) for slot in slots for t in "LR")
+
+
 def flip_roles(graph, edge):
     """The four surrounding edges of an internal edge, by role.
 
@@ -419,14 +402,9 @@ def flip_roles(graph, edge):
     slots = graph.incidence(edge)
     if len(slots) != 2:
         raise ValueError(f"cannot flip non-internal edge {edge!r}")
-    (vu, _), (vv, _) = slots
-    if vu == vv:
+    if slots[0][0] == slots[1][0]:
         raise ValueError(f"cannot flip loop edge {edge!r}")
-    a = graph.succ_at(vu, edge)
-    b = graph.pred_at(vu, edge)
-    c = graph.succ_at(vv, edge)
-    d = graph.pred_at(vv, edge)
-    return a, b, c, d
+    return _neighbours(graph, slots)
 
 
 def flip_graph(graph, edge):
@@ -442,8 +420,7 @@ def flip_graph(graph, edge):
 def pending_flip_roles(graph, edge):
     if not graph.is_pending(edge):
         raise ValueError(f"{edge!r} is not a pending edge")
-    vi = graph.vertex_of_pending(edge)
-    return graph.succ_at(vi, edge), graph.pred_at(vi, edge)
+    return _neighbours(graph, graph.incidence(edge))
 
 
 def pending_flip_graph(graph, edge):

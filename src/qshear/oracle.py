@@ -631,7 +631,7 @@ def decoration_change(state, hole):
     slots = graph.incidence(p_edge)
     if len(slots) != 2 or slots[0][0] != slots[1][0]:
         raise ValueError(f"{p_edge!r} is not a perimeter loop")
-    if not graph.shared_vertices(y_edge, p_edge):
+    if y_edge not in graph.vertices[slots[0][0]]:
         raise ValueError(f"{y_edge!r} does not meet the loop {p_edge!r}")
     values = dict(state.values)
     values[y_edge] = state.values[y_edge] + state.values[p_edge]
@@ -790,43 +790,32 @@ def boundary_trace_deviation(graph, samples=200, seed=20240229):
 def random_closed_words(graph, count, seed):
     """Random closed geodesic words respecting the ribbon structure.
 
-    The walk state is (vertex, edge we arrived along); each of at most 12
-    steps turns L or R onto the next edge, bouncing through free ends with
-    a winding insertion.  Words are returned as true-order token lists of
-    ('edge', e) / ('turn', t) / ('orb', e, 1) whose cyclic product is a
-    legal closed path word.
+    The walk state is the slot it arrived at; each of at most 12 steps
+    turns L or R onto the next slot and goes ``across`` its edge, bouncing
+    through free ends with a winding insertion.  Words are returned as
+    true-order token lists of ('edge', e) / ('turn', t) / ('orb', e, 1)
+    whose cyclic product is a legal closed path word; a graph without
+    internal edges has none.
     """
     rng = np.random.default_rng(seed)
     internal = [e for e in graph.edges if graph.is_internal(e)]
     words = []
     attempts = 0
-    while len(words) < count and attempts < count * 400:
+    while internal and len(words) < count and attempts < count * 400:
         attempts += 1
         e0 = internal[int(rng.integers(len(internal)))]
-        (v_a, _), (v_b, _) = graph.incidence(e0)
-        v0 = v_a if rng.integers(2) else v_b
-        tokens = [("edge", e0)]
-        v, arrived = v0, e0
-        closed = False
+        start = graph.incidence(e0)[0 if rng.integers(2) else 1]
+        tokens, slot = [("edge", e0)], start
         for _ in range(12):
             turn = "L" if rng.integers(2) else "R"
-            out = graph.succ_at(v, arrived) if turn == "L" else graph.pred_at(v, arrived)
-            tokens.append(("turn", turn))
-            slots = graph.incidence(out)
-            if len(slots) == 1:
-                if not graph.is_pending(out):
-                    break  # spectator stub: abandon this walk
-                tokens.append(("orb", out, 1))
-                arrived = out  # bounced back to the same vertex
-            else:
-                tokens.append(("edge", out))
-                (va, _), (vb, _) = slots
-                v = vb if va == v else va
-                arrived = out
-                if (v, arrived) == (v0, e0) and tokens[-1] == ("edge", e0):
-                    closed = True
-                    break
-        if closed and len(tokens) > 3:
+            out = graph.turn(slot, turn)
+            edge, slot = graph.edge_at(out), graph.across(out)
+            if slot == out and not graph.is_pending(edge):
+                break  # spectator stub: abandon this walk
+            tokens += [("turn", turn), ("orb", edge, 1) if slot == out else ("edge", edge)]
+            if slot == start:
+                break
+        if slot == start and len(tokens) > 3:
             words.append(tokens[:-1])  # final edge duplicates the first
     return words
 
@@ -847,6 +836,8 @@ def sign_structure_violation(graph, samples=50, seed=20240229, paths=15):
     """Products of turn-edge blocks must have the sign pattern
     [[+,-],[-,+]] (weakly); returns the largest wrong-signed magnitude."""
     words = random_closed_words(graph, paths, seed)
+    if not words:
+        raise ValueError("no closed words found")
     state = random_state(graph, seed + 5000, samples)
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
     violations = []

@@ -37,3 +37,9 @@ def bigon_graph():
         (("a", "Z", "e"), ("b", "Z", "e")),
         {"a": PendingInfo.from_order(2), "b": PendingInfo.from_order(2)},
     )
+
+
+def theta_graph():
+    """The pair-of-pants theta graph: two vertices joined by A, B and C,
+    three faces; one flip of A gives (A, B, B), (A, C, C), two loops."""
+    return FatGraph(("A", "B", "C"), (("A", "B", "C"), ("A", "C", "B")), meta=(0, 3, 0))

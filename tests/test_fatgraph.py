@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -19,6 +20,8 @@ from qshear.fatgraph import (
 )
 from qshear.matrices import AlgMatrix, edge_matrix, f_matrix, turn_matrix
 from qshear.torus import ew
+
+from conftest import theta_graph
 
 
 def test_an2_skew_form_quoted_relations():
@@ -179,6 +182,81 @@ def test_corner_word_validates():
     )
     with pytest.raises(ValueError):
         compile_path(g, bad, f)
+
+
+def test_a_word_alternates_traversals_and_turns():
+    for steps in ([("edge", "X"), ("edge", "Y")], [("turn", "L"), ("edge", "X")],
+                  [("edge", "X"), ("turn", "L")], [("edge", "X"), ("turn", "L"), ("turn", "R")]):
+        with pytest.raises(ValueError, match="alternates traversals and turns"):
+            PathWord(steps)
+
+
+def _loop_word(a, t, b, t2, c):
+    return PathWord([("edge", a), ("turn", t), ("edge", b), ("turn", t2), ("edge", c)])
+
+
+def test_slot_primitives_at_a_loop_and_a_free_end():
+    """The loop P of a hole vertex (Y, P, P) has two slots, each across
+    from the other; the free end of Y is its own far end."""
+    g = FatGraph(("Y", "P"), (("Y", "P", "P"),))
+    assert [g.edge_at((0, k)) for k in range(3)] == ["Y", "P", "P"]
+    assert g.turn((0, 2), "L") == (0, 0) and g.turn((0, 0), "R") == (0, 2)
+    assert g.across((0, 1)) == (0, 2) and g.across((0, 2)) == (0, 1)
+    assert g.across((0, 0)) == (0, 0)
+
+
+def test_turns_at_a_perimeter_loop_read_each_end_of_the_loop():
+    """At a hole vertex (Y, P, P) the route Y T P T Y round the loop
+    compiles for T = L and T = R alike; a route that turns both ways comes
+    back to P, not Y, and is refused at its second turn."""
+    g = FatGraph(("Y", "P"), (("Y", "P", "P"),))
+    f = g.skew_form()
+    for t in "LR":
+        compile_path(g, _loop_word("Y", t, "P", t, "Y"), f)
+    for t, t2 in ("LR", "RL"):
+        with pytest.raises(ValueError, match=f"turn {t} from 'P' to 'Y' is inconsistent"):
+            compile_path(g, _loop_word("Y", t, "P", t2, "Y"), f)
+
+
+def test_routes_round_the_loops_of_the_flipped_theta_compile():
+    g, _ = flip_graph(theta_graph(), "A")
+    assert g.vertices == (("A", "B", "B"), ("A", "C", "C"))
+    for loop in "BC":
+        compile_path(g, _loop_word("A", "L", loop, "L", "A"), g.skew_form())
+
+
+# the successor (L) and predecessor (R) of each edge at the theta vertices
+# (A, B, C) and (A, C, B), written out by hand
+THETA_TURNS = (
+    {"L": {"A": "B", "B": "C", "C": "A"}, "R": {"A": "C", "B": "A", "C": "B"}},
+    {"L": {"A": "C", "C": "B", "B": "A"}, "R": {"A": "B", "C": "A", "B": "C"}},
+)
+
+
+@pytest.mark.parametrize("first", "ABC")
+def test_theta_words_compile_exactly_when_they_are_paths(first):
+    """Of the 36 words X_a T X_b T' X_first on the theta graph, the 8 paths
+    compile and the rest are refused.  16 of the words pass a check of each
+    turn on its own, at whichever vertex suits it: 8 of those are no path."""
+    g = theta_graph()
+    f = g.skew_form()
+    paths = turnwise = 0
+    for a, t, b, t2 in product("ABC", "LR", "ABC", "LR"):
+        word = _loop_word(a, t, b, t2, first)
+        is_path = any(
+            THETA_TURNS[v][t2][first] == b and THETA_TURNS[1 - v][t][b] == a for v in (0, 1)
+        )
+        paths += is_path
+        turnwise += all(
+            any(THETA_TURNS[v][tok][x] == y for v in (0, 1))
+            for x, tok, y in ((first, t2, b), (b, t, a))
+        )
+        if is_path:
+            compile_path(g, word, f)
+        else:
+            with pytest.raises(ValueError, match="inconsistent with the ribbon structure"):
+                compile_path(g, word, f)
+    assert (paths, turnwise) == (8, 16)
 
 
 def test_winding_collapse_in_path():

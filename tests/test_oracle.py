@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qshear.coeffs import Coefficient
-from qshear.fatgraph import PathWord, spine_graph_an
+from qshear.fatgraph import FatGraph, PathWord, compile_path, flip_graph, pvi_graph, spine_graph_an
 from qshear import oracle
 from qshear.matrices import AlgMatrix
 from qshear.monodromy import an_realization, pvi_realization, relation_defects, relation_families
@@ -33,6 +33,7 @@ from qshear.oracle import (
     random_closed_words,
     random_state,
     rep_word_value,
+    sign_structure_violation,
     skew_normal_form,
     word_values,
     worst_norm,
@@ -42,7 +43,7 @@ from qshear.ore import OreElement
 from qshear.suites import RunConfig, _numeric_reports
 from qshear.torus import SkewForm, TorusElement, ew
 
-from conftest import random_skew_form
+from conftest import random_skew_form, theta_graph
 
 AN_CORE = ("entry", "cross")  # the families of the an-core oracle records
 
@@ -701,6 +702,38 @@ def test_closed_traces_at_least_two():
     words = random_closed_words(g, 10, seed=3)
     assert words
     assert closed_trace_minimum(g, samples=100, paths=10) >= 2.0 - 1e-9
+
+
+def test_closed_words_on_the_flipped_theta_are_paths():
+    """Every closed word on (A, B, B), (A, C, C), reversed to written order
+    and closed with its first edge, compiles.  A walk whose state was the
+    edge it arrived along emitted C R A L B L B R A R: after crossing the
+    loop B it turned L onto B again, where the left turn leads to A."""
+    g, _ = flip_graph(theta_graph(), "A")
+    form = g.skew_form()
+    for seed in range(5):
+        words = random_closed_words(g, 20, seed)
+        assert words
+        for tokens in words:
+            compile_path(g, PathWord(tokens[:1] + tokens[::-1]), form)
+    old = [("turn", x) if x in "LR" else ("edge", x) for x in "CRALBLBRARC"]
+    with pytest.raises(ValueError, match="inconsistent with the ribbon structure"):
+        compile_path(g, PathWord(old[::-1]), form)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [FatGraph(("X", "A", "B", "C", "D"), (("X", "A", "B"), ("X", "C", "D"))), pvi_graph()],
+    ids=["stubs", "no-internal-edge"],
+)
+def test_closed_checks_refuse_a_graph_without_closed_words(graph):
+    """Every walk on (X, A, B), (X, C, D) ends at a stub, and the four-point
+    sphere graph has no internal edge: there is no closed word, and both
+    closed-word checks raise rather than pass over zero words."""
+    assert random_closed_words(graph, 5, seed=0) == []
+    for check in (closed_trace_minimum, sign_structure_violation):
+        with pytest.raises(ValueError, match="no closed words found"):
+            check(graph)
 
 
 def test_rejects_even_modulus():
