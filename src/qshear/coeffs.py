@@ -35,6 +35,23 @@ def _param_key(params):
     return tuple(sorted(merged.items()))
 
 
+def param_product(p1, p2):
+    """The product of two normalized parameter monomials, normalized."""
+    merged = dict(p1)
+    for n, e in p2:
+        merged[n] = merged.get(n, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def _made(terms):
+    """A Coefficient over an already clean term table: nonzero values,
+    integral ones stored as int, normalized parameter monomials."""
+    out = Coefficient.__new__(Coefficient)
+    out._terms = terms
+    out._key = None
+    return out
+
+
 class Coefficient:
     """Element of Q[params][t, t^-1].
 
@@ -107,48 +124,29 @@ class Coefficient:
                 terms[k] = nv if type(nv) is int else _norm(nv)
             elif k in terms:
                 del terms[k]
-        out = Coefficient.__new__(Coefficient)
-        out._terms = terms
-        out._key = None
-        return out
+        return _made(terms)
 
     def __neg__(self):
-        out = Coefficient.__new__(Coefficient)
-        out._terms = {k: -v for k, v in self._terms.items()}
-        out._key = None
-        return out
+        return _made({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def mul(self, other, tshift=0):
-        """self * other * t**tshift (fused, the hot path of torus products)."""
+        """self * other * t**tshift; torus products multiply their
+        coefficients in ``torus.weyl_sum`` instead."""
         if not self._terms or not other._terms:
             return _ZERO
         acc = {}
         for (t1, p1), v1 in self._terms.items():
             for (t2, p2), v2 in other._terms.items():
-                if p1 and p2:
-                    merged = {}
-                    for n, e in p1:
-                        merged[n] = merged.get(n, 0) + e
-                    for n, e in p2:
-                        merged[n] = merged.get(n, 0) + e
-                    pk = tuple(sorted(merged.items()))
-                elif p1:
-                    pk = p1
-                else:
-                    pk = p2
-                k = (t1 + t2 + tshift, pk)
+                k = (t1 + t2 + tshift, param_product(p1, p2) if p1 and p2 else p1 or p2)
                 nv = acc.get(k, 0) + v1 * v2
                 if nv:
                     acc[k] = nv if type(nv) is int else _norm(nv)
                 elif k in acc:
                     del acc[k]
-        out = Coefficient.__new__(Coefficient)
-        out._terms = acc
-        out._key = None
-        return out
+        return _made(acc)
 
     def __mul__(self, other):
         # a Coefficient times a torus element or matrix scales it
@@ -159,18 +157,12 @@ class Coefficient:
     def times_t(self, k):
         if not k or not self._terms:
             return self
-        out = Coefficient.__new__(Coefficient)
-        out._terms = {(t + k, p): v for (t, p), v in self._terms.items()}
-        out._key = None
-        return out
+        return _made({(t + k, p): v for (t, p), v in self._terms.items()})
 
     def bar(self):
         """The star involution on scalars: t -> t**-1, parameters and
         rationals fixed."""
-        out = Coefficient.__new__(Coefficient)
-        out._terms = {(-t, p): v for (t, p), v in self._terms.items()}
-        out._key = None
-        return out
+        return _made({(-t, p): v for (t, p), v in self._terms.items()})
 
     def at_t_one(self):
         """Specialize t -> 1 (classical limit), keeping parameters."""
@@ -182,10 +174,7 @@ class Coefficient:
                 acc[k] = nv if type(nv) is int else _norm(nv)
             elif k in acc:
                 del acc[k]
-        out = Coefficient.__new__(Coefficient)
-        out._terms = acc
-        out._key = None
-        return out
+        return _made(acc)
 
     # -- queries -------------------------------------------------------
 

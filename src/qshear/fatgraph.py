@@ -278,6 +278,9 @@ def compile_path(graph, path, form):
         if step[0] == "orb" and not graph.is_pending(step[1]):
             raise ValueError(f"winding at non-pending edge {step[1]!r}")
     legs, turns = [s[1] for s in steps[::-2]], [s[1] for s in steps[-2::-2]]
+    for leg in legs:
+        if leg not in graph._incidence:
+            raise ValueError(f"path names unknown edge {leg!r}")
     k = max((_walked(graph, slot, legs, turns) for slot in graph.incidence(legs[0])), default=0)
     if k < len(turns):
         raise ValueError(

@@ -10,7 +10,7 @@ constructors display in every ring qshear evaluates words in.
 from __future__ import annotations
 
 from .coeffs import Coefficient, ONE, ZERO
-from .torus import TorusElement
+from .torus import TorusElement, weyl_sum
 
 
 class AlgMatrix:
@@ -43,20 +43,13 @@ class AlgMatrix:
         return self.rows[i][j]
 
     def mul(self, other):
+        """The matrix product; each entry is one :func:`weyl_sum` of its
+        row-column pairs (torus entries only)."""
         if self.n != other.n:
             raise ValueError("size mismatch")
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    p = self.rows[i][k].mul(other.rows[k][j])
-                    acc = p if acc is None else acc + p
-                row.append(acc)
-            out.append(row)
-        return AlgMatrix(self.form, out)
+        form = self.form
+        cols = tuple(zip(*other.rows))
+        return AlgMatrix(form, [[weyl_sum(form, zip(row, col)) for col in cols] for row in self.rows])
 
     def __matmul__(self, other):
         return self.mul(other)

@@ -234,34 +234,41 @@ def cross_relations(src, i, j):
     wij = wi * wj
     q, qi, q2, qi2 = (src.q(k) for k in (1, -1, 2, -2))
     d, e = q2 - qi2, q - qi
-    bi_aj, aj_bi, ai_cj, cj_ai = bi @ aj, aj @ bi, ai @ cj, cj @ ai
-    ai_aj, aj_ai = ai @ aj, aj @ ai
-    last = _weighted(qi * (cj @ bi) + (qi * d) * aj_ai, wi, d, aj)
-    last = _weighted(_weighted(last, wj, d, ai), wij, e, src.one)
+    # the products that two relations share, bound once; the other six of
+    # the 18 distinct entry products are each used once, inline
+    ai_bj, bj_ai, bi_aj, aj_bi = ai @ bj, bj @ ai, bi @ aj, aj @ bi
+    ci_aj, aj_ci, ai_cj, cj_ai = ci @ aj, aj @ ci, ai @ cj, cj @ ai
+    ci_bj, bj_ci, ai_aj, aj_ai = ci @ bj, bj @ ci, ai @ aj, aj @ ai
     wb = _weight_terms((wi, "(q-q^-1) w_i b_j"))
     wc = _weight_terms((wj, "(q-q^-1) w_j c_i"))
     wl = _weight_terms(
         (wi, "(q^2-q^-2) w_i a_j"), (wj, "(q^2-q^-2) w_j a_i"), (wij, "(q-q^-1) w_i w_j")
     )
-    for label, lhs, rhs in (
-        ("q^-1 b_i b_j = q b_j b_i", qi * (bi @ bj), q * (bj @ bi)),
-        ("q^-1 c_i c_j = q c_j c_i", qi * (ci @ cj), q * (cj @ ci)),
-        ("a_i b_j = b_j a_i", ai @ bj, bj @ ai),
-        (f"b_i a_j = a_j b_i + (q^2-q^-2) a_i b_j{wb}", bi_aj, _weighted(aj_bi + d * (ai @ bj), wi, e, bj)),
-        (f"b_i a_j = a_j b_i + (q^2-q^-2) b_j a_i{wb}", bi_aj, _weighted(aj_bi + d * (bj @ ai), wi, e, bj)),
-        ("c_i a_j = a_j c_i", ci @ aj, aj @ ci),
-        (f"a_i c_j = c_j a_i + (q^2-q^-2) c_i a_j{wc}", ai_cj, _weighted(cj_ai + d * (ci @ aj), wj, e, ci)),
-        (f"a_i c_j = c_j a_i + (q^2-q^-2) a_j c_i{wc}", ai_cj, _weighted(cj_ai + d * (aj @ ci), wj, e, ci)),
-        ("q c_i b_j = q^-1 b_j c_i", q * (ci @ bj), qi * (bj @ ci)),
-        ("a_i a_j = a_j a_i + (1-q^-2) b_j c_i", ai_aj, aj_ai + (src.q(0) - qi2) * (bj @ ci)),
-        ("a_i a_j = a_j a_i + (q^2-1) c_i b_j", ai_aj, aj_ai + (q2 - src.q(0)) * (ci @ bj)),
-        (
-            f"q b_i c_j + q(q^-2-q^2) a_i a_j = q^-1 c_j b_i - q^-1 (q^-2-q^2) a_j a_i{wl}",
-            q * (bi @ cj) - (q * d) * ai_aj,
-            last,
-        ),
-    ):
-        yield (f"({i},{j}) {label}", lhs, rhs)
+    # one relation at a time: a relation's sides are freed once its defect is
+    # taken, and only the shared products above stay bound
+    pair = f"({i},{j})"
+    yield (f"{pair} q^-1 b_i b_j = q b_j b_i", qi * (bi @ bj), q * (bj @ bi))
+    yield (f"{pair} q^-1 c_i c_j = q c_j c_i", qi * (ci @ cj), q * (cj @ ci))
+    yield (f"{pair} a_i b_j = b_j a_i", ai_bj, bj_ai)
+    rhs = _weighted(aj_bi + d * ai_bj, wi, e, bj)
+    yield (f"{pair} b_i a_j = a_j b_i + (q^2-q^-2) a_i b_j{wb}", bi_aj, rhs)
+    rhs = _weighted(aj_bi + d * bj_ai, wi, e, bj)
+    yield (f"{pair} b_i a_j = a_j b_i + (q^2-q^-2) b_j a_i{wb}", bi_aj, rhs)
+    yield (f"{pair} c_i a_j = a_j c_i", ci_aj, aj_ci)
+    rhs = _weighted(cj_ai + d * ci_aj, wj, e, ci)
+    yield (f"{pair} a_i c_j = c_j a_i + (q^2-q^-2) c_i a_j{wc}", ai_cj, rhs)
+    rhs = _weighted(cj_ai + d * aj_ci, wj, e, ci)
+    yield (f"{pair} a_i c_j = c_j a_i + (q^2-q^-2) a_j c_i{wc}", ai_cj, rhs)
+    yield (f"{pair} q c_i b_j = q^-1 b_j c_i", q * ci_bj, qi * bj_ci)
+    yield (f"{pair} a_i a_j = a_j a_i + (1-q^-2) b_j c_i", ai_aj, aj_ai + (src.q(0) - qi2) * bj_ci)
+    yield (f"{pair} a_i a_j = a_j a_i + (q^2-1) c_i b_j", ai_aj, aj_ai + (q2 - src.q(0)) * ci_bj)
+    rhs = _weighted(qi * (cj @ bi) + (qi * d) * aj_ai, wi, d, aj)
+    rhs = _weighted(_weighted(rhs, wj, d, ai), wij, e, src.one)
+    yield (
+        f"{pair} q b_i c_j + q(q^-2-q^2) a_i a_j = q^-1 c_j b_i - q^-1 (q^-2-q^2) a_j a_i{wl}",
+        q * (bi @ cj) - (q * d) * ai_aj,
+        rhs,
+    )
 
 
 def cross_relation_defects(real, i, j):
@@ -390,22 +397,31 @@ def braid_apply(real, i):
     return real.with_matrices(mats)
 
 
-def braid_relations(real, i):
+def _braid_image(real, i, images):
+    """braid_apply(real, i), read from ``images`` when it holds index i."""
+    return images[i] if images and i in images else braid_apply(real, i)
+
+
+def braid_relations(real, i, images=None):
     """beta_i beta_{i+1} beta_i = beta_{i+1} beta_i beta_{i+1}, compared
-    matrix by matrix."""
-    lhs = braid_apply(braid_apply(braid_apply(real, i), i + 1), i)
-    rhs = braid_apply(braid_apply(braid_apply(real, i + 1), i), i + 1)
+    matrix by matrix.  ``images`` may map indices to the braid images of
+    ``real`` computed already."""
+    lhs = braid_apply(braid_apply(_braid_image(real, i, images), i + 1), i)
+    rhs = braid_apply(braid_apply(_braid_image(real, i + 1, images), i), i + 1)
     for k in range(1, real.n + 1):
         yield (f"braid rel ({i},{i+1}) M{k}[{{}}]", lhs.matrix(k), rhs.matrix(k))
 
 
-def braid_alternative_form_relations(real, i):
+def braid_alternative_form_relations(real, i, images=None, G=None):
     """-M_i M_{i+1} M_i = q M_i G_{i,i+1} - q^2 M_{i+1}
-                        = q^-1 G_{i,i+1} M_i - q^-2 M_{i+1}."""
+                        = q^-1 G_{i,i+1} M_i - q^-2 M_{i+1}.
+
+    The left side is M_i of the braid image; ``images`` and the table ``G``
+    of geodesic functions by index pair may hold what is known already."""
     mi = real.matrix(i)
     mj = real.matrix(i + 1)
-    g = geodesic_G(real, i, i + 1)
-    prod = -(mi @ mj @ mi)
+    g = G[i, i + 1] if G else geodesic_G(real, i, i + 1)
+    prod = _braid_image(real, i, images).matrix(i)
     # q is central: scaling G before the product scales fewer terms
     yield (f"braid form {i}: q M G - q^2 M' [{{}}]", prod, mi.scalar_mul_right(Q1 * g) - Q2 * mj)
     yield (f"braid form {i}: q^-1 G M - q^-2 M' [{{}}]", prod, mi.scalar_mul_left(QM1 * g) - QM2 * mj)
@@ -419,10 +435,14 @@ def quantum_determinant_relations(real):
         yield (f"det {i}", b @ c - Q2 * (a @ a), real.one)
 
 
-def gm_relations(real, i, j):
+def gm_relations(real, i, j, G=None):
     """Commutation of G_{i,j} with every M_k, including the middle-index
-    relation for i < k < j."""
-    g = geodesic_G(real, i, j)
+    relation for i < k < j.  ``G`` maps index pairs to their geodesic
+    functions; by default it holds the pairs read here."""
+    if G is None:
+        pairs = [(i, j)] + [p for k in range(i + 1, j) for p in ((k, j), (i, k))]
+        G = {(k, l): geodesic_G(real, k, l) for k, l in pairs}
+    g = G[i, j]
     qg, qig = Q1 * g, QM1 * g  # q is central, as in the braid form
     d2 = QM2 - Q2
     for k in range(1, real.n + 1):
@@ -432,25 +452,29 @@ def gm_relations(real, i, j):
         elif k == j:
             lhs, rhs = mk.scalar_mul_left(qg) - mk.scalar_mul_right(qig), -d2 * real.matrix(i)
         elif i < k < j:
-            mid = real.matrix(i).scalar_mul_right(geodesic_G(real, k, j)) - real.matrix(j).scalar_mul_left(geodesic_G(real, i, k))
+            mid = real.matrix(i).scalar_mul_right(G[k, j]) - real.matrix(j).scalar_mul_left(G[i, k])
             lhs, rhs = mk.scalar_mul_left(g) - mk.scalar_mul_right(g), -d2 * mid
         else:
             lhs, rhs = mk.scalar_mul_left(g), mk.scalar_mul_right(g)
         yield (f"G({i},{j}) vs M{k} [{{}}]", lhs, rhs)
 
 
-def braid_product_invariance_relations(real, i):
+def _ordered_products(real):
+    """The forward and reverse products M_1 ... M_n and M_n ... M_1."""
+    return {
+        label: reduce(matmul, map(real.matrix, order))
+        for label, order in (("forward", range(1, real.n + 1)), ("reverse", range(real.n, 0, -1)))
+    }
+
+
+def braid_product_invariance_relations(real, i, images=None, products=None):
     """The ordered products M_1 ... M_n and M_n ... M_1 are invariant under
-    each braid generator."""
-    imaged = braid_apply(real, i)
-    fwd = range(1, real.n + 1)
-    back = range(real.n, 0, -1)
-    for label, order in (("forward", fwd), ("reverse", back)):
-        yield (
-            f"braid {i} {label} product [{{}}]",
-            reduce(matmul, map(real.matrix, order)),
-            reduce(matmul, map(imaged.matrix, order)),
-        )
+    each braid generator.  ``images`` and ``products`` (the two ordered
+    products of ``real``) may hold what is known already."""
+    imaged = _braid_image(real, i, images)
+    products = products or _ordered_products(real)
+    for label, imaged_product in _ordered_products(imaged).items():
+        yield (f"braid {i} {label} product [{{}}]", products[label], imaged_product)
 
 
 # -- flip invariance (exact sources only) -------------------------------------
@@ -574,21 +598,28 @@ def family_records(src, family):
     elif family == "pvi":
         yield from pvi_relations(src)
     elif family == "braid":
+        # each braid image, geodesic function and ordered product once
+        images = {i: braid_apply(src, i) for i in range(1, src.n)}
+        G = {(i, j): geodesic_G(src, i, j) for i, j in combinations(points, 2)}
+        products = _ordered_products(src)
         anchor = "braid group relation compared matrix by matrix"
         for i in range(1, src.n - 1):
-            yield (f"braid-relation-{i}{i+1}", anchor, braid_relations(src, i))
+            yield (f"braid-relation-{i}{i+1}", anchor, braid_relations(src, i, images))
         for i in range(1, src.n):
             anchor = "braid image as a geodesic-function combination"
-            yield (f"braid-alt-{i}", anchor, braid_alternative_form_relations(src, i))
-            imaged = braid_apply(src, i)
+            yield (f"braid-alt-{i}", anchor, braid_alternative_form_relations(src, i, images, G))
             anchor = "quantum determinant preserved by the braid action"
-            yield (f"braid-det-{i}", anchor, quantum_determinant_relations(imaged))
+            yield (f"braid-det-{i}", anchor, quantum_determinant_relations(images[i]))
             anchor = "cross relations preserved by the braid action"
-            yield (f"braid-cross-{i}", anchor, relation_families(imaged, ("cross",)))
+            yield (f"braid-cross-{i}", anchor, relation_families(images[i], ("cross",)))
             anchor = "ordered matrix products are braid invariants"
-            yield (f"braid-product-{i}", anchor, braid_product_invariance_relations(src, i))
+            product_relations = braid_product_invariance_relations(src, i, images, products)
+            yield (f"braid-product-{i}", anchor, product_relations)
+            # free image i for the next index; a record read after this point
+            # computes the image again
+            del images[i]
         anchor = "commutation table of geodesic functions with monodromies"
-        gm = (gm_relations(src, i, j) for i, j in combinations(points, 2))
+        gm = (gm_relations(src, i, j, G) for i, j in combinations(points, 2))
         yield ("gm-table", anchor, chain.from_iterable(gm))
     elif family == "flip":
         graph = src.graph

@@ -631,6 +631,8 @@ def decoration_change(state, hole):
     slots = graph.incidence(p_edge)
     if len(slots) != 2 or slots[0][0] != slots[1][0]:
         raise ValueError(f"{p_edge!r} is not a perimeter loop")
+    if y_edge == p_edge:
+        raise ValueError(f"the loop {p_edge!r} cannot be its own neck")
     if y_edge not in graph.vertices[slots[0][0]]:
         raise ValueError(f"{y_edge!r} does not meet the loop {p_edge!r}")
     values = dict(state.values)

@@ -9,19 +9,32 @@ rule is
 
 which on true exponents reads exp(u.Z) exp(v.Z) = q**(u.beta.v)
 exp((u+v).Z) since q = t**4.
+
+Every exact product goes through one kernel, :func:`weyl_sum`, which
+forms a sum of products x_1 y_1 + ... + x_k y_k at once: a single product
+is its one-pair case and an entry of a matrix product its k-pair case.  It
+accumulates the value at each (t-exponent, parameter monomial) of each
+output exponent vector in one table, reading the term tables of the input
+Coefficients directly, and builds each output Coefficient once, so no
+intermediate Coefficient or TorusElement is made.  The pairing row du.beta
+of a left monomial is memoised on its SkewForm, in a bounded memo.
 """
 
 from __future__ import annotations
 
 from operator import add as _add, mul as _mul
 
-from .coeffs import ONE, Coefficient
+from .coeffs import ONE, Coefficient, _made, _norm, param_product
+
+# the most pairing rows memoised per form; an exact-catalog pass fills at
+# most 730 in one form
+ROW_MEMO = 1024
 
 
 class SkewForm:
     """Antisymmetric integer pairing on named generators."""
 
-    __slots__ = ("names", "beta", "_index")
+    __slots__ = ("names", "beta", "_index", "_rows")
 
     def __init__(self, names, beta):
         names = tuple(names)
@@ -40,6 +53,7 @@ class SkewForm:
         self.names = names
         self.beta = beta
         self._index = {name: i for i, name in enumerate(names)}
+        self._rows = {}
 
     @property
     def dim(self):
@@ -62,6 +76,17 @@ class SkewForm:
                     if b:
                         total += a * row[j] * b
         return total
+
+    def row(self, du):
+        """The row du . beta, so that pairing(du, dv) is its dot product
+        with dv; memoised for the first ROW_MEMO vectors asked for."""
+        row = self._rows.get(du)
+        if row is None:
+            # du . beta, by antisymmetry minus beta . du
+            row = tuple(-sum(map(_mul, b, du)) for b in self.beta)
+            if len(self._rows) < ROW_MEMO:
+                self._rows[du] = row
+        return row
 
     def bracket(self, name_a, name_b):
         return self.beta[self.index(name_a)][self.index(name_b)]
@@ -89,6 +114,11 @@ class SkewForm:
 
     def __repr__(self):
         return f"SkewForm({self.names})"
+
+
+def _require_form(form, x):
+    if x.form is not form and x.form != form:
+        raise ValueError("elements live over different skew forms")
 
 
 class TorusElement:
@@ -136,12 +166,8 @@ class TorusElement:
 
     # -- ring operations --------------------------------------------------
 
-    def _require_same(self, other):
-        if self.form is not other.form and self.form != other.form:
-            raise ValueError("elements live over different skew forms")
-
     def __add__(self, other):
-        self._require_same(other)
+        _require_form(self.form, other)
         out = TorusElement(self.form)
         terms = dict(self.terms)
         for du, c in other.terms.items():
@@ -163,29 +189,9 @@ class TorusElement:
         return self + (-other)
 
     def mul(self, other):
-        """Bilinear extension of the Weyl product rule."""
-        self._require_same(other)
-        form = self.form
-        beta = form.beta
-        right = other.terms.items()
-        out_terms = {}
-        for du, cu in self.terms.items():
-            # du . beta, by antisymmetry minus beta . du
-            row = [-sum(map(_mul, b, du)) for b in beta]
-            for dv, cv in right:
-                c = cu.mul(cv, sum(map(_mul, row, dv)))
-                if not c:
-                    continue
-                dw = tuple(map(_add, du, dv))
-                prev = out_terms.get(dw)
-                nc = prev + c if prev is not None else c
-                if nc:
-                    out_terms[dw] = nc
-                elif dw in out_terms:
-                    del out_terms[dw]
-        out = TorusElement(form)
-        out.terms = out_terms
-        return out
+        """Bilinear extension of the Weyl product rule: the one-pair case
+        of :func:`weyl_sum`."""
+        return weyl_sum(self.form, ((self, other),))
 
     def __matmul__(self, other):
         return self.mul(other)
@@ -237,7 +243,7 @@ class TorusElement:
     def __eq__(self, other):
         if not isinstance(other, TorusElement):
             return NotImplemented
-        self._require_same(other)
+        _require_form(self.form, other)
         return self.terms == other.terms
 
     def __hash__(self):
@@ -263,6 +269,45 @@ class TorusElement:
             mono = "e^{" + "+".join(expo).replace("+-", "-") + "}" if expo else "1"
             bits.append(f"({c!r})*{mono}")
         return " + ".join(bits)
+
+
+def weyl_sum(form, pairs):
+    """x_1 y_1 + ... + x_k y_k over the (x, y) pairs of torus elements of
+    ``form``, by the Weyl product rule.  The coefficients accumulate in one
+    table keyed by exponent vector, then by (t-exponent, parameter
+    monomial); a monomial whose coefficient cancels is dropped, and an
+    integral value is stored as an int.  Raises ValueError on an element of
+    another form."""
+    acc = {}
+    get = acc.get
+    row = form.row
+    for x, y in pairs:
+        if x.form is not form or y.form is not form:
+            _require_form(form, x)
+            _require_form(form, y)
+        right = y.terms.items()
+        for du, cu in x.terms.items():
+            r = row(du)
+            left = cu._terms.items()
+            for dv, cv in right:
+                dw = tuple(map(_add, du, dv))
+                shift = sum(map(_mul, r, dv))
+                c = get(dw)
+                if c is None:
+                    c = acc[dw] = {}
+                for (t1, p1), v1 in left:
+                    for (t2, p2), v2 in cv._terms.items():
+                        k = (t1 + t2 + shift, param_product(p1, p2) if p1 and p2 else p1 or p2)
+                        c[k] = c.get(k, 0) + v1 * v2
+    out = TorusElement(form)
+    for dw, c in acc.items():
+        for v in c.values():
+            if not v or type(v) is not int:
+                c = {k: _norm(v) for k, v in c.items() if v}
+                break
+        if c:
+            out.terms[dw] = _made(c)
+    return out
 
 
 def even_check(x, affected):

@@ -9,12 +9,15 @@ from qshear.monodromy import (
     braid_product_invariance_relations,
     braid_relations,
     build_monodromy,
+    catalog_defects,
     cross_relation_defects,
     element_is_zero,
+    family_records,
     geodesic_G,
     gm_relations,
     quantum_determinant_relations,
     relation_defects,
+    relation_families,
     uqsl2_defects,
 )
 
@@ -139,6 +142,85 @@ def test_braid_relation_compares_the_two_sides(monkeypatch, an3):
     monkeypatch.setattr(monodromy, "braid_apply", one_short)
     assert _nonzero(relation_defects(braid_relations(an3, 1))) == 12
     assert calls == [1, 2, 1, 2, 1, 2]
+
+
+# -- the braid family: each image once, the verdict both ways ------------------
+
+
+def test_braid_family_records_keep_their_order(an4):
+    records = catalog_defects(an4, ("braid",))
+    assert [record for record, _, _ in records] == [
+        "braid-relation-12",
+        "braid-relation-23",
+        *(f"braid-{kind}-{i}" for i in (1, 2, 3) for kind in ("alt", "det", "cross", "product")),
+        "gm-table",
+    ]
+    labels = {record: [lbl for lbl, _ in defects] for record, _, defects in records}
+
+    def standalone(relations):
+        return [lbl for lbl, _ in relation_defects(relations)]
+
+    for i in (1, 2, 3):
+        imaged = braid_apply(an4, i)
+        assert labels[f"braid-alt-{i}"] == standalone(braid_alternative_form_relations(an4, i))
+        assert labels[f"braid-det-{i}"] == ["det 1", "det 2", "det 3", "det 4"]
+        assert labels[f"braid-cross-{i}"] == standalone(relation_families(imaged, ("cross",)))
+    pairs = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    gm = [lbl for i, j in pairs for lbl in standalone(gm_relations(an4, i, j))]
+    assert labels["gm-table"] == gm
+
+
+def test_braid_family_records_read_late_give_the_same_defects(an4):
+    """Records taken all at once and read afterwards, when the family has
+    freed its braid images, compute them again."""
+    late = [(record, relation_defects(rels)) for record, _, rels in list(family_records(an4, "braid"))]
+    assert late == [(record, defects) for record, _, defects in catalog_defects(an4, ("braid",))]
+
+
+def test_braid_family_images_the_source_once_per_index(monkeypatch, an4):
+    calls = []
+
+    def counting(real, i):
+        calls.append((real is an4, i))
+        return braid_apply(real, i)
+
+    monkeypatch.setattr(monodromy, "braid_apply", counting)
+    catalog_defects(an4, ("braid",))
+    assert sorted(i for from_source, i in calls if from_source) == [1, 2, 3]
+
+
+def test_braid_family_gives_the_standalone_defects(an4):
+    records = {record: defects for record, _, defects in catalog_defects(an4, ("braid",))}
+    for i in (1, 2):
+        assert records[f"braid-relation-{i}{i + 1}"] == relation_defects(braid_relations(an4, i))
+    for i in (1, 2, 3):
+        standalone = relation_defects(braid_product_invariance_relations(an4, i))
+        assert records[f"braid-product-{i}"] == standalone
+
+
+def _swapping_braid(real, i):
+    """A wrong braid image: M_i -> -M_{i+1} M_i M_i, which is M_{i+1} at an
+    order-2 point, so the two matrices are only swapped."""
+    mats = list(real.mats)
+    mi = mats[i - 1]
+    mats[i - 1] = -(mats[i] @ mi @ mi)
+    mats[i] = mi
+    return real.with_matrices(mats)
+
+
+def test_a_wrong_braid_image_fails_the_family(monkeypatch, an4):
+    """The family reads its braid images once, through ``braid_apply``; a
+    swap satisfies the braid relation and keeps every determinant and the
+    G-M table, but fails the image's form, its cross relations and the
+    ordered products."""
+    monkeypatch.setattr(monodromy, "braid_apply", _swapping_braid)
+    failing = {
+        record: _nonzero(defects) for record, _, defects in catalog_defects(an4, ("braid",))
+    }
+    assert {record for record, count in failing.items() if count} == {
+        f"braid-{kind}-{i}" for i in (1, 2, 3) for kind in ("alt", "cross", "product")
+    }
+    assert failing["braid-product-2"] == 8 and failing["braid-alt-2"] == 8
 
 
 # -- failure witnesses ---------------------------------------------------------

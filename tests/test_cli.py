@@ -23,6 +23,8 @@ from qshear.flips import CLASSICAL_FLIP_IDENTITIES, CLASSICAL_FLIP_WORDS
 from qshear.monodromy import an_realization, nelson_regge_relations, relation_defects
 from qshear.suites import MAX_SAMPLES, RunConfig, list_suites
 
+from conftest import theta_graph
+
 
 def test_list_suites_contains_names_and_anchors(capsys):
     assert main(["--list-suites"]) == 0
@@ -306,6 +308,20 @@ def test_flip_script_round_trip(tmp_path, capsys):
         assert main(["--graph", str(graph), "--flip-script", str(script)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: flip script line ") and "Traceback" not in err, err
+
+
+def test_flip_script_refuses_a_loop_as_its_own_neck(tmp_path, capsys):
+    """After one flip of A the theta graph has the loops B and C; a
+    decoration change needs a neck distinct from its loop."""
+    graph = tmp_path / "theta.json"
+    save_graph(theta_graph(), graph)
+    script = tmp_path / "moves.txt"
+    script.write_text("flip A\ndecor B B\n")
+    assert main(["--graph", str(graph), "--flip-script", str(script)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: flip script line 2: ") and "own neck" in err, err
+    script.write_text("flip A\ndecor A B\n")
+    assert main(["--graph", str(graph), "--flip-script", str(script)]) == 0
 
 
 def test_flip_script_weighs_every_pending_edge(tmp_path, capsys):

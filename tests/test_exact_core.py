@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qshear import matrices, torus
 from qshear.coeffs import Coefficient
 from qshear.fatgraph import spine_graph_an
 from qshear.flips import homomorphism_defects, quantum_flip_substitution
 from qshear.monodromy import an_realization, cross_relation_defects, uqsl2_defects
-from qshear.torus import SkewForm, TorusElement
+from qshear.torus import SkewForm, TorusElement, weyl_sum
 
 PARAMS = ("a", "w")
 
@@ -118,8 +119,9 @@ def test_evaluate_agrees_on_mixed_int_and_fraction_terms(c, t, a, w):
 def test_catalog_hot_path_stores_only_ints(monkeypatch):
     """Every coefficient value stored by the A_3 entry and cross defects and
     one flip's homomorphism defects, and every value a Coefficient product or
-    sum returned while they were built, is an int.  The torus defects are
-    zero, so the recorded values keep the check from being vacuous."""
+    sum or a torus product returned while they were built, is an int.  The
+    torus defects are zero, so the recorded values keep the check from being
+    vacuous."""
     made = []
     originals = {name: getattr(Coefficient, name) for name in ("mul", "__add__")}
 
@@ -131,8 +133,16 @@ def test_catalog_hot_path_stores_only_ints(monkeypatch):
 
         return op
 
+    def recording_kernel(form, pairs):
+        out = weyl_sum(form, pairs)
+        made.extend(v for c in out.terms.values() for v in stored_values(c))
+        return out
+
     for name in originals:
         monkeypatch.setattr(Coefficient, name, recording(name))
+    # the one product kernel, by its name in each module that calls it
+    monkeypatch.setattr(torus, "weyl_sum", recording_kernel)
+    monkeypatch.setattr(matrices, "weyl_sum", recording_kernel)
     real = an_realization(3)
     torus_defects = [d for i in (1, 2, 3) for _, d in uqsl2_defects(real, i)]
     for i, j in ((1, 2), (1, 3), (2, 3)):

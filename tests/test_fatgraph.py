@@ -184,6 +184,20 @@ def test_corner_word_validates():
         compile_path(g, bad, f)
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [("edge", "Q")],  # the only leg
+        [("edge", "X1"), ("turn", "L"), ("edge", "Q")],  # the first leg, at the right end
+        [("edge", "Q"), ("turn", "L"), ("edge", "X1")],  # a later leg
+    ],
+)
+def test_a_leg_on_an_unknown_edge_is_named(steps):
+    g = spine_graph_an(3)
+    with pytest.raises(ValueError, match="unknown edge 'Q'"):
+        compile_path(g, PathWord(steps), g.skew_form())
+
+
 def test_a_word_alternates_traversals_and_turns():
     for steps in ([("edge", "X"), ("edge", "Y")], [("turn", "L"), ("edge", "X")],
                   [("edge", "X"), ("turn", "L")], [("edge", "X"), ("turn", "L"), ("turn", "R")]):

@@ -295,6 +295,8 @@ def test_decoration_change():
     assert out0.values == s0.values
     with pytest.raises(ValueError):
         decoration_change(s, ("P", "Y"))
+    with pytest.raises(ValueError, match="cannot be its own neck"):
+        decoration_change(s, ("P", "P"))
 
 
 def test_run_flip_script():

@@ -1,10 +1,14 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshear.coeffs import Coefficient
+from qshear.matrices import AlgMatrix
 from qshear.oracle import ClockShiftRep
-from qshear.torus import SkewForm, TorusElement, even_check, ew, half
+from qshear.torus import SkewForm, TorusElement, even_check, ew, half, weyl_sum
 
 from conftest import random_skew_form
 
@@ -98,3 +102,149 @@ def test_zero_elements_evaluate_to_zero(an2_form):
     assert rep.norm(x) < 1e-9
     y = ew(f, {"X": 1}) - ew(f, {"S": 1})
     assert rep.norm(y) > 1e-6
+
+
+# -- the product kernel against a schoolbook reference -------------------------
+#
+# The reference works on plain dicts (exponent vector, t-power, parameter
+# monomial) -> Fraction, one term pair at a time, with the pairing written
+# out as a double sum; it shares no code with Coefficient or weyl_sum.
+
+
+def _schoolbook(form, pairs):
+    out = Counter()
+    n = form.dim
+    for x, y in pairs:
+        for du, cu in x.terms.items():
+            for dv, cv in y.terms.items():
+                shift = sum(du[i] * form.beta[i][j] * dv[j] for i in range(n) for j in range(n))
+                dw = tuple(a + b for a, b in zip(du, dv))
+                for (t1, p1), v1 in cu.items():
+                    for (t2, p2), v2 in cv.items():
+                        powers = Counter(dict(p1))
+                        powers.update(dict(p2))
+                        out[dw, t1 + t2 + shift, tuple(sorted(powers.items()))] += Fraction(v1) * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def _flat(x):
+    """The raw terms of an element, checking the stored form on the way: no
+    empty coefficient, every integral value an int."""
+    out = {}
+    for du, c in x.terms.items():
+        assert c, f"a cancelled monomial {du} is stored"
+        for (texp, params), v in c.items():
+            assert v and (type(v) is int or v.denominator != 1), v
+            out[du, texp, params] = v
+    return out
+
+
+_values = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool),
+)
+# two names on both factors, so that the kernel must merge the powers of a
+# name that both factors carry
+_params = st.lists(st.tuples(st.sampled_from(("a", "w")), st.integers(1, 2)), max_size=2)
+_coefficients = st.dictionaries(
+    st.tuples(st.integers(-6, 6), _params.map(tuple)), _values, max_size=3
+).map(Coefficient)
+
+
+@st.composite
+def _kernel_forms(draw):
+    n = draw(st.integers(3, 5))
+    beta = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            beta[i][j] = draw(st.integers(-2, 2))
+            beta[j][i] = -beta[i][j]
+    return SkewForm(tuple(f"g{i}" for i in range(n)), beta)
+
+
+def _elements(form, max_terms=3):
+    exponents = st.one_of(
+        st.just((0,) * form.dim),  # a scalar-only side
+        st.tuples(*[st.integers(-2, 2)] * form.dim),
+    )
+    return st.dictionaries(exponents, _coefficients, max_size=max_terms).map(
+        lambda terms: TorusElement(form, terms)
+    )
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A form and one to three pairs; sometimes the last pair is (-x, y) of
+    the first, so that the whole sum cancels exactly when it is alone."""
+    form = draw(_kernel_forms())
+    pairs = draw(st.lists(st.tuples(_elements(form), _elements(form)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        x, y = pairs[0]
+        pairs.append((-x, y))
+    return form, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_cases())
+def test_kernel_matches_the_schoolbook_product(case):
+    form, pairs = case
+    want = _schoolbook(form, pairs)
+    assert _flat(weyl_sum(form, pairs)) == want
+    if len(pairs) == 1:
+        (x, y), = pairs
+        assert _flat(x.mul(y)) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(_kernel_forms(), st.integers(1, 3))
+def test_kernel_cancels_a_sum_to_zero(form, seed):
+    rng = random.Random(seed)
+    du = tuple(rng.randint(-2, 2) for _ in range(form.dim))
+    x = TorusElement(form, {du: Coefficient.parameter("a", 1, Fraction(1, 3))})
+    y = TorusElement(
+        form, {(0,) * form.dim: Coefficient.t_power(2, 3), (1,) * form.dim: Coefficient.parameter("w")}
+    )
+    out = weyl_sum(form, [(x, y), (-x, y), (x, -y), (-x, -y)])
+    assert out.is_zero() and not out.terms
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """Two n x n matrices whose entries are drawn from a pool of elements,
+    zero among them, so that an entry's pairs repeat and cancel too."""
+    form = draw(_kernel_forms())
+    n = draw(st.sampled_from((2, 4, 8)))
+    pool = draw(st.lists(_elements(form), min_size=2, max_size=5))
+    pool += [TorusElement.zero(form)] + [-x for x in pool]
+    rng = draw(st.randoms(use_true_random=False))
+    a, b = ([[rng.choice(pool) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    return AlgMatrix(form, a), AlgMatrix(form, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_matrix_pairs())
+def test_matrix_product_matches_the_schoolbook_entries(mats):
+    a, b = mats
+    prod = a.mul(b)
+    for i in range(a.n):
+        for j in range(a.n):
+            pairs = [(a[i, k], b[k, j]) for k in range(a.n)]
+            assert _flat(prod[i, j]) == _schoolbook(a.form, pairs), (i, j)
+
+
+def test_kernel_rejects_mixed_forms():
+    f = SkewForm(("X", "Y", "Z"), [[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
+    g = SkewForm(("X", "Y", "Z"), [[0, 2, -1], [-2, 0, 1], [1, -1, 0]])
+    x, y = ew(f, {"X": 1}), ew(g, {"Y": 1})
+    for bad in (
+        lambda: x.mul(y),
+        lambda: y.mul(x),
+        lambda: weyl_sum(f, [(x, x), (x, y)]),
+        lambda: weyl_sum(f, [(y, y)]),
+        lambda: AlgMatrix.identity(f).mul(AlgMatrix.identity(g)),
+    ):
+        with pytest.raises(ValueError, match="different skew forms"):
+            bad()
+    # an equal form held by another object is the same form
+    f2 = SkewForm(f.names, f.beta)
+    assert x.mul(ew(f2, {"Y": 1})) == ew(f, {"X": 1, "Y": 1}, Coefficient.q_power(1))
