@@ -130,7 +130,17 @@ class Coefficient:
         return _made({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        # one pass, like __add__: no negated copy of other is made
+        if not other._terms:
+            return self
+        terms = dict(self._terms)
+        for k, v in other._terms.items():
+            nv = terms.get(k, 0) - v
+            if nv:
+                terms[k] = nv if type(nv) is int else _norm(nv)
+            elif k in terms:
+                del terms[k]
+        return _made(terms)
 
     def mul(self, other, tshift=0):
         """self * other * t**tshift; torus products multiply their

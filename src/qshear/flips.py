@@ -122,7 +122,7 @@ def classical_identity_sides(ident):
             up = up.mul(t_poly)
         elif s < 0:
             dn = dn.mul(t_poly)
-        return up.mul, dn.mul
+        return (-up).mul, dn.mul
 
     def side(word):
         m = sum(1 for step in word if step[1].endswith("~") and tildes[step[1][:-1]][1])

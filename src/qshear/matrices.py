@@ -9,6 +9,8 @@ constructors display in every ring qshear evaluates words in.
 
 from __future__ import annotations
 
+import operator
+
 from .coeffs import Coefficient, ONE, ZERO
 from .torus import TorusElement, weyl_sum
 
@@ -59,22 +61,22 @@ class AlgMatrix:
             return NotImplemented
         return self.scale(coeff)
 
-    def __add__(self, other):
+    def _entrywise(self, op, other):
         if self.n != other.n:
             raise ValueError("size mismatch")
         return AlgMatrix(
             self.form,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
+            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
         )
+
+    def __add__(self, other):
+        return self._entrywise(operator.add, other)
 
     def __neg__(self):
         return AlgMatrix(self.form, [[-x for x in row] for row in self.rows])
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._entrywise(operator.sub, other)
 
     def scale(self, coeff):
         return AlgMatrix(self.form, [[x.scale(coeff) for x in row] for row in self.rows])
@@ -157,7 +159,7 @@ def _factors(step, edge, scalar):
         return [_TURNS[name]]
     if kind == "edge":
         up, dn = edge(name)
-        return [lambda x0, x1: (-up(x1), dn(x0))]
+        return [lambda x0, x1: (up(x1), dn(x0))]
     if kind not in ("F", "omega", "orb"):
         raise ValueError(f"unknown word step {tuple(step)!r}")
     w = scalar(name)
@@ -188,9 +190,11 @@ def word_action(steps, edge, scalar):
         ('omega', w, sign)  sign * omega_commutant O = sign * (a + c F_w)
         ('orb', e, k)       the winding X_e (-1)**(k+1) F_w**k X_e, w of e
 
-    ``edge(name)`` gives the maps x -> exp(Z/2) x and x -> exp(-Z/2) x of an
-    edge, ``scalar(name)`` a weight w by pending edge or name, and the
-    commutant parameters by 'a' and 'c'.
+    ``edge(name)`` gives the two maps of an edge's nonzero entries, with the
+    sign of X_e folded in: x -> -exp(Z/2) x and x -> exp(-Z/2) x, so that an
+    edge factor is (up(x1), dn(x0)) and allocates nothing beyond the two
+    maps' own results.  ``scalar(name)`` gives a weight w by pending edge or
+    name, and the commutant parameters by 'a' and 'c'.
     """
     chain = [factor for step in reversed(steps) for factor in _factors(step, edge, scalar)]
 
@@ -208,7 +212,7 @@ def word_matrix(form, steps, scalar, edge=None):
     if edge is None:
 
         def edge(name):
-            up = TorusElement.monomial(form, form.du({name: 1}))
+            up = TorusElement.monomial(form, form.du({name: 1}), -ONE)
             dn = TorusElement.monomial(form, form.du({name: -1}))
             return up.mul, dn.mul
 

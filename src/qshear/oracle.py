@@ -149,6 +149,11 @@ class Monomial(NamedTuple):
     phase: np.ndarray
 
 
+def root_of_unity(modulus):
+    """t = exp(i pi / N), the value of t in the representations at N."""
+    return cmath.exp(1j * math.pi / modulus)
+
+
 class ClockShiftRep:
     """Finite-dimensional model of a quantum torus at t = exp(i pi / N)."""
 
@@ -158,7 +163,7 @@ class ClockShiftRep:
         self.form = form
         self.modulus = modulus
         self.seed = seed
-        self.t_value = cmath.exp(1j * math.pi / modulus)
+        self.t_value = root_of_unity(modulus)
         _, self.transform, self.pairings = skew_normal_form(form.beta)
         self.nblocks = len(self.pairings)
         rng = np.random.default_rng(seed)
@@ -168,6 +173,7 @@ class ClockShiftRep:
         ]
         self.dim = modulus ** self.nblocks
         self._cache = {}
+        self._negated = {}
         self._gather = {}
 
     def _block_phase(self, d, y1, y2):
@@ -195,8 +201,22 @@ class ClockShiftRep:
             self._cache[du] = out
         return out
 
+    def negated_image(self, du):
+        """The image of -W(du): the phase of :meth:`image` negated, made
+        once per monomial like the image itself."""
+        du = tuple(du)
+        out = self._negated.get(du)
+        if out is None:
+            image = self.image(du)
+            out = image._replace(phase=-image.phase)
+            if len(self._negated) < 256:
+                self._negated[du] = out
+        return out
+
     def act(self, image, block):
-        """``image @ block`` for a block of vectors of shape (dim, m)."""
+        """``image @ block`` for a block of vectors of shape (dim, m): one
+        gather into a new complex array, then the phase multiplied into it
+        in place (a real block is cast to complex first)."""
         index = self._gather.get(image.shift)
         if index is None:
             # flat position of (i_1 - s_1, ..., i_k - s_k) mod N, first
@@ -206,7 +226,10 @@ class ClockShiftRep:
             for s in image.shift:
                 index = (index[:, None] * n + (np.arange(n) - s) % n).ravel()
             self._gather[image.shift] = index
-        return image.phase[:, None] * np.take(block, index, axis=0)
+        out = block.take(index, axis=0)
+        if out.dtype != image.phase.dtype:
+            out = out.astype(image.phase.dtype)
+        return np.multiply(image.phase[:, None], out, out=out)
 
     def matrix(self, du):
         """Dense dim x dim image of W(du), for small-dimension references."""
@@ -330,11 +353,12 @@ def rep_word_value(rep, graph, path, params):
     """The 2x2 block value of a written word as an operator on (2, dim, m)
     blocks of vectors, built from generator images only; this route never
     touches the symbolic product.  Its :func:`word_action` turns each edge
-    into rolls and phase multiplies of the two components."""
+    into rolls and phase multiplies of the two components; the sign of the
+    edge's upper entry is folded into the negated image of exp(Z/2)."""
     form = rep.form
 
     def edge(name):
-        up = rep.image(form.du({name: 1}))
+        up = rep.negated_image(form.du({name: 1}))
         dn = rep.image(form.du({name: -1}))
         return partial(rep.act, up), partial(rep.act, dn)
 
@@ -677,7 +701,7 @@ def word_values(tokens, values, weights):
 
     def edge(name):
         v = values[name]
-        return partial(np.multiply, np.exp(v / 2)), partial(np.multiply, np.exp(-v / 2))
+        return partial(np.multiply, -np.exp(v / 2)), partial(np.multiply, np.exp(-v / 2))
 
     act = word_action(tokens, edge, weights.__getitem__)
     columns = act(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))

@@ -1,6 +1,12 @@
 """Named verification suites: every identity in the catalog is checked
 exactly, and when oracle moduli are configured each suite also re-verifies
 its content numerically in clock-and-shift representations.
+
+A run computes each shared input once: its :class:`RunStore`, made with
+its :class:`RunConfig`, builds each built-in realization on first use and
+keeps each relation family's numeric pairs per realization and modulus,
+so a suite reads what an earlier suite of the same run has computed.
+Nothing is cached at module level: two runs in one process share nothing.
 """
 
 from __future__ import annotations
@@ -23,9 +29,44 @@ from .reports import IdentityReport, witness_digest
 
 MAX_SAMPLES = 100_000  # flips-classical peaks near 62 MB resident at this bound
 
+# the parameter values of every oracle record
+_ORACLE_PARAMS = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
+
+
+class RunStore:
+    """What one run computes once and then reads: the built-in realizations
+    by name ('an<n>' or 'pvi'), and the numeric pairs of each relation
+    family, keyed by (realization, modulus, family).  A pair keeps only the
+    2x2 forms of its sides; no numeric source or word-pass memo is kept."""
+
+    def __init__(self):
+        self.realizations = {}
+        self.pairs = {}
+
+    def realization(self, name):
+        real = self.realizations.get(name)
+        if real is None:
+            real = pvi_realization() if name == "pvi" else an_realization(int(name[2:]))
+            self.realizations[name] = real
+        return real
+
+    def keep_pairs(self, key, pairs):
+        """Keep a family's pairs as two objects: the labels joined into one
+        string and the sides stacked into one (k, 2, 2, 2) array.  Kept as
+        a list of small tuples for the whole run, the pairs of the oracle
+        suites added about 90 KB more to the peak of traced allocations."""
+        import numpy as np
+
+        self.pairs[key] = ("\0".join(p[0] for p in pairs), np.array([p[1:] for p in pairs]))
+
+    def read_pairs(self, key):
+        labels, sides = self.pairs[key]
+        return [(label, lhs, rhs) for label, (lhs, rhs) in zip(labels.split("\0"), sides)]
+
 
 class RunConfig:
-    """Suite selection plus oracle and sampling knobs."""
+    """Suite selection plus oracle and sampling knobs, and the run's
+    :class:`RunStore`: one config is one run."""
 
     def __init__(
         self,
@@ -60,6 +101,7 @@ class RunConfig:
             raise ValueError(f"samples {self.samples} must be an integer from 1 to {MAX_SAMPLES}")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be a non-negative integer")
+        self.store = RunStore()
 
 
 def _defect_report(ident, anchor, defects):
@@ -91,19 +133,25 @@ def _catalog_reports(prefix, real, families):
 
 
 def _numeric_pairs(real, config, families):
-    """For each oracle modulus, in order, (rep, pairs): the clock-and-shift
-    representation and the numeric pairs of the named relation families of
-    ``real`` in it, all read off one numeric realization.  That realization
-    runs each word once per input vector for all its entries, its memo of
-    recent passes stays within a fixed byte budget at any modulus, and each
-    pair keeps only the 2x2 forms of its sides."""
+    """For each oracle modulus, in order, (modulus, pairs): the numeric
+    pairs of the named relation families of ``real`` in the clock-and-shift
+    representation at that modulus.  A family this run has read before
+    comes from the run's store; the others come off one numeric
+    realization, which runs each word once per input vector for all its
+    entries and keeps a memo of recent passes within a fixed byte budget
+    at any modulus.  Each pair keeps only the 2x2 forms of its sides."""
     from . import oracle
 
-    params = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
+    store = config.store
     for modulus in config.oracle_moduli:
-        rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
-        # the source and its memo are freed before the caller reads the pairs
-        yield rep, oracle.numeric_relation_pairs(oracle.numeric_realization(rep, real, params), families)
+        missing = [f for f in families if (real, modulus, f) not in store.pairs]
+        if missing:
+            rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
+            src = oracle.numeric_realization(rep, real, _ORACLE_PARAMS)
+            for family in missing:
+                store.keep_pairs((real, modulus, family), oracle.numeric_relation_pairs(src, (family,)))
+            del src  # the source and its memo are freed before the caller reads the pairs
+        yield modulus, [pair for family in families for pair in store.read_pairs((real, modulus, family))]
 
 
 def _numeric_reports(prefix, anchor, real, config, families):
@@ -112,13 +160,13 @@ def _numeric_reports(prefix, anchor, real, config, families):
     from . import oracle
 
     out = []
-    for rep, pairs in _numeric_pairs(real, config, families):
+    for modulus, pairs in _numeric_pairs(real, config, families):
         norms = oracle.numeric_pair_norms(pairs)
         worst = oracle.worst_norm([n for _, n in norms])
         bad = [lbl for lbl, n in norms if not n <= 1e-9]  # a NaN norm fails too
         out.append(
             IdentityReport(
-                f"{prefix}-oracle-N{rep.modulus}",
+                f"{prefix}-oracle-N{modulus}",
                 anchor,
                 not bad,
                 None if not bad else f"norms above 1e-9: {bad[:5]}",
@@ -136,14 +184,14 @@ def run_an_core(config):
     anchor = "numeric re-check of the entry algebra"
     reports = []
     for n in (3, 4):
-        real = an_realization(n)
+        real = config.store.realization(f"an{n}")
         reports += _catalog_reports(f"an{n}", real, families)
         reports += _numeric_reports(f"an{n}-core", anchor, real, config, families)
     return reports
 
 
 def run_an_nelson_regge(config):
-    real = an_realization(4)
+    real = config.store.realization("an4")
     # the 0..3 record reads its relations off the full family, in order
     full = indexed_nelson_regge_defects(real, range(5))
     reports = [
@@ -169,7 +217,7 @@ def run_an_nelson_regge(config):
 
 def run_an_rmatrix(config):
     families = ("reflection",)
-    [(_, _, four_point)] = catalog_defects(pvi_realization(), families)
+    [(_, _, four_point)] = catalog_defects(config.store.realization("pvi"), families)
     reports = [
         _bool_report(
             "ybe-8x8",
@@ -183,7 +231,7 @@ def run_an_rmatrix(config):
         ),
     ]
     for n in (3, 4):
-        real = an_realization(n)
+        real = config.store.realization(f"an{n}")
         reports += _catalog_reports(f"an{n}", real, families)
         if n == 3:  # the an4 reflection forms have no oracle record yet
             anchor = "numeric reflection equations"
@@ -194,13 +242,13 @@ def run_an_rmatrix(config):
 def run_an_braid(config):
     reports = []
     for n in (3, 4):
-        reports += _catalog_reports(f"an{n}", an_realization(n), ("braid",))
+        reports += _catalog_reports(f"an{n}", config.store.realization(f"an{n}"), ("braid",))
     return reports
 
 
 def run_pvi(config):
     families = ("pvi", "hermitian")
-    real = pvi_realization()
+    real = config.store.realization("pvi")
     reports = _catalog_reports("pvi", real, families)
     anchor = "numeric re-check of the four-point algebra"
     reports += _numeric_reports("pvi", anchor, real, config, families)
@@ -251,7 +299,7 @@ def run_flips_classical(config):
 def run_flips_quantum(config):
     reports = []
     for n in (2, 3, 4):
-        reports += _catalog_reports(f"an{n}", an_realization(n), ("flip",))
+        reports += _catalog_reports(f"an{n}", config.store.realization(f"an{n}"), ("flip",))
     return reports
 
 
@@ -277,11 +325,12 @@ def run_oracle_soundness(config):
     from . import oracle
 
     reports = []
-    for rep, pairs in _numeric_pairs(an_realization(3), config, ("entry", "cross", "reflection")):
-        caught = oracle.mutation_check(pairs, rep.t_value, config.seed)
+    real = config.store.realization("an3")
+    for modulus, pairs in _numeric_pairs(real, config, ("entry", "cross", "reflection")):
+        caught = oracle.mutation_check(pairs, oracle.root_of_unity(modulus), config.seed)
         reports.append(
             IdentityReport(
-                f"mutations-N{rep.modulus}",
+                f"mutations-N{modulus}",
                 "50 deliberately broken identities are all caught",
                 all(caught),
                 None if all(caught) else f"missed {caught.count(False)}",

@@ -167,18 +167,7 @@ class TorusElement:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        _require_form(self.form, other)
-        out = TorusElement(self.form)
-        terms = dict(self.terms)
-        for du, c in other.terms.items():
-            prev = terms.get(du)
-            nc = prev + c if prev is not None else c
-            if nc:
-                terms[du] = nc
-            elif du in terms:
-                del terms[du]
-        out.terms = terms
-        return out
+        return self._merged(other, False)
 
     def __neg__(self):
         out = TorusElement(self.form)
@@ -186,7 +175,26 @@ class TorusElement:
         return out
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._merged(other, True)
+
+    def _merged(self, other, subtract):
+        """self + other, or self - other, in one pass over the terms of
+        other: no negated copy of other is made."""
+        _require_form(self.form, other)
+        out = TorusElement(self.form)
+        terms = dict(self.terms)
+        for du, c in other.terms.items():
+            prev = terms.get(du)
+            if prev is None:
+                nc = -c if subtract else c
+            else:
+                nc = prev - c if subtract else prev + c
+            if nc:
+                terms[du] = nc
+            elif du in terms:
+                del terms[du]
+        out.terms = terms
+        return out
 
     def mul(self, other):
         """Bilinear extension of the Weyl product rule: the one-pair case

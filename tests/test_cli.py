@@ -465,3 +465,84 @@ def test_word_mutant_gives_a_classical_record_with_a_witness(monkeypatch, rhs, w
     record = _classical_records()["classical-inner-1"]
     assert record["status"] == "fail"
     assert record["witness"] == witness
+
+
+def test_edge_mutant_without_its_folded_sign_fails_exact_and_numeric_records(monkeypatch):
+    """An edge map x -> +exp(Z/2) x in place of -exp(Z/2) x, in every
+    evaluator of ``word_action`` (exact words and the oracle's float words),
+    must fail an exact record and a numeric one."""
+    from qshear import matrices, oracle
+
+    folded = matrices.word_action
+
+    def unsigned(steps, edge, scalar):
+        def mutant(name):
+            up, dn = edge(name)
+            return (lambda x: -up(x)), dn
+
+        return folded(steps, mutant, scalar)
+
+    monkeypatch.setattr(matrices, "word_action", unsigned)
+    monkeypatch.setattr(oracle, "word_action", unsigned)
+    status = {r.ident: r.status for r in suites.run_suite("flips-classical", RunConfig(samples=20))}
+    assert status["classical-inner-1"] is False
+    assert status["classical-inner-1-numeric"] is False
+    flips = suites.run_suite("flips-quantum", RunConfig())
+    assert any(r.status is False for r in flips)
+
+
+# -- the run store: each realization and oracle pair list once per run --------
+
+
+def _run(tmp_path, *names, extra=()):
+    report = tmp_path / "run.json"
+    argv = [arg for name in names for arg in ("--suite", name)]
+    assert main([*argv, *extra, "--report", str(report)]) == 0
+    return json.loads(report.read_text())["identities"]
+
+
+def test_each_run_builds_its_own_realizations(monkeypatch, tmp_path):
+    built = []
+    build = suites.an_realization
+    monkeypatch.setattr(suites, "an_realization", lambda n: built.append(n) or build(n))
+    for _ in range(2):
+        _run(tmp_path, "an-braid", "flips-quantum")
+    assert built == [3, 4, 2] * 2
+
+
+def test_oracle_soundness_reads_the_pairs_of_earlier_suites(monkeypatch, tmp_path):
+    """After an-core and an-rmatrix, oracle-soundness makes no numeric
+    realization of its own, and its mutation records are those of a run of
+    oracle-soundness alone."""
+    from qshear import oracle
+
+    made = []
+    numeric_realization = oracle.numeric_realization
+    monkeypatch.setattr(oracle, "numeric_realization", lambda *args: made.append(1) or numeric_realization(*args))
+    _run(tmp_path, "an-core", "an-rmatrix")
+    before = len(made)
+    together = _run(tmp_path, "an-core", "an-rmatrix", "oracle-soundness")
+    assert len(made) == 2 * before
+    alone = _run(tmp_path, "oracle-soundness")
+    assert len(made) == 2 * before + 2  # one per modulus
+    mutations = [r for r in together if r["suite"] == "oracle-soundness"]
+    assert [r["id"] for r in mutations] == ["mutations-N5", "mutations-N7"]
+    assert mutations == alone
+
+
+def test_stored_realizations_are_unchanged_by_all_suites(monkeypatch, tmp_path):
+    """Every suite reads the run's stored realizations; none changes one."""
+    configs = []
+    run_suite = suites.run_suite
+    monkeypatch.setattr("qshear.cli.run_suite", lambda name, config: configs.append(config) or run_suite(name, config))
+    _run(tmp_path, *suites.SUITES, extra=("--samples", "20"))
+    assert len(configs) == len(suites.SUITES) and all(c is configs[0] for c in configs)
+    stored = configs[0].store.realizations
+    assert sorted(stored) == ["an2", "an3", "an4", "pvi"]
+
+    def keys(real):
+        entries = [real.entry(kind, i).key() for kind in "abc" for i in range(1, real.n + 1)]
+        return entries, [[x.key() for row in m.rows for x in row] for m in real.mats]
+
+    for name, real in stored.items():
+        assert keys(real) == keys(suites.RunStore().realization(name)), name

@@ -280,6 +280,26 @@ def test_word_matrix_is_the_product_of_constructors(word):
     assert (got - reduce(AlgMatrix.mul, map(_constructor, word))).is_zero()
 
 
+def test_word_matrix_of_seeded_words_with_windings():
+    """The folded edge signs multiply out to the displayed constructors on
+    seeded words of up to 10 steps: every edge of the form, windings of 1
+    to 5 about Z, F and both commutant signs."""
+    rng = random.Random(23)
+    fixed = [("turn", "L"), ("turn", "R"), ("F", "w"), ("omega", "w", 1), ("omega", "w", -1)]
+    for _ in range(25):
+        word = []
+        for _ in range(rng.randint(1, 10)):
+            kind = rng.choice(("fixed", "edge", "orb"))
+            if kind == "fixed":
+                word.append(rng.choice(fixed))
+            elif kind == "edge":
+                word.append(("edge", rng.choice(_FORM.names)))
+            else:
+                word.append(("orb", "Z", rng.randint(1, 5)))
+        got = word_matrix(_FORM, word, _SCALARS.__getitem__)
+        assert (got - reduce(AlgMatrix.mul, map(_constructor, word))).is_zero(), word
+
+
 def test_word_matrix_rejects_unknown_steps():
     with pytest.raises(ValueError, match="unknown word step"):
         word_matrix(_FORM, [("turn", "U")], _SCALARS.__getitem__)

@@ -400,6 +400,73 @@ def test_rep_word_value_matches_dense_windings(k):
         assert np.max(np.abs(free - want)) < 1e-12, word
 
 
+def _unfolded_word_value(rep, graph, path, params, block):
+    """A reference for :func:`rep_word_value` on a (2, dim, m) block: the
+    word's factors right to left as the constructors display them, each
+    edge as a phase multiply after a roll of the index grid, with its upper
+    component negated after that multiply."""
+    grid = (rep.modulus,) * rep.nblocks
+
+    def image(name, power):
+        mono = rep.image(rep.form.du({name: power}))
+
+        def apply(x):
+            rolled = np.roll(x.reshape(grid + x.shape[1:]), mono.shift, axis=tuple(range(len(grid))))
+            return mono.phase[:, None] * rolled.reshape(x.shape)
+
+        return apply
+
+    def edge(name):
+        up, dn = image(name, 1), image(name, -1)
+        return lambda x0, x1: (-up(x1), dn(x0))
+
+    turns = {"R": lambda x0, x1: (x0 + x1, -x0), "L": lambda x0, x1: (x1, -x0 - x1)}
+    factors = []  # in the order they act
+    for step in reversed(path.steps):
+        if step[0] == "turn":
+            factors.append(turns[step[1]])
+        elif step[0] == "edge":
+            factors.append(edge(step[1]))
+        else:  # the winding X_e (-1)**(k+1) F_w**k X_e
+            _, name, k = step
+            w = graph.pending[name].weight.evaluate(rep.t_value, params)
+            winding = [lambda x0, x1: (x1, -x0 - w * x1)] * k
+            sign = [] if k % 2 else [lambda x0, x1: (-x0, -x1)]
+            factors += [edge(name), *winding, *sign, edge(name)]
+    x0, x1 = block
+    for factor in factors:
+        x0, x1 = factor(x0, x1)
+    return np.stack((x0, x1))
+
+
+@pytest.mark.parametrize("make_real", [partial(an_realization, 4), pvi_realization], ids=["an4", "pvi"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rep_word_value_equals_the_unfolded_factors(make_real, k):
+    """Folding each edge's sign into a negated phase changes no bit but the
+    sign of a zero: on a random complex block and on the real identity
+    block, every word with k windings equals the unfolded reference, and
+    each real or imaginary part that differs in its bits is a zero."""
+    real = make_real()
+    params = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
+    rep = ClockShiftRep(real.form, 5, seed=3)
+    dim = rep.dim
+    rng = np.random.default_rng(k)
+    blocks = [
+        rng.standard_normal((2, dim, 3)) + 1j * rng.standard_normal((2, dim, 3)),
+        np.eye(2 * dim).reshape(2, dim, 2 * dim),
+    ]
+    for word in real.words:
+        word = PathWord([(s[0], s[1], k) if s[0] == "orb" else s for s in word.steps])
+        op = rep_word_value(rep, real.graph, word, params)
+        for block in blocks:
+            got = op.act(block)
+            want = _unfolded_word_value(rep, real.graph, word, params, block)
+            assert got.dtype == want.dtype == complex
+            same_bits = got.view(np.uint64) == want.view(np.uint64)
+            assert np.all(same_bits | (got.view(float) == 0)), word
+            assert np.array_equal(got, want), word
+
+
 def test_oracle_catches_a_broken_generator_image(monkeypatch):
     """One edge image carrying a stray factor t breaks the realization;
     the relation oracle must see it, not only its own mutants."""
@@ -477,7 +544,7 @@ def test_numeric_realization_rejects_a_word_off_the_normal_shape():
 
 # -- one column pass per vector, through a bounded memo -------------------------
 
-SUITE_PARAMS = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}  # as suites._numeric_pairs
+SUITE_PARAMS = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}  # as suites._ORACLE_PARAMS
 
 
 class _RecordedMemo(oracle._ColumnMemo):
