@@ -67,7 +67,7 @@ class FatGraph:
     """Immutable fat graph: named edges, cyclic vertex triples, pending
     edge table and optional (g, s, r) metadata."""
 
-    __slots__ = ("edges", "vertices", "pending", "meta", "_incidence")
+    __slots__ = ("edges", "vertices", "pending", "meta", "_incidence", "_form")
 
     def __init__(self, edges, vertices, pending=None, meta=None):
         self.edges = tuple(edges)
@@ -96,6 +96,7 @@ class FatGraph:
             if e in self.pending and len(slots) != 1:
                 raise ValueError(f"pending edge {e!r} must attach exactly once")
         self._incidence = incidence
+        self._form = None
 
     # -- structure helpers ------------------------------------------------
 
@@ -138,15 +139,19 @@ class FatGraph:
     # -- induced algebraic structure ----------------------------------------
 
     def skew_form(self):
-        n = len(self.edges)
-        index = {e: i for i, e in enumerate(self.edges)}
-        beta = [[0] * n for _ in range(n)]
-        for v in self.vertices:
-            for k in range(3):
-                a, b = index[v[k]], index[v[(k + 1) % 3]]
-                beta[a][b] += 1
-                beta[b][a] -= 1
-        return SkewForm(self.edges, beta)
+        """The graph's skew form, built on first use and then handed out
+        again, so one graph has one form and one pairing-row memo."""
+        if self._form is None:
+            n = len(self.edges)
+            index = {e: i for i, e in enumerate(self.edges)}
+            beta = [[0] * n for _ in range(n)]
+            for v in self.vertices:
+                for k in range(3):
+                    a, b = index[v[k]], index[v[(k + 1) % 3]]
+                    beta[a][b] += 1
+                    beta[b][a] -= 1
+            self._form = SkewForm(self.edges, beta)
+        return self._form
 
     def faces(self):
         """Boundary cycles as lists of (edge, endpoint) directed edges.

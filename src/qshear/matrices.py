@@ -3,13 +3,16 @@ orbifold-rotation and commutant matrices, and the R-matrix with its
 embeddings into tensor legs.  A scalar matrix such as R is an AlgMatrix
 whose entries are constants of the torus.
 
-:func:`word_action` is the one word evaluator: it applies the factors the
-constructors display in every ring qshear evaluates words in.
+:func:`word_chain` is the one reading of a word: it resolves each step to
+the factors the constructors display, and every word evaluator applies that
+chain: :func:`word_action` in the exact and classical rings, and the
+numeric oracle's compiled pass on probe blocks.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import partial
 
 from .coeffs import Coefficient, ONE, ZERO
 from .torus import TorusElement, weyl_sum
@@ -145,44 +148,49 @@ def omega_commutant(form, a, c, omega):
 
 
 # -- words ----------------------------------------------------------------
+#
+# A word resolves to a chain of factors in the order they act.  An edge is
+# ("edge", name); every other factor is ("mix", (row0, row1)), the rows of
+# its 2x2 matrix: new x_i is the sum, in order, of the row's terms
+# (sign, weight, j), each sign * weight * x_j with weight None for 1.
 
-_TURNS = {
-    "R": lambda x0, x1: (x0 + x1, -x0),
-    "L": lambda x0, x1: (x1, -x0 - x1),  # L = R**2
-}
+_R = (((1, None, 0), (1, None, 1)), ((-1, None, 0),))  # (x0 + x1, -x0)
+_L = (((1, None, 1),), ((-1, None, 0), (-1, None, 1)))  # L = R**2: (x1, -x0 - x1)
+_NEG = (((-1, None, 0),), ((-1, None, 1),))  # (-x0, -x1)
 
 
-def _factors(step, edge, scalar):
+def _f(w):
+    """F_w: (x1, -x0 - w x1)."""
+    return (((1, None, 1),), ((-1, None, 0), (-1, w, 1)))
+
+
+def _factors(step, scalar):
     """The factors of one step of a word, in the order they act."""
     kind, name = step[0], step[1]
-    if kind == "turn" and name in _TURNS:
-        return [_TURNS[name]]
+    if kind == "turn" and name in ("R", "L"):
+        return [("mix", _R if name == "R" else _L)]
     if kind == "edge":
-        up, dn = edge(name)
-        return [lambda x0, x1: (up(x1), dn(x0))]
+        return [("edge", name)]
     if kind not in ("F", "omega", "orb"):
         raise ValueError(f"unknown word step {tuple(step)!r}")
     w = scalar(name)
-    f = lambda x0, x1: (x1, -x0 - w * x1)
     if kind == "F":
-        return [f]
+        return [("mix", _f(w))]
     if kind == "omega":
         a, c = scalar("a"), scalar("c")
         if step[2] < 0:
             a, c = -a, -c
         corner = a - w * c
-        return [lambda x0, x1: (a * x0 + c * x1, corner * x1 - c * x0)]
+        # (a x0 + c x1, corner x1 - c x0)
+        return [("mix", (((1, a, 0), (1, c, 1)), ((1, corner, 1), (-1, c, 0))))]
     k = step[2]
-    sign = [] if k % 2 else [lambda x0, x1: (-x0, -x1)]
-    x = _factors(("edge", name), edge, scalar)
-    return x + [f] * k + sign + x
+    x = ("edge", name)
+    return [x] + [("mix", _f(w))] * k + ([] if k % 2 else [("mix", _NEG)]) + [x]
 
 
-def word_action(steps, edge, scalar):
-    """The action x -> M x of a written word's product M on a column pair
-    (x0, x1), whose components lie in any ring with +, - and * by a scalar:
-    torus elements, (dim, m) probe blocks or (2, S) sample arrays.  The
-    factors act right to left and are resolved once, here:
+def word_chain(steps, scalar):
+    """The factors of a written word's product M in the order they act on
+    a column pair (x0, x1), right to left, resolved once, here:
 
         ('turn', 'R'|'L')   turn_matrix R = [[1, 1], [-1, 0]] or L = R**2
         ('edge', e)         edge_matrix X_e = [[0, -exp(Z/2)], [exp(-Z/2), 0]]
@@ -190,18 +198,55 @@ def word_action(steps, edge, scalar):
         ('omega', w, sign)  sign * omega_commutant O = sign * (a + c F_w)
         ('orb', e, k)       the winding X_e (-1)**(k+1) F_w**k X_e, w of e
 
+    ``scalar(name)`` gives a weight w by pending edge or name, and the
+    commutant parameters by 'a' and 'c'.  Every applier reads this chain:
+    :func:`word_action` on pairs of ring elements, and the oracle's
+    compiler on stacked probe blocks."""
+    return [factor for step in reversed(steps) for factor in _factors(step, scalar)]
+
+
+def _row_value(row, x):
+    """One row of a mix factor applied to the pair ``x``."""
+    acc = None
+    for sign, weight, j in row:
+        term = x[j] if weight is None else weight * x[j]
+        if acc is None:
+            acc = -term if sign < 0 else term
+        else:
+            acc = acc - term if sign < 0 else acc + term
+    return acc
+
+
+def _mixed(rows, x):
+    return _row_value(rows[0], x), _row_value(rows[1], x)
+
+
+def word_action(steps, edge, scalar):
+    """The action x -> M x of a written word's product M on a column pair
+    (x0, x1), whose components lie in any ring with +, - and * by a scalar:
+    torus elements or (2, S) sample arrays.  The factors are those of
+    :func:`word_chain`.
+
     ``edge(name)`` gives the two maps of an edge's nonzero entries, with the
     sign of X_e folded in: x -> -exp(Z/2) x and x -> exp(-Z/2) x, so that an
     edge factor is (up(x1), dn(x0)) and allocates nothing beyond the two
-    maps' own results.  ``scalar(name)`` gives a weight w by pending edge or
-    name, and the commutant parameters by 'a' and 'c'.
+    maps' own results; it is asked once per edge name of the word.
     """
-    chain = [factor for step in reversed(steps) for factor in _factors(step, edge, scalar)]
+    chain, maps = [], {}
+    for kind, data in word_chain(steps, scalar):
+        if kind == "edge":
+            if data not in maps:
+                maps[data] = edge(data)
+            up, dn = maps[data]
+            chain.append(lambda x, up=up, dn=dn: (up(x[1]), dn(x[0])))
+        else:
+            chain.append(partial(_mixed, data))
 
     def act(x0, x1):
+        x = (x0, x1)
         for factor in chain:
-            x0, x1 = factor(x0, x1)
-        return x0, x1
+            x = factor(x)
+        return x
 
     return act
 

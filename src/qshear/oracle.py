@@ -10,18 +10,23 @@ Two layers:
   generator image is monomial, a cyclic shift of the (N, ..., N) index grid
   times a phase vector, so the re-verification of the catalog is
   matrix-free: monodromy words act on blocks of vectors in O(dim) per
-  factor, through the word evaluator of ``matrices``.
+  factor.  :func:`rep_word_value` compiles each word's factor chain from
+  ``matrices.word_chain`` once per representation: on the stacked block of
+  both components an edge is one gather and one in-place phase multiply,
+  with every exact sign and component swap folded into them, and each sum
+  of a turn or winding is one in-place operation.
   :func:`numeric_realization` turns a realization's own words into a
   :class:`NumericSource`, the one numeric entry source of the
   ``monodromy`` catalog families.  A word runs once per input vector, on
   both unit columns together, so a, b, c and M[00] are slices of one pass;
   each source keeps its recent passes in a memo of bounded bytes, which
-  the repeated entry products of a family hit.  Each identity L = R of
-  the families is compared as the sesquilinear form u^H L w against
-  u^H R w on a seeded pair of unit-modulus probe vectors (Freivalds
-  1977).  The dense
-  ``evaluate``/``norm`` path, built from the same images, stays as the
-  small-dimension reference for torus and Ore elements;
+  the repeated entry products of a family hit: its key hashes a strided
+  sample of an input's bytes, and a hit must match every byte.  Each
+  identity L = R of the families is compared as the sesquilinear form
+  u^H L w against u^H R w on a seeded pair of unit-modulus probe vectors
+  (Freivalds 1977).  The dense ``evaluate``/``norm`` path, built from the
+  same images, stays as the small-dimension reference for torus and Ore
+  elements;
 
 * the commutative q = 1 limit with random real shears: the classical
   moves (:func:`classical_flip`, :func:`classical_pending_flip`,
@@ -48,7 +53,7 @@ import numpy as np
 
 from .fatgraph import ROLE_SIGNS, flip_graph, pending_flip_graph
 from .flips import classical_identity_words
-from .matrices import word_action
+from .matrices import word_action, word_chain
 from .monodromy import relation_families
 from .ore import OreElement
 from .torus import TorusElement
@@ -173,8 +178,7 @@ class ClockShiftRep:
         ]
         self.dim = modulus ** self.nblocks
         self._cache = {}
-        self._negated = {}
-        self._gather = {}
+        self._stacked = {}
 
     def _block_phase(self, d, y1, y2):
         n = self.modulus
@@ -201,35 +205,48 @@ class ClockShiftRep:
             self._cache[du] = out
         return out
 
-    def negated_image(self, du):
-        """The image of -W(du): the phase of :meth:`image` negated, made
-        once per monomial like the image itself."""
-        du = tuple(du)
-        out = self._negated.get(du)
-        if out is None:
-            image = self.image(du)
-            out = image._replace(phase=-image.phase)
-            if len(self._negated) < 256:
-                self._negated[du] = out
-        return out
+    def _grid_index(self, shift):
+        """The gather index of a cyclic shift: the flat position of
+        (i_1 - s_1, ..., i_k - s_k) mod N, first block outermost as in the
+        Kronecker order of the phases."""
+        n = self.modulus
+        index = np.zeros(1, dtype=np.intp)
+        for s in shift:
+            index = (index[:, None] * n + (np.arange(n) - s) % n).ravel()
+        return index
 
     def act(self, image, block):
-        """``image @ block`` for a block of vectors of shape (dim, m): one
-        gather into a new complex array, then the phase multiplied into it
-        in place (a real block is cast to complex first)."""
-        index = self._gather.get(image.shift)
-        if index is None:
-            # flat position of (i_1 - s_1, ..., i_k - s_k) mod N, first
-            # block outermost as in the Kronecker order of the phases
-            n = self.modulus
-            index = np.zeros(1, dtype=np.intp)
-            for s in image.shift:
-                index = (index[:, None] * n + (np.arange(n) - s) % n).ravel()
-            self._gather[image.shift] = index
-        out = block.take(index, axis=0)
+        """``image @ block`` for a block of vectors of shape (dim, m), for
+        the dense reference (:meth:`matrix`): one gather into a new complex
+        array, then the phase multiplied into it in place (a real block is
+        cast to complex first)."""
+        out = block.take(self._grid_index(image.shift), axis=0)
         if out.dtype != image.phase.dtype:
             out = out.astype(image.phase.dtype)
         return np.multiply(image.phase[:, None], out, out=out)
+
+    def edge_gather(self, name, place, sign):
+        """The edge factor (x0, x1) -> (-exp(Z/2) x1, exp(-Z/2) x0) of edge
+        ``name`` on a stacked (2 dim, m) block whose component i is
+        sign[i] times its half place[i]: one gather index over the stacked
+        rows and one (2 dim, 1) phase column, the sign of X_e and the signs
+        of the components folded into the phase.  Made once per (edge,
+        routing, sign) and shared by every word of the representation."""
+        key = (name, place, sign)
+        out = self._stacked.get(key)
+        if out is None:
+            up = self.image(self.form.du({name: 1}))
+            dn = self.image(self.form.du({name: -1}))
+            index = np.concatenate((
+                place[1] * self.dim + self._grid_index(up.shift),
+                place[0] * self.dim + self._grid_index(dn.shift),
+            ))
+            phase = np.concatenate((
+                up.phase if sign[1] < 0 else -up.phase,
+                dn.phase if sign[0] > 0 else -dn.phase,
+            ))
+            out = self._stacked[key] = (index, phase[:, None])
+        return out
 
     def matrix(self, du):
         """Dense dim x dim image of W(du), for small-dimension references."""
@@ -352,30 +369,136 @@ _IDENTITY = LinearOp(lambda x: x)
 def rep_word_value(rep, graph, path, params):
     """The 2x2 block value of a written word as an operator on (2, dim, m)
     blocks of vectors, built from generator images only; this route never
-    touches the symbolic product.  Its :func:`word_action` turns each edge
-    into rolls and phase multiplies of the two components; the sign of the
-    edge's upper entry is folded into the negated image of exp(Z/2)."""
-    form = rep.form
-
-    def edge(name):
-        up = rep.negated_image(form.du({name: 1}))
-        dn = rep.image(form.du({name: -1}))
-        return partial(rep.act, up), partial(rep.act, dn)
+    touches the symbolic product.  The word's :func:`word_chain` is
+    compiled once, here, into the steps of a :class:`_WordPass`."""
 
     def scalar(name):
         return graph.pending[name].weight.evaluate(rep.t_value, params)
 
-    act = word_action(path.steps, edge, scalar)
-    return LinearOp(lambda block: np.stack(act(*block)), 2)
+    return LinearOp(_WordPass(rep, word_chain(path.steps, scalar)), 2)
+
+
+_GATHER, _MUL, _ADD, _SUB, _OUT = range(5)
+
+
+class _WordPass:
+    """A factor chain compiled into steps over the stacked (2 dim, m) view
+    of a (2, dim, m) block, in the chain's arithmetic order.
+
+    The compiler tracks, for each component of the pair, the half of the
+    stacked block that holds it and its sign.  A component swap or a
+    negation is exact, so a turn or a winding sign only changes that
+    record, and each edge folds it into its gather index and phase
+    (:meth:`ClockShiftRep.edge_gather`): one ``take`` and one in-place
+    phase multiply.  Each sum of a mix row is one in-place add or subtract
+    of its two terms, each weight one multiply into a scratch column
+    block, so every float is the one the factors give one at a time, up
+    to the sign of a zero.  A pass allocates at most two stacked blocks
+    and the scratch, and never writes into its input; a real block is cast
+    to complex first."""
+
+    def __init__(self, rep, chain):
+        self.dim = rep.dim
+        self.steps = []
+        self.temps = 0
+        place, sign = (0, 1), (1, 1)
+        for kind, data in chain:
+            if kind == "edge":
+                self.steps.append((_GATHER, *rep.edge_gather(data, place, sign)))
+                place, sign = (0, 1), (1, 1)
+            else:
+                place, sign = self._mix(data, place, sign)
+        if (place, sign) != ((0, 1), (1, 1)):
+            self.steps.append((_OUT, place, sign))
+
+    def _mix(self, rows, place, sign):
+        """Compile a mix factor; returns the new (place, sign).  A row of
+        one unweighted term moves no number.  A row of two terms is one sum
+        into a half whose old numbers no later read needs: beside a moved
+        row, the half that row does not read; when both rows sum, their
+        terms are all weighted, so every read is a multiply into scratch
+        made before either sum."""
+        moved = [len(row) == 1 and row[0][1] is None for row in rows]
+        both = not any(moved)
+        new_place, new_sign = list(place), list(sign)
+        sums, temps = [], 0
+        for i, row in enumerate(rows):
+            if moved[i]:
+                s, _, j = row[0]
+                new_place[i], new_sign[i] = place[j], s * sign[j]
+                continue
+            if len(row) != 2 or both and any(weight is None for _, weight, _ in row):
+                raise ValueError(f"cannot compile the mix row {row!r}")
+            terms = []
+            for s, weight, j in row:
+                ref = place[j]
+                if weight is not None:
+                    ref, temps = 2 + temps, temps + 1
+                    self.steps.append((_MUL, weight, place[j], ref))
+                terms.append((s * sign[j], ref))
+            sums.append((i, terms))
+        self.temps = max(self.temps, temps)
+        for i, ((s, a), (s2, b)) in sums:
+            target = i if both else 1 - new_place[1 - i]
+            self.steps.append((_ADD if s == s2 else _SUB, a, b, target))
+            new_place[i], new_sign[i] = target, s
+        return tuple(new_place), tuple(new_sign)
+
+    def __call__(self, block):
+        dim = self.dim
+        cur = block.reshape(2 * dim, -1)
+        own = cur.dtype != complex
+        if own:
+            cur = cur.astype(complex)
+        spare = None
+        scratch = list(np.empty((self.temps, dim, cur.shape[1]), dtype=complex)) if self.temps else []
+        views = None
+        for step in self.steps:
+            code = step[0]
+            if code == _GATHER:
+                _, index, phase = step
+                if spare is None:
+                    out = cur.take(index, axis=0)
+                else:
+                    out = cur.take(index, axis=0, out=spare, mode="wrap")
+                spare = cur if own else None
+                cur, own, views = out, True, None
+                np.multiply(phase, cur, out=cur)
+                continue
+            if not own:
+                cur, own, views = cur.copy(), True, None
+            if views is None:
+                views = [cur[:dim], cur[dim:], *scratch]
+            if code == _MUL:
+                _, weight, src, dst = step
+                np.multiply(weight, views[src], out=views[dst])
+            elif code == _OUT:
+                _, place, sign = step
+                out = np.empty_like(cur) if spare is None else spare
+                for half, (src, s) in enumerate(zip(place, sign)):
+                    dst = out[half * dim:(half + 1) * dim]
+                    if s > 0:
+                        np.copyto(dst, views[src])
+                    else:
+                        np.negative(views[src], out=dst)
+                cur = out
+            else:
+                _, a, b, dst = step
+                (np.add if code == _ADD else np.subtract)(views[a], views[b], out=views[dst])
+        if not own:
+            cur = cur.copy()
+        return cur.reshape(2, dim, -1)
 
 
 _MEMO_BYTES = 1 << 20
+_KEY_STRIDE = 61  # the memo key hashes every 61st byte of an input
 
 
 class _ColumnMemo:
     """A realization's recent word passes, least recently used out first
-    once inputs and results pass ``_MEMO_BYTES``; both are read-only, and a
-    hit must match the whole input, not only its hash."""
+    once inputs and results pass ``_MEMO_BYTES``; both are read-only.  The
+    key hashes a fixed strided sample of the input's bytes, and a hit must
+    match every byte of the input, compared whole."""
 
     def __init__(self):
         self.held = OrderedDict()
@@ -386,21 +509,21 @@ class _ColumnMemo:
         for x of shape (dim, k): [i, :, j] of the (2, dim, 2, k) result is
         entry (i, j) applied to x."""
         raw = x.tobytes()
-        key = (idx, x.shape, hash(raw))
+        key = (idx, x.shape, hash(raw[::_KEY_STRIDE]))
         held = self.held.pop(key, None)
         if held is not None:
-            self.nbytes -= held[0].nbytes + held[1].nbytes
-        if held is None or not np.array_equal(held[0], x):
+            self.nbytes -= len(held[0]) + held[1].nbytes
+        if held is None or held[0] != raw:
             block = np.zeros((2, len(x), 2, x.shape[1]), dtype=complex)
             block[0, :, 0] = block[1, :, 1] = x
             out = m.act(block.reshape(2, len(x), -1)).reshape(block.shape)
             out.flags.writeable = False
-            held = (np.frombuffer(raw, dtype=x.dtype).reshape(x.shape), out)
+            held = (raw, out)
         self.held[key] = held
-        self.nbytes += held[0].nbytes + held[1].nbytes
+        self.nbytes += len(held[0]) + held[1].nbytes
         while self.nbytes > _MEMO_BYTES:
-            old_x, old_out = self.held.popitem(last=False)[1]
-            self.nbytes -= old_x.nbytes + old_out.nbytes
+            old_raw, old_out = self.held.popitem(last=False)[1]
+            self.nbytes -= len(old_raw) + old_out.nbytes
         return held[1]
 
     def entry(self, idx, m, i, j):

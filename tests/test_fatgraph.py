@@ -36,6 +36,15 @@ def test_an2_skew_form_quoted_relations():
     assert f.bracket("S", "Z1") == 0
 
 
+def test_one_graph_hands_out_one_skew_form():
+    """The form, and so its pairing-row memo, is built once per graph; an
+    equal graph built apart has its own equal form."""
+    g = spine_graph_an(3)
+    assert g.skew_form() is g.skew_form()
+    other = spine_graph_an(3).skew_form()
+    assert other is not g.skew_form() and other == g.skew_form()
+
+
 def test_single_vertex_cyclic_form():
     g = FatGraph(
         ("X", "Y", "Z"),

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from functools import partial
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,7 +405,8 @@ def _unfolded_word_value(rep, graph, path, params, block):
     """A reference for :func:`rep_word_value` on a (2, dim, m) block: the
     word's factors right to left as the constructors display them, each
     edge as a phase multiply after a roll of the index grid, with its upper
-    component negated after that multiply."""
+    component negated after that multiply.  A weight is read by name from
+    the graph's pending table, as the oracle reads it."""
     grid = (rep.modulus,) * rep.nblocks
 
     def image(name, power):
@@ -420,6 +422,12 @@ def _unfolded_word_value(rep, graph, path, params, block):
         up, dn = image(name, 1), image(name, -1)
         return lambda x0, x1: (-up(x1), dn(x0))
 
+    def scalar(name):
+        return graph.pending[name].weight.evaluate(rep.t_value, params)
+
+    def f(w):
+        return lambda x0, x1: (x1, -x0 - w * x1)
+
     turns = {"R": lambda x0, x1: (x0 + x1, -x0), "L": lambda x0, x1: (x1, -x0 - x1)}
     factors = []  # in the order they act
     for step in reversed(path.steps):
@@ -427,16 +435,32 @@ def _unfolded_word_value(rep, graph, path, params, block):
             factors.append(turns[step[1]])
         elif step[0] == "edge":
             factors.append(edge(step[1]))
+        elif step[0] == "F":
+            factors.append(f(scalar(step[1])))
+        elif step[0] == "omega":  # sign * (a + c F_w)
+            w, a, c = scalar(step[1]), scalar("a"), scalar("c")
+            if step[2] < 0:
+                a, c = -a, -c
+            corner = a - w * c
+            factors.append(lambda x0, x1, a=a, c=c, corner=corner: (a * x0 + c * x1, corner * x1 - c * x0))
         else:  # the winding X_e (-1)**(k+1) F_w**k X_e
             _, name, k = step
-            w = graph.pending[name].weight.evaluate(rep.t_value, params)
-            winding = [lambda x0, x1: (x1, -x0 - w * x1)] * k
+            winding = [f(scalar(name))] * k
             sign = [] if k % 2 else [lambda x0, x1: (-x0, -x1)]
             factors += [edge(name), *winding, *sign, edge(name)]
     x0, x1 = block
     for factor in factors:
         x0, x1 = factor(x0, x1)
     return np.stack((x0, x1))
+
+
+def _assert_same_but_zero_signs(got, want, word):
+    """``got`` equals ``want`` bit for bit, except that a real or imaginary
+    part that is zero may carry the other sign."""
+    assert got.dtype == want.dtype == complex
+    same_bits = got.view(np.uint64) == want.view(np.uint64)
+    assert np.all(same_bits | (got.view(float) == 0)), word
+    assert np.array_equal(got, want), word
 
 
 @pytest.mark.parametrize("make_real", [partial(an_realization, 4), pvi_realization], ids=["an4", "pvi"])
@@ -459,12 +483,63 @@ def test_rep_word_value_equals_the_unfolded_factors(make_real, k):
         word = PathWord([(s[0], s[1], k) if s[0] == "orb" else s for s in word.steps])
         op = rep_word_value(rep, real.graph, word, params)
         for block in blocks:
-            got = op.act(block)
             want = _unfolded_word_value(rep, real.graph, word, params, block)
-            assert got.dtype == want.dtype == complex
-            same_bits = got.view(np.uint64) == want.view(np.uint64)
-            assert np.all(same_bits | (got.view(float) == 0)), word
-            assert np.array_equal(got, want), word
+            _assert_same_but_zero_signs(op.act(block), want, word)
+
+
+def _seeded_words(graph, count, seed):
+    """Seeded words of 1 to 10 steps over every step kind: both turns, F
+    and both commutant signs at the weight of S, windings of 1 to 5 about S
+    or Z1, and every edge; no word need be a path."""
+    rng = random.Random(seed)
+    fixed = [("turn", "L"), ("turn", "R"), ("F", "S"), ("omega", "S", 1), ("omega", "S", -1)]
+    words = []
+    for _ in range(count):
+        word = []
+        for _ in range(rng.randint(1, 10)):
+            kind = rng.choice(("fixed", "edge", "orb"))
+            if kind == "fixed":
+                word.append(rng.choice(fixed))
+            elif kind == "edge":
+                word.append(("edge", rng.choice(graph.edges)))
+            else:
+                word.append(("orb", rng.choice(("S", "Z1")), rng.randint(1, 5)))
+        words.append(word)
+    return words
+
+
+@pytest.mark.parametrize("modulus", [3, 5])
+def test_compiled_pass_of_seeded_words_equals_the_unfolded_factors(modulus):
+    """Seeded words through the compiled pass of :func:`rep_word_value`
+    equal the unfolded reference bit for bit, except the sign of a zero, on
+    a random complex block and on the real identity block, and never write
+    into their input.  The words begin and end with turns, windings, mix
+    factors and edges, so every routing and sign of the pass is met."""
+    real = an_realization(3)
+    weight = SimpleNamespace
+    graph = SimpleNamespace(
+        edges=real.graph.edges,
+        pending={**real.graph.pending, "a": weight(weight=Coefficient.parameter("a")),
+                 "c": weight(weight=Coefficient.parameter("c"))},
+    )
+    params = {"omega0": 0.47, "a": 0.61, "c": -1.3}
+    rep = ClockShiftRep(real.form, modulus, seed=3)
+    dim = rep.dim
+    rng = np.random.default_rng(modulus)
+    blocks = [
+        rng.standard_normal((2, dim, 3)) + 1j * rng.standard_normal((2, dim, 3)),
+        np.eye(2 * dim).reshape(2, dim, 2 * dim),
+    ]
+    words = _seeded_words(real.graph, 25, 29)
+    for end in (0, -1):
+        assert {word[end][0] for word in words} >= {"turn", "orb", "edge", "F", "omega"}
+    for word in words:
+        op = rep_word_value(rep, graph, SimpleNamespace(steps=word), params)
+        for block in blocks:
+            kept = block.copy()
+            want = _unfolded_word_value(rep, graph, SimpleNamespace(steps=word), params, block)
+            _assert_same_but_zero_signs(op.act(block), want.astype(complex), word)
+            assert np.array_equal(block.view(np.uint8), kept.view(np.uint8)), word
 
 
 def test_oracle_catches_a_broken_generator_image(monkeypatch):
@@ -654,7 +729,47 @@ def test_memo_hit_is_read_only_and_checks_the_whole_input(recorded, monkeypatch)
     assert np.array_equal(fresh[0], first)
     assert np.array_equal(fresh[1], 2 * first)
     (memo,) = memos
-    assert memo.nbytes == sum(a.nbytes + b.nbytes for a, b in memo.held.values())
+    assert memo.nbytes == _held_bytes(memo)
+
+
+def _held_bytes(memo):
+    """The bytes a memo holds: each input's bytes and each result array."""
+    return sum(len(raw) + out.nbytes for raw, out in memo.held.values())
+
+
+def test_memo_key_samples_the_input_but_a_hit_matches_every_byte(recorded):
+    """The key hashes every ``_KEY_STRIDE``-th byte of the input.  An input
+    equal to a held one at every sampled byte but one bit apart at a byte
+    the key skips, and an input that differs from a held one only in the
+    sign of a zero, share the held key and are recomputed, not served."""
+    memos, passes = recorded
+    real = an_realization(3)
+    rep = ClockShiftRep(real.form, 5, seed=3)
+    src = numeric_realization(rep, real, {"omega0": 0.47})
+    c1 = src.entry("c", 1)
+    x = rep.probe(1)[0]
+    first = c1.act(x)
+    count = len(passes)
+    (memo,) = memos
+    skipped = x.copy()
+    skipped.view(np.uint8).reshape(-1)[1] ^= 1  # byte 1: low mantissa of x[0, 0].real
+    assert skipped.tobytes()[:: oracle._KEY_STRIDE] == x.tobytes()[:: oracle._KEY_STRIDE]
+    assert not np.array_equal(skipped, x)
+    got = c1.act(skipped)
+    assert len(passes) == count + 1 and not np.shares_memory(got, first)
+    assert np.array_equal(got, src.entry("c", 1).act(skipped.copy()))  # a hit on the new input
+    assert len(passes) == count + 1
+    zero = x.copy()
+    zero[0, 0] = 0.0
+    signed = zero.copy()
+    signed[0, 0] = -0.0  # equal to zero in every comparison but its bytes
+    assert np.array_equal(zero, signed) and zero.tobytes() != signed.tobytes()
+    assert zero.tobytes()[:: oracle._KEY_STRIDE] == signed.tobytes()[:: oracle._KEY_STRIDE]
+    held = c1.act(zero)
+    assert len(passes) == count + 2
+    recomputed = c1.act(signed)
+    assert len(passes) == count + 3 and not np.shares_memory(recomputed, held)
+    assert memo.nbytes == _held_bytes(memo)
 
 
 def test_memo_stays_within_its_budget_at_modulus_13(recorded):
@@ -670,7 +785,7 @@ def test_memo_stays_within_its_budget_at_modulus_13(recorded):
         norms = numeric_pair_norms(numeric_relation_pairs(src, (family,)))
         assert all(n <= 1e-9 for _, n in norms), family
         assert 0 < memo.nbytes <= oracle._MEMO_BYTES, family
-        assert memo.nbytes == sum(a.nbytes + b.nbytes for a, b in memo.held.values())
+        assert memo.nbytes == _held_bytes(memo)
 
 
 def test_word_passes_of_the_an4_core_records(recorded):
