@@ -17,7 +17,10 @@ token T is L when a is the cyclic successor of b, R when a is its
 predecessor.  A turn is read at a slot (vertex, position), not at an
 edge name: the two ends of a loop are two slots of one vertex, and a
 word is checked as one walk through slots, so each turn is read where
-the walk stands.  Pending edges may carry a symbolic weight parameter or
+the walk stands.  A free end (orbifold point or spectator stub) is its
+own far end: the walk goes out and back along the edge and arrives at
+the same slot, so a U-turn is one arrival slot, in a face as in a
+path.  Pending edges may carry a symbolic weight parameter or
 an exact weight 2*cos(pi/p); edges with a single attachment and no
 orbifold point are spectators standing for the unexplored rest of the
 surface.
@@ -154,58 +157,45 @@ class FatGraph:
         return self._form
 
     def faces(self):
-        """Boundary cycles as lists of (edge, endpoint) directed edges.
+        """Boundary cycles as lists of arrival slots.
 
-        Directed edge (e, k) heads toward endpoint k; endpoint indices
-        beyond the attachment list are free ends (orbifold points or
-        spectator stubs) where the walk U-turns.
+        Each step turns left and goes ``across``: slot -> across(turn(slot,
+        "L")).  A free end is its own far end, so a U-turn at an orbifold
+        point or spectator stub is one slot.  Each cycle starts at its
+        first slot in edge order.
         """
-        nexts = {}
-        for e in self.edges:
-            slots = self._incidence[e]
-            for k in (0, 1):
-                if k >= len(slots):
-                    nexts[(e, k)] = (e, 0)
-                    continue
-                out = self.turn(slots[k], "L")
-                e2, far = self.edge_at(out), self.across(out)
-                nexts[(e, k)] = (e2, 1 if far == out else self._incidence[e2].index(far))
         seen = set()
         faces = []
-        for d0 in nexts:
-            if d0 in seen:
-                continue
-            cyc = []
-            d = d0
-            while d not in seen:
-                seen.add(d)
-                cyc.append(d)
-                d = nexts[d]
-            faces.append(cyc)
+        for slots in self._incidence.values():
+            for slot in slots:
+                cyc = []
+                while slot not in seen:
+                    seen.add(slot)
+                    cyc.append(slot)
+                    slot = self.across(self.turn(slot, "L"))
+                if cyc:
+                    faces.append(cyc)
         return faces
 
-    def center_elements(self, faces=None):
-        """One doubled-exponent vector per face (of ``faces`` when the caller
-        has them, else of ``self.faces()``): each boundary traversal of an
-        edge contributes a full unit of that edge, so pending edges (walked
-        out and back) count twice."""
+    def center_elements(self):
+        """One doubled-exponent vector per face: each arrival adds a full
+        unit of its edge, and a free end, walked out and back, adds two."""
         index = {e: i for i, e in enumerate(self.edges)}
         centers = []
-        for face in self.faces() if faces is None else faces:
+        for face in self.faces():
             du = [0] * len(self.edges)
-            for e, _ in face:
-                du[index[e]] += 2
+            for slot in face:
+                du[index[self.edge_at(slot)]] += 4 if self.across(slot) == slot else 2
             centers.append(tuple(du))
         return centers
 
     def validate(self):
         """Collect structural problems; empty list means valid."""
         problems = []
-        faces = self.faces()
         for e in self.edges:
-            k = len(self._incidence[e])
-            if k == 0:
+            if not self._incidence[e]:
                 problems.append(f"edge {e!r} is attached to no vertex")
+        centers = self.center_elements()
         if self.meta is not None:
             g, s, r = self.meta
             expected = 6 * g - 6 + 3 * s + 2 * r
@@ -217,15 +207,12 @@ class FatGraph:
             pend = len(self.pending)
             if pend != r:
                 problems.append(f"pending edge count {pend} does not match declared r={r}")
-            if len(faces) != s:
-                problems.append(f"face count {len(faces)} does not match declared s={s}")
+            if len(centers) != s:
+                problems.append(f"face count {len(centers)} does not match declared s={s}")
         form = self.skew_form()
-        for c in self.center_elements(faces):
-            for i in range(form.dim):
-                basis = tuple(2 if j == i else 0 for j in range(form.dim))
-                if form.pairing(c, basis) != 0:
-                    problems.append("face center fails to commute with the torus")
-                    break
+        for c in centers:
+            if any(form.row(c)):
+                problems.append("face center fails to commute with the torus")
         return problems
 
     def __repr__(self):

@@ -286,26 +286,13 @@ class ClockShiftRep:
 
 def default_param_values(elements, seed=20240229):
     """Reproducible numeric values for every parameter occurring in the
-    given elements."""
-    names = set()
+    given elements, in numerators and denominators alike."""
+    coeffs = []
     for el in elements:
-        terms = el.terms if isinstance(el, TorusElement) else None
-        if terms is None:
-            for num, dens in el.terms:
-                for _, c in num.terms.items():
-                    for (_, params) in dict(c.items()):
-                        for nm, _ in params:
-                            names.add(nm)
-                for d in dens:
-                    for c in d.coeffs:
-                        for (_, params) in dict(c.items()):
-                            for nm, _ in params:
-                                names.add(nm)
-        else:
-            for _, c in terms.items():
-                for (_, params) in dict(c.items()):
-                    for nm, _ in params:
-                        names.add(nm)
+        for num, dens in [(el, ())] if isinstance(el, TorusElement) else el.terms:
+            coeffs += num.terms.values()
+            coeffs += [c for d in dens for c in d.coeffs]
+    names = {nm for c in coeffs for (_, params), _ in c.items() for nm, _ in params}
     rng = np.random.default_rng(seed)
     return {nm: 0.25 + 1.5 * rng.random() for nm in sorted(names)}
 
@@ -905,22 +892,18 @@ def pentagon_deviation(graph, e1, e2, samples=200, seed=20240229):
 
 def boundary_word_tokens(graph):
     """True-order token list of the closed all-left-turn word along the
-    (single) face boundary, with winding insertions at pending U-turns.
-    Requires a graph without spectator stubs."""
+    (single) face boundary: one step per arrival slot, a winding at each
+    orbifold U-turn.  Requires a graph without spectator stubs."""
     (face,) = graph.faces()
     steps = []
-    i = 0
-    m = len(face)
-    while i < m:
-        e, k = face[i]
-        if len(graph.incidence(e)) == 1 and i + 1 < m and face[i + 1][0] == e:
-            if not graph.is_pending(e):
-                raise ValueError("boundary word needs orbifold data at stubs")
-            steps.append(("orb", e, 1))
-            i += 2
-        else:
+    for slot in face:
+        e = graph.edge_at(slot)
+        if graph.across(slot) != slot:
             steps.append(("edge", e))
-            i += 1
+        elif graph.is_pending(e):
+            steps.append(("orb", e, 1))
+        else:
+            raise ValueError("boundary word needs orbifold data at stubs")
     return steps
 
 

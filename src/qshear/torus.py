@@ -230,18 +230,7 @@ class TorusElement:
     def at_t_one(self, form_commutative):
         """Classical specialization t -> 1, re-homed on a commutative
         (beta = 0) form with the same generator names."""
-        out = TorusElement(form_commutative)
-        for du, c in self.terms.items():
-            c1 = c.at_t_one()
-            if not c1:
-                continue
-            prev = out.terms.get(du)
-            nc = prev + c1 if prev is not None else c1
-            if nc:
-                out.terms[du] = nc
-            elif du in out.terms:
-                del out.terms[du]
-        return out
+        return TorusElement(form_commutative, {du: c.at_t_one() for du, c in self.terms.items()})
 
     # -- queries ---------------------------------------------------------
 

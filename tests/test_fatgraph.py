@@ -1,5 +1,6 @@
 import json
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -21,7 +22,7 @@ from qshear.fatgraph import (
 from qshear.matrices import AlgMatrix, edge_matrix, f_matrix, turn_matrix
 from qshear.torus import ew
 
-from conftest import theta_graph
+from conftest import bigon_graph, theta_graph
 
 
 def test_an2_skew_form_quoted_relations():
@@ -118,6 +119,115 @@ def test_disc_center_counts_pending_twice():
     # back, internal edges once per side
     for e in g.edges:
         assert center[idx[e]] == 4
+
+
+def _directed_edge_faces(g):
+    """Reference walk in the former vocabulary: directed edges (edge, k)
+    heading toward attachment k, where k past the attachment list is a
+    free end that the walk U-turns at."""
+    nexts = {}
+    for e in g.edges:
+        slots = g.incidence(e)
+        for k in (0, 1):
+            if k >= len(slots):
+                nexts[(e, k)] = (e, 0)
+                continue
+            out = g.turn(slots[k], "L")
+            e2, far = g.edge_at(out), g.across(out)
+            nexts[(e, k)] = (e2, 1 if far == out else g.incidence(e2).index(far))
+    seen, faces = set(), []
+    for d in nexts:
+        cyc = []
+        while d not in seen:
+            seen.add(d)
+            cyc.append(d)
+            d = nexts[d]
+        if cyc:
+            faces.append(cyc)
+    return faces
+
+
+def _random_ribbon_graph(rng):
+    """Up to three trivalent vertices whose slots are joined in pairs
+    (loops included) or left as pending edges and spectator stubs."""
+    nv = rng.randint(1, 3)
+    slots = [(vi, pos) for vi in range(nv) for pos in range(3)]
+    rng.shuffle(slots)
+    ends, pending = [], {}
+    while slots:
+        name = f"e{len(ends)}"
+        if len(slots) > 1 and rng.random() < 0.6:
+            ends.append((name, slots[:2]))
+            slots = slots[2:]
+        else:
+            ends.append((name, slots[:1]))
+            slots = slots[1:]
+            if rng.random() < 0.5:
+                pending[name] = PendingInfo.from_order(rng.randint(2, 5))
+    vertices = [[None] * 3 for _ in range(nv)]
+    for name, at in ends:
+        for vi, pos in at:
+            vertices[vi][pos] = name
+    edges = [name for name, _ in ends]
+    rng.shuffle(edges)
+    return FatGraph(edges, vertices, pending)
+
+
+def test_slot_faces_follow_the_directed_edge_walk():
+    """Slot cycles are the former directed-edge cycles with each U-turn
+    read as its one arrival slot: same faces in the same order, each
+    starting where it did, and the same centers; every slot lies in
+    exactly one face."""
+    rng = random.Random(25)
+    graphs = [_random_ribbon_graph(rng) for _ in range(200)]
+    graphs += [bigon_graph(), theta_graph(), FatGraph(("A", "B", "C"), (("A", "B", "B"), ("A", "C", "C")))]
+    for g in graphs:
+        old = _directed_edge_faces(g)
+        faces = g.faces()
+        assert [[g.incidence(e)[k] for e, k in face if k < len(g.incidence(e))] for face in old] == faces, g
+        index = {e: i for i, e in enumerate(g.edges)}
+        centers = []
+        for face in old:
+            du = [0] * len(g.edges)
+            for e, _ in face:
+                du[index[e]] += 2
+            centers.append(tuple(du))
+        assert g.center_elements() == centers, g
+        walked = [slot for face in faces for slot in face]
+        assert sorted(walked) == sorted(s for e in g.edges for s in g.incidence(e)), g
+
+
+def test_an_unattached_edge_adds_no_face():
+    """An edge on no vertex is reported as such, and has no slot to walk."""
+    g = FatGraph(("A", "B", "C", "U"), theta_graph().vertices, meta=(0, 3, 0))
+    assert len(g.faces()) == 3
+    problems = g.validate()
+    assert "edge 'U' is attached to no vertex" in problems
+    assert not any("face count" in p for p in problems), problems
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_boundary_word_is_the_face_walk(n):
+    """One winding per pending edge, never a traversal of one, and each
+    internal edge traversed once per side."""
+    from qshear.oracle import boundary_word_tokens
+
+    g = spine_graph_an(n)
+    word = boundary_word_tokens(g)
+    for e in g.edges:
+        if g.is_pending(e):
+            assert word.count(("orb", e, 1)) == 1 and ("edge", e) not in word, word
+        else:
+            assert word.count(("edge", e)) == 2, word
+    assert len(word) == len(g.pending) + 2 * (len(g.edges) - len(g.pending))
+
+
+@pytest.mark.parametrize("graph", [pvi_graph, partial(spine_graph_an, 2)], ids=["pvi", "an2"])
+def test_boundary_word_refuses_a_spectator_stub(graph):
+    from qshear.oracle import boundary_word_tokens
+
+    with pytest.raises(ValueError, match="orbifold data at stubs"):
+        boundary_word_tokens(graph())
 
 
 def test_edge_count_formula():

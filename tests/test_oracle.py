@@ -812,6 +812,21 @@ def test_seeded_reproducibility():
     assert snapshot() == snapshot()
 
 
+def test_parameters_of_a_denominator_get_values():
+    """A parameter that occurs only in a denominator gets a value, drawn
+    in sorted name order with those of numerators and torus elements."""
+    from qshear.ore import QDenominator
+
+    form = SkewForm(("a", "b"), [[0, 1], [-1, 0]])
+    den = QDenominator(form, (2, 0), (Coefficient.parameter("w5"),))
+    only_den = OreElement(form, [(TorusElement.one(form), (den,))])
+    torus = TorusElement.scalar(form, Coefficient.parameter("omega0"))
+    rng = np.random.default_rng(7)
+    want = {nm: 0.25 + 1.5 * rng.random() for nm in ("omega0", "w5")}
+    assert default_param_values([only_den, torus], 7) == want
+    assert default_param_values([only_den], 7).keys() == {"w5"}
+
+
 def test_boundary_trace():
     assert boundary_trace_deviation(spine_graph_an(3), samples=100) < 1e-10
 
