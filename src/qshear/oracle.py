@@ -14,19 +14,16 @@ Two layers:
   ``matrices.word_chain`` once per representation: on the stacked block of
   both components an edge is one gather and one in-place phase multiply,
   with every exact sign and component swap folded into them, and each sum
-  of a turn or winding is one in-place operation.
-  :func:`numeric_realization` turns a realization's own words into a
-  :class:`NumericSource`, the one numeric entry source of the
-  ``monodromy`` catalog families.  A word runs once per input vector, on
-  both unit columns together, so a, b, c and M[00] are slices of one pass;
-  each source keeps its recent passes in a memo of bounded bytes, which
-  the repeated entry products of a family hit: its key hashes a strided
-  sample of an input's bytes, and a hit must match every byte.  Each
-  identity L = R of the families is compared as the sesquilinear form
-  u^H L w against u^H R w on a seeded pair of unit-modulus probe vectors
-  (Freivalds 1977).  The dense ``evaluate``/``norm`` path, built from the
-  same images, stays as the small-dimension reference for torus and Ore
-  elements;
+  of a turn or winding is one in-place operation; its adjoint runs the
+  chain reversed.  :func:`numeric_realization` turns a realization's own
+  words into a :class:`NumericSource`, the one numeric entry source of the
+  ``monodromy`` catalog families, in polynomials of the words.  Each
+  identity L = R is compared as the form u^H L w against u^H R w on a
+  seeded pair of unit-modulus probe vectors (Freivalds 1977), each
+  monomial split at its middle: its halves go through tries, one pass per
+  word and depth, and meet in Gram blocks (:func:`relation_forms`).  The
+  dense ``evaluate``/``norm`` path, built from the same images, stays as
+  the small-dimension reference for torus and Ore elements;
 
 * the commutative q = 1 limit with random real shears: the classical
   moves (:func:`classical_flip`, :func:`classical_pending_flip`,
@@ -45,7 +42,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import OrderedDict
 from functools import partial
 from typing import NamedTuple
 
@@ -225,26 +221,26 @@ class ClockShiftRep:
             out = out.astype(image.phase.dtype)
         return np.multiply(image.phase[:, None], out, out=out)
 
-    def edge_gather(self, name, place, sign):
+    def edge_gather(self, name, place, sign, adjoint=False):
         """The edge factor (x0, x1) -> (-exp(Z/2) x1, exp(-Z/2) x0) of edge
-        ``name`` on a stacked (2 dim, m) block whose component i is
-        sign[i] times its half place[i]: one gather index over the stacked
-        rows and one (2 dim, 1) phase column, the sign of X_e and the signs
-        of the components folded into the phase.  Made once per (edge,
-        routing, sign) and shared by every word of the representation."""
-        key = (name, place, sign)
+        ``name``, or its adjoint (the same gather, each phase conjugated on
+        the row it reads), on a stacked (2 dim, m) block whose component i
+        is sign[i] times its half place[i]: one gather index over the
+        stacked rows and one (2 dim, 1) phase column, the sign of X_e and
+        the signs of the components folded into the phase.  Made once per
+        (edge, routing, sign, adjoint) and shared by every word."""
+        key = (name, place, sign, adjoint)
         out = self._stacked.get(key)
         if out is None:
             up = self.image(self.form.du({name: 1}))
             dn = self.image(self.form.du({name: -1}))
-            index = np.concatenate((
-                place[1] * self.dim + self._grid_index(up.shift),
-                place[0] * self.dim + self._grid_index(dn.shift),
-            ))
-            phase = np.concatenate((
-                up.phase if sign[1] < 0 else -up.phase,
-                dn.phase if sign[0] > 0 else -dn.phase,
-            ))
+            up_index, dn_index = self._grid_index(up.shift), self._grid_index(dn.shift)
+            up_phase, dn_phase = -up.phase, dn.phase
+            if adjoint:  # the two shifts are opposite, so the gather is its own inverse
+                up_phase, dn_phase = dn_phase[up_index].conj(), up_phase[dn_index].conj()
+            index = np.concatenate((place[1] * self.dim + up_index, place[0] * self.dim + dn_index))
+            phase = np.concatenate((up_phase if sign[1] > 0 else -up_phase,
+                                    dn_phase if sign[0] > 0 else -dn_phase))
             out = self._stacked[key] = (index, phase[:, None])
         return out
 
@@ -320,49 +316,48 @@ def worst_norm(norms):
 
 
 class LinearOp:
-    """A linear operator known only by its action on blocks of vectors of
-    shape (legs, dim, m), or (dim, m) for a single leg.
+    """An operator on ``legs`` copies of the space as a noncommutative
+    polynomial, on which ``@``, ``+``, ``-`` and scalar ``*`` act: ``terms``
+    maps each product of leaves, in matrix order, () the identity, to its
+    coefficient.  A leaf is ('entry', i, r, s), entry (r, s) of word i;
+    ('word', i), word i on two legs; ('embed', i, slot), word i on leg
+    ``slot`` of the 2x2 tensor; or ('R', power, transposed) there."""
 
-    ``@``, ``+``, ``-`` and scalar ``*`` compose actions, so an identity's
-    side is written as in matrix algebra and costs one pass of its words
-    over the probe block, never a dense product."""
-
-    __slots__ = ("act", "legs")
+    __slots__ = ("terms", "legs")
     __array_ufunc__ = None  # numpy scalars defer to __rmul__
 
-    def __init__(self, act, legs=1):
-        self.act = act
+    def __init__(self, terms, legs=1):
+        self.terms = terms
         self.legs = legs
 
     def __matmul__(self, other):
-        return LinearOp(lambda x: self.act(other.act(x)), self.legs)
+        terms = {}
+        for a, x in self.terms.items():
+            for b, y in other.terms.items():
+                terms[a + b] = terms.get(a + b, 0) + x * y
+        return LinearOp(terms, self.legs)
 
     def __add__(self, other):
-        return LinearOp(lambda x: self.act(x) + other.act(x), self.legs)
+        added = {b: self.terms.get(b, 0) + y for b, y in other.terms.items()}
+        return LinearOp({**self.terms, **added}, self.legs)
 
     def __sub__(self, other):
-        return LinearOp(lambda x: self.act(x) - other.act(x), self.legs)
+        return self + -other
 
     def __neg__(self):
-        return LinearOp(lambda x: -self.act(x), self.legs)
+        return LinearOp({a: -x for a, x in self.terms.items()}, self.legs)
 
     def __rmul__(self, scalar):
-        return LinearOp(lambda x: scalar * self.act(x), self.legs)
-
-
-_IDENTITY = LinearOp(lambda x: x)
+        return LinearOp({a: scalar * x for a, x in self.terms.items()}, self.legs)
 
 
 def rep_word_value(rep, graph, path, params):
-    """The 2x2 block value of a written word as an operator on (2, dim, m)
-    blocks of vectors, built from generator images only; this route never
-    touches the symbolic product.  The word's :func:`word_chain` is
-    compiled once, here, into the steps of a :class:`_WordPass`."""
-
-    def scalar(name):
-        return graph.pending[name].weight.evaluate(rep.t_value, params)
-
-    return LinearOp(_WordPass(rep, word_chain(path.steps, scalar)), 2)
+    """The 2x2 block value of a written word as a :class:`_WordPass` on
+    (2, dim, m) blocks of vectors, built from generator images only; this
+    route never touches the symbolic product.  The word's
+    :func:`word_chain` is compiled once, here."""
+    return _WordPass(rep, word_chain(
+        path.steps, lambda name: graph.pending[name].weight.evaluate(rep.t_value, params)))
 
 
 _GATHER, _MUL, _ADD, _SUB, _OUT = range(5)
@@ -385,18 +380,31 @@ class _WordPass:
     to complex first."""
 
     def __init__(self, rep, chain):
+        self.rep = rep
+        self.chain = chain
         self.dim = rep.dim
         self.steps = []
         self.temps = 0
         place, sign = (0, 1), (1, 1)
         for kind, data in chain:
-            if kind == "edge":
-                self.steps.append((_GATHER, *rep.edge_gather(data, place, sign)))
-                place, sign = (0, 1), (1, 1)
-            else:
+            if kind == "mix":
                 place, sign = self._mix(data, place, sign)
+            else:
+                self.steps.append((_GATHER, *rep.edge_gather(data, place, sign, kind == "edge^H")))
+                place, sign = (0, 1), (1, 1)
         if (place, sign) != ((0, 1), (1, 1)):
             self.steps.append((_OUT, place, sign))
+
+    def adjoint(self):
+        """The adjoint word's pass: the chain reversed, each edge's gather
+        adjoint and each mix transposed with conjugate weights."""
+        chain = []
+        for kind, rows in reversed(self.chain):
+            if kind == "mix":
+                rows = tuple(tuple((s, w if w is None else w.conjugate(), i) for i, row in enumerate(rows)
+                                   for s, w, j in row if j == col) for col in (0, 1))
+            chain.append(({"edge": "edge^H", "edge^H": "edge"}.get(kind, kind), rows))
+        return _WordPass(self.rep, chain)
 
     def _mix(self, rows, place, sign):
         """Compile a mix factor; returns the new (place, sign).  A row of
@@ -477,161 +485,183 @@ class _WordPass:
         return cur.reshape(2, dim, -1)
 
 
-_MEMO_BYTES = 1 << 20
-_KEY_STRIDE = 61  # the memo key hashes every 61st byte of an input
-
-
-class _ColumnMemo:
-    """A realization's recent word passes, least recently used out first
-    once inputs and results pass ``_MEMO_BYTES``; both are read-only.  The
-    key hashes a fixed strided sample of the input's bytes, and a hit must
-    match every byte of the input, compared whole."""
-
-    def __init__(self):
-        self.held = OrderedDict()
-        self.nbytes = 0
-
-    def columns(self, idx, m, x):
-        """Word ``idx``, operator ``m``, in one pass over [[x, 0], [0, x]]
-        for x of shape (dim, k): [i, :, j] of the (2, dim, 2, k) result is
-        entry (i, j) applied to x."""
-        raw = x.tobytes()
-        key = (idx, x.shape, hash(raw[::_KEY_STRIDE]))
-        held = self.held.pop(key, None)
-        if held is not None:
-            self.nbytes -= len(held[0]) + held[1].nbytes
-        if held is None or held[0] != raw:
-            block = np.zeros((2, len(x), 2, x.shape[1]), dtype=complex)
-            block[0, :, 0] = block[1, :, 1] = x
-            out = m.act(block.reshape(2, len(x), -1)).reshape(block.shape)
-            out.flags.writeable = False
-            held = (raw, out)
-        self.held[key] = held
-        self.nbytes += len(held[0]) + held[1].nbytes
-        while self.nbytes > _MEMO_BYTES:
-            old_raw, old_out = self.held.popitem(last=False)[1]
-            self.nbytes -= len(old_raw) + old_out.nbytes
-        return held[1]
-
-    def entry(self, idx, m, i, j):
-        """Entry (i, j) of word ``m``, as an operator on (dim, k)."""
-        return LinearOp(lambda x: self.columns(idx, m, x)[i, :, j])
-
-
 def numeric_realization(rep, real, params):
-    """The :class:`NumericSource` of a realization in ``rep``: its own
-    monodromy words re-evaluated numerically, with (a, b, c) read off them,
-    all as operators; a realization without words cannot be re-checked.
-    Raises ValueError when a word value misses the normal shape
-    M[00] = q a + w on the probe pair, as extract_entries does exactly."""
+    """The :class:`NumericSource` of a realization's own words in ``rep``.
+    Raises ValueError for a realization without words, or when a word
+    misses the normal shape M[00] = q a + w on the probe pair, as
+    extract_entries does exactly."""
     if real.words is None:
         raise ValueError("realization carries no path words to re-evaluate")
-    q = rep.t_value ** 4
-    memo = _ColumnMemo()
-    mats, entries, omegas = [], {}, {}
-    for idx, word in enumerate(real.words, start=1):
-        m = rep_word_value(rep, real.graph, word, params)
-        entry = partial(memo.entry, idx, m)
-        a = -q * entry(1, 1)
-        w = real.omegas[idx].evaluate(rep.t_value, params)
-        ((_, lhs, rhs),) = _bilinear_pairs(rep, [("", entry(0, 0), q * a + w * _IDENTITY)])
+    passes = [rep_word_value(rep, real.graph, word, params) for word in real.words]
+    omegas = {i: real.omegas[i].evaluate(rep.t_value, params) for i in range(1, len(passes) + 1)}
+    src = NumericSource(rep, passes, omegas, real.omega0.evaluate(rep.t_value, params))
+    shapes = [(f"word {i}", LinearOp({(("entry", i, 0, 0),): 1}), src.q(1) * src.entry("a", i) + w * src.one)
+              for i, w in omegas.items()]
+    for label, lhs, rhs in relation_forms(src, shapes):
         gap = _gap(lhs, rhs)
         if not gap <= 1e-9:  # a NaN gap fails too
-            raise ValueError(f"word {idx} misses the normal shape M[00] = q a + w by {gap}")
-        mats.append(m)
-        entries.update({("a", idx): a, ("b", idx): -entry(0, 1), ("c", idx): entry(1, 0)})
-        omegas[idx] = w
-    return NumericSource(rep, mats, entries, omegas, real.omega0.evaluate(rep.t_value, params))
+            raise ValueError(f"{label} misses the normal shape M[00] = q a + w by {gap}")
+    return src
 
 
 class NumericSource:
     """The entry source of the relation families in ``monodromy`` over a
-    clock-and-shift representation ``rep``: the monodromies ``mats`` and
-    the entries ``entries[kind, i]`` (kind a, b or c) are operators, and
-    every scalar is complex.  M acts on (2, dim, m) blocks, R-matrices and
-    embedded monodromies on (4, dim, m) blocks of the 2x2 tensor legs."""
+    clock-and-shift representation ``rep``, in :class:`LinearOp`
+    polynomials and complex scalars; a = -q M[11], b = -M[01], c = M[10].
+    ``passes`` act as the words on (2, dim, m) blocks, with ``adjoint()``."""
 
-    def __init__(self, rep, mats, entries, omegas, omega0):
+    def __init__(self, rep, passes, omegas, omega0):
         self.rep = rep
-        self.mats = mats
-        self.entries = entries
-        self.n = len(mats)
+        self.passes = {False: passes, True: [p.adjoint() for p in passes]}
+        self.n = len(passes)
         self.omegas = omegas
         self.omega0 = omega0
-        self.one = _IDENTITY
+        self.one = LinearOp({(): 1})
 
     def entry(self, kind, i):
-        return self.entries[kind, i]
-
-    def matrix(self, i):
-        return self.mats[i - 1]
+        r, s, scale = {"a": (1, 1, -self.q(1)), "b": (0, 1, -1), "c": (1, 0, 1)}[kind]
+        return LinearOp({(("entry", i, r, s),): scale})
 
     def q(self, k):
         return self.rep.t_value ** (4 * k)
 
-    @staticmethod
-    def identity():
-        return LinearOp(lambda x: x, 2)
+    def matrix(self, i):
+        return LinearOp({(("word", i),): 1}, 2)
+
+    def identity(self):
+        return LinearOp({(): 1}, 2)
 
     def r_matrix(self, power, transposed=False):
-        """R at q**power: diagonal (q^p, 1, 1, q^p) plus (q^p - q^-p) at
-        [1, 2], or at [2, 1] when transposed."""
-        qq = self.q(power)
-        src, dst = (1, 2) if transposed else (2, 1)
+        return LinearOp({(("R", power, transposed),): 1}, 4)
 
-        def act(x):
-            y = x * np.array([qq, 1.0, 1.0, qq])[:, None, None]
-            y[dst] += (qq - 1 / qq) * x[src]
-            return y
-
-        return LinearOp(act, 4)
-
-    @staticmethod
-    def embed(m, slot):
-        """A 2x2 block operator on leg ``slot`` of the (4, dim, k) tensor
-        block; both copies go through the word in one pass."""
-
-        def act(x):
-            legs = x.reshape(2, 2, *x.shape[1:])
-            if slot == 2:
-                legs = legs.swapaxes(0, 1)
-            k = x.shape[-1]
-            out = m.act(np.concatenate((legs[:, 0], legs[:, 1]), axis=-1))
-            out = np.stack((out[..., :k], out[..., k:]), axis=1)
-            if slot == 2:
-                out = out.swapaxes(0, 1)
-            return out.reshape(x.shape)
-
-        return LinearOp(act, 4)
+    def embed(self, m, slot):
+        return LinearOp({tuple(("embed", i, slot) for _, i in mono): x for mono, x in m.terms.items()}, 4)
 
 
-def _bilinear_pairs(rep, relations):
-    """Yield (label, lhs, rhs) with each side operator L replaced by its
-    sesquilinear form P^H L P on the probe block P of its legs, whose last
-    axis holds the probe vectors; on the probe pair (u, w), P^H L P is 2x2
-    and its [0, 1] entry is u^H L w.  A matrix relation is compared whole,
-    its label's {} standing for every entry."""
-    probes = {}
-    for label, lhs, rhs in relations:
-        if lhs.legs not in probes:
-            probe = rep.probe(lhs.legs)
-            probes[lhs.legs] = probe[0] if lhs.legs == 1 else probe
-        probe = probes[lhs.legs]
-        flat = probe.reshape(-1, probe.shape[-1])
-        yield (
-            label.format("**") if lhs.legs > 1 else label,
-            flat.conj().T @ lhs.act(probe).reshape(flat.shape),
-            flat.conj().T @ rhs.act(probe).reshape(flat.shape),
-        )
+_BLOCK_BYTES = 1 << 20  # the input block of one pass; more inputs of a word take more passes
+
+
+def _children(src, word, inputs, parents, adjoint):
+    """The children of ``inputs``, each an input (legs, parent path, slot)
+    with its children, as (path, block): R-matrices (``word`` None), or one
+    pass of the word, or its adjoint, over two (2, dim, c) column groups of
+    each input: one leg x as [[x, 0], [0, x]], which gives all four entries
+    (the adjoint's (r, s) is the adjoint word's (s, r)); two legs as they
+    are; four as the leg pairs that the embedded word mixes."""
+    if word is None:
+        return [(key, _r_matrix(src, parents[legs, path], *key[1][-1][1:], adjoint))
+                for (legs, path, _), keys in inputs for key in keys]
+    dim, c = src.rep.dim, parents[inputs[0][0][:2]].shape[-1]
+    block = np.zeros((2, dim, len(inputs), 2, c), dtype=complex)
+    for k, ((legs, path, slot), _) in enumerate(inputs):
+        if legs == 1:
+            block[0, :, k, 0] = block[1, :, k, 1] = parents[legs, path][0]
+        else:
+            legs_in = parents[legs, path].reshape(2, -1, dim, c)
+            block[:, :, k, :legs // 2] = legs_in.transpose((0, 2, 1, 3) if slot < 2 else (1, 2, 0, 3))
+    out = src.passes[adjoint][word - 1](block.reshape(2, dim, -1)).reshape(block.shape)
+    batch = []
+    for k, ((legs, _, slot), keys) in enumerate(inputs):
+        for key in keys:
+            if key[1][-1][0] == "entry":
+                r, s = key[1][-1][2:][::-1] if adjoint else key[1][-1][2:]
+                batch.append((key, out[r, :, k, s][None]))
+            else:
+                legs_out = out[:, :, k, :legs // 2].transpose((0, 2, 1, 3) if slot < 2 else (2, 0, 1, 3))
+                batch.append((key, legs_out.reshape(legs, dim, c)))
+    return batch
+
+
+def _r_matrix(src, x, power, transposed, adjoint):
+    """R at q**p on a (4, dim, c) block, diag(q^p, 1, 1, q^p) plus q^p - q^-p
+    at [1, 2] ([2, 1] transposed), or R^H: R at q**-p the other way."""
+    qq, swap = src.q(-power if adjoint else power), transposed != adjoint
+    y = x * np.array([qq, 1.0, 1.0, qq])[:, None, None]
+    y[1 + swap] += (qq - 1 / qq) * x[2 - swap]
+    return y
+
+
+def _push(src, paths, adjoint, roots, take):
+    """Push ``roots``, a (legs, dim, c) block per legs, through the trie of
+    ``paths``, whose node (legs, leaves) is the last leaf, or its adjoint,
+    applied to the node of the other leaves.  Hands ``take`` the nodes in
+    batches of :func:`_children`, depth by depth, and holds a node only
+    while the next depth reads it."""
+    nodes = dict.fromkeys((legs, leaves[:d]) for legs, leaves in paths for d in range(len(leaves) + 1))
+    inner = {(legs, leaves[:-1]) for legs, leaves in nodes if leaves}
+    level = {key: roots[key[0]] for key in nodes if not key[1]}
+    take(list(level.items()))
+    per = max(1, _BLOCK_BYTES // (64 * src.rep.dim * next(iter(roots.values())).shape[-1]))
+    for depth in range(1, max(len(leaves) for _, leaves in nodes) + 1):
+        groups = {}
+        for legs, path in nodes:
+            if len(path) == depth:
+                kind, word, *part = path[-1]
+                item = (legs, path[:-1], part[0] if kind == "embed" else 0)
+                groups.setdefault(None if kind == "R" else word, {}).setdefault(item, []).append((legs, path))
+        parents, level = level, {}
+        for word, inputs in groups.items():
+            inputs = list(inputs.items())
+            for at in range(0, len(inputs), per):
+                batch = _children(src, word, inputs[at:at + per], parents, adjoint)
+                level.update((key, x) for key, x in batch if key in inner)
+                take(batch)
+                del batch  # its blocks go before the next pass unless the next depth reads them
+
+
+def relation_forms(src, relations):
+    """The (label, lhs, rhs) of ``relations`` over ``src``, each side L as
+    its form P^H L P on the probe block P of its legs (all of one width):
+    2x2 on the probe pair (u, w), u^H L w at [0, 1]; ** stands for {}.
+    A monomial A_1 ... A_k splits at h = k // 2 as (A_h^H ... A_1^H P)^H
+    (A_{h+1} ... A_k P).  The left halves are kept; each batch of right
+    halves meets them in one product, the Gram blocks of its pairs; the
+    sides are one product of the coefficient table with those blocks."""
+    relations = list(relations)
+    if not relations:
+        return []
+    pairs, table = {}, []
+    for side in (side for _, lhs, rhs in relations for side in (lhs, rhs)):
+        table.append({pairs.setdefault((side.legs, m[:len(m) // 2], m[len(m) // 2:]), len(pairs)): x
+                      for m, x in side.terms.items()})
+    lefts, rights = {}, {}
+    for col, (legs, left, right) in enumerate(pairs):
+        own = lefts.setdefault(legs, {})
+        rights.setdefault((legs, right[::-1]), []).append((col, own.setdefault(left, len(own))))
+    dim, roots = src.rep.dim, {legs: src.rep.probe(legs) for legs in lefts}
+    c = next(iter(roots.values())).shape[-1]
+    kept = {legs: np.empty((len(own), c, legs * dim), dtype=complex) for legs, own in lefts.items()}
+    grams = np.empty((len(pairs), c, c), dtype=complex)
+
+    def keep(batch):
+        for (legs, leaves), x in batch:
+            if leaves in lefts[legs]:
+                np.conjugate(x.reshape(legs * dim, c).T, out=kept[legs][lefts[legs][leaves]])
+
+    def gram(batch):
+        for legs in lefts:
+            halves = [(rights[key], x) for key, x in batch if key[0] == legs and key in rights]
+            if halves:
+                block = np.stack([x.reshape(legs * dim, c) for _, x in halves], axis=1)
+                col, i, j = zip(*((col, i, j) for j, (cols, _) in enumerate(halves) for col, i in cols))
+                products = kept[legs].reshape(-1, legs * dim) @ block.reshape(legs * dim, -1)
+                grams[list(col)] = products.reshape(-1, c, len(halves), c)[list(i), :, list(j)]
+
+    _push(src, [(legs, left) for legs, own in lefts.items() for left in own], True, roots, keep)
+    _push(src, list(rights), False, roots, gram)
+    kept.clear()
+    coeffs = np.zeros((len(table), len(pairs)), dtype=complex)
+    for row, terms in zip(coeffs, table):
+        row[list(terms)] = list(terms.values())
+    forms = (coeffs @ grams.reshape(len(pairs), c * c)).reshape(-1, c, c)
+    return [(label.format("**") if lhs.legs > 1 else label, forms[2 * r], forms[2 * r + 1])
+            for r, (label, lhs, _) in enumerate(relations)]
 
 
 def numeric_relation_pairs(src, families):
-    """The (label, lhs, rhs) numeric pairs of the named relation families
-    of ``monodromy.relation_families`` over ``src``, a
-    :func:`numeric_realization`: each side is the form of its operator on
-    the probe pair of ``src.rep``.  The operators are built and freed pair
-    by pair; only the 2x2 forms are kept."""
-    return list(_bilinear_pairs(src.rep, relation_families(src, families)))
+    """The :func:`relation_forms` of each named relation family of
+    ``monodromy.relation_families`` over a :func:`numeric_realization`."""
+    return [pair for family in families for pair in relation_forms(src, relation_families(src, (family,)))]
 
 
 def numeric_pvi_pairs(src):

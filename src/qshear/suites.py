@@ -37,7 +37,7 @@ class RunStore:
     """What one run computes once and then reads: the built-in realizations
     by name ('an<n>' or 'pvi'), and the numeric pairs of each relation
     family, keyed by (realization, modulus, family).  A pair keeps only the
-    2x2 forms of its sides; no numeric source or word-pass memo is kept."""
+    2x2 forms of its sides; no numeric source is kept."""
 
     def __init__(self):
         self.realizations = {}
@@ -137,9 +137,8 @@ def _numeric_pairs(real, config, families):
     pairs of the named relation families of ``real`` in the clock-and-shift
     representation at that modulus.  A family this run has read before
     comes from the run's store; the others come off one numeric
-    realization, which runs each word once per input vector for all its
-    entries and keeps a memo of recent passes within a fixed byte budget
-    at any modulus.  Each pair keeps only the 2x2 forms of its sides."""
+    realization, one family at a time, in one split of its forms
+    (``oracle.relation_forms``).  A pair keeps the 2x2 forms of its sides."""
     from . import oracle
 
     store = config.store
@@ -150,7 +149,7 @@ def _numeric_pairs(real, config, families):
             src = oracle.numeric_realization(rep, real, _ORACLE_PARAMS)
             for family in missing:
                 store.keep_pairs((real, modulus, family), oracle.numeric_relation_pairs(src, (family,)))
-            del src  # the source and its memo are freed before the caller reads the pairs
+            del src  # the source is freed before the caller reads the pairs
         yield modulus, [pair for family in families for pair in store.read_pairs((real, modulus, family))]
 
 

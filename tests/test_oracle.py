@@ -17,9 +17,6 @@ from qshear.matrices import AlgMatrix
 from qshear.monodromy import an_realization, pvi_realization, relation_defects, relation_families
 from qshear.oracle import (
     ClockShiftRep,
-    LinearOp,
-    NumericSource,
-    _bilinear_pairs,
     _gap,
     boundary_trace_deviation,
     closed_trace_minimum,
@@ -30,6 +27,7 @@ from qshear.oracle import (
     numeric_reflection_pairs,
     numeric_relation_pairs,
     oracle_check,
+    relation_forms,
     boundary_word_tokens,
     random_closed_words,
     random_state,
@@ -207,7 +205,7 @@ def test_catalog_mutants_fail_in_both_rings(make_real, params, families):
         for mutate in (lambda s, x: s.q(1) * x, lambda s, x: -x):
             defects = relation_defects([(label, mutate(real, lhs), rhs)])
             assert any(not d.is_zero() for _, d in defects), label
-            ((_, flhs, frhs),) = _bilinear_pairs(rep, [(label, mutate(src, nlhs), nrhs)])
+            ((_, flhs, frhs),) = relation_forms(src, [(label, mutate(src, nlhs), nrhs)])
             assert _gap(flhs, frhs) > 1e-6, label
         checked += 1
     assert checked == len(numeric)
@@ -303,43 +301,75 @@ def _dense_word_value(rep, graph, path, params):
     return np.array(mat)
 
 
+def _dense_r(rep, power, transposed=False):
+    """R at q**power as a (4, 4, dim, dim) block array: diagonal
+    (q^p, 1, 1, q^p) plus (q^p - q^-p) at [1, 2], or [2, 1] transposed."""
+    qq = rep.t_value ** (4 * power)
+    eye = np.eye(rep.dim, dtype=complex)
+    out = np.zeros((4, 4, rep.dim, rep.dim), dtype=complex)
+    for k, val in ((0, qq), (3, qq), (1, 1.0), (2, 1.0)):
+        out[k, k] = val * eye
+    out[(2, 1) if transposed else (1, 2)] = (qq - 1 / qq) * eye
+    return out
+
+
+def _dense_embed(m, slot):
+    """A 2x2 block matrix ``m`` on leg ``slot`` of the 2x2 tensor, as a
+    (4, 4, dim, dim) block array."""
+    out = np.zeros((4, 4, *m[0][0].shape), dtype=complex)
+    for i, j, k in np.ndindex(2, 2, 2):
+        if slot == 1:
+            out[2 * i + k, 2 * j + k] = m[i][j]
+        else:
+            out[2 * k + i, 2 * k + j] = m[i][j]
+    return out
+
+
+def _flat(blocks):
+    """An (n, n, dim, dim) block array as one (n dim, n dim) matrix."""
+    blocks = np.asarray(blocks)
+    return blocks.transpose(0, 2, 1, 3).reshape(blocks.shape[0] * blocks.shape[2], -1)
+
+
 def _dense_reflection_sides(rep, mats, weights):
-    q = rep.t_value ** 4
-    dim = rep.dim
-    eye = np.eye(dim, dtype=complex)
-
-    def r_scalar(power):
-        qq = q ** power
-        out = np.zeros((4, 4, dim, dim), dtype=complex)
-        for k, val in ((0, qq), (3, qq), (1, 1.0), (2, 1.0)):
-            out[k, k] = val * eye
-        out[1, 2] = (qq - 1 / qq) * eye
-        return out
-
-    def embed(m, slot):
-        out = np.zeros((4, 4, dim, dim), dtype=complex)
-        for i, j, k in np.ndindex(2, 2, 2):
-            if slot == 1:
-                out[2 * i + k, 2 * j + k] = m[i][j]
-            else:
-                out[2 * k + i, 2 * k + j] = m[i][j]
-        return out
-
     def product(*factors):
         acc = factors[0]
         for f in factors[1:]:
             acc = _bmat_mul(acc, f)
-        return np.array(acc).transpose(0, 2, 1, 3).reshape(4 * dim, 4 * dim)
+        return _flat(acc)
 
-    rpos, rneg, rt = r_scalar(-1), r_scalar(1), r_scalar(-2)
+    rpos, rneg, rt = _dense_r(rep, -1), _dense_r(rep, 1), _dense_r(rep, -2)
     out = []
     for i, j in combinations(range(len(mats)), 2):
-        mi, mj = embed(mats[i], 1), embed(mats[j], 2)
+        mi, mj = _dense_embed(mats[i], 1), _dense_embed(mats[j], 2)
         out.append((product(rpos, mi, rneg, mj), product(mj, rpos, mi, rneg)))
     for i, m in enumerate(mats):
         if abs(weights[i]) <= 1e-14:
-            mi1, mi2 = embed(m, 1), embed(m, 2)
+            mi1, mi2 = _dense_embed(m, 1), _dense_embed(m, 2)
             out.append((product(rt.swapaxes(0, 1), mi2, mi1), product(mi1, mi2, rt)))
+    return out
+
+
+def _dense_side(rep, mats, op):
+    """A leaf polynomial as the dense matrix on its legs: each monomial the
+    product of its leaves' dense matrices, built from the dense words."""
+
+    def leaf(kind, i, *rest):
+        if kind == "entry":
+            return mats[i - 1][rest[0]][rest[1]]
+        if kind == "word":
+            return _flat(mats[i - 1])
+        if kind == "embed":
+            return _flat(_dense_embed(mats[i - 1], rest[0]))
+        return _flat(_dense_r(rep, i, rest[0]))  # an R-matrix leaf: i is its power
+
+    size = op.legs * rep.dim
+    out = np.zeros((size, size), dtype=complex)
+    for mono, coeff in op.terms.items():
+        acc = np.eye(size, dtype=complex)
+        for factor in mono:
+            acc = acc @ leaf(*factor)
+        out += coeff * acc
     return out
 
 
@@ -357,32 +387,37 @@ def _identity_probe(rep):
 )
 def test_matrix_free_sides_match_dense_reference(monkeypatch, make_real, params, families):
     """Probed with the identity block, every relation and reflection side
-    is the dense operator on its legs; it must match dense block products
-    over dense generator images to 1e-12."""
+    is the dense operator on its legs; it must match its leaf polynomial
+    over dense block products of dense generator images to 1e-12, and the
+    reflection sides must match the dense reflection equations.  The
+    identity probe of each legs has its own width, so each legs is one
+    call of ``relation_forms``."""
     real = make_real()
     rep = ClockShiftRep(real.form, 5, seed=3)
     monkeypatch.setattr(rep, "probe", _identity_probe(rep))
     src = numeric_realization(rep, real, params)
-    qinv = rep.t_value ** -4
     mats = [_dense_word_value(rep, real.graph, word, params) for word in real.words]
-    ops = [LinearOp(lambda x, m=m: np.einsum("ijab,jbk->iak", m, x), 2) for m in mats]
-    entries = {}
-    for i, m in enumerate(mats, start=1):
-        entries["a", i] = LinearOp(lambda x, m=m: -m[1, 1] / qinv @ x)
-        entries["b", i] = LinearOp(lambda x, m=m: -m[0, 1] @ x)
-        entries["c", i] = LinearOp(lambda x, m=m: m[1, 0] @ x)
-    dense = NumericSource(rep, ops, entries, src.omegas, src.omega0)
-    free = numeric_relation_pairs(src, families)
-    ref = numeric_relation_pairs(dense, families)
-    assert [label for label, _, _ in free] == [label for label, _, _ in ref]
-    for (label, lhs, rhs), (_, dl, dr) in zip(free, ref):
-        assert lhs.shape == rhs.shape and lhs.shape[0] in (rep.dim, 2 * rep.dim)
-        assert np.max(np.abs(lhs - dl)) < 1e-12 and np.max(np.abs(rhs - dr)) < 1e-12, label
+    relations = list(relation_families(src, families))
+    checked = 0
+    for legs in (1, 2):
+        group = [rel for rel in relations if rel[1].legs == legs]
+        free = relation_forms(src, group)
+        labels = [label.format("**") if legs > 1 else label for label, _, _ in group]
+        assert [label for label, _, _ in free] == labels
+        for (label, lhs, rhs), (_, lop, rop) in zip(free, group):
+            assert lhs.shape == rhs.shape and lhs.shape[0] in (rep.dim, 2 * rep.dim)
+            dl, dr = _dense_side(rep, mats, lop), _dense_side(rep, mats, rop)
+            assert np.max(np.abs(lhs - dl)) < 1e-12 and np.max(np.abs(rhs - dr)) < 1e-12, label
+            checked += 1
+    assert checked == len(relations)
     reflections = numeric_reflection_pairs(src)
     expected = _dense_reflection_sides(rep, mats, [src.omegas[i] for i in range(1, src.n + 1)])
     assert len(reflections) == len(expected)
-    for (label, lhs, rhs), (dl, dr) in zip(reflections, expected):
+    reflection_ops = list(relation_families(src, ("reflection",)))
+    for (label, lhs, rhs), (dl, dr), (_, lop, rop) in zip(reflections, expected, reflection_ops):
         assert np.max(np.abs(lhs - dl)) < 1e-12 and np.max(np.abs(rhs - dr)) < 1e-12, label
+        assert np.max(np.abs(_dense_side(rep, mats, lop) - dl)) < 1e-12, label
+        assert np.max(np.abs(_dense_side(rep, mats, rop) - dr)) < 1e-12, label
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -396,7 +431,7 @@ def test_rep_word_value_matches_dense_windings(k):
     for word in real.words:
         word = PathWord([(s[0], s[1], k) if s[0] == "orb" else s for s in word.steps])
         dense = _dense_word_value(rep, real.graph, word, params)
-        free = rep_word_value(rep, real.graph, word, params).act(np.eye(2 * dim).reshape(2, dim, 2 * dim))
+        free = rep_word_value(rep, real.graph, word, params)(np.eye(2 * dim).reshape(2, dim, 2 * dim))
         want = dense.transpose(0, 2, 1, 3).reshape(2, dim, 2 * dim)
         assert np.max(np.abs(free - want)) < 1e-12, word
 
@@ -484,7 +519,7 @@ def test_rep_word_value_equals_the_unfolded_factors(make_real, k):
         op = rep_word_value(rep, real.graph, word, params)
         for block in blocks:
             want = _unfolded_word_value(rep, real.graph, word, params, block)
-            _assert_same_but_zero_signs(op.act(block), want, word)
+            _assert_same_but_zero_signs(op(block), want, word)
 
 
 def _seeded_words(graph, count, seed):
@@ -538,7 +573,7 @@ def test_compiled_pass_of_seeded_words_equals_the_unfolded_factors(modulus):
         for block in blocks:
             kept = block.copy()
             want = _unfolded_word_value(rep, graph, SimpleNamespace(steps=word), params, block)
-            _assert_same_but_zero_signs(op.act(block), want.astype(complex), word)
+            _assert_same_but_zero_signs(op(block), want.astype(complex), word)
             assert np.array_equal(block.view(np.uint8), kept.view(np.uint8)), word
 
 
@@ -617,62 +652,30 @@ def test_numeric_realization_rejects_a_word_off_the_normal_shape():
         numeric_realization(rep, real, {"omega0": 0.47})
 
 
-# -- one column pass per vector, through a bounded memo -------------------------
+# -- one pass per word and depth, and the adjoint words -------------------------
 
 SUITE_PARAMS = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}  # as suites._ORACLE_PARAMS
 
 
-class _RecordedMemo(oracle._ColumnMemo):
-    """The realization's memo, kept for inspection, counting the
-    applications of its entry operators."""
-
-    made = []
-
-    def __init__(self):
-        super().__init__()
-        self.applications = 0
-        self.made.append(self)
-
-    def entry(self, idx, m, i, j):
-        op = super().entry(idx, m, i, j)
-
-        def act(x):
-            self.applications += 1
-            return op.act(x)
-
-        return LinearOp(act)
-
-
 @pytest.fixture
-def recorded(monkeypatch):
-    """The memos made from here on, and the list of word passes (the calls
-    of each rep_word_value's act), by input shape."""
-    monkeypatch.setattr(_RecordedMemo, "made", [])
-    monkeypatch.setattr(oracle, "_ColumnMemo", _RecordedMemo)
-    passes = []
-    word_value = oracle.rep_word_value
+def passes(monkeypatch):
+    """The word passes made from here on, each as (adjoint, block shape):
+    a pass compiled by ``adjoint()`` counts as adjoint."""
+    made = []
+    call, adjoint = oracle._WordPass.__call__, oracle._WordPass.adjoint
 
-    def counted(*args):
-        op = word_value(*args)
-        act = op.act
+    def counted(self, block):
+        made.append((getattr(self, "is_adjoint", False), block.shape))
+        return call(self, block)
 
-        def counting(block):
-            passes.append(block.shape)
-            return act(block)
+    def tagged(self):
+        out = adjoint(self)
+        out.is_adjoint = True
+        return out
 
-        op.act = counting
-        return op
-
-    monkeypatch.setattr(oracle, "rep_word_value", counted)
-    return _RecordedMemo.made, passes
-
-
-def _padded_entry(rep, real, word, params, i, j, x):
-    """Entry (i, j) of a word applied to x the one-column way: x in unit
-    column j of a zero block, one word pass, component i read off."""
-    block = np.zeros((2, *x.shape), dtype=complex)
-    block[j] = x
-    return rep_word_value(rep, real.graph, word, params).act(block)[i]
+    monkeypatch.setattr(oracle._WordPass, "__call__", counted)
+    monkeypatch.setattr(oracle._WordPass, "adjoint", tagged)
+    return made
 
 
 @pytest.mark.parametrize(
@@ -687,118 +690,129 @@ def _padded_entry(rep, real, word, params, i, j, x):
     ids=["an3-N5", "an3-N7", "an4-N5", "an4-N7", "pvi-N5"],
 )
 def test_column_pass_gives_the_same_floats(make_real, modulus):
-    """a, b, c and M[00] read off one two-column pass are bit for bit the
-    one-column route's values, on the probe and on a random (dim, 3)
-    block: each column goes through the same elementwise operations."""
+    """Entries read off one wide pass are bit for bit the one-column
+    route's values: x in unit column s of a zero block, one pass of the
+    word (or of its adjoint, for the adjoint's entry (r, s), which is the
+    adjoint word's (s, r)), component r read off.  On the probe and on a
+    random (dim, 3) block, at depth 1 and at depth 2, where one pass holds
+    the inputs of many parents side by side; a, b and c are -q, -1 and 1
+    times their entries."""
     real = make_real()
     rep = ClockShiftRep(real.form, modulus, seed=20240229)
     src = numeric_realization(rep, real, SUITE_PARAMS)
     q = rep.t_value ** 4
+    for idx in range(1, src.n + 1):
+        assert src.entry("a", idx).terms == {(("entry", idx, 1, 1),): -q}
+        assert src.entry("b", idx).terms == {(("entry", idx, 0, 1),): -1}
+        assert src.entry("c", idx).terms == {(("entry", idx, 1, 0),): 1}
+    words = [rep_word_value(rep, real.graph, word, SUITE_PARAMS) for word in real.words]
+    leaves = [("entry", i, r, s) for i in range(1, src.n + 1) for r in (0, 1) for s in (0, 1)]
+    paths = [(1, (first, then)) for first in leaves for then in leaves[::3]]
     rng = np.random.default_rng(11)
     blocks = [rep.probe(1)[0], rng.standard_normal((rep.dim, 3)) + 1j * rng.standard_normal((rep.dim, 3))]
-    memo = oracle._ColumnMemo()
-    for idx, word in enumerate(real.words, start=1):
-        for x in blocks:
-            padded = partial(_padded_entry, rep, real, word, SUITE_PARAMS, x=x)
-            assert np.array_equal(src.entry("a", idx).act(x), -q * padded(1, 1))
-            assert np.array_equal(src.entry("b", idx).act(x), -padded(0, 1))
-            assert np.array_equal(src.entry("c", idx).act(x), padded(1, 0))
-            assert np.array_equal(memo.entry(idx, src.matrix(idx), 0, 0).act(x), padded(0, 0))
+    for x in blocks:
+        for adjoint in (False, True):
+            got = {}
+            oracle._push(src, paths, adjoint, {1: x[None]}, got.update)
+            assert len(got) == 1 + len(leaves) + len(paths)
+            for (_, path), value in got.items():
+                want = x
+                for _, i, r, s in path:
+                    word = words[i - 1].adjoint() if adjoint else words[i - 1]
+                    r, s = (s, r) if adjoint else (r, s)
+                    block = np.zeros((2, *want.shape), dtype=complex)
+                    block[s] = want
+                    want = word(block)[r]
+                assert np.array_equal(value, want[None]), (adjoint, path)
 
 
-def test_memo_hit_is_read_only_and_checks_the_whole_input(recorded, monkeypatch):
-    """A second application to the same input is served from the memo as a
-    read-only array; an input whose hash key collides but whose content
-    differs is recomputed, not served."""
-    memos, passes = recorded
-    real = an_realization(3)
-    rep = ClockShiftRep(real.form, 5, seed=3)
-    c1 = numeric_realization(rep, real, {"omega0": 0.47}).entry("c", 1)
-    x = rep.probe(1)[0]
-    first = c1.act(x)
-    count = len(passes)
-    served = c1.act(x.copy())
-    assert len(passes) == count and np.shares_memory(served, first)
-    assert not served.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        served[0, 0] = 0
-    monkeypatch.setattr(oracle, "hash", lambda raw: 0, raising=False)
-    y = 2 * x
-    fresh = [c1.act(v) for v in (x, y)]
-    assert len(passes) == count + 2
-    assert np.array_equal(fresh[0], first)
-    assert np.array_equal(fresh[1], 2 * first)
-    (memo,) = memos
-    assert memo.nbytes == _held_bytes(memo)
-
-
-def _held_bytes(memo):
-    """The bytes a memo holds: each input's bytes and each result array."""
-    return sum(len(raw) + out.nbytes for raw, out in memo.held.values())
-
-
-def test_memo_key_samples_the_input_but_a_hit_matches_every_byte(recorded):
-    """The key hashes every ``_KEY_STRIDE``-th byte of the input.  An input
-    equal to a held one at every sampled byte but one bit apart at a byte
-    the key skips, and an input that differs from a held one only in the
-    sign of a zero, share the held key and are recomputed, not served."""
-    memos, passes = recorded
-    real = an_realization(3)
-    rep = ClockShiftRep(real.form, 5, seed=3)
-    src = numeric_realization(rep, real, {"omega0": 0.47})
-    c1 = src.entry("c", 1)
-    x = rep.probe(1)[0]
-    first = c1.act(x)
-    count = len(passes)
-    (memo,) = memos
-    skipped = x.copy()
-    skipped.view(np.uint8).reshape(-1)[1] ^= 1  # byte 1: low mantissa of x[0, 0].real
-    assert skipped.tobytes()[:: oracle._KEY_STRIDE] == x.tobytes()[:: oracle._KEY_STRIDE]
-    assert not np.array_equal(skipped, x)
-    got = c1.act(skipped)
-    assert len(passes) == count + 1 and not np.shares_memory(got, first)
-    assert np.array_equal(got, src.entry("c", 1).act(skipped.copy()))  # a hit on the new input
-    assert len(passes) == count + 1
-    zero = x.copy()
-    zero[0, 0] = 0.0
-    signed = zero.copy()
-    signed[0, 0] = -0.0  # equal to zero in every comparison but its bytes
-    assert np.array_equal(zero, signed) and zero.tobytes() != signed.tobytes()
-    assert zero.tobytes()[:: oracle._KEY_STRIDE] == signed.tobytes()[:: oracle._KEY_STRIDE]
-    held = c1.act(zero)
-    assert len(passes) == count + 2
-    recomputed = c1.act(signed)
-    assert len(passes) == count + 3 and not np.shares_memory(recomputed, held)
-    assert memo.nbytes == _held_bytes(memo)
-
-
-def test_memo_stays_within_its_budget_at_modulus_13(recorded):
-    """At an4, N=13 (dim 2197) a pass holds 351 KB, so the memo evicts;
-    after every an4 family its held bytes are within the budget and equal
-    to the bytes of what it holds."""
-    memos, _ = recorded
-    real = an_realization(4)
-    rep = ClockShiftRep(real.form, 13, seed=20240229)
-    src = numeric_realization(rep, real, SUITE_PARAMS)
-    (memo,) = memos
-    for family in ("entry", "cross", "nelson-regge", "reflection"):
-        norms = numeric_pair_norms(numeric_relation_pairs(src, (family,)))
-        assert all(n <= 1e-9 for _, n in norms), family
-        assert 0 < memo.nbytes <= oracle._MEMO_BYTES, family
-        assert memo.nbytes == _held_bytes(memo)
-
-
-def test_word_passes_of_the_an4_core_records(recorded):
-    """The an4 an-core oracle record at N=7 (dim 343) makes 61 word passes,
-    at most a third of its 492 applications of a, b, c and M[00]; one pass
-    per application, plus the 8 of M**2 = -E, made 500."""
-    memos, passes = recorded
+def test_word_passes_of_the_an4_core_records(passes):
+    """The an4 an-core oracle record at N=7 (dim 343) makes one pass per
+    word and depth, 20 in all: 4 forward passes for the normal shapes,
+    then for each of the entry and cross families 4 adjoint passes for the
+    left halves and 4 forward passes for the right halves, each over the
+    probe alone: the one-leg probe as 4 columns, and in the entry family
+    the two-leg probe of M**2 = -E beside it as 4 more.  One pass per
+    application of a, b, c and M[00], with a memo of passes, made 61."""
     real = an_realization(4)
     (report,) = _numeric_reports("an4-core", "anchor", real, RunConfig(oracle_moduli=(7,)), AN_CORE)
-    (memo,) = memos
     assert report.status and report.extras["pairs"] == 96
-    assert (len(passes), memo.applications) == (61, 492)
-    assert 3 * len(passes) <= memo.applications
+    made = [(adjoint, shape[-1]) for adjoint, shape in passes]
+    entry, cross = [(True, 8)] * 4 + [(False, 8)] * 4, [(True, 4)] * 4 + [(False, 4)] * 4
+    assert made == [(False, 4)] * 4 + entry + cross
+    assert {shape[:2] for _, shape in passes} == {(2, 343)}
+
+
+@pytest.mark.parametrize("modulus", [3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_adjoint_pass_is_the_adjoint_of_its_word(modulus, k):
+    """<u, A w> = <A^H u, w> to 1e-12 on random blocks, for every word of
+    an3, an4 and the four-point sphere and for seeded words over every step
+    kind, each winding k times; the commutant parameters are complex, so
+    that a mix weight the adjoint does not conjugate shows."""
+    params = {**SUITE_PARAMS, "a": 0.61 + 0.35j, "c": -1.3 + 0.4j}
+    cases = []
+    for real in (an_realization(3), an_realization(4), pvi_realization()):
+        cases += [(real, word.steps) for word in real.words]
+    real = an_realization(3)
+    cases += [(real, word) for word in _seeded_words(real.graph, 25, 29)]
+    rng = np.random.default_rng(k)
+    checked = 0
+    for real, steps in cases:
+        graph = SimpleNamespace(pending={
+            **real.graph.pending, "a": SimpleNamespace(weight=Coefficient.parameter("a")),
+            "c": SimpleNamespace(weight=Coefficient.parameter("c")),
+        })
+        rep = ClockShiftRep(real.form, modulus, seed=3)
+        steps = [(s[0], s[1], k) if s[0] == "orb" else s for s in steps]
+        word = rep_word_value(rep, graph, SimpleNamespace(steps=steps), params)
+        shape = (2, rep.dim, 3)
+        u, w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "uw")
+        aw, ahu = word(w), word.adjoint()(u)
+        scale = np.linalg.norm(u) * np.linalg.norm(aw) + np.linalg.norm(ahu) * np.linalg.norm(w)
+        assert abs(np.vdot(u, aw) - np.vdot(ahu, w)) <= 1e-12 * scale, steps
+        checked += 1
+    assert checked == len(cases) == 34
+
+
+def test_adjoint_without_conjugate_phases_fails_the_an3_records(monkeypatch):
+    """A mutant adjoint whose edge gathers keep their phases unconjugated
+    still passes the normal shapes, which read no adjoint, but every
+    family with a product breaks: the an3 gaps reach above 1e-6."""
+    gather = ClockShiftRep.edge_gather
+
+    def unconjugated(self, name, place, sign, adjoint=False):
+        index, phase = gather(self, name, place, sign, adjoint)
+        return index, phase.conj() if adjoint else phase
+
+    monkeypatch.setattr(ClockShiftRep, "edge_gather", unconjugated)
+    real = an_realization(3)
+    rep = ClockShiftRep(real.form, 5, seed=20240229)
+    src = numeric_realization(rep, real, SUITE_PARAMS)
+    for family in ("entry", "cross", "nelson-regge", "reflection"):
+        norms = [n for _, n in numeric_pair_norms(numeric_relation_pairs(src, (family,)))]
+        assert max(norms) > 1e-6, family
+
+
+def test_an6_oracle_set_stays_within_its_memory_bound():
+    """The entry, cross and Nelson-Regge families of an6 at N=5 (dim 3125),
+    one family at a time as a run reads them: all 356 pairs hold to 1e-9
+    while the traced peak stays within 24 MiB; the Nelson-Regge family
+    alone has 64 left and 255 right halves of 100 KB each."""
+    real = an_realization(6)
+    tracemalloc.start()
+    try:
+        src = numeric_realization(ClockShiftRep(real.form, 5, seed=1), real, SUITE_PARAMS)
+        norms = [
+            n for family in ("entry", "cross", "nelson-regge")
+            for _, n in numeric_pair_norms(numeric_relation_pairs(src, (family,)))
+        ]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert src.rep.dim == 3125 and len(norms) == 356
+    assert max(norms) < 1e-9 and not any(math.isnan(n) for n in norms), max(norms)
+    assert peak <= 24 * 2**20, peak
 
 
 def test_seeded_reproducibility():
