@@ -366,15 +366,6 @@ def pvi_graph():
     return FatGraph(("X", "Y", "Z"), (("X", "Y", "Z"),), pend, meta=None)
 
 
-def an_point_order(graph):
-    """The pending edges Z1..Zn of a bundled A-type spine, in linear order."""
-    points = sorted(
-        (e for e in graph.pending if e != "S"),
-        key=lambda e: int(e[1:]) if e[1:].isdigit() else e,
-    )
-    return points
-
-
 # -- graph-level mutation moves ------------------------------------------------
 
 
@@ -486,7 +477,7 @@ def graph_from_dict(data):
     if not isinstance(data["vertices"], list):
         raise ValueError("'vertices' must be a list of edge-name lists")
     vertices = [_name_list(v, "each vertex") for v in data["vertices"]]
-    table = data.get("pending") or {}
+    table = data.get("pending", {})
     if not isinstance(table, dict):
         raise ValueError("'pending' must be an object keyed by edge name")
     pending = {}

@@ -21,7 +21,6 @@ from operator import matmul
 
 from .coeffs import Coefficient
 from .fatgraph import (
-    an_point_order,
     compile_path,
     monodromy_path,
     pvi_graph,
@@ -126,10 +125,15 @@ def extract_entries(mat, omega):
     return a, b, c
 
 
-def _realization(graph, root, points, omega0):
-    """Compile the monodromy words from ``root`` around each of ``points``,
-    in order."""
+def _realization(graph, root, omega0):
+    """Compile the monodromy words from the free end ``root`` around each
+    pending free end of the root's face, read from the root backwards."""
     form = graph.skew_form()
+    (start,) = graph.incidence(root)
+    face = next(face for face in graph.faces() if start in face)
+    at = face.index(start)
+    ends = [graph.edge_at(slot) for slot in (face[at:] + face[:at])[:0:-1]]
+    points = [e for e in ends if graph.is_pending(e)]
     words = tuple(monodromy_path(graph, root, point) for point in points)
     mats = [compile_path(graph, word, form) for word in words]
     omegas = {idx: graph.weight(point) for idx, point in enumerate(points, start=1)}
@@ -137,9 +141,9 @@ def _realization(graph, root, points, omega0):
 
 
 def build_monodromy(graph):
-    """The monodromy matrices of an A-type spine, from the root pending
-    edge S to each of its points in linear order."""
-    return _realization(graph, "S", an_point_order(graph), graph.weight("S"))
+    """The monodromy matrices of an A-type spine from the root pending
+    edge S, in the order of the root's face."""
+    return _realization(graph, "S", graph.weight("S"))
 
 
 def an_realization(n):
@@ -150,7 +154,7 @@ def an_realization(n):
 def pvi_realization():
     """Monodromies of the four-point sphere over the one-vertex graph; the
     paths run out and back along the spectator leg X."""
-    return _realization(pvi_graph(), "X", ("Z", "Y"), Coefficient.parameter("omega0"))
+    return _realization(pvi_graph(), "X", Coefficient.parameter("omega0"))
 
 
 # -- the relation families ----------------------------------------------------
@@ -481,21 +485,23 @@ def braid_product_invariance_relations(real, i, images=None, products=None):
 
 
 def flip_invariance_relations(real, sub):
-    """Each monodromy matrix of the flipped spine maps back onto the matrix
-    of ``real`` under the substitution, entry by entry in the Ore field."""
+    """Each monodromy matrix of the flipped spine, at a point, maps back onto
+    the matrix of ``real`` at that point under the substitution, entry by
+    entry in the Ore field; the flip may move the points along the face."""
     flipped = build_monodromy(sub.target_graph)
-    for i in range(1, real.n + 1):
-        lhs = [[apply_substitution(sub, x) for x in row] for row in flipped.matrix(i).rows]
+    for i, point in enumerate(real.points, start=1):
+        at = flipped.points.index(point) + 1
+        lhs = [[apply_substitution(sub, x) for x in row] for row in flipped.matrix(at).rows]
         rhs = [[OreElement.from_torus(x) for x in row] for row in real.matrix(i).rows]
         yield (f"M{i}[{{}}]", AlgMatrix(real.form, lhs), AlgMatrix(real.form, rhs))
 
 
 def root_flip_relations(real, sub):
     """The two-point geodesic functions G(0,i) are invariant under the flip
-    of the root pending edge."""
+    of the root pending edge, point by point."""
     flipped = build_monodromy(sub.target_graph)
-    for i in range(1, real.n + 1):
-        lhs = apply_substitution(sub, geodesic_G(flipped, 0, i))
+    for i, point in enumerate(real.points, start=1):
+        lhs = apply_substitution(sub, geodesic_G(flipped, 0, flipped.points.index(point) + 1))
         yield (f"G(0,{i})", lhs, OreElement.from_torus(geodesic_G(real, 0, i)))
 
 

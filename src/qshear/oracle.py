@@ -11,12 +11,13 @@ Two layers:
   times a phase vector, so the re-verification of the catalog is
   matrix-free: monodromy words act on blocks of vectors in O(dim) per
   factor.  :func:`rep_word_value` compiles each word's factor chain from
-  ``matrices.word_chain`` once per representation: on the stacked block of
-  both components an edge is one gather and one in-place phase multiply,
-  with every exact sign and component swap folded into them, and each sum
-  of a turn or winding is one in-place operation; its adjoint runs the
-  chain reversed.  :func:`numeric_realization` turns a realization's own
-  words into a :class:`NumericSource`, the one numeric entry source of the
+  ``matrices.word_chain``, which begins and ends with an edge, once per
+  representation: on the stacked block of both components an edge is one
+  gather and one in-place phase multiply, with every exact sign and
+  component swap folded into them, and the one sum of a turn or winding
+  factor is one in-place operation; its adjoint runs the chain reversed.
+  :func:`numeric_realization` turns a realization's own words into a
+  :class:`NumericSource`, the one numeric entry source of the
   ``monodromy`` catalog families, in polynomials of the words.  Each
   identity L = R is compared as the form u^H L w against u^H R w on a
   seeded pair of unit-modulus probe vectors (Freivalds 1977), each
@@ -360,31 +361,33 @@ def rep_word_value(rep, graph, path, params):
         path.steps, lambda name: graph.pending[name].weight.evaluate(rep.t_value, params)))
 
 
-_GATHER, _MUL, _ADD, _SUB, _OUT = range(5)
+_GATHER, _MUL, _ADD, _SUB = range(4)
 
 
 class _WordPass:
-    """A factor chain compiled into steps over the stacked (2 dim, m) view
-    of a (2, dim, m) block, in the chain's arithmetic order.
+    """A word's factor chain, which begins and ends with an edge, compiled
+    into steps over the stacked (2 dim, m) view of a complex (2, dim, m)
+    block, in the chain's arithmetic order.
 
     The compiler tracks, for each component of the pair, the half of the
     stacked block that holds it and its sign.  A component swap or a
     negation is exact, so a turn or a winding sign only changes that
     record, and each edge folds it into its gather index and phase
     (:meth:`ClockShiftRep.edge_gather`): one ``take`` and one in-place
-    phase multiply.  Each sum of a mix row is one in-place add or subtract
-    of its two terms, each weight one multiply into a scratch column
-    block, so every float is the one the factors give one at a time, up
-    to the sign of a zero.  A pass allocates at most two stacked blocks
-    and the scratch, and never writes into its input; a real block is cast
-    to complex first."""
+    phase multiply, after which the record is the identity again.  A mix
+    moves one row and sums the other: one in-place add or subtract of its
+    two terms, a weight one multiply into the scratch block, so every
+    float is the one the factors give one at a time, up to the sign of a
+    zero.  A pass gathers back and forth between two stacked blocks beside
+    one scratch block, and never writes into its input."""
 
     def __init__(self, rep, chain):
+        if not chain or chain[0][0] == "mix" or chain[-1][0] == "mix":
+            raise ValueError("a word's factor chain must begin and end with an edge")
         self.rep = rep
         self.chain = chain
         self.dim = rep.dim
         self.steps = []
-        self.temps = 0
         place, sign = (0, 1), (1, 1)
         for kind, data in chain:
             if kind == "mix":
@@ -392,8 +395,6 @@ class _WordPass:
             else:
                 self.steps.append((_GATHER, *rep.edge_gather(data, place, sign, kind == "edge^H")))
                 place, sign = (0, 1), (1, 1)
-        if (place, sign) != ((0, 1), (1, 1)):
-            self.steps.append((_OUT, place, sign))
 
     def adjoint(self):
         """The adjoint word's pass: the chain reversed, each edge's gather
@@ -408,80 +409,51 @@ class _WordPass:
 
     def _mix(self, rows, place, sign):
         """Compile a mix factor; returns the new (place, sign).  A row of
-        one unweighted term moves no number.  A row of two terms is one sum
-        into a half whose old numbers no later read needs: beside a moved
-        row, the half that row does not read; when both rows sum, their
-        terms are all weighted, so every read is a multiply into scratch
-        made before either sum."""
+        one unweighted term moves no number.  The other row may be a sum of
+        two terms, at most one weighted, written into the half that the
+        moved row does not read."""
         moved = [len(row) == 1 and row[0][1] is None for row in rows]
-        both = not any(moved)
         new_place, new_sign = list(place), list(sign)
-        sums, temps = [], 0
         for i, row in enumerate(rows):
             if moved[i]:
                 s, _, j = row[0]
                 new_place[i], new_sign[i] = place[j], s * sign[j]
-                continue
-            if len(row) != 2 or both and any(weight is None for _, weight, _ in row):
-                raise ValueError(f"cannot compile the mix row {row!r}")
-            terms = []
-            for s, weight, j in row:
-                ref = place[j]
-                if weight is not None:
-                    ref, temps = 2 + temps, temps + 1
-                    self.steps.append((_MUL, weight, place[j], ref))
-                terms.append((s * sign[j], ref))
-            sums.append((i, terms))
-        self.temps = max(self.temps, temps)
-        for i, ((s, a), (s2, b)) in sums:
-            target = i if both else 1 - new_place[1 - i]
-            self.steps.append((_ADD if s == s2 else _SUB, a, b, target))
-            new_place[i], new_sign[i] = target, s
+        if all(moved):
+            return tuple(new_place), tuple(new_sign)
+        i = moved.index(False)
+        if not moved[1 - i] or len(rows[i]) != 2 or all(w is not None for _, w, _ in rows[i]):
+            raise ValueError(f"cannot compile the mix {rows!r}: one row must move and the other "
+                             "sum two terms, at most one weighted")
+        terms = []
+        for s, weight, j in rows[i]:
+            if weight is not None:
+                self.steps.append((_MUL, weight, place[j], 2))
+            terms.append((s * sign[j], place[j] if weight is None else 2))
+        (s, a), (s2, b) = terms
+        target = 1 - new_place[1 - i]
+        self.steps.append((_ADD if s == s2 else _SUB, a, b, target))
+        new_place[i], new_sign[i] = target, s
         return tuple(new_place), tuple(new_sign)
 
     def __call__(self, block):
         dim = self.dim
         cur = block.reshape(2 * dim, -1)
-        own = cur.dtype != complex
-        if own:
-            cur = cur.astype(complex)
-        spare = None
-        scratch = list(np.empty((self.temps, dim, cur.shape[1]), dtype=complex)) if self.temps else []
-        views = None
+        scratch = np.empty((dim, cur.shape[1]), dtype=complex)
+        spare = [np.empty(cur.shape, dtype=complex) for _ in range(2)]
         for step in self.steps:
             code = step[0]
             if code == _GATHER:
                 _, index, phase = step
-                if spare is None:
-                    out = cur.take(index, axis=0)
-                else:
-                    out = cur.take(index, axis=0, out=spare, mode="wrap")
-                spare = cur if own else None
-                cur, own, views = out, True, None
+                cur = cur.take(index, axis=0, out=spare[0], mode="wrap")
+                spare.reverse()
                 np.multiply(phase, cur, out=cur)
-                continue
-            if not own:
-                cur, own, views = cur.copy(), True, None
-            if views is None:
-                views = [cur[:dim], cur[dim:], *scratch]
-            if code == _MUL:
+                views = (cur[:dim], cur[dim:], scratch)
+            elif code == _MUL:
                 _, weight, src, dst = step
                 np.multiply(weight, views[src], out=views[dst])
-            elif code == _OUT:
-                _, place, sign = step
-                out = np.empty_like(cur) if spare is None else spare
-                for half, (src, s) in enumerate(zip(place, sign)):
-                    dst = out[half * dim:(half + 1) * dim]
-                    if s > 0:
-                        np.copyto(dst, views[src])
-                    else:
-                        np.negative(views[src], out=dst)
-                cur = out
             else:
                 _, a, b, dst = step
                 (np.add if code == _ADD else np.subtract)(views[a], views[b], out=views[dst])
-        if not own:
-            cur = cur.copy()
         return cur.reshape(2, dim, -1)
 
 

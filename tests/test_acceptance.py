@@ -175,8 +175,9 @@ def test_criterion_6_flip_invariance():
             ]
         sub = quantum_pending_substitution(graph, "S")
         real2 = build_monodromy(sub.target_graph)
-        for i in range(1, n + 1):
-            img = apply_substitution(sub, geodesic_G(real2, 0, i))
+        for i, point in enumerate(real.points, start=1):
+            # the root flip moves the points along the root's face
+            img = apply_substitution(sub, geodesic_G(real2, 0, real2.points.index(point) + 1))
             assert ore_zero_test(
                 img - OreElement.from_torus(geodesic_G(real, 0, i))
             ), (n, i)
@@ -230,7 +231,7 @@ def test_criterion_8_oracle_coupling():
     real2 = build_monodromy(sub.target_graph)
     diffs = []
     for i in (1, 2):
-        img = apply_substitution(sub, geodesic_G(real2, 0, i))
+        img = apply_substitution(sub, geodesic_G(real2, 0, real2.points.index(real.points[i - 1]) + 1))
         diffs.append((f"G(0,{i})", img - OreElement.from_torus(geodesic_G(real, 0, i))))
     ore_worst, _ = oracle_check(diffs, real.form, moduli=(5, 7), seed=20240229)
     assert ore_worst < 1e-9, ore_worst

@@ -135,8 +135,11 @@ def test_negative_seed_is_usage_error(monkeypatch, capsys):
         {"edges": ["A", "B", "C"], "vertices": [["A", "B", "C"]], "pending": {"A": 3}},
         {"edges": [["A"]], "vertices": []},
         {"edges": [f"E{k}" for k in range(MAX_GRAPH_EDGES + 1)], "vertices": []},
+        *({"edges": ["A", "B", "C"], "vertices": [["A", "B", "C"]], "pending": bad}
+          for bad in ([], 0, False, "", None)),
     ],
-    ids=["edges-int", "pending-int", "edge-list", "too-many-edges"],
+    ids=["edges-int", "pending-int", "edge-list", "too-many-edges",
+         "pending-list", "pending-zero", "pending-false", "pending-empty-string", "pending-null"],
 )
 def test_malformed_graph_file_is_a_failing_record(tmp_path, document):
     bad = tmp_path / "bad.json"

@@ -5,7 +5,15 @@ import pytest
 
 from qshear import monodromy, oracle
 from qshear.coeffs import Coefficient, ONE
-from qshear.fatgraph import FatGraph, PendingInfo, monodromy_path, compile_path, spine_graph_an
+from qshear.fatgraph import (
+    FatGraph,
+    PendingInfo,
+    compile_path,
+    flip_graph,
+    monodromy_path,
+    pending_flip_graph,
+    spine_graph_an,
+)
 from qshear.matrices import AlgMatrix
 from qshear.monodromy import (
     an_realization,
@@ -267,6 +275,50 @@ def test_four_point_words_are_the_steps_around_each_point(pvi):
         (("edge", "X"), ("turn", "L"), ("orb", "Z", 1), ("turn", "R"), ("edge", "X")),
         (("edge", "X"), ("turn", "R"), ("orb", "Y", 1), ("turn", "L"), ("edge", "X")),
     ]
+
+
+# -- the point order: the root's face, read backwards --------------------------
+
+
+def _failing_records(real, family):
+    return [record for record, _, defects in catalog_defects(real, (family,))
+            if any(not element_is_zero(d) for _, d in defects)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_points_of_the_spines_are_in_linear_order(n):
+    assert build_monodromy(spine_graph_an(n)).points == tuple(f"Z{i}" for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize(
+    "flip, points",
+    [
+        (lambda g: flip_graph(g, "X1")[0], ("Z1", "Z2", "Z3", "Z4")),
+        (lambda g: flip_graph(g, "X2")[0], ("Z1", "Z2", "Z3", "Z4")),
+        (lambda g: pending_flip_graph(g, "S")[0], ("Z4", "Z1", "Z2", "Z3")),
+    ],
+    ids=["X1", "X2", "S"],
+)
+def test_points_of_a_flipped_spine_follow_the_root_face(flip, points):
+    """On the an4 spine flipped at X1, at X2 or at the root's pending edge,
+    the points are the pending free ends of the root's face, read from the
+    root backwards; the root flip moves Z4 to the front.  In that order the
+    entry, cross and Nelson-Regge records all hold exactly."""
+    real = build_monodromy(flip(spine_graph_an(4)))
+    assert real.points == points
+    for family in ("entry", "cross", "nelson-regge"):
+        assert _failing_records(real, family) == [], family
+
+
+@pytest.mark.parametrize("flip", [lambda g: g, lambda g: pending_flip_graph(g, "S")[0]], ids=["an4", "S"])
+def test_the_unreversed_face_order_fails_every_cross_record(flip):
+    """The face's order after the root, not reversed, breaks all six cross
+    records and Nelson-Regge, on an4 and on its root-flipped spine.  Every
+    point has weight 0, so reversing the matrices is that order."""
+    real = build_monodromy(flip(spine_graph_an(4)))
+    unreversed = real.with_matrices(real.mats[::-1])
+    assert len(_failing_records(unreversed, "cross")) == 6
+    assert _failing_records(unreversed, "nelson-regge") == ["nelson-regge-full"]
 
 
 def test_braided_realization_has_no_words_to_recheck(an3):

@@ -13,7 +13,7 @@ import pytest
 from qshear.coeffs import Coefficient
 from qshear.fatgraph import FatGraph, PathWord, compile_path, flip_graph, pvi_graph, spine_graph_an
 from qshear import oracle
-from qshear.matrices import AlgMatrix
+from qshear.matrices import AlgMatrix, word_chain
 from qshear.monodromy import an_realization, pvi_realization, relation_defects, relation_families
 from qshear.oracle import (
     ClockShiftRep,
@@ -431,7 +431,7 @@ def test_rep_word_value_matches_dense_windings(k):
     for word in real.words:
         word = PathWord([(s[0], s[1], k) if s[0] == "orb" else s for s in word.steps])
         dense = _dense_word_value(rep, real.graph, word, params)
-        free = rep_word_value(rep, real.graph, word, params)(np.eye(2 * dim).reshape(2, dim, 2 * dim))
+        free = rep_word_value(rep, real.graph, word, params)(np.eye(2 * dim, dtype=complex).reshape(2, dim, 2 * dim))
         want = dense.transpose(0, 2, 1, 3).reshape(2, dim, 2 * dim)
         assert np.max(np.abs(free - want)) < 1e-12, word
 
@@ -457,12 +457,6 @@ def _unfolded_word_value(rep, graph, path, params, block):
         up, dn = image(name, 1), image(name, -1)
         return lambda x0, x1: (-up(x1), dn(x0))
 
-    def scalar(name):
-        return graph.pending[name].weight.evaluate(rep.t_value, params)
-
-    def f(w):
-        return lambda x0, x1: (x1, -x0 - w * x1)
-
     turns = {"R": lambda x0, x1: (x0 + x1, -x0), "L": lambda x0, x1: (x1, -x0 - x1)}
     factors = []  # in the order they act
     for step in reversed(path.steps):
@@ -470,17 +464,10 @@ def _unfolded_word_value(rep, graph, path, params, block):
             factors.append(turns[step[1]])
         elif step[0] == "edge":
             factors.append(edge(step[1]))
-        elif step[0] == "F":
-            factors.append(f(scalar(step[1])))
-        elif step[0] == "omega":  # sign * (a + c F_w)
-            w, a, c = scalar(step[1]), scalar("a"), scalar("c")
-            if step[2] < 0:
-                a, c = -a, -c
-            corner = a - w * c
-            factors.append(lambda x0, x1, a=a, c=c, corner=corner: (a * x0 + c * x1, corner * x1 - c * x0))
         else:  # the winding X_e (-1)**(k+1) F_w**k X_e
             _, name, k = step
-            winding = [f(scalar(name))] * k
+            w = graph.pending[name].weight.evaluate(rep.t_value, params)
+            winding = [lambda x0, x1, w=w: (x1, -x0 - w * x1)] * k
             sign = [] if k % 2 else [lambda x0, x1: (-x0, -x1)]
             factors += [edge(name), *winding, *sign, edge(name)]
     x0, x1 = block
@@ -502,7 +489,7 @@ def _assert_same_but_zero_signs(got, want, word):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_rep_word_value_equals_the_unfolded_factors(make_real, k):
     """Folding each edge's sign into a negated phase changes no bit but the
-    sign of a zero: on a random complex block and on the real identity
+    sign of a zero: on a random complex block and on the complex identity
     block, every word with k windings equals the unfolded reference, and
     each real or imaginary part that differs in its bits is a zero."""
     real = make_real()
@@ -512,7 +499,7 @@ def test_rep_word_value_equals_the_unfolded_factors(make_real, k):
     rng = np.random.default_rng(k)
     blocks = [
         rng.standard_normal((2, dim, 3)) + 1j * rng.standard_normal((2, dim, 3)),
-        np.eye(2 * dim).reshape(2, dim, 2 * dim),
+        np.eye(2 * dim, dtype=complex).reshape(2, dim, 2 * dim),
     ]
     for word in real.words:
         word = PathWord([(s[0], s[1], k) if s[0] == "orb" else s for s in word.steps])
@@ -523,19 +510,17 @@ def test_rep_word_value_equals_the_unfolded_factors(make_real, k):
 
 
 def _seeded_words(graph, count, seed):
-    """Seeded words of 1 to 10 steps over every step kind: both turns, F
-    and both commutant signs at the weight of S, windings of 1 to 5 about S
-    or Z1, and every edge; no word need be a path."""
+    """Seeded words of 1 to 6 traversals with a turn L or R between each
+    two, as a written word alternates them: a traversal is any edge or a
+    winding of 1 to 5 about S or Z1; no word need be a path."""
     rng = random.Random(seed)
-    fixed = [("turn", "L"), ("turn", "R"), ("F", "S"), ("omega", "S", 1), ("omega", "S", -1)]
     words = []
     for _ in range(count):
         word = []
-        for _ in range(rng.randint(1, 10)):
-            kind = rng.choice(("fixed", "edge", "orb"))
-            if kind == "fixed":
-                word.append(rng.choice(fixed))
-            elif kind == "edge":
+        for k in range(rng.randint(1, 6)):
+            if k:
+                word.append(("turn", rng.choice("LR")))
+            if rng.randint(0, 1):
                 word.append(("edge", rng.choice(graph.edges)))
             else:
                 word.append(("orb", rng.choice(("S", "Z1")), rng.randint(1, 5)))
@@ -547,34 +532,60 @@ def _seeded_words(graph, count, seed):
 def test_compiled_pass_of_seeded_words_equals_the_unfolded_factors(modulus):
     """Seeded words through the compiled pass of :func:`rep_word_value`
     equal the unfolded reference bit for bit, except the sign of a zero, on
-    a random complex block and on the real identity block, and never write
-    into their input.  The words begin and end with turns, windings, mix
-    factors and edges, so every routing and sign of the pass is met."""
+    a random complex block and on the complex identity block, and never
+    write into their input.  The words take both turns, every edge and
+    windings of 1 to 5, and begin and end with edges and windings, so
+    every routing and sign of the pass is met."""
     real = an_realization(3)
-    weight = SimpleNamespace
-    graph = SimpleNamespace(
-        edges=real.graph.edges,
-        pending={**real.graph.pending, "a": weight(weight=Coefficient.parameter("a")),
-                 "c": weight(weight=Coefficient.parameter("c"))},
-    )
-    params = {"omega0": 0.47, "a": 0.61, "c": -1.3}
+    graph = real.graph
+    params = {"omega0": 0.47}
     rep = ClockShiftRep(real.form, modulus, seed=3)
     dim = rep.dim
     rng = np.random.default_rng(modulus)
     blocks = [
         rng.standard_normal((2, dim, 3)) + 1j * rng.standard_normal((2, dim, 3)),
-        np.eye(2 * dim).reshape(2, dim, 2 * dim),
+        np.eye(2 * dim, dtype=complex).reshape(2, dim, 2 * dim),
     ]
-    words = _seeded_words(real.graph, 25, 29)
+    words = _seeded_words(graph, 25, 29)
     for end in (0, -1):
-        assert {word[end][0] for word in words} >= {"turn", "orb", "edge", "F", "omega"}
+        assert {word[end][0] for word in words} == {"orb", "edge"}
+    steps = [step for word in words for step in word]
+    assert {s[1] for s in steps if s[0] == "turn"} == {"L", "R"}
+    assert {s[1] for s in steps if s[0] == "edge"} == set(graph.edges)
+    assert {s[1:] for s in steps if s[0] == "orb"} == {(e, k) for e in ("S", "Z1") for k in range(1, 6)}
     for word in words:
         op = rep_word_value(rep, graph, SimpleNamespace(steps=word), params)
         for block in blocks:
             kept = block.copy()
             want = _unfolded_word_value(rep, graph, SimpleNamespace(steps=word), params, block)
-            _assert_same_but_zero_signs(op(block), want.astype(complex), word)
+            _assert_same_but_zero_signs(op(block), want, word)
             assert np.array_equal(block.view(np.uint8), kept.view(np.uint8)), word
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [[("turn", "L"), ("edge", "X1")], [("edge", "X1"), ("turn", "R")], [("turn", "R")], []],
+    ids=["ends-with-a-turn", "begins-with-a-turn", "only-a-turn", "empty"],
+)
+def test_a_chain_that_does_not_begin_and_end_with_an_edge_is_refused(steps):
+    """A word's chain runs right to left, so a word that ends with a turn
+    gives a chain that begins with one, and the other way round."""
+    real = an_realization(3)
+    rep = ClockShiftRep(real.form, 3, seed=3)
+    with pytest.raises(ValueError, match="begin and end with an edge"):
+        rep_word_value(rep, real.graph, SimpleNamespace(steps=steps), {"omega0": 0.47})
+
+
+def test_a_commutant_mix_is_refused():
+    """The commutant a + c F_w sums both rows, each of two weighted terms;
+    no word of the catalog has one, and the pass refuses it."""
+    real = an_realization(3)
+    rep = ClockShiftRep(real.form, 3, seed=3)
+    weights = {"S": 0.47, "a": 0.61, "c": -1.3}
+    chain = word_chain([("edge", "X1"), ("omega", "S", 1), ("edge", "X1")], weights.__getitem__)
+    assert [kind for kind, _ in chain] == ["edge", "mix", "edge"]
+    with pytest.raises(ValueError, match="cannot compile the mix"):
+        oracle._WordPass(rep, chain)
 
 
 def test_oracle_catches_a_broken_generator_image(monkeypatch):
@@ -748,9 +759,9 @@ def test_word_passes_of_the_an4_core_records(passes):
 def test_adjoint_pass_is_the_adjoint_of_its_word(modulus, k):
     """<u, A w> = <A^H u, w> to 1e-12 on random blocks, for every word of
     an3, an4 and the four-point sphere and for seeded words over every step
-    kind, each winding k times; the commutant parameters are complex, so
-    that a mix weight the adjoint does not conjugate shows."""
-    params = {**SUITE_PARAMS, "a": 0.61 + 0.35j, "c": -1.3 + 0.4j}
+    kind, each winding k times; the point weights are complex, so that a
+    winding's weight the adjoint does not conjugate shows."""
+    params = {"omega0": 0.47 + 0.29j, "omega1": 0.83 - 0.41j, "omega2": 1.21 + 0.37j}
     cases = []
     for real in (an_realization(3), an_realization(4), pvi_realization()):
         cases += [(real, word.steps) for word in real.words]
@@ -759,13 +770,9 @@ def test_adjoint_pass_is_the_adjoint_of_its_word(modulus, k):
     rng = np.random.default_rng(k)
     checked = 0
     for real, steps in cases:
-        graph = SimpleNamespace(pending={
-            **real.graph.pending, "a": SimpleNamespace(weight=Coefficient.parameter("a")),
-            "c": SimpleNamespace(weight=Coefficient.parameter("c")),
-        })
         rep = ClockShiftRep(real.form, modulus, seed=3)
         steps = [(s[0], s[1], k) if s[0] == "orb" else s for s in steps]
-        word = rep_word_value(rep, graph, SimpleNamespace(steps=steps), params)
+        word = rep_word_value(rep, real.graph, SimpleNamespace(steps=steps), params)
         shape = (2, rep.dim, 3)
         u, w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "uw")
         aw, ahu = word(w), word.adjoint()(u)
