@@ -10,7 +10,7 @@ automorphisms.
 from qshear.monodromy import (
     an_realization,
     braid_apply,
-    braid_relations,
+    catalog_defects,
     cross_relation_defects,
     element_is_zero,
     geodesic_G,
@@ -44,8 +44,10 @@ nr = relation_defects(nelson_regge_relations(real, [0, 1, 2, 3]))
 print("geodesic algebra over {0..3}:", clean(nr), f"({len(nr)} relations)")
 
 print("\nscalar Yang-Baxter:", yang_baxter_defect().is_zero())
-braid = relation_defects(braid_relations(real, 1))
-print("braid relation b12 b23 b12 = b23 b12 b23:", clean(braid))
+braid = {record: defects for record, _, defects in catalog_defects(real, ("braid",))}
+print("braid relation b12 b23 b12 = b23 b12 b23:", clean(braid["braid-relation-12"]))
+print("braid forms, determinants, products and the G-M table:",
+      all(clean(defects) for defects in braid.values()), f"({len(braid)} records)")
 imaged = braid_apply(real, 1)
 print("braided realization keeps the cross relations:",
       clean(cross_relation_defects(imaged, 1, 2)))

@@ -142,15 +142,15 @@ class Coefficient:
                 del terms[k]
         return _made(terms)
 
-    def mul(self, other, tshift=0):
-        """self * other * t**tshift; torus products multiply their
-        coefficients in ``torus.weyl_sum`` instead."""
+    def mul(self, other):
+        """self * other; torus products multiply their coefficients in
+        ``torus.weyl_sum`` instead."""
         if not self._terms or not other._terms:
             return _ZERO
         acc = {}
         for (t1, p1), v1 in self._terms.items():
             for (t2, p2), v2 in other._terms.items():
-                k = (t1 + t2 + tshift, param_product(p1, p2) if p1 and p2 else p1 or p2)
+                k = (t1 + t2, param_product(p1, p2) if p1 and p2 else p1 or p2)
                 nv = acc.get(k, 0) + v1 * v2
                 if nv:
                     acc[k] = nv if type(nv) is int else _norm(nv)

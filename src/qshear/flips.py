@@ -112,7 +112,7 @@ def classical_identity_sides(ident):
     lhs, rhs = classical_identity_words(ident)
     names, weight, tildes = _CLASSICAL_FAMILIES[ident.rsplit("-", 1)[0]]
     form = SkewForm(names, [[0] * len(names)] * len(names))
-    t_poly = _binomial(form, "Z", +1, 0, weight) if "Z" in names else None
+    t_poly = _qden(form, "Z", +1, 0, weight).as_torus() if "Z" in names else None
 
     def edge(name):
         exponents, s = tildes[name[:-1]] if name.endswith("~") else ({name: 1}, 0)
@@ -192,18 +192,10 @@ class QuantumSubstitution:
         return pos if sign > 0 else neg
 
 
-def _binomial(form, name, sign, qpow, weight=None):
-    """1 + q**qpow exp(sign*Z) or the trinomial when a weight is given."""
-    el = TorusElement.one(form)
-    du1 = form.du({name: 2 * sign})
-    if weight is None:
-        return el + TorusElement.monomial(form, du1, Coefficient.q_power(qpow))
-    du2 = form.du({name: 4 * sign})
-    el = el + TorusElement.monomial(form, du1, Coefficient.q_power(qpow) * weight)
-    return el + TorusElement.monomial(form, du2, Coefficient.q_power(2 * qpow))
-
-
 def _qden(form, name, sign, qpow, weight=None):
+    """The binomial 1 + q**qpow exp(sign*Z), or the trinomial
+    1 + q**qpow w exp(sign*Z) + q**(2 qpow) exp(2 sign*Z) when a weight w
+    is given, as a denominator; ``as_torus`` gives it as a torus element."""
     step = form.du({name: 2 * sign})
     if weight is None:
         return QDenominator(form, step, (Coefficient.q_power(qpow),))
@@ -219,8 +211,8 @@ def _role_images(form, role, edge, sign, weight=None):
     du = form.du({role: 2})
     up = TorusElement.monomial(form, du)
     down = TorusElement.monomial(form, form.du({role: -2}))
-    binom = _binomial(form, edge, sign, -1, weight)
     den = _qden(form, edge, sign, -1, weight)
+    binom = den.as_torus()
     if sign > 0:
         return OreElement.from_torus(binom.mul(up)), OreElement.fraction(down, (den,))
     return OreElement.fraction(up, (den.shifted(du),)), OreElement.from_torus(down.mul(binom))
@@ -365,13 +357,11 @@ def _classical_image(shadow, sub, name, sign, weight):
         )
     roles = (pending_flip_roles if sub.kind == "pending" else flip_roles)(sub.source_graph, edge)
     role_sign = ROLE_SIGNS[roles.index(name)]
-    binom = _binomial(shadow, edge, role_sign, 0, weight)
+    den = _qden(shadow, edge, role_sign, 0, weight)
     mono = TorusElement.monomial(shadow, shadow.du({name: 2 * sign}))
     if sign == role_sign:
-        return OreElement.from_torus(binom.mul(mono))
-    return OreElement.fraction(
-        mono, (_qden(shadow, edge, role_sign, 0, weight).shifted(shadow.du({name: 2 * sign})),)
-    )
+        return OreElement.from_torus(den.as_torus().mul(mono))
+    return OreElement.fraction(mono, (den.shifted(shadow.du({name: 2 * sign})),))
 
 
 def linear_sum_relations(sub):

@@ -401,31 +401,24 @@ def braid_apply(real, i):
     return real.with_matrices(mats)
 
 
-def _braid_image(real, i, images):
-    """braid_apply(real, i), read from ``images`` when it holds index i."""
-    return images[i] if images and i in images else braid_apply(real, i)
-
-
-def braid_relations(real, i, images=None):
+def _braid_relations(real, i, image, next_image):
     """beta_i beta_{i+1} beta_i = beta_{i+1} beta_i beta_{i+1}, compared
-    matrix by matrix.  ``images`` may map indices to the braid images of
-    ``real`` computed already."""
-    lhs = braid_apply(braid_apply(_braid_image(real, i, images), i + 1), i)
-    rhs = braid_apply(braid_apply(_braid_image(real, i + 1, images), i), i + 1)
+    matrix by matrix; ``image`` and ``next_image`` are the braid images of
+    ``real`` at i and i+1."""
+    lhs = braid_apply(braid_apply(image, i + 1), i)
+    rhs = braid_apply(braid_apply(next_image, i), i + 1)
     for k in range(1, real.n + 1):
         yield (f"braid rel ({i},{i+1}) M{k}[{{}}]", lhs.matrix(k), rhs.matrix(k))
 
 
-def braid_alternative_form_relations(real, i, images=None, G=None):
+def _braid_form_relations(real, i, image, g):
     """-M_i M_{i+1} M_i = q M_i G_{i,i+1} - q^2 M_{i+1}
                         = q^-1 G_{i,i+1} M_i - q^-2 M_{i+1}.
 
-    The left side is M_i of the braid image; ``images`` and the table ``G``
-    of geodesic functions by index pair may hold what is known already."""
+    The left side is M_i of the braid ``image``; ``g`` is G_{i,i+1}."""
     mi = real.matrix(i)
     mj = real.matrix(i + 1)
-    g = G[i, i + 1] if G else geodesic_G(real, i, i + 1)
-    prod = _braid_image(real, i, images).matrix(i)
+    prod = image.matrix(i)
     # q is central: scaling G before the product scales fewer terms
     yield (f"braid form {i}: q M G - q^2 M' [{{}}]", prod, mi.scalar_mul_right(Q1 * g) - Q2 * mj)
     yield (f"braid form {i}: q^-1 G M - q^-2 M' [{{}}]", prod, mi.scalar_mul_left(QM1 * g) - QM2 * mj)
@@ -439,13 +432,10 @@ def quantum_determinant_relations(real):
         yield (f"det {i}", b @ c - Q2 * (a @ a), real.one)
 
 
-def gm_relations(real, i, j, G=None):
+def _gm_relations(real, i, j, G):
     """Commutation of G_{i,j} with every M_k, including the middle-index
-    relation for i < k < j.  ``G`` maps index pairs to their geodesic
-    functions; by default it holds the pairs read here."""
-    if G is None:
-        pairs = [(i, j)] + [p for k in range(i + 1, j) for p in ((k, j), (i, k))]
-        G = {(k, l): geodesic_G(real, k, l) for k, l in pairs}
+    relation for i < k < j; ``G`` maps index pairs to their geodesic
+    functions."""
     g = G[i, j]
     qg, qig = Q1 * g, QM1 * g  # q is central, as in the braid form
     d2 = QM2 - Q2
@@ -471,13 +461,10 @@ def _ordered_products(real):
     }
 
 
-def braid_product_invariance_relations(real, i, images=None, products=None):
-    """The ordered products M_1 ... M_n and M_n ... M_1 are invariant under
-    each braid generator.  ``images`` and ``products`` (the two ordered
-    products of ``real``) may hold what is known already."""
-    imaged = _braid_image(real, i, images)
-    products = products or _ordered_products(real)
-    for label, imaged_product in _ordered_products(imaged).items():
+def _product_relations(i, products, image):
+    """The ordered ``products`` of a realization equal those of its braid
+    ``image`` at i."""
+    for label, imaged_product in _ordered_products(image).items():
         yield (f"braid {i} {label} product [{{}}]", products[label], imaged_product)
 
 
@@ -573,9 +560,11 @@ def family_records(src, family):
     'reflection' (the single-matrix form at weight zero only), 'pvi' (the
     four-point sphere), or the exact-only 'hermitian' (G(i,j)* = G(i,j)
     for every pair from the root; the one star check of the catalog, which
-    yields nothing over a source without a star), 'braid' and 'flip' (the
-    substitution invariants of each inner edge and of the root pending
-    edge), which raise ValueError over any other source."""
+    yields nothing over a source without a star), 'braid' (each braid
+    image, the geodesic functions and the two ordered products formed
+    once, and handed to the relations of each record that reads them) and
+    'flip' (the substitution invariants of each inner edge and of the root
+    pending edge), which raise ValueError over any other source."""
     if family in ("braid", "flip") and not isinstance(src, MonodromyRealization):
         raise ValueError(f"relation family {family!r} is exact-only")
     points = range(1, src.n + 1)
@@ -604,28 +593,27 @@ def family_records(src, family):
     elif family == "pvi":
         yield from pvi_relations(src)
     elif family == "braid":
-        # each braid image, geodesic function and ordered product once
+        # each braid image, geodesic function and ordered product once, held
+        # by the relations that read them: a record read late forms nothing
         images = {i: braid_apply(src, i) for i in range(1, src.n)}
         G = {(i, j): geodesic_G(src, i, j) for i, j in combinations(points, 2)}
         products = _ordered_products(src)
         anchor = "braid group relation compared matrix by matrix"
         for i in range(1, src.n - 1):
-            yield (f"braid-relation-{i}{i+1}", anchor, braid_relations(src, i, images))
+            relations = _braid_relations(src, i, images[i], images[i + 1])
+            yield (f"braid-relation-{i}{i+1}", anchor, relations)
         for i in range(1, src.n):
+            image = images.pop(i)
             anchor = "braid image as a geodesic-function combination"
-            yield (f"braid-alt-{i}", anchor, braid_alternative_form_relations(src, i, images, G))
+            yield (f"braid-alt-{i}", anchor, _braid_form_relations(src, i, image, G[i, i + 1]))
             anchor = "quantum determinant preserved by the braid action"
-            yield (f"braid-det-{i}", anchor, quantum_determinant_relations(images[i]))
+            yield (f"braid-det-{i}", anchor, quantum_determinant_relations(image))
             anchor = "cross relations preserved by the braid action"
-            yield (f"braid-cross-{i}", anchor, relation_families(images[i], ("cross",)))
+            yield (f"braid-cross-{i}", anchor, relation_families(image, ("cross",)))
             anchor = "ordered matrix products are braid invariants"
-            product_relations = braid_product_invariance_relations(src, i, images, products)
-            yield (f"braid-product-{i}", anchor, product_relations)
-            # free image i for the next index; a record read after this point
-            # computes the image again
-            del images[i]
+            yield (f"braid-product-{i}", anchor, _product_relations(i, products, image))
         anchor = "commutation table of geodesic functions with monodromies"
-        gm = (gm_relations(src, i, j, G) for i, j in combinations(points, 2))
+        gm = (_gm_relations(src, i, j, G) for i, j in combinations(points, 2))
         yield ("gm-table", anchor, chain.from_iterable(gm))
     elif family == "flip":
         graph = src.graph

@@ -15,15 +15,12 @@ from qshear.flips import (
 )
 from qshear.monodromy import (
     an_realization,
-    braid_alternative_form_relations,
     braid_apply,
-    braid_product_invariance_relations,
-    braid_relations,
     build_monodromy,
+    catalog_defects,
     cross_relation_defects,
     element_is_zero,
     geodesic_G,
-    gm_relations,
     nelson_regge_relations,
     pvi_realization,
     quantum_determinant_relations,
@@ -117,21 +114,19 @@ def test_criterion_4_braid():
     5 min."""
     start = time.perf_counter()
     real4 = an_realization(4)
-    assert_clean(relation_defects(braid_relations(real4, 1)))
-    assert_clean(relation_defects(braid_relations(real4, 2)))
     for i in range(1, 4):
         imaged = braid_apply(real4, i)
         assert_clean(relation_defects(quantum_determinant_relations(imaged)))
         for x in range(1, 5):
             for y in range(x + 1, 5):
                 assert_clean(cross_relation_defects(imaged, x, y))
-        assert_clean(relation_defects(braid_alternative_form_relations(real4, i)))
-    real3 = an_realization(3)
-    for i in (1, 2):
-        assert_clean(relation_defects(braid_product_invariance_relations(real3, i)))
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            assert_clean(relation_defects(gm_relations(real4, i, j)))
+    # the family's records: the braid relation, the braid form, the
+    # determinants and cross relations of each image, the ordered products
+    # and the G-M table
+    for real in (an_realization(3), real4):
+        for record, _, defects in catalog_defects(real, ("braid",)):
+            assert defects, record
+            assert_clean(defects)
     elapsed = time.perf_counter() - start
     assert _report("criterion-4 braid", elapsed < 300, elapsed)
 

@@ -3,18 +3,19 @@ import pytest
 from qshear import monodromy
 from qshear.fatgraph import PendingInfo, spine_graph_an
 from qshear.monodromy import (
+    _braid_form_relations,
+    _braid_relations,
+    _gm_relations,
+    _ordered_products,
+    _product_relations,
     an_realization,
-    braid_alternative_form_relations,
     braid_apply,
-    braid_product_invariance_relations,
-    braid_relations,
     build_monodromy,
     catalog_defects,
     cross_relation_defects,
     element_is_zero,
     family_records,
     geodesic_G,
-    gm_relations,
     quantum_determinant_relations,
     relation_defects,
     relation_families,
@@ -37,14 +38,25 @@ def an3():
     return an_realization(3)
 
 
-def test_braid_relation(an4):
-    assert_clean(relation_defects(braid_relations(an4, 1)))
-    assert_clean(relation_defects(braid_relations(an4, 2)))
+def _records(real):
+    return {record: defects for record, _, defects in catalog_defects(real, ("braid",))}
 
 
-def test_braid_alternative_form(an4):
+@pytest.fixture(scope="module")
+def an4_records(an4):
+    return _records(an4)
+
+
+def test_braid_relation(an4_records):
+    for record in ("braid-relation-12", "braid-relation-23"):
+        assert len(an4_records[record]) == 16
+        assert_clean(an4_records[record])
+
+
+def test_braid_alternative_form(an4_records):
     for i in (1, 2, 3):
-        assert_clean(relation_defects(braid_alternative_form_relations(an4, i)))
+        assert len(an4_records[f"braid-alt-{i}"]) == 8
+        assert_clean(an4_records[f"braid-alt-{i}"])
 
 
 def test_braid_preserves_determinant(an4):
@@ -68,10 +80,10 @@ def test_braid_index_bounds(an4):
         braid_apply(an4, 0)
 
 
-def test_gm_table(an4):
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            assert_clean(relation_defects(gm_relations(an4, i, j)))
+def test_gm_table(an4_records):
+    # six pairs (i, j), each against the four matrices, entry by entry
+    assert len(an4_records["gm-table"]) == 6 * 4 * 4
+    assert_clean(an4_records["gm-table"])
 
 
 def test_g_commutes_with_far_matrix(an3):
@@ -81,10 +93,11 @@ def test_g_commutes_with_far_matrix(an3):
     assert diff.is_zero()
 
 
-def test_products_are_braid_invariants(an3, an4):
-    for real in (an3, an4):
-        for i in range(1, real.n):
-            assert_clean(relation_defects(braid_product_invariance_relations(real, i)))
+def test_products_are_braid_invariants(an3, an4_records):
+    for records, n in ((_records(an3), 3), (an4_records, 4)):
+        for i in range(1, n):
+            assert len(records[f"braid-product-{i}"]) == 8
+            assert_clean(records[f"braid-product-{i}"])
 
 
 # -- fail direction ------------------------------------------------------------
@@ -96,28 +109,25 @@ def _nonzero(defects):
 
 def _transposed_G(src, i, j):
     """G_ij with the transposed q-powers q^-1 b_i c_j + q^-3 c_i b_j - ..."""
-    if i == 0:
-        return geodesic_G(src, i, j)
     ai, bi, ci = (src.entry(k, i) for k in "abc")
     aj, bj, cj = (src.entry(k, j) for k in "abc")
     q, q3 = src.q(-1), src.q(-3)
     return q * (bi @ cj) + q3 * (ci @ bj) - (q3 + q) * (ai @ aj)
 
 
-def test_transposed_G_breaks_the_braid_form_and_gm_table(monkeypatch, an3):
-    monkeypatch.setattr(monodromy, "geodesic_G", _transposed_G)
-    assert _nonzero(relation_defects(braid_alternative_form_relations(an3, 1))) == 8
-    assert _nonzero(relation_defects(gm_relations(an3, 1, 3))) == 12
+def test_transposed_G_breaks_the_braid_form_and_gm_table(an3):
+    G = {(i, j): _transposed_G(an3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))}
+    form = _braid_form_relations(an3, 1, braid_apply(an3, 1), G[1, 2])
+    assert _nonzero(relation_defects(form)) == 8
+    assert _nonzero(relation_defects(_gm_relations(an3, 1, 3, G))) == 12
 
 
-def test_unsigned_braid_image_breaks_product_invariance(monkeypatch, an3):
-    def unsigned(real, i):
-        mats = list(real.mats)
-        mats[i - 1], mats[i] = mats[i - 1] @ mats[i] @ mats[i - 1], mats[i - 1]
-        return real.with_matrices(mats)
-
-    monkeypatch.setattr(monodromy, "braid_apply", unsigned)
-    assert _nonzero(relation_defects(braid_product_invariance_relations(an3, 1))) == 6
+def test_unsigned_braid_image_breaks_product_invariance(an3):
+    mats = list(an3.mats)
+    mats[0], mats[1] = mats[0] @ mats[1] @ mats[0], mats[0]
+    unsigned = an3.with_matrices(mats)
+    relations = _product_relations(1, _ordered_products(an3), unsigned)
+    assert _nonzero(relation_defects(relations)) == 6
 
 
 def test_order_three_point_breaks_the_determinant():
@@ -133,15 +143,17 @@ def test_braid_relation_compares_the_two_sides(monkeypatch, an3):
     side all satisfy it), so its fail direction is pinned by dropping the
     last generator of each side: beta_1 beta_2 against beta_2 beta_1
     differs in all 12 entries."""
+    image, next_image = braid_apply(an3, 1), braid_apply(an3, 2)
     calls = []
 
     def one_short(real, i):
         calls.append(i)
-        return real if len(calls) % 3 == 0 else braid_apply(real, i)
+        return real if len(calls) % 2 == 0 else braid_apply(real, i)
 
     monkeypatch.setattr(monodromy, "braid_apply", one_short)
-    assert _nonzero(relation_defects(braid_relations(an3, 1))) == 12
-    assert calls == [1, 2, 1, 2, 1, 2]
+    relations = _braid_relations(an3, 1, image, next_image)
+    assert _nonzero(relation_defects(relations)) == 12
+    assert calls == [2, 1, 1, 2]
 
 
 # -- the braid family: each image once, the verdict both ways ------------------
@@ -157,45 +169,54 @@ def test_braid_family_records_keep_their_order(an4):
     ]
     labels = {record: [lbl for lbl, _ in defects] for record, _, defects in records}
 
-    def standalone(relations):
+    def labels_of(relations):
         return [lbl for lbl, _ in relation_defects(relations)]
 
     for i in (1, 2, 3):
         imaged = braid_apply(an4, i)
-        assert labels[f"braid-alt-{i}"] == standalone(braid_alternative_form_relations(an4, i))
+        form = _braid_form_relations(an4, i, imaged, geodesic_G(an4, i, i + 1))
+        assert labels[f"braid-alt-{i}"] == labels_of(form)
         assert labels[f"braid-det-{i}"] == ["det 1", "det 2", "det 3", "det 4"]
-        assert labels[f"braid-cross-{i}"] == standalone(relation_families(imaged, ("cross",)))
+        assert labels[f"braid-cross-{i}"] == labels_of(relation_families(imaged, ("cross",)))
     pairs = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-    gm = [lbl for i, j in pairs for lbl in standalone(gm_relations(an4, i, j))]
-    assert labels["gm-table"] == gm
+    G = {(i, j): geodesic_G(an4, i, j) for i, j in pairs}
+    assert labels["gm-table"] == [lbl for i, j in pairs for lbl in labels_of(_gm_relations(an4, i, j, G))]
 
 
 def test_braid_family_records_read_late_give_the_same_defects(an4):
     """Records taken all at once and read afterwards, when the family has
-    freed its braid images, compute them again."""
+    let go of its table of braid images, read the images they hold."""
     late = [(record, relation_defects(rels)) for record, _, rels in list(family_records(an4, "braid"))]
     assert late == [(record, defects) for record, _, defects in catalog_defects(an4, ("braid",))]
 
 
-def test_braid_family_images_the_source_once_per_index(monkeypatch, an4):
+def _counting_braid(monkeypatch, source):
+    """Record the index of every braid_apply call on ``source`` itself."""
     calls = []
 
     def counting(real, i):
-        calls.append((real is an4, i))
+        if real is source:
+            calls.append(i)
         return braid_apply(real, i)
 
     monkeypatch.setattr(monodromy, "braid_apply", counting)
+    return calls
+
+
+def test_braid_family_images_the_source_once_per_index(monkeypatch, an4):
+    calls = _counting_braid(monkeypatch, an4)
     catalog_defects(an4, ("braid",))
-    assert sorted(i for from_source, i in calls if from_source) == [1, 2, 3]
+    assert sorted(calls) == [1, 2, 3]
 
 
-def test_braid_family_gives_the_standalone_defects(an4):
-    records = {record: defects for record, _, defects in catalog_defects(an4, ("braid",))}
-    for i in (1, 2):
-        assert records[f"braid-relation-{i}{i + 1}"] == relation_defects(braid_relations(an4, i))
-    for i in (1, 2, 3):
-        standalone = relation_defects(braid_product_invariance_relations(an4, i))
-        assert records[f"braid-product-{i}"] == standalone
+def test_braid_family_records_read_late_image_the_source_once_per_index(monkeypatch, an4):
+    """Every record is listed before any is read: the relations still read
+    the images formed when the family began, not images formed again."""
+    calls = _counting_braid(monkeypatch, an4)
+    records = list(family_records(an4, "braid"))
+    for _, _, relations in records:
+        relation_defects(relations)
+    assert sorted(calls) == [1, 2, 3]
 
 
 def _swapping_braid(real, i):
@@ -233,27 +254,28 @@ def _entries(prefix):
 def test_witness_labels_are_pinned(an3):
     """A passing record carries no witness, so the report bytes cannot see
     these labels; they name the relation and entry a failure points at."""
-    assert [lbl for lbl, _ in relation_defects(braid_relations(an3, 1))] == [
+    labels = {
+        record: [lbl for lbl, _ in defects] for record, _, defects in catalog_defects(an3, ("braid",))
+    }
+    assert labels["braid-relation-12"] == [
         label for k in (1, 2, 3) for label in _entries(f"braid rel (1,2) M{k}[")
     ]
     assert _entries("G(1,3) vs M2 [") == [
         "G(1,3) vs M2 [00]", "G(1,3) vs M2 [01]", "G(1,3) vs M2 [10]", "G(1,3) vs M2 [11]"
     ]
     for i in (1, 2):
-        assert [lbl for lbl, _ in relation_defects(braid_alternative_form_relations(an3, i))] == [
+        assert labels[f"braid-alt-{i}"] == [
             *_entries(f"braid form {i}: q M G - q^2 M' ["),
             *_entries(f"braid form {i}: q^-1 G M - q^-2 M' ["),
         ]
-        assert [lbl for lbl, _ in relation_defects(braid_product_invariance_relations(an3, i))] == [
+        assert labels[f"braid-product-{i}"] == [
             *_entries(f"braid {i} forward product ["),
             *_entries(f"braid {i} reverse product ["),
         ]
-    assert [lbl for lbl, _ in relation_defects(quantum_determinant_relations(an3))] == [
-        "det 1",
-        "det 2",
-        "det 3",
+        assert labels[f"braid-det-{i}"] == ["det 1", "det 2", "det 3"]
+    assert labels["gm-table"] == [
+        label
+        for i, j in ((1, 2), (1, 3), (2, 3))
+        for k in (1, 2, 3)
+        for label in _entries(f"G({i},{j}) vs M{k} [")
     ]
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        assert [lbl for lbl, _ in relation_defects(gm_relations(an3, i, j))] == [
-            label for k in (1, 2, 3) for label in _entries(f"G({i},{j}) vs M{k} [")
-        ]

@@ -265,6 +265,23 @@ def test_oracle_records_are_pinned(tmp_path, capsys):
     assert digest == "665a46646030386583ff39d8c82173613a56eca4c5fd00a7323ef13eeec34c69"
 
 
+def test_all_suites_report_content_is_pinned(tmp_path, capsys):
+    """All nine suites at the default config: the report without its four
+    float extras, which depend on the BLAS and the CPU, is pinned as the
+    sha256 of its sorted-key JSON.  A change of any record's id, anchor,
+    status, count or witness is a change of behaviour and moves the pin."""
+    report = tmp_path / "r.json"
+    argv = [arg for name in suites.SUITES for arg in ("--suite", name)]
+    assert main(argv + ["--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    for record in doc["identities"]:
+        for key in ("max_norm", "max_deviation", "min_trace", "max_violation"):
+            record.get("extras", {}).pop(key, None)
+    assert len(doc["identities"]) == 121
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "ec3ba65fd6b0c74b54356a33da0470b9ff786bf7622aa19d1c0f8846b53785b2"
+
+
 def test_repeated_suite_or_modulus_is_usage_error(monkeypatch, capsys):
     """A repeated suite, graph or modulus would write its records twice
     under the same ids; it stops with one error line before any suite

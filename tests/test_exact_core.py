@@ -77,7 +77,7 @@ def test_torus_mul_matches_per_pair_pairing(pair):
 @settings(max_examples=150, deadline=None)
 @given(coefficients, coefficients)
 def test_integral_values_are_stored_as_int(x, y):
-    for c in (x, y, x + y, x - y, x * y, x.mul(y, 3), x.at_t_one()):
+    for c in (x, y, x + y, x - y, x * y, x.mul(y).times_t(3), x.at_t_one()):
         for v in stored_values(c):
             assert v
             assert type(v) is int or v.denominator != 1

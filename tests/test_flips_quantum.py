@@ -229,15 +229,15 @@ def test_substitution_builders_refuse_wrong_kind_and_repeated_roles():
 
 
 def test_broken_flip_fails_its_records(monkeypatch):
-    """With the q**-1 of every flip binomial read as q**0, the records that
-    use the quantum images fail at their first relation and entry, while
-    the tilde expansion, which uses none, still passes."""
-    binomial = flips._binomial
+    """With the q**-1 of every flip (tri)nomial read as q**0, the records
+    that use the quantum images fail at their first relation and entry,
+    while the tilde expansion, which uses none, still passes."""
+    qden = flips._qden
 
     def broken(form, name, sign, qpow, weight=None):
-        return binomial(form, name, sign, 0 if qpow == -1 else qpow, weight)
+        return qden(form, name, sign, 0 if qpow == -1 else qpow, weight)
 
-    monkeypatch.setattr(flips, "_binomial", broken)
+    monkeypatch.setattr(flips, "_qden", broken)
     reports = run_suite("flips-quantum", RunConfig(suites=("flips-quantum",)))
     assert not [r.ident for r in reports if r.status is None]
     an3 = {r.ident: r for r in reports if r.ident.startswith("an3-")}
@@ -245,8 +245,8 @@ def test_broken_flip_fails_its_records(monkeypatch):
     assert sorted(failing) == [
         "an3-flip-invariance-X1", "an3-root-flip-G0i", "an3-sub-X1-morphism", "an3-sub-root-morphism"
     ]
-    assert failing["an3-sub-X1-morphism"].startswith("('S', 1, 'S', -1): ")
+    assert failing["an3-sub-X1-morphism"].startswith("('Z1', 1, 'S', 1): ")
     assert failing["an3-flip-invariance-X1"].startswith("M1[00]: ")
-    assert failing["an3-sub-root-morphism"].startswith("('X1', 1, 'X1', -1): ")
+    assert failing["an3-sub-root-morphism"].startswith("('Z3', 1, 'X1', 1): ")
     assert failing["an3-root-flip-G0i"].startswith("G(0,1): ")
     assert an3["an3-tilde-expansion-X1"].status is True
