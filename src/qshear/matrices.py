@@ -31,7 +31,7 @@ class AlgMatrix:
             raise ValueError("AlgMatrix must be square of size 2, 4 or 8")
         for row in rows:
             for x in row:
-                if x.form != form:
+                if x.form is not form and x.form != form:
                     raise ValueError("entries live over different forms")
         self.form = form
         self.n = n

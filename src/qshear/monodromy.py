@@ -367,22 +367,27 @@ def reflection_relations(src, i, j):
     """R12[q^-1] M_i^(1) R12[q] M_j^(2) = M_j^(2) R12[q^-1] M_i^(1) R12[q].
 
     The leading argument q^-1 is the one compatible with the entry
-    relations and with the single-matrix form below.
+    relations and with the single-matrix form below.  Both sides share
+    R12[q^-1] M_i^(1) R12[q], formed once, so that no R-matrix meets a
+    product of M_i and M_j entries.
     """
     r_pos, r_neg = src.r_matrix(-1), src.r_matrix(1)
-    mi1 = src.embed(src.matrix(i), 1)
+    x = r_pos @ src.embed(src.matrix(i), 1) @ r_neg
     mj2 = src.embed(src.matrix(j), 2)
-    yield (f"reflection ({i},{j}) entry {{}}", r_pos @ mi1 @ r_neg @ mj2, mj2 @ r_pos @ mi1 @ r_neg)
+    yield (f"reflection ({i},{j}) entry {{}}", x @ mj2, mj2 @ x)
 
 
 def reflection_ii_relations(src, i):
-    """R^T_12[q^-2] M_i^(2) M_i^(1) = M_i^(1) M_i^(2) R_12[q^-2]."""
+    """R^T_12[q^-2] M_i^(2) M_i^(1) = M_i^(1) M_i^(2) R_12[q^-2].
+
+    Each R multiplies the one-matrix factor beside it first, whose entries
+    are single entries of M_i, not the block of their products."""
     mi1 = src.embed(src.matrix(i), 1)
     mi2 = src.embed(src.matrix(i), 2)
     yield (
         f"reflection-ii ({i}) entry {{}}",
-        src.r_matrix(-2, transposed=True) @ mi2 @ mi1,
-        mi1 @ mi2 @ src.r_matrix(-2),
+        (src.r_matrix(-2, transposed=True) @ mi2) @ mi1,
+        mi1 @ (mi2 @ src.r_matrix(-2)),
     )
 
 

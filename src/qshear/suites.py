@@ -4,8 +4,9 @@ its content numerically in clock-and-shift representations.
 
 A run computes each shared input once: its :class:`RunStore`, made with
 its :class:`RunConfig`, builds each built-in realization on first use and
-keeps each relation family's numeric pairs per realization and modulus,
-so a suite reads what an earlier suite of the same run has computed.
+keeps each realization's numeric source and each relation family's numeric
+pairs per realization and modulus, so a suite reads what an earlier suite
+of the same run has computed.
 Nothing is cached at module level: two runs in one process share nothing.
 """
 
@@ -35,12 +36,17 @@ _ORACLE_PARAMS = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
 
 class RunStore:
     """What one run computes once and then reads: the built-in realizations
-    by name ('an<n>' or 'pvi'), and the numeric pairs of each relation
-    family, keyed by (realization, modulus, family).  A pair keeps only the
-    2x2 forms of its sides; no numeric source is kept."""
+    by name ('an<n>' or 'pvi'), the numeric source of each realization at
+    each modulus (``oracle.numeric_realization``), keyed by (realization,
+    modulus), and the numeric pairs of each relation family, keyed by
+    (realization, modulus, family).  A pair keeps only the 2x2 forms of its
+    sides.  A source holds its compiled word passes, a gather index and a
+    phase column of twice the representation's dimension per edge (about
+    2.7 MB for an4 at modulus 13), for the rest of the run."""
 
     def __init__(self):
         self.realizations = {}
+        self.sources = {}
         self.pairs = {}
 
     def realization(self, name):
@@ -136,8 +142,9 @@ def _numeric_pairs(real, config, families):
     """For each oracle modulus, in order, (modulus, pairs): the numeric
     pairs of the named relation families of ``real`` in the clock-and-shift
     representation at that modulus.  A family this run has read before
-    comes from the run's store; the others come off one numeric
-    realization, one family at a time, in one split of its forms
+    comes from the run's store; the others come off the run's one numeric
+    source of ``real`` at that modulus, made by the first suite that needs
+    it, one family at a time, in one split of its forms
     (``oracle.relation_forms``).  A pair keeps the 2x2 forms of its sides."""
     from . import oracle
 
@@ -145,11 +152,12 @@ def _numeric_pairs(real, config, families):
     for modulus in config.oracle_moduli:
         missing = [f for f in families if (real, modulus, f) not in store.pairs]
         if missing:
-            rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
-            src = oracle.numeric_realization(rep, real, _ORACLE_PARAMS)
+            src = store.sources.get((real, modulus))
+            if src is None:
+                rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
+                src = store.sources[real, modulus] = oracle.numeric_realization(rep, real, _ORACLE_PARAMS)
             for family in missing:
                 store.keep_pairs((real, modulus, family), oracle.numeric_relation_pairs(src, (family,)))
-            del src  # the source is freed before the caller reads the pairs
         yield modulus, [pair for family in families for pair in store.read_pairs((real, modulus, family))]
 
 

@@ -550,6 +550,21 @@ def test_oracle_soundness_reads_the_pairs_of_earlier_suites(monkeypatch, tmp_pat
     assert mutations == alone
 
 
+def test_one_numeric_source_per_realization_and_modulus(monkeypatch, tmp_path):
+    """The oracle suites of one run make each numeric source once: an-core
+    makes an3 and an4 at each default modulus, pvi makes its own, and
+    an-nelson-regge, an-rmatrix and oracle-soundness read the kept ones."""
+    from qshear import oracle
+
+    sizes = []
+    numeric_realization = oracle.numeric_realization
+    monkeypatch.setattr(
+        oracle, "numeric_realization", lambda rep, real, params: sizes.append(real.n) or numeric_realization(rep, real, params)
+    )
+    _run(tmp_path, "an-core", "an-nelson-regge", "an-rmatrix", "oracle-soundness", "pvi")
+    assert sizes == [3, 3, 4, 4, 2, 2]
+
+
 def test_stored_realizations_are_unchanged_by_all_suites(monkeypatch, tmp_path):
     """Every suite reads the run's stored realizations; none changes one."""
     configs = []

@@ -139,6 +139,22 @@ def test_mat_scale(form):
     assert (Coefficient.q_power(-1) * (Coefficient.q_power(1) * e) - e).is_zero()
 
 
+def test_entries_over_the_matrix_form_make_no_form_comparison(form, monkeypatch):
+    """The form check compares by identity first: entries that share the
+    matrix's form compare no names or beta tables; an equal copy of the
+    form is compared by value and passes, and a foreign form raises."""
+    x = ew(form, {"X": 1})
+    calls = []
+    eq = SkewForm.__eq__
+    monkeypatch.setattr(SkewForm, "__eq__", lambda self, other: calls.append(1) or eq(self, other))
+    AlgMatrix(form, [[x, x], [x, x]])
+    assert calls == []
+    AlgMatrix(SkewForm(form.names, form.beta), [[x, x], [x, x]])
+    assert len(calls) == 4
+    with pytest.raises(ValueError, match="different forms"):
+        AlgMatrix(SkewForm(("X", "Y"), [[0, 1], [-1, 0]]), [[x, x], [x, x]])
+
+
 def test_scalar_product_takes_coefficients_only(form):
     # a Coefficient scales; a torus element and a matrix do not multiply
     # each other with *, which would build entries that are not Coefficients

@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -192,6 +193,58 @@ def test_reflection_equations(an3):
 
 def test_pvi_reflection(pvi):
     assert_clean(relation_defects(reflection_relations(pvi, 1, 2)))
+
+
+def _keys(m):
+    return [x.key() for row in m.rows for x in row]
+
+
+@pytest.mark.parametrize("name", ["an3", "an4", "pvi"])
+def test_reflection_sides_are_the_left_to_right_chains(name, request):
+    """Both reflection forms share or re-associate their factors; each side
+    is still, entry by entry, the element of its product read left to
+    right."""
+    real = request.getfixturevalue(name)
+    r_pos, r_neg = real.r_matrix(-1), real.r_matrix(1)
+    r_t, r = real.r_matrix(-2, transposed=True), real.r_matrix(-2)
+    points = range(1, real.n + 1)
+    for i, j in combinations(points, 2):
+        mi1, mj2 = real.embed(real.matrix(i), 1), real.embed(real.matrix(j), 2)
+        [(_, lhs, rhs)] = reflection_relations(real, i, j)
+        assert _keys(lhs) == _keys(r_pos.mul(mi1).mul(r_neg).mul(mj2)), (i, j)
+        assert _keys(rhs) == _keys(mj2.mul(r_pos).mul(mi1).mul(r_neg)), (i, j)
+    for i in (i for i in points if not real.omegas[i]):
+        mi1, mi2 = real.embed(real.matrix(i), 1), real.embed(real.matrix(i), 2)
+        [(_, lhs, rhs)] = reflection_ii_relations(real, i)
+        assert _keys(lhs) == _keys(r_t.mul(mi2).mul(mi1)), i
+        assert _keys(rhs) == _keys(mi1.mul(mi2).mul(r)), i
+
+
+def _mutate_r_matrix(monkeypatch, mutant):
+    """Every R-matrix the exact families ask for becomes the R at
+    ``mutant(power, transposed)``."""
+    r_matrix = monodromy.MonodromyRealization.r_matrix
+    monkeypatch.setattr(
+        monodromy.MonodromyRealization,
+        "r_matrix",
+        lambda self, power, transposed=False: r_matrix(self, *mutant(power, transposed)),
+    )
+
+
+def test_shared_mixed_factor_with_one_r_matrix_fails_every_mixed_record(an3, monkeypatch):
+    """R12[q^-1] M_i R12[q^-1] in place of the shared R12[q^-1] M_i R12[q]
+    breaks every mixed record: the sides x M_j and M_j x are not one
+    product written twice."""
+    _mutate_r_matrix(monkeypatch, lambda power, transposed: (-1 if power == 1 else power, transposed))
+    assert _failing_records(an3, "reflection") == ["reflection-12", "reflection-13", "reflection-23"]
+
+
+@pytest.mark.parametrize("name", ["an3", "an4"])
+def test_untransposed_left_r_matrix_fails_every_single_matrix_record(name, request, monkeypatch):
+    real = request.getfixturevalue(name)
+    _mutate_r_matrix(monkeypatch, lambda power, transposed: (power, False))
+    failing = _failing_records(real, "reflection")
+    assert failing == [f"reflection-ii-{i}" for i in range(1, real.n + 1)]
 
 
 def test_pvi_entries(pvi):
