@@ -249,7 +249,7 @@ def apply_substitution(sub, x):
     the target coordinates."""
     tform = sub.target_form
     sform = sub.source_form
-    if x.form != tform:
+    if x.form is not tform and x.form != tform:
         raise ValueError("element does not live over the substitution target")
     if not even_check(x, sub.affected):
         raise ValueError(

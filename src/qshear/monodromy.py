@@ -15,9 +15,8 @@ callers wrap these into reports.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import chain, combinations
-from operator import matmul
+from math import prod
 
 from .coeffs import Coefficient
 from .fatgraph import (
@@ -392,28 +391,57 @@ def reflection_ii_relations(src, i):
 
 
 # -- braid action (exact sources only) ---------------------------------------
+#
+# A braided matrix is a signed word (sign, indices) over the source's
+# matrices; a _WordProducts multiplies each distinct word once.
+
+
+class _WordProducts(dict):
+    """The product of each word over the matrices of ``src``, formed on its
+    first read as product(word[:h]) @ product(word[h:]), h = len(word) // 2;
+    ``letters`` are the source's own matrices as signed words."""
+
+    def __init__(self, src):
+        self.letters = tuple((1, (k,)) for k in range(1, src.n + 1))
+        super().__init__((word, src.matrix(*word)) for _, word in self.letters)
+
+    def __missing__(self, word):
+        h = len(word) // 2
+        product = self[word] = self[word[:h]] @ self[word[h:]]
+        return product
+
+    def signed(self, *words):
+        """The product of the signed ``words`` joined in order."""
+        product = self[tuple(chain.from_iterable(word for _, word in words))]
+        return product if prod(sign for sign, _ in words) > 0 else -product
+
+
+def _braid_move(words, i):
+    """The braid generator swapping points i, i+1 on signed words:
+    M_{i+1} -> M_i and M_i -> -M_i M_{i+1} M_i, whose sign is -s_{i+1}."""
+    if not 1 <= i <= len(words) - 1:
+        raise ValueError("braid index out of range")
+    words = list(words)
+    (si, wi), (sj, wj) = words[i - 1], words[i]
+    words[i - 1], words[i] = (-sj, wi + wj + wi), (si, wi)
+    return tuple(words)
 
 
 def braid_apply(real, i):
     """The braid generator swapping points i, i+1: M_{i+1} -> M_i and
     M_i -> -M_i M_{i+1} M_i in natural order."""
-    if not 1 <= i <= real.n - 1:
-        raise ValueError("braid index out of range")
-    mats = list(real.mats)
-    mi = mats[i - 1]
-    mats[i - 1] = -(mi @ mats[i] @ mi)
-    mats[i] = mi
-    return real.with_matrices(mats)
+    products = _WordProducts(real)
+    return real.with_matrices(map(products.signed, _braid_move(products.letters, i)))
 
 
-def _braid_relations(real, i, image, next_image):
+def _braid_relations(i, moved, next_moved, products):
     """beta_i beta_{i+1} beta_i = beta_{i+1} beta_i beta_{i+1}, compared
-    matrix by matrix; ``image`` and ``next_image`` are the braid images of
-    ``real`` at i and i+1."""
-    lhs = braid_apply(braid_apply(image, i + 1), i)
-    rhs = braid_apply(braid_apply(next_image, i), i + 1)
-    for k in range(1, real.n + 1):
-        yield (f"braid rel ({i},{i+1}) M{k}[{{}}]", lhs.matrix(k), rhs.matrix(k))
+    matrix by matrix; ``moved`` and ``next_moved`` are the source's words
+    after the moves at i and at i+1."""
+    lhs = _braid_move(_braid_move(moved, i + 1), i)
+    rhs = _braid_move(_braid_move(next_moved, i), i + 1)
+    for k, sides in enumerate(zip(lhs, rhs), start=1):
+        yield (f"braid rel ({i},{i+1}) M{k}[{{}}]", *map(products.signed, sides))
 
 
 def _braid_form_relations(real, i, image, g):
@@ -458,19 +486,12 @@ def _gm_relations(real, i, j, G):
         yield (f"G({i},{j}) vs M{k} [{{}}]", lhs, rhs)
 
 
-def _ordered_products(real):
-    """The forward and reverse products M_1 ... M_n and M_n ... M_1."""
-    return {
-        label: reduce(matmul, map(real.matrix, order))
-        for label, order in (("forward", range(1, real.n + 1)), ("reverse", range(real.n, 0, -1)))
-    }
-
-
-def _product_relations(i, products, image):
-    """The ordered ``products`` of a realization equal those of its braid
-    ``image`` at i."""
-    for label, imaged_product in _ordered_products(image).items():
-        yield (f"braid {i} {label} product [{{}}]", products[label], imaged_product)
+def _product_relations(i, moved, products):
+    """The forward and reverse products M_1 ... M_n and M_n ... M_1 of the
+    source equal those of its braid image at i, whose words are ``moved``."""
+    for label, step in (("forward", 1), ("reverse", -1)):
+        sides = (products.signed(*words[::step]) for words in (products.letters, moved))
+        yield (f"braid {i} {label} product [{{}}]", *sides)
 
 
 # -- flip invariance (exact sources only) -------------------------------------
@@ -566,10 +587,11 @@ def family_records(src, family):
     four-point sphere), or the exact-only 'hermitian' (G(i,j)* = G(i,j)
     for every pair from the root; the one star check of the catalog, which
     yields nothing over a source without a star), 'braid' (each braid
-    image, the geodesic functions and the two ordered products formed
-    once, and handed to the relations of each record that reads them) and
-    'flip' (the substitution invariants of each inner edge and of the root
-    pending edge), which raise ValueError over any other source."""
+    image, the geodesic functions and each word of the source's matrices
+    formed once, and handed to the relations of each record that reads
+    them) and 'flip' (the substitution invariants of each inner edge and
+    of the root pending edge), which raise ValueError over any other
+    source."""
     if family in ("braid", "flip") and not isinstance(src, MonodromyRealization):
         raise ValueError(f"relation family {family!r} is exact-only")
     points = range(1, src.n + 1)
@@ -598,14 +620,16 @@ def family_records(src, family):
     elif family == "pvi":
         yield from pvi_relations(src)
     elif family == "braid":
-        # each braid image, geodesic function and ordered product once, held
-        # by the relations that read them: a record read late forms nothing
-        images = {i: braid_apply(src, i) for i in range(1, src.n)}
+        # each braid image and geodesic function once, and every braided
+        # matrix as a signed word multiplied once through one memo, held by
+        # the relations that read them: a record read late forms nothing
+        products = _WordProducts(src)
+        moved = {i: _braid_move(products.letters, i) for i in range(1, src.n)}
+        images = {i: src.with_matrices(map(products.signed, w)) for i, w in moved.items()}
         G = {(i, j): geodesic_G(src, i, j) for i, j in combinations(points, 2)}
-        products = _ordered_products(src)
         anchor = "braid group relation compared matrix by matrix"
         for i in range(1, src.n - 1):
-            relations = _braid_relations(src, i, images[i], images[i + 1])
+            relations = _braid_relations(i, moved[i], moved[i + 1], products)
             yield (f"braid-relation-{i}{i+1}", anchor, relations)
         for i in range(1, src.n):
             image = images.pop(i)
@@ -616,7 +640,7 @@ def family_records(src, family):
             anchor = "cross relations preserved by the braid action"
             yield (f"braid-cross-{i}", anchor, relation_families(image, ("cross",)))
             anchor = "ordered matrix products are braid invariants"
-            yield (f"braid-product-{i}", anchor, _product_relations(i, products, image))
+            yield (f"braid-product-{i}", anchor, _product_relations(i, moved[i], products))
         anchor = "commutation table of geodesic functions with monodromies"
         gm = (_gm_relations(src, i, j, G) for i, j in combinations(points, 2))
         yield ("gm-table", anchor, chain.from_iterable(gm))

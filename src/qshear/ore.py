@@ -204,7 +204,7 @@ def _coerce(x, form):
     if isinstance(x, TorusElement):
         return OreElement.from_torus(x)
     if isinstance(x, OreElement):
-        if x.form != form:
+        if x.form is not form and x.form != form:
             raise ValueError("mixed skew forms")
         return x
     raise TypeError(f"cannot coerce {type(x).__name__} into the Ore ring")

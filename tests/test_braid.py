@@ -1,13 +1,18 @@
+from functools import reduce
+from operator import matmul
+
 import pytest
 
 from qshear import monodromy
 from qshear.fatgraph import PendingInfo, spine_graph_an
+from qshear.matrices import AlgMatrix
 from qshear.monodromy import (
     _braid_form_relations,
+    _braid_move,
     _braid_relations,
     _gm_relations,
-    _ordered_products,
     _product_relations,
+    _WordProducts,
     an_realization,
     braid_apply,
     build_monodromy,
@@ -123,10 +128,10 @@ def test_transposed_G_breaks_the_braid_form_and_gm_table(an3):
 
 
 def test_unsigned_braid_image_breaks_product_invariance(an3):
-    mats = list(an3.mats)
-    mats[0], mats[1] = mats[0] @ mats[1] @ mats[0], mats[0]
-    unsigned = an3.with_matrices(mats)
-    relations = _product_relations(1, _ordered_products(an3), unsigned)
+    products = _WordProducts(an3)
+    unsigned = tuple((1, word) for _, word in _braid_move(products.letters, 1))
+    assert unsigned[0] == (1, (1, 2, 1))
+    relations = _product_relations(1, unsigned, products)
     assert _nonzero(relation_defects(relations)) == 6
 
 
@@ -143,15 +148,16 @@ def test_braid_relation_compares_the_two_sides(monkeypatch, an3):
     side all satisfy it), so its fail direction is pinned by dropping the
     last generator of each side: beta_1 beta_2 against beta_2 beta_1
     differs in all 12 entries."""
-    image, next_image = braid_apply(an3, 1), braid_apply(an3, 2)
+    products = _WordProducts(an3)
+    moved, next_moved = (_braid_move(products.letters, i) for i in (1, 2))
     calls = []
 
-    def one_short(real, i):
+    def one_short(words, i):
         calls.append(i)
-        return real if len(calls) % 2 == 0 else braid_apply(real, i)
+        return words if len(calls) % 2 == 0 else _braid_move(words, i)
 
-    monkeypatch.setattr(monodromy, "braid_apply", one_short)
-    relations = _braid_relations(an3, 1, image, next_image)
+    monkeypatch.setattr(monodromy, "_braid_move", one_short)
+    relations = _braid_relations(1, moved, next_moved, products)
     assert _nonzero(relation_defects(relations)) == 12
     assert calls == [2, 1, 1, 2]
 
@@ -190,51 +196,96 @@ def test_braid_family_records_read_late_give_the_same_defects(an4):
     assert late == [(record, defects) for record, _, defects in catalog_defects(an4, ("braid",))]
 
 
-def _counting_braid(monkeypatch, source):
-    """Record the index of every braid_apply call on ``source`` itself."""
-    calls = []
+def _recording_products(monkeypatch):
+    """Record every word memo the braid family makes, with the words each
+    one multiplies, and count every matrix product."""
+    memos, matrix_products = [], []
 
-    def counting(real, i):
-        if real is source:
-            calls.append(i)
-        return braid_apply(real, i)
+    class Recording(_WordProducts):
+        def __init__(self, src):
+            super().__init__(src)
+            self.formed = []
+            memos.append(self)
 
-    monkeypatch.setattr(monodromy, "braid_apply", counting)
-    return calls
+        def __missing__(self, word):
+            self.formed.append(word)
+            return super().__missing__(word)
+
+    mul = AlgMatrix.mul
+
+    def counting(self, other):
+        matrix_products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(monodromy, "_WordProducts", Recording)
+    monkeypatch.setattr(AlgMatrix, "mul", counting)
+    return memos, matrix_products
+
+
+def _assert_each_word_multiplied_once(memos, matrix_products):
+    (memo,) = memos  # one memo per family run
+    assert memo.formed and all(len(word) > 1 for word in memo.formed)
+    assert len(set(memo.formed)) == len(memo.formed) == len(matrix_products)
 
 
 def test_braid_family_images_the_source_once_per_index(monkeypatch, an4):
-    calls = _counting_braid(monkeypatch, an4)
+    """Every braided matrix is a word over the source's matrices; each
+    distinct word is multiplied once per family run, and no other matrix
+    product is made."""
+    memos, matrix_products = _recording_products(monkeypatch)
     catalog_defects(an4, ("braid",))
-    assert sorted(calls) == [1, 2, 3]
+    _assert_each_word_multiplied_once(memos, matrix_products)
 
 
 def test_braid_family_records_read_late_image_the_source_once_per_index(monkeypatch, an4):
     """Every record is listed before any is read: the relations still read
-    the images formed when the family began, not images formed again."""
-    calls = _counting_braid(monkeypatch, an4)
+    the memo of the family's run, and form no word again."""
+    memos, matrix_products = _recording_products(monkeypatch)
     records = list(family_records(an4, "braid"))
     for _, _, relations in records:
         relation_defects(relations)
-    assert sorted(calls) == [1, 2, 3]
+    _assert_each_word_multiplied_once(memos, matrix_products)
 
 
-def _swapping_braid(real, i):
-    """A wrong braid image: M_i -> -M_{i+1} M_i M_i, which is M_{i+1} at an
+def _terms(mat):
+    return [x.terms for row in mat.rows for x in row]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_word_split_at_its_middle_is_its_left_to_right_product(monkeypatch, n):
+    real = an_realization(n)
+    memos, _ = _recording_products(monkeypatch)
+    catalog_defects(real, ("braid",))
+    monkeypatch.undo()
+    (memo,) = memos
+    assert len(memo) > n
+    for word, product in memo.items():
+        assert _terms(product) == _terms(reduce(matmul, map(real.matrix, word))), word
+
+
+def test_braid_apply_is_the_left_to_right_braid_image(an4):
+    for i in (1, 2, 3):
+        mats = list(an4.mats)
+        mi, mj = mats[i - 1], mats[i]
+        mats[i - 1], mats[i] = -((mi @ mj) @ mi), mi
+        assert [_terms(m) for m in braid_apply(an4, i).mats] == [_terms(m) for m in mats]
+
+
+def _swapping_move(words, i):
+    """A wrong braid move: M_i -> -M_{i+1} M_i M_i, which is M_{i+1} at an
     order-2 point, so the two matrices are only swapped."""
-    mats = list(real.mats)
-    mi = mats[i - 1]
-    mats[i - 1] = -(mats[i] @ mi @ mi)
-    mats[i] = mi
-    return real.with_matrices(mats)
+    words = list(words)
+    (si, wi), (sj, wj) = words[i - 1], words[i]
+    words[i - 1], words[i] = (-sj, wj + wi + wi), (si, wi)
+    return tuple(words)
 
 
 def test_a_wrong_braid_image_fails_the_family(monkeypatch, an4):
-    """The family reads its braid images once, through ``braid_apply``; a
+    """The family reads every braided matrix through ``_braid_move``; a
     swap satisfies the braid relation and keeps every determinant and the
     G-M table, but fails the image's form, its cross relations and the
     ordered products."""
-    monkeypatch.setattr(monodromy, "braid_apply", _swapping_braid)
+    monkeypatch.setattr(monodromy, "_braid_move", _swapping_move)
     failing = {
         record: _nonzero(defects) for record, _, defects in catalog_defects(an4, ("braid",))
     }
