@@ -64,7 +64,7 @@ class AlgMatrix:
             return NotImplemented
         return self.scale(coeff)
 
-    def _entrywise(self, op, other):
+    def entrywise(self, op, other):
         if self.n != other.n:
             raise ValueError("size mismatch")
         return AlgMatrix(
@@ -73,13 +73,13 @@ class AlgMatrix:
         )
 
     def __add__(self, other):
-        return self._entrywise(operator.add, other)
+        return self.entrywise(operator.add, other)
 
     def __neg__(self):
         return AlgMatrix(self.form, [[-x for x in row] for row in self.rows])
 
     def __sub__(self, other):
-        return self._entrywise(operator.sub, other)
+        return self.entrywise(operator.sub, other)
 
     def scale(self, coeff):
         return AlgMatrix(self.form, [[x.scale(coeff) for x in row] for row in self.rows])

@@ -176,7 +176,7 @@ def relation_defects(relations):
     entry, each as (label, element)."""
     out = []
     for label, lhs, rhs in relations:
-        diff = lhs - rhs
+        diff = lhs.entrywise(_defect, rhs) if isinstance(lhs, AlgMatrix) else _defect(lhs, rhs)
         if isinstance(diff, AlgMatrix):
             out.extend(
                 (label.format(f"{r}{s}"), diff[r, s]) for r in range(diff.n) for s in range(diff.n)
@@ -186,15 +186,22 @@ def relation_defects(relations):
     return out
 
 
+def _defect(lhs, rhs):
+    """lhs - rhs, or zero for equal torus elements, whose terms are canonical."""
+    if type(lhs) is TorusElement and type(rhs) is TorusElement and lhs == rhs:
+        return TorusElement.zero(lhs.form)
+    return lhs - rhs
+
+
 def uqsl2_relations(src, i):
     """Deformed U_q(sl2) for one matrix; the undeformed case w = 0 adds
     M^2 = -E."""
     a, b, c = (src.entry(k, i) for k in "abc")
     w = src.omegas[i]
     q, qi, q2, qi2 = (src.q(k) for k in (1, -1, 2, -2))
-    bc, cb, aa = b @ c, c @ b, a @ a
-    yield (f"q a{i} b{i} = q^-1 b{i} a{i}", q * (a @ b), qi * (b @ a))
-    yield (f"q^-1 a{i} c{i} = q c{i} a{i}", qi * (a @ c), q * (c @ a))
+    (ab, ba), (ac, ca), (bc, cb), aa = a.pair(b), a.pair(c), b.pair(c), a @ a
+    yield (f"q a{i} b{i} = q^-1 b{i} a{i}", q * ab, qi * ba)
+    yield (f"q^-1 a{i} c{i} = q c{i} a{i}", qi * ac, q * ca)
     yield (
         f"b{i} c{i} - c{i} b{i} = (q^2-q^-2) a{i}^2 + (q-q^-1) w a{i}",
         bc - cb,
@@ -237,11 +244,10 @@ def cross_relations(src, i, j):
     wij = wi * wj
     q, qi, q2, qi2 = (src.q(k) for k in (1, -1, 2, -2))
     d, e = q2 - qi2, q - qi
-    # the products that two relations share, bound once; the other six of
-    # the 18 distinct entry products are each used once, inline
-    ai_bj, bj_ai, bi_aj, aj_bi = ai @ bj, bj @ ai, bi @ aj, aj @ bi
-    ci_aj, aj_ci, ai_cj, cj_ai = ci @ aj, aj @ ci, ai @ cj, cj @ ai
-    ci_bj, bj_ci, ai_aj, aj_ai = ci @ bj, bj @ ci, ai @ aj, aj @ ai
+    # the 18 distinct entry products are 9 in both orders, each pair from
+    # one pass: those that two relations share are bound once, here
+    (ai_bj, bj_ai), (bi_aj, aj_bi), (ci_aj, aj_ci) = ai.pair(bj), bi.pair(aj), ci.pair(aj)
+    (ai_cj, cj_ai), (ci_bj, bj_ci), (ai_aj, aj_ai) = ai.pair(cj), ci.pair(bj), ai.pair(aj)
     wb = _weight_terms((wi, "(q-q^-1) w_i b_j"))
     wc = _weight_terms((wj, "(q-q^-1) w_j c_i"))
     wl = _weight_terms(
@@ -250,8 +256,10 @@ def cross_relations(src, i, j):
     # one relation at a time: a relation's sides are freed once its defect is
     # taken, and only the shared products above stay bound
     pair = f"({i},{j})"
-    yield (f"{pair} q^-1 b_i b_j = q b_j b_i", qi * (bi @ bj), q * (bj @ bi))
-    yield (f"{pair} q^-1 c_i c_j = q c_j c_i", qi * (ci @ cj), q * (cj @ ci))
+    lhs, rhs = bi.pair(bj)
+    yield (f"{pair} q^-1 b_i b_j = q b_j b_i", qi * lhs, q * rhs)
+    lhs, rhs = ci.pair(cj)
+    yield (f"{pair} q^-1 c_i c_j = q c_j c_i", qi * lhs, q * rhs)
     yield (f"{pair} a_i b_j = b_j a_i", ai_bj, bj_ai)
     rhs = _weighted(aj_bi + d * ai_bj, wi, e, bj)
     yield (f"{pair} b_i a_j = a_j b_i + (q^2-q^-2) a_i b_j{wb}", bi_aj, rhs)
@@ -265,11 +273,12 @@ def cross_relations(src, i, j):
     yield (f"{pair} q c_i b_j = q^-1 b_j c_i", q * ci_bj, qi * bj_ci)
     yield (f"{pair} a_i a_j = a_j a_i + (1-q^-2) b_j c_i", ai_aj, aj_ai + (src.q(0) - qi2) * bj_ci)
     yield (f"{pair} a_i a_j = a_j a_i + (q^2-1) c_i b_j", ai_aj, aj_ai + (q2 - src.q(0)) * ci_bj)
-    rhs = _weighted(qi * (cj @ bi) + (qi * d) * aj_ai, wi, d, aj)
+    bi_cj, cj_bi = bi.pair(cj)
+    rhs = _weighted(qi * cj_bi + (qi * d) * aj_ai, wi, d, aj)
     rhs = _weighted(_weighted(rhs, wj, d, ai), wij, e, src.one)
     yield (
         f"{pair} q b_i c_j + q(q^-2-q^2) a_i a_j = q^-1 c_j b_i - q^-1 (q^-2-q^2) a_j a_i{wl}",
-        q * (bi @ cj) - (q * d) * ai_aj,
+        q * bi_cj - (q * d) * ai_aj,
         rhs,
     )
 
@@ -316,23 +325,25 @@ def indexed_nelson_regge_relations(src, indices):
     d = src.q(2) - src.q(-2)
     for ix in combinations(idx, 4):
         i, j, k, l = ix
-        outer, inner = G[i, j] @ G[k, l], G[i, l] @ G[j, k]
-        yield (ix, f"[G({i},{j}),G({k},{l})] = 0 (disjoint)", outer, G[k, l] @ G[i, j])
-        yield (ix, f"[G({i},{l}),G({j},{k})] = 0 (nested)", inner, G[j, k] @ G[i, l])
+        (outer, outer_rev), (inner, inner_rev) = G[i, j].pair(G[k, l]), G[i, l].pair(G[j, k])
+        yield (ix, f"[G({i},{j}),G({k},{l})] = 0 (disjoint)", outer, outer_rev)
+        yield (ix, f"[G({i},{l}),G({j},{k})] = 0 (nested)", inner, inner_rev)
         # the crossing commutator that matches the adjacent and disjoint
         # conventions takes the outer geodesic first
+        jl_ik, ik_jl = G[j, l].pair(G[i, k])
         yield (
             ix,
             f"[G({j},{l}),G({i},{k})] = (q^2-q^-2)(G({i},{j})G({k},{l}) - G({i},{l})G({j},{k})) (crossing)",
-            G[j, l] @ G[i, k] - G[i, k] @ G[j, l],
+            jl_ik - ik_jl,
             d * (outer - inner),
         )
     for ix in combinations(idx, 3):
         i, j, k = ix
+        ij_jk, jk_ij = G[i, j].pair(G[j, k])
         yield (
             ix,
             f"q G({i},{j})G({j},{k}) - q^-1 G({j},{k})G({i},{j}) = (q^2-q^-2) G({i},{k}) (adjacent)",
-            q * (G[i, j] @ G[j, k]) - qi * (G[j, k] @ G[i, j]),
+            q * ij_jk - qi * jk_ij,
             d * G[i, k],
         )
 
@@ -346,7 +357,7 @@ def indexed_nelson_regge_defects(real, indices):
     """The defects of :func:`nelson_regge_relations`, each as (the indices
     its relation involves, label, defect)."""
     relations = indexed_nelson_regge_relations(real, indices)
-    return [(ix, label, lhs - rhs) for ix, label, lhs, rhs in relations]
+    return [(ix, label, _defect(lhs, rhs)) for ix, label, lhs, rhs in relations]
 
 
 # -- R-matrix form -----------------------------------------------------------
@@ -470,19 +481,21 @@ def _gm_relations(real, i, j, G):
     relation for i < k < j; ``G`` maps index pairs to their geodesic
     functions."""
     g = G[i, j]
-    qg, qig = Q1 * g, QM1 * g  # q is central, as in the braid form
     d2 = QM2 - Q2
     for k in range(1, real.n + 1):
-        mk = real.matrix(k)
+        # h M_k and M_k h by entry pairs; q is central, so it scales g first
+        h = QM1 * g if k == i else Q1 * g if k == j else g
+        pairs = [[h.pair(x) for x in row] for row in real.matrix(k).rows]
+        hm, mh = (AlgMatrix(real.form, [[p[side] for p in row] for row in pairs]) for side in (0, 1))
         if k == i:
-            lhs, rhs = mk.scalar_mul_left(qig) - mk.scalar_mul_right(qg), d2 * real.matrix(j)
+            lhs, rhs = hm - Q2 * mh, d2 * real.matrix(j)
         elif k == j:
-            lhs, rhs = mk.scalar_mul_left(qg) - mk.scalar_mul_right(qig), -d2 * real.matrix(i)
+            lhs, rhs = hm - QM2 * mh, -d2 * real.matrix(i)
         elif i < k < j:
             mid = real.matrix(i).scalar_mul_right(G[k, j]) - real.matrix(j).scalar_mul_left(G[i, k])
-            lhs, rhs = mk.scalar_mul_left(g) - mk.scalar_mul_right(g), -d2 * mid
+            lhs, rhs = hm - mh, -d2 * mid
         else:
-            lhs, rhs = mk.scalar_mul_left(g), mk.scalar_mul_right(g)
+            lhs, rhs = hm, mh
         yield (f"G({i},{j}) vs M{k} [{{}}]", lhs, rhs)
 
 
@@ -539,8 +552,8 @@ def pvi_relations(src):
         for i in (1, 2):
             yield from uqsl2_relations(src, i)
         yield from cross_relations(src, 1, 2)
-        a1a2 = a1 @ a2
-        yield ("q^-1 a1a2 = q a2a1", qi * a1a2, q * (a2 @ a1))
+        a1a2, a2a1 = a1.pair(a2)
+        yield ("q^-1 a1a2 = q a2a1", qi * a1a2, q * a2a1)
         yield ("a1a2 = q^2 c1b2", a1a2, q2 * (c1 @ b2))
 
     yield ("entry-algebra", "deformed entry algebra and consistency condition", entry_algebra())
@@ -552,7 +565,7 @@ def pvi_relations(src):
         gens = (("a1", a1), ("b1", b1), ("c1", c1), ("a2", a2), ("b2", b2), ("c2", c2))
         for name, k in (("K1", k1), ("K2", k2)):
             for gname, g in gens:
-                yield (f"{name} central vs {gname}", k @ g, g @ k)
+                yield (f"{name} central vs {gname}", *k.pair(g))
         yield ("K1 K2 = 1", k1 @ k2, one)
 
     yield ("K1K2", "central elements with K1 K2 = 1", k_relations())
@@ -566,7 +579,8 @@ def pvi_relations(src):
             ("AW3 (XZ,YZ)", gxz, gyz, gxy, w2 * w0, w1),
             ("AW3 (YZ,XY)", gyz, gxy, gxz, w0 * w1, w2),
         ):
-            yield (label, q * (ga @ gb) - qi * (gb @ ga), d * gc + (q - qi) * (wa * one + wb * om3))
+            ab, ba = ga.pair(gb)
+            yield (label, q * ab - qi * ba, d * gc + (q - qi) * (wa * one + wb * om3))
 
     yield ("aw3", "three-term quadratic algebra of the geodesic functions", aw3_relations())
 

@@ -338,6 +338,10 @@ class LinearOp:
                 terms[a + b] = terms.get(a + b, 0) + x * y
         return LinearOp(terms, self.legs)
 
+    def pair(self, other):
+        """(self @ other, other @ self), as the exact ``TorusElement.pair``."""
+        return self @ other, other @ self
+
     def __add__(self, other):
         added = {b: self.terms.get(b, 0) + y for b, y in other.terms.items()}
         return LinearOp({**self.terms, **added}, self.legs)

@@ -16,8 +16,10 @@ is its one-pair case and an entry of a matrix product its k-pair case.  It
 accumulates the value at each (t-exponent, parameter monomial) of each
 output exponent vector in one table, reading the term tables of the input
 Coefficients directly, and builds each output Coefficient once, so no
-intermediate Coefficient or TorusElement is made.  The pairing row du.beta
-of a left monomial is memoised on its SkewForm, in a bounded memo.
+intermediate Coefficient or TorusElement is made.  Its both-orders case,
+:meth:`TorusElement.pair`, forms x y and y x in one pass over the monomial
+pairs, and one finishing step builds the elements of both.  The pairing
+row du.beta of a left monomial is memoised on its SkewForm, in a bounded memo.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from operator import add as _add, mul as _mul
 
 from .coeffs import ONE, Coefficient, _made, _norm, param_product
 
-# the most pairing rows memoised per form; an exact-catalog pass fills at
-# most 730 in one form
+# the most pairing rows memoised per form; an exact-catalog pass, or a
+# pass of all nine suites, fills at most 475 in one form
 ROW_MEMO = 1024
 
 
@@ -204,6 +206,10 @@ class TorusElement:
     def __matmul__(self, other):
         return self.mul(other)
 
+    def pair(self, other):
+        """(self @ other, other @ self) from one pass of the kernel."""
+        return tuple(_finished(self.form, acc) for acc in _accumulate(self.form, ((self, other),), True))
+
     def __rmul__(self, coeff):
         if not isinstance(coeff, Coefficient):
             return NotImplemented
@@ -275,7 +281,14 @@ def weyl_sum(form, pairs):
     monomial); a monomial whose coefficient cancels is dropped, and an
     integral value is stored as an int.  Raises ValueError on an element of
     another form."""
-    acc = {}
+    return _finished(form, *_accumulate(form, pairs, False))
+
+
+def _accumulate(form, pairs, both):
+    """The table of :func:`weyl_sum`, and with ``both`` that of y_1 x_1 + ...
+    too: a monomial pair's product in reverse has the same exponent sum and
+    coefficient product at the opposite t-shift, so each is formed once."""
+    acc, rev = {}, {}
     get = acc.get
     row = form.row
     for x, y in pairs:
@@ -289,13 +302,22 @@ def weyl_sum(form, pairs):
             for dv, cv in right:
                 dw = tuple(map(_add, du, dv))
                 shift = sum(map(_mul, r, dv))
-                c = get(dw)
-                if c is None:
-                    c = acc[dw] = {}
+                c = get(dw) or acc.setdefault(dw, {})
+                if both:
+                    d = rev.get(dw) or rev.setdefault(dw, {})
                 for (t1, p1), v1 in left:
                     for (t2, p2), v2 in cv._terms.items():
-                        k = (t1 + t2 + shift, param_product(p1, p2) if p1 and p2 else p1 or p2)
-                        c[k] = c.get(k, 0) + v1 * v2
+                        p, v = param_product(p1, p2) if p1 and p2 else p1 or p2, v1 * v2
+                        k = (t1 + t2 + shift, p)
+                        c[k] = c.get(k, 0) + v
+                        if both:
+                            k = (t1 + t2 - shift, p)
+                            d[k] = d.get(k, 0) + v
+    return (acc, rev) if both else (acc,)
+
+
+def _finished(form, acc):
+    """The element of a table: cancelled values dropped, the others normalised."""
     out = TorusElement(form)
     for dw, c in acc.items():
         for v in c.values():

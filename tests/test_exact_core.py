@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qshear import matrices, torus
+from qshear import torus
 from qshear.coeffs import Coefficient
 from qshear.fatgraph import spine_graph_an
 from qshear.flips import homomorphism_defects, quantum_flip_substitution
 from qshear.monodromy import an_realization, cross_relation_defects, uqsl2_defects
-from qshear.torus import SkewForm, TorusElement, weyl_sum
+from qshear.torus import SkewForm, TorusElement
 
 PARAMS = ("a", "w")
 
@@ -133,16 +133,18 @@ def test_catalog_hot_path_stores_only_ints(monkeypatch):
 
         return op
 
-    def recording_kernel(form, pairs):
-        out = weyl_sum(form, pairs)
+    finished = torus._finished
+
+    def recording_kernel(form, acc):
+        out = finished(form, acc)
         made.extend(v for c in out.terms.values() for v in stored_values(c))
         return out
 
     for name in originals:
         monkeypatch.setattr(Coefficient, name, recording(name))
-    # the one product kernel, by its name in each module that calls it
-    monkeypatch.setattr(torus, "weyl_sum", recording_kernel)
-    monkeypatch.setattr(matrices, "weyl_sum", recording_kernel)
+    # the one finishing step of the product kernel, which weyl_sum and the
+    # both-orders pair share
+    monkeypatch.setattr(torus, "_finished", recording_kernel)
     real = an_realization(3)
     torus_defects = [d for i in (1, 2, 3) for _, d in uqsl2_defects(real, i)]
     for i, j in ((1, 2), (1, 3), (2, 3)):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from qshear import monodromy, oracle
+from qshear import monodromy, oracle, torus
 from qshear.coeffs import Coefficient, ONE
 from qshear.fatgraph import (
     FatGraph,
@@ -559,3 +559,87 @@ def test_dropping_any_weight_term_fails_pvi_and_the_weighted_chain(monkeypatch):
     for site in sorted(sites):
         _, pvi, bad = failures(drop=site)
         assert "pvi-oracle-N5" in pvi and pvi - {"pvi-oracle-N5"} and bad, (site, pvi)
+
+
+# -- both orders from one pass, and equal sides -----------------------------------
+
+
+def test_a_joint_pass_that_keeps_one_order_fails_the_records(monkeypatch, an3, pvi):
+    """With the reversed table of the joint pass written at +shift, y x comes
+    out as x y.  Every an3 entry, cross and Nelson-Regge record fails, with
+    the braid family's cross and G-M records and the pvi entry and AW(3)
+    records.  K1K2 still passes: K1 and K2 are central, so k g = g k is
+    what the swapped pass gives too."""
+    accumulate = torus._accumulate
+
+    def one_order(form, pairs, both):
+        (acc,) = accumulate(form, pairs, False)
+        return (acc, {dw: dict(c) for dw, c in acc.items()}) if both else (acc,)
+
+    monkeypatch.setattr(torus, "_accumulate", one_order)
+    failing = {}
+    for real, families in ((an3, ("entry", "cross", "nelson-regge", "braid")), (pvi, ("pvi",))):
+        for record, _, defects in catalog_defects(real, families):
+            bad = sum(not element_is_zero(d) for _, d in defects)
+            if bad:
+                failing[record] = bad
+    assert failing == {
+        "uqsl2-1": 4, "uqsl2-2": 4, "uqsl2-3": 4,
+        "cross-12": 10, "cross-13": 10, "cross-23": 10,
+        "nelson-regge-full": 5,
+        "braid-cross-1": 30, "braid-cross-2": 30, "gm-table": 28,
+        "entry-algebra": 19, "aw3": 3,
+    }
+
+
+def _subtracted(relations):
+    """The defects lhs - rhs with every side subtracted, entry by entry."""
+    out = []
+    for label, lhs, rhs in relations:
+        diff = lhs - rhs
+        if isinstance(diff, AlgMatrix):
+            out.extend((label.format(f"{r}{s}"), diff[r, s]) for r in range(diff.n) for s in range(diff.n))
+        else:
+            out.append((label, diff))
+    return out
+
+
+def _refuse_subtraction(*args):
+    raise AssertionError("equal sides must not be subtracted")
+
+
+def test_equal_sides_give_zero_without_a_subtraction(monkeypatch, an3, pvi):
+    """Relations whose sides are equal torus elements, alone or as matrix
+    entries: the an3 disjoint and nested Nelson-Regge relations, G(1,2) vs
+    M3 and the K centralities.  Their defects are zero with subtraction
+    refused; a monomial added to one side, new or one the side has, gives
+    the subtraction's nonzero (label, element) and witness text."""
+    G = {(i, j): geodesic_G(an3, i, j) for i, j in combinations(range(1, 4), 2)}
+    equal = [rel for rel in nelson_regge_relations(an3, range(4)) if "disjoint" in rel[0] or "nested" in rel[0]]
+    equal += [rel for rel in monodromy._gm_relations(an3, 1, 2, G) if "M3" in rel[0]]
+    [(_, _, k_relations)] = [rec for rec in monodromy.pvi_relations(pvi) if rec[0] == "K1K2"]
+    equal += [rel for rel in k_relations if "central" in rel[0]]
+    assert len(equal) == 2 + 1 + 12
+    with monkeypatch.context() as m:
+        m.setattr(TorusElement, "__sub__", _refuse_subtraction)
+        defects = relation_defects(equal)
+    assert len(defects) == 2 + 4 + 12 and all(type(d) is TorusElement and d.is_zero() for _, d in defects)
+
+    rng = random.Random(31)
+    for k, (label, lhs, rhs) in enumerate(equal):
+        form = rhs.form
+        mono = random_monomial(rng, form)
+        if k % 3 == 0:
+            # at a monomial the side has: same monomials, one other coefficient
+            side = lhs[0, 1] if isinstance(lhs, AlgMatrix) else lhs
+            (coeff,) = mono.terms.values()
+            mono = TorusElement.monomial(form, rng.choice(sorted(side.terms)), coeff)
+        if isinstance(lhs, AlgMatrix):
+            rows = [list(row) for row in lhs.rows]
+            rows[0][1] = rows[0][1] + mono
+            perturbed = [(label, AlgMatrix(form, rows), rhs)]
+        else:
+            perturbed = [(label, lhs + mono, rhs) if k % 2 else (label, lhs, rhs + mono)]
+        got, want = relation_defects(perturbed), _subtracted(perturbed)
+        assert got == want and any(not d.is_zero() for _, d in got), label
+        assert _defect_report("x", "a", got).witness == _defect_report("x", "a", want).witness is not None

@@ -169,6 +169,25 @@ SHARED_FAMILIES = [
 ]
 
 
+def test_linear_op_pair_is_both_products():
+    """``pair`` gives the two ``@`` products term for term in insertion
+    order, so the oracle's forms and floats are those of two products."""
+    rng = random.Random(5)
+    leaves = [("entry", i, r, s) for i in (1, 2) for r in (0, 1) for s in (0, 1)]
+    for _ in range(20):
+        x, y = (
+            oracle.LinearOp({
+                tuple(rng.sample(leaves, rng.randint(0, 2))): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                for _ in range(rng.randint(1, 4))
+            })
+            for _ in range(2)
+        )
+        xy, yx = x.pair(y)
+        assert list(xy.terms.items()) == list((x @ y).terms.items())
+        assert list(yx.terms.items()) == list((y @ x).terms.items())
+        assert xy.legs == yx.legs == x.legs
+
+
 @pytest.mark.parametrize("make_real, params, families", SHARED_FAMILIES, ids=["an3", "pvi"])
 def test_oracle_uses_generator_images_only(monkeypatch, make_real, params, families):
     """With every symbolic product disabled, the numeric realization and
@@ -176,6 +195,7 @@ def test_oracle_uses_generator_images_only(monkeypatch, make_real, params, famil
     real = make_real()
     for cls in (TorusElement, OreElement, AlgMatrix):
         monkeypatch.setattr(cls, "mul", _refuse_symbolic_product)
+    monkeypatch.setattr(TorusElement, "pair", _refuse_symbolic_product)
     rep = ClockShiftRep(real.form, 5, seed=3)
     pairs = numeric_relation_pairs(numeric_realization(rep, real, params), families)
     norms = [n for _, n in numeric_pair_norms(pairs)]

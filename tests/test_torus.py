@@ -242,9 +242,61 @@ def test_kernel_rejects_mixed_forms():
         lambda: weyl_sum(f, [(x, x), (x, y)]),
         lambda: weyl_sum(f, [(y, y)]),
         lambda: AlgMatrix.identity(f).mul(AlgMatrix.identity(g)),
+        lambda: x.pair(y),
+        lambda: y.pair(x),
     ):
         with pytest.raises(ValueError, match="different skew forms"):
             bad()
     # an equal form held by another object is the same form
     f2 = SkewForm(f.names, f.beta)
     assert x.mul(ew(f2, {"Y": 1})) == ew(f, {"X": 1, "Y": 1}, Coefficient.q_power(1))
+
+
+# -- both orders from one pass --------------------------------------------------
+
+# beta with entries +-1 and +-2, so that the two orders differ by t-shifts of
+# every size the forms of the catalog use
+_PAIR_FORM = SkewForm(
+    ("g0", "g1", "g2", "g3"),
+    [[0, 1, -2, 2], [-1, 0, 1, -2], [2, -1, 0, 1], [-2, 2, -1, 0]],
+)
+
+
+def _seeded_element(rng, form):
+    """Up to four monomials whose coefficients carry parameter monomials
+    and non-integral Fractions, so that the two tables merge parameter
+    powers and cancel and normalise values."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        du = tuple(rng.randint(-2, 2) for _ in range(form.dim))
+        coeff = {}
+        for _ in range(rng.randint(1, 3)):
+            params = tuple(sorted({rng.choice("aw"): rng.randint(1, 2) for _ in range(rng.randint(0, 2))}.items()))
+            coeff[rng.randint(-4, 4), params] = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+        terms[du] = Coefficient(coeff)
+    return TorusElement(form, terms)
+
+
+def test_pair_is_both_products():
+    rng = random.Random(31)
+    f = _PAIR_FORM
+    for trial in range(300):
+        x, y = _seeded_element(rng, f), _seeded_element(rng, f)
+        if trial % 10 == 0:
+            y = x  # both tables land on the same keys
+        xy, yx = x.pair(y)
+        assert _flat(xy) == _flat(x @ y), trial
+        assert _flat(yx) == _flat(y @ x), trial
+        assert xy.terms == (x @ y).terms and yx.terms == (y @ x).terms, trial
+        assert xy.form is f and yx.form is f
+
+
+def test_pair_of_two_monomials_differs_by_their_pairing():
+    f = _PAIR_FORM
+    x, y = ew(f, {"g0": 1}), ew(f, {"g1": 1, "g2": -1})
+    xy, yx = x.pair(y)
+    # g0 . beta . (g1 - g2) = 1 + 2 = 3 on true exponents: x y = q^3 W, y x = q^-3 W
+    w = ew(f, {"g0": 1, "g1": 1, "g2": -1})
+    assert (xy, yx) == (Coefficient.q_power(3) * w, Coefficient.q_power(-3) * w)
+    zero = TorusElement.zero(f)
+    assert x.pair(zero) == (zero, zero) and zero.pair(x) == (zero, zero)
