@@ -28,7 +28,7 @@ from .fatgraph import (
     pending_flip_graph,
     pending_flip_roles,
 )
-from .matrices import word_matrix
+from .matrices import EdgeMaps, word_matrix
 from .ore import OreElement, QDenominator
 from .reports import witness_digest
 from .torus import SkewForm, TorusElement, commutative_shadow, even_check, half
@@ -124,9 +124,11 @@ def classical_identity_sides(ident):
             dn = dn.mul(t_poly)
         return (-up).mul, dn.mul
 
+    edges = EdgeMaps(edge)  # formed once for both sides
+
     def side(word):
         m = sum(1 for step in word if step[1].endswith("~") and tildes[step[1][:-1]][1])
-        return m, word_matrix(form, word, Coefficient.parameter, edge)
+        return m, word_matrix(form, word, Coefficient.parameter, edges)
 
     return side(lhs), side(rhs), t_poly
 

@@ -221,23 +221,36 @@ def _mixed(rows, x):
     return _row_value(rows[0], x), _row_value(rows[1], x)
 
 
-def word_action(steps, edge, scalar):
+class EdgeMaps(dict):
+    """The two maps of each edge factor's nonzero entries (see
+    :func:`word_action`), keyed by edge name and formed by ``make(name)`` on
+    the first read of that name: one table serves every word over the same
+    edge values."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, name):
+        maps = self[name] = self.make(name)
+        return maps
+
+
+def word_action(steps, edges, scalar):
     """The action x -> M x of a written word's product M on a column pair
     (x0, x1), whose components lie in any ring with +, - and * by a scalar:
     torus elements or (2, S) sample arrays.  The factors are those of
     :func:`word_chain`.
 
-    ``edge(name)`` gives the two maps of an edge's nonzero entries, with the
-    sign of X_e folded in: x -> -exp(Z/2) x and x -> exp(-Z/2) x, so that an
-    edge factor is (up(x1), dn(x0)) and allocates nothing beyond the two
-    maps' own results; it is asked once per edge name of the word.
+    ``edges[name]`` gives the two maps of an edge's nonzero entries, with
+    the sign of X_e folded in: x -> -exp(Z/2) x and x -> exp(-Z/2) x, so
+    that an edge factor is (up(x1), dn(x0)) and allocates nothing beyond
+    the two maps' own results; an :class:`EdgeMaps` forms each once.
     """
-    chain, maps = [], {}
+    chain = []
     for kind, data in word_chain(steps, scalar):
         if kind == "edge":
-            if data not in maps:
-                maps[data] = edge(data)
-            up, dn = maps[data]
+            up, dn = edges[data]
             chain.append(lambda x, up=up, dn=dn: (up(x[1]), dn(x[0])))
         else:
             chain.append(partial(_mixed, data))
@@ -251,17 +264,19 @@ def word_action(steps, edge, scalar):
     return act
 
 
-def word_matrix(form, steps, scalar, edge=None):
+def _edge_maps(form, name):
+    up = TorusElement.monomial(form, form.du({name: 1}), -ONE)
+    dn = TorusElement.monomial(form, form.du({name: -1}))
+    return up.mul, dn.mul
+
+
+def word_matrix(form, steps, scalar, edges=None):
     """The exact product of a word over ``form``: its :func:`word_action`
-    on the two unit columns.  ``edge`` defaults to the edge matrices."""
-    if edge is None:
-
-        def edge(name):
-            up = TorusElement.monomial(form, form.du({name: 1}), -ONE)
-            dn = TorusElement.monomial(form, form.du({name: -1}))
-            return up.mul, dn.mul
-
-    act = word_action(steps, edge, scalar)
+    on the two unit columns.  ``edges`` defaults to a table of the edge
+    matrices."""
+    if edges is None:
+        edges = EdgeMaps(partial(_edge_maps, form))
+    act = word_action(steps, edges, scalar)
     one, zero = TorusElement.one(form), TorusElement.zero(form)
     return AlgMatrix(form, zip(act(one, zero), act(zero, one)))
 

@@ -15,6 +15,7 @@ callers wrap these into reports.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, combinations
 from math import prod
 
@@ -488,9 +489,11 @@ def _gm_relations(real, i, j, G):
         pairs = [[h.pair(x) for x in row] for row in real.matrix(k).rows]
         hm, mh = (AlgMatrix(real.form, [[p[side] for p in row] for row in pairs]) for side in (0, 1))
         if k == i:
-            lhs, rhs = hm - Q2 * mh, d2 * real.matrix(j)
+            # hm - q^2 mh (q^2 = t^8), the power applied as mh is subtracted
+            lhs, rhs = hm.entrywise(partial(TorusElement.minus_t, k=8), mh), d2 * real.matrix(j)
         elif k == j:
-            lhs, rhs = hm - QM2 * mh, -d2 * real.matrix(i)
+            # hm - q^-2 mh
+            lhs, rhs = hm.entrywise(partial(TorusElement.minus_t, k=-8), mh), -d2 * real.matrix(i)
         elif i < k < j:
             mid = real.matrix(i).scalar_mul_right(G[k, j]) - real.matrix(j).scalar_mul_left(G[i, k])
             lhs, rhs = hm - mh, -d2 * mid

@@ -32,11 +32,12 @@ Two layers:
   :class:`ShearState`) act on whole sample arrays, both flips through one
   shift over signed roles that also gives the identity check its ~ shears,
   and :func:`word_values` applies the same word evaluator to float 2x2
-  token words at every sample at once to check the classical flip
-  identities from their words in ``flips`` (never the exact ring's
-  products), closed-geodesic trace positivity, the hole-boundary trace
-  and the block sign pattern; the involution and pentagon checks move
-  every sample at once.
+  token words at every sample at once, reading each edge factor from a
+  table formed once per shear state (:func:`float_edges`), to check the
+  classical flip identities from their words in ``flips`` (never the
+  exact ring's products), closed-geodesic trace positivity, the
+  hole-boundary trace and the block sign pattern; the involution and
+  pentagon checks move every sample at once.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from .fatgraph import ROLE_SIGNS, flip_graph, pending_flip_graph
 from .flips import classical_identity_words
-from .matrices import word_action, word_chain
+from .matrices import EdgeMaps, word_action, word_chain
 from .monodromy import relation_families
 from .ore import OreElement
 from .torus import TorusElement
@@ -703,9 +704,13 @@ def phi_pending(z, w):
 
 class ShearState:
     """Classical point: a graph with shear values, floats or (S,) sample
-    arrays that the moves never write into, and numeric weight parameters."""
+    arrays that the moves never write into, and numeric weight parameters.
+    For its whole life it keeps one float edge table over its values
+    (:func:`float_edges`) and, from its first word on, the weights of its
+    pending edges, so each edge factor is formed once per state, not once
+    per word (:meth:`word_values`)."""
 
-    __slots__ = ("graph", "values", "params")
+    __slots__ = ("graph", "values", "params", "edges", "_weights")
 
     def __init__(self, graph, values, params=None):
         values = dict(values)
@@ -715,6 +720,14 @@ class ShearState:
         self.graph = graph
         self.values = values
         self.params = dict(params or {})
+        self.edges = float_edges(values)
+        self._weights = None
+
+    def word_values(self, tokens):
+        """:func:`word_values` of a token word at this state's shears."""
+        if self._weights is None:
+            self._weights = {e: self.weight_value(e) for e in self.graph.pending}
+        return word_values(tokens, self.edges, self._weights)
 
     def weight_value(self, edge):
         """The weight of a pending edge: 2 cos(pi/p) at an order p >= 4, the
@@ -807,19 +820,28 @@ def run_flip_script(state, lines):
     return state
 
 
-def word_values(tokens, values, weights):
+def _float_edge(values, name):
+    v = values[name]
+    return partial(np.multiply, -np.exp(v / 2)), partial(np.multiply, np.exp(-v / 2))
+
+
+def float_edges(values):
+    """The edge table of the float edge factors over ``values``, which maps
+    each shear name to a float or an (S,) array: the maps x -> -exp(v/2) x
+    and x -> exp(-v/2) x of an edge, formed on its first read."""
+    return EdgeMaps(partial(_float_edge, values))
+
+
+def word_values(tokens, edges, weights):
     """Value of a true-order token word at every sample at once, as an
     (S, 2, 2) stack: the :func:`word_action` of the word on the unit
-    columns, whose components are (2, S) arrays.  ``values`` maps each
-    shear name to an (S,) array; ``weights`` maps each pending edge, the
-    weight name of an ('F', w) or ('omega', w, sign) token and the
-    commutant parameters 'a' and 'c' to an (S,) array or a float."""
-
-    def edge(name):
-        v = values[name]
-        return partial(np.multiply, -np.exp(v / 2)), partial(np.multiply, np.exp(-v / 2))
-
-    act = word_action(tokens, edge, weights.__getitem__)
+    columns, whose components are (2, S) arrays.  ``edges`` is the
+    :func:`float_edges` table of the shears, read and filled in place, so
+    words that share it form each edge factor once; ``weights`` maps each
+    pending edge, the weight name of an ('F', w) or ('omega', w, sign)
+    token and the commutant parameters 'a' and 'c' to an (S,) array or a
+    float."""
+    act = word_action(tokens, edges, weights.__getitem__)
     columns = act(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
     return np.moveaxis(np.stack(columns), -1, 0)
 
@@ -851,7 +873,8 @@ def numeric_identity_deviation(ident, sample_count=1000, seed=20240229):
     weights = {n: rng.uniform(-2, 2, sample_count) for n in ("a", "c")}
     weights["w"] = 2 * np.cos(np.pi / rng.integers(2, 7, sample_count))
     values.update(_moved_shears(ident.rsplit("-", 1)[0], values, weights["w"]))
-    gap = word_values(lhs, values, weights) - word_values(rhs, values, weights)
+    edges = float_edges(values)  # one table for both sides
+    gap = word_values(lhs, edges, weights) - word_values(rhs, edges, weights)
     return float(np.max(np.abs(gap)))
 
 
@@ -862,11 +885,6 @@ def random_state(graph, seed, count):
     values = {e: rng.uniform(-2.0, 2.0, count) for e in graph.edges}
     params = {"omega0": 2 * math.cos(math.pi / 5)}
     return ShearState(graph, values, params)
-
-
-def _state_values(state, tokens):
-    weights = {e: state.weight_value(e) for e in state.graph.pending}
-    return word_values(tokens, state.values, weights)
 
 
 def _largest_change(want, moved):
@@ -920,26 +938,30 @@ def boundary_trace_deviation(graph, samples=200, seed=20240229):
         tokens += [("turn", "L"), step]
     (center,) = graph.center_elements()
     state = random_state(graph, seed, samples)
-    tr = np.trace(_state_values(state, tokens), axis1=-2, axis2=-1)
+    tr = np.trace(state.word_values(tokens), axis1=-2, axis2=-1)
     half = sum(k * state.values[e] for k, e in zip(center, graph.edges)) / 4.0
     return float(np.max(np.abs(np.abs(tr) - 2 * np.cosh(half))))
 
 
-def random_closed_words(graph, count, seed):
-    """Random closed geodesic words respecting the ribbon structure.
+def random_closed_words(graph, counts, seed):
+    """Random closed geodesic words respecting the ribbon structure, one
+    list for each count in ``counts``.
 
     The walk state is the slot it arrived at; each of at most 12 steps
     turns L or R onto the next slot and goes ``across`` its edge, bouncing
     through free ends with a winding insertion.  Words are returned as
     true-order token lists of ('edge', e) / ('turn', t) / ('orb', e, 1)
     whose cyclic product is a legal closed path word; a graph without
-    internal edges has none.
+    internal edges has none.  A draw of ``count`` words gives up after
+    ``count * 400`` walks, so its list is the first ``count`` words found
+    within that many walks; all the lists come from one seeded run of walks,
+    each exactly what a draw of its count alone gives.
     """
     rng = np.random.default_rng(seed)
     internal = [e for e in graph.edges if graph.is_internal(e)]
-    words = []
+    found = []  # (walk number, tokens)
     attempts = 0
-    while internal and len(words) < count and attempts < count * 400:
+    while internal and any(len(found) < c and attempts < c * 400 for c in counts):
         attempts += 1
         e0 = internal[int(rng.integers(len(internal)))]
         start = graph.incidence(e0)[0 if rng.integers(2) else 1]
@@ -954,26 +976,26 @@ def random_closed_words(graph, count, seed):
             if slot == start:
                 break
         if slot == start and len(tokens) > 3:
-            words.append(tokens[:-1])  # final edge duplicates the first
-    return words
+            found.append((attempts, tokens[:-1]))  # final edge duplicates the first
+    return [[w for a, w in found if a <= c * 400][:c] for c in counts]
 
 
-def closed_trace_minimum(graph, samples=200, seed=20240229, paths=25):
-    """Minimum trace over random closed geodesic words and samples; the
-    positivity statement says this never drops below 2."""
-    words = random_closed_words(graph, paths, seed)
+def closed_trace_minimum(graph, words, samples=200, seed=20240229):
+    """Minimum trace over closed geodesic ``words`` of ``graph``
+    (:func:`random_closed_words`) and samples; the positivity statement
+    says this never drops below 2."""
     if not words:
         raise ValueError("no closed words found")
     state = random_state(graph, seed + 1000, samples)
-    minima = [np.min(np.trace(_state_values(state, word), axis1=-2, axis2=-1)) for word in words]
+    minima = [np.min(np.trace(state.word_values(word), axis1=-2, axis2=-1)) for word in words]
     # np.min, not the builtin min, which skips a NaN that does not come first
     return float(np.min(minima))
 
 
-def sign_structure_violation(graph, samples=50, seed=20240229, paths=15):
-    """Products of turn-edge blocks must have the sign pattern
-    [[+,-],[-,+]] (weakly); returns the largest wrong-signed magnitude."""
-    words = random_closed_words(graph, paths, seed)
+def sign_structure_violation(graph, words, samples=50, seed=20240229):
+    """Products of turn-edge blocks of the closed ``words`` of ``graph``
+    must have the sign pattern [[+,-],[-,+]] (weakly); returns the largest
+    wrong-signed magnitude."""
     if not words:
         raise ValueError("no closed words found")
     state = random_state(graph, seed + 5000, samples)
@@ -981,6 +1003,6 @@ def sign_structure_violation(graph, samples=50, seed=20240229, paths=15):
     violations = []
     for tokens in words:
         # rotate so the word starts with a turn: block products only
-        mat = _state_values(state, tokens[1:] + tokens[:1])
+        mat = state.word_values(tokens[1:] + tokens[:1])
         violations.append(float(np.max(np.abs(np.minimum(mat * signs, 0.0)))))
     return worst_norm(violations)

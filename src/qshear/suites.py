@@ -28,7 +28,7 @@ from .monodromy import (
 from .reports import IdentityReport, witness_digest
 
 
-MAX_SAMPLES = 100_000  # flips-classical peaks near 62 MB resident at this bound
+MAX_SAMPLES = 100_000  # flips-classical peaks near 68 MB resident at this bound
 
 # the parameter values of every oracle record
 _ORACLE_PARAMS = {"omega0": 0.47, "omega1": 0.83, "omega2": 1.21}
@@ -288,13 +288,14 @@ def run_flips_classical(config):
     ):
         ok = dev < tol
         reports.append(_value_report(f"classical-{name}", anchor, "max_deviation", dev, ok, "deviation"))
-    low = oracle.closed_trace_minimum(g4, traces, seed)
+    traced, signed = oracle.random_closed_words(g4, (25, 15), seed)
+    low = oracle.closed_trace_minimum(g4, traced, traces, seed)
     anchor = "closed geodesic traces stay at or above two"
     ok = low >= 2.0 - 1e-9
     reports.append(
         _value_report("classical-closed-traces", anchor, "min_trace", low, ok, "minimum trace")
     )
-    viol = oracle.sign_structure_violation(g4, min(config.samples, 50), seed)
+    viol = oracle.sign_structure_violation(g4, signed, min(config.samples, 50), seed)
     anchor = "block products keep the alternating sign pattern"
     ok = viol < 1e-12
     reports.append(

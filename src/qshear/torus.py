@@ -169,7 +169,7 @@ class TorusElement:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        return self._merged(other, False)
+        return self._merged(other, False, 0)
 
     def __neg__(self):
         out = TorusElement(self.form)
@@ -177,15 +177,22 @@ class TorusElement:
         return out
 
     def __sub__(self, other):
-        return self._merged(other, True)
+        return self._merged(other, True, 0)
 
-    def _merged(self, other, subtract):
-        """self + other, or self - other, in one pass over the terms of
-        other: no negated copy of other is made."""
+    def minus_t(self, other, k):
+        """self - t**k other, the t-power applied in the one pass of the
+        subtraction: no scaled copy of other is made."""
+        return self._merged(other, True, k)
+
+    def _merged(self, other, subtract, k):
+        """self + t**k other, or self - t**k other, in one pass over the
+        terms of other: no negated or scaled copy of other is made."""
         _require_form(self.form, other)
         out = TorusElement(self.form)
         terms = dict(self.terms)
         for du, c in other.terms.items():
+            if k:
+                c = c.times_t(k)
             prev = terms.get(du)
             if prev is None:
                 nc = -c if subtract else c

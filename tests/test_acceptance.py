@@ -34,6 +34,7 @@ from qshear.monodromy import (
 from qshear.oracle import (
     ClockShiftRep,
     closed_trace_minimum,
+    random_closed_words,
     flip_involution_deviation,
     mutation_check,
     numeric_identity_deviation,
@@ -193,7 +194,8 @@ def test_criterion_7_classical_layer():
     assert flip_involution_deviation(g3, "X1", 1000) < 1e-10
     assert pending_flip_involution_deviation(g3, "S", 1000) < 1e-10
     assert pentagon_deviation(g4, "X1", "X2", 200) < 1e-10
-    low = closed_trace_minimum(g4, samples=200, paths=20)
+    (words,) = random_closed_words(g4, (20,), 20240229)
+    low = closed_trace_minimum(g4, words, samples=200)
     assert low >= 2.0 - 1e-9, low
     elapsed = time.perf_counter() - start
     assert _report("criterion-7 classical", elapsed < 300, elapsed, f"min trace {low:.3f}")

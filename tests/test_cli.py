@@ -445,6 +445,52 @@ def test_flips_classical_record_shapes_are_pinned():
     assert digest == "122af7246d14f6152c2a9cac30c4483ec13e651e75501937e2f04b3e352a32bd"
 
 
+_CLASSICAL_FLOATS = {
+    20240229: {
+        "classical-inner-1-numeric": ("max_deviation", "5.329070518200751e-15"),
+        "classical-inner-2-numeric": ("max_deviation", "5.329070518200751e-15"),
+        "classical-inner-3-numeric": ("max_deviation", "1.7763568394002505e-15"),
+        "classical-pending-1-numeric": ("max_deviation", "8.526512829121202e-14"),
+        "classical-pending-2-numeric": ("max_deviation", "4.263256414560601e-14"),
+        "classical-pending-3-numeric": ("max_deviation", "5.684341886080802e-14"),
+        "classical-decoration-1-numeric": ("max_deviation", "7.105427357601002e-15"),
+        "classical-decoration-2-numeric": ("max_deviation", "7.105427357601002e-15"),
+        "classical-flip-involution": ("max_deviation", "4.440892098500626e-16"),
+        "classical-pending-involution": ("max_deviation", "4.440892098500626e-16"),
+        "classical-pentagon": ("max_deviation", "6.661338147750939e-16"),
+        "classical-hole-boundary-trace": ("max_deviation", "5.684341886080801e-13"),
+        "classical-closed-traces": ("min_trace", "2.1453539932235186"),
+        "classical-sign-structure": ("max_violation", "0.0"),
+    },
+    7: {
+        "classical-inner-1-numeric": ("max_deviation", "5.329070518200751e-15"),
+        "classical-inner-2-numeric": ("max_deviation", "7.105427357601002e-15"),
+        "classical-inner-3-numeric": ("max_deviation", "3.552713678800501e-15"),
+        "classical-pending-1-numeric": ("max_deviation", "5.684341886080802e-14"),
+        "classical-pending-2-numeric": ("max_deviation", "7.105427357601002e-14"),
+        "classical-pending-3-numeric": ("max_deviation", "5.684341886080802e-14"),
+        "classical-decoration-1-numeric": ("max_deviation", "5.329070518200751e-15"),
+        "classical-decoration-2-numeric": ("max_deviation", "5.329070518200751e-15"),
+        "classical-flip-involution": ("max_deviation", "4.440892098500626e-16"),
+        "classical-pending-involution": ("max_deviation", "4.440892098500626e-16"),
+        "classical-pentagon": ("max_deviation", "8.881784197001252e-16"),
+        "classical-hole-boundary-trace": ("max_deviation", "2.8421709430404007e-13"),
+        "classical-closed-traces": ("min_trace", "2.000195036776481"),
+        "classical-sign-structure": ("max_violation", "0.0"),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_CLASSICAL_FLOATS))
+def test_flips_classical_floats_are_pinned_bit_for_bit(seed):
+    """Every float extra of flips-classical at 1000 samples, by repr: the
+    pinned shapes above drop these values, and a change to a float check's
+    words, shears or evaluation order moves their last bits."""
+    records = suites.run_suite("flips-classical", RunConfig(seed=seed))
+    got = {r.ident: (key, repr(v)) for r in records for key, v in r.extras.items()}
+    assert got == _CLASSICAL_FLOATS[seed]
+
+
 def test_failing_classical_float_checks_name_their_value(monkeypatch):
     from qshear import oracle
 
@@ -495,12 +541,12 @@ def test_edge_mutant_without_its_folded_sign_fails_exact_and_numeric_records(mon
 
     folded = matrices.word_action
 
-    def unsigned(steps, edge, scalar):
+    def unsigned(steps, edges, scalar):
         def mutant(name):
-            up, dn = edge(name)
+            up, dn = edges[name]
             return (lambda x: -up(x)), dn
 
-        return folded(steps, mutant, scalar)
+        return folded(steps, matrices.EdgeMaps(mutant), scalar)
 
     monkeypatch.setattr(matrices, "word_action", unsigned)
     monkeypatch.setattr(oracle, "word_action", unsigned)

@@ -316,30 +316,38 @@ def test_run_flip_script():
         run_flip_script(s, ["flip S"])
 
 
+def _a4_words(count):
+    """The closed words of the A4 spine that flips-classical draws, at the
+    default seed."""
+    g = spine_graph_an(4)
+    (words,) = oracle.random_closed_words(g, (count,), 20240229)
+    return g, words
+
+
 def test_sign_structure():
     from qshear.oracle import sign_structure_violation
 
-    assert sign_structure_violation(spine_graph_an(4), samples=50) < 1e-12
+    assert sign_structure_violation(*_a4_words(15), samples=50) < 1e-12
 
 
 def _nan_on_second_word(monkeypatch):
-    """Make oracle._state_values return NaN for the second word it reads."""
+    """Make ShearState.word_values return NaN for the second word it reads."""
     calls = []
-    values = oracle._state_values
+    values = oracle.ShearState.word_values
 
     def patched(state, tokens):
         calls.append(tokens)
         out = values(state, tokens)
         return np.full_like(out, math.nan) if len(calls) == 2 else out
 
-    monkeypatch.setattr(oracle, "_state_values", patched)
+    monkeypatch.setattr(oracle.ShearState, "word_values", patched)
 
 
 def test_sign_structure_keeps_a_nan_that_is_not_first(monkeypatch):
     _nan_on_second_word(monkeypatch)
-    assert math.isnan(oracle.sign_structure_violation(spine_graph_an(4), samples=50))
+    assert math.isnan(oracle.sign_structure_violation(*_a4_words(15), samples=50))
 
 
 def test_closed_trace_minimum_keeps_a_nan_that_is_not_first(monkeypatch):
     _nan_on_second_word(monkeypatch)
-    assert math.isnan(oracle.closed_trace_minimum(spine_graph_an(4), samples=200))
+    assert math.isnan(oracle.closed_trace_minimum(*_a4_words(25), samples=200))

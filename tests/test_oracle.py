@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qshear.coeffs import Coefficient
+from qshear.flips import CLASSICAL_FLIP_IDENTITIES
 from qshear.fatgraph import FatGraph, PathWord, compile_path, flip_graph, pvi_graph, spine_graph_an
 from qshear import oracle
 from qshear.matrices import AlgMatrix, word_chain
@@ -21,6 +22,7 @@ from qshear.oracle import (
     boundary_trace_deviation,
     closed_trace_minimum,
     mutation_check,
+    numeric_identity_deviation,
     numeric_pair_norms,
     numeric_realization,
     numeric_pvi_pairs,
@@ -29,6 +31,7 @@ from qshear.oracle import (
     oracle_check,
     relation_forms,
     boundary_word_tokens,
+    float_edges,
     random_closed_words,
     random_state,
     rep_word_value,
@@ -906,12 +909,12 @@ def _scalar_word_value(tokens, values, weights, k):
 @pytest.mark.parametrize("n", [3, 4])
 def test_batched_word_values_match_scalar_products(n):
     g = spine_graph_an(n)
-    words = random_closed_words(g, 8, seed=3)
+    (words,) = random_closed_words(g, (8,), seed=3)
     words.append([t for step in boundary_word_tokens(g) for t in (("turn", "L"), step)])
     state = random_state(g, 11, 7)
     weights = {e: state.weight_value(e) for e in g.pending}
     for tokens in words:
-        got = word_values(tokens, state.values, weights)
+        got = word_values(tokens, float_edges(state.values), weights)
         assert got.shape == (7, 2, 2)
         for k in range(7):
             want = _scalar_word_value(tokens, state.values, weights, k)
@@ -931,15 +934,16 @@ def test_word_values_match_constructor_products_on_random_words():
         tokens = [steps[i] for i in rng.integers(len(steps), size=rng.integers(1, 9))]
         want = np.array([_scalar_word_value(tokens, values, weights, k) for k in range(6)])
         # a word of turns alone has no sample axis and broadcasts over it
-        got = np.broadcast_to(word_values(tokens, values, weights), want.shape)
+        got = np.broadcast_to(word_values(tokens, float_edges(values), weights), want.shape)
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want))), tokens
 
 
 def test_closed_traces_at_least_two():
     g = spine_graph_an(4)
-    words = random_closed_words(g, 10, seed=3)
+    (words,) = random_closed_words(g, (10,), seed=3)
     assert words
-    assert closed_trace_minimum(g, samples=100, paths=10) >= 2.0 - 1e-9
+    (drawn,) = random_closed_words(g, (10,), seed=20240229)
+    assert closed_trace_minimum(g, drawn, samples=100) >= 2.0 - 1e-9
 
 
 def test_closed_words_on_the_flipped_theta_are_paths():
@@ -950,7 +954,7 @@ def test_closed_words_on_the_flipped_theta_are_paths():
     g, _ = flip_graph(theta_graph(), "A")
     form = g.skew_form()
     for seed in range(5):
-        words = random_closed_words(g, 20, seed)
+        (words,) = random_closed_words(g, (20,), seed)
         assert words
         for tokens in words:
             compile_path(g, PathWord(tokens[:1] + tokens[::-1]), form)
@@ -968,10 +972,90 @@ def test_closed_checks_refuse_a_graph_without_closed_words(graph):
     """Every walk on (X, A, B), (X, C, D) ends at a stub, and the four-point
     sphere graph has no internal edge: there is no closed word, and both
     closed-word checks raise rather than pass over zero words."""
-    assert random_closed_words(graph, 5, seed=0) == []
+    assert random_closed_words(graph, (5,), seed=0) == [[]]
     for check in (closed_trace_minimum, sign_structure_violation):
         with pytest.raises(ValueError, match="no closed words found"):
-            check(graph)
+            check(graph, [])
+
+
+def _one_draw(graph, count, seed):
+    """A draw of ``count`` closed words on its own: the walk of
+    :func:`random_closed_words`, stopped at ``count`` words or after
+    ``count * 400`` walks."""
+    rng = np.random.default_rng(seed)
+    internal = [e for e in graph.edges if graph.is_internal(e)]
+    words = []
+    attempts = 0
+    while internal and len(words) < count and attempts < count * 400:
+        attempts += 1
+        e0 = internal[int(rng.integers(len(internal)))]
+        start = graph.incidence(e0)[0 if rng.integers(2) else 1]
+        tokens, slot = [("edge", e0)], start
+        for _ in range(12):
+            turn = "L" if rng.integers(2) else "R"
+            out = graph.turn(slot, turn)
+            edge, slot = graph.edge_at(out), graph.across(out)
+            if slot == out and not graph.is_pending(edge):
+                break
+            tokens += [("turn", turn), ("orb", edge, 1) if slot == out else ("edge", edge)]
+            if slot == start:
+                break
+        if slot == start and len(tokens) > 3:
+            words.append(tokens[:-1])
+    return words
+
+
+# six vertices with two loops and four spectator stubs: about one walk in a
+# thousand closes, so draws of 15 and of 25 words both stop at their caps
+_RARE_CLOSED = FatGraph(
+    ("e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"),
+    (("e1", "e9", "e9"), ("e6", "e10", "e8"), ("e3", "e8", "e3"),
+     ("e1", "e4", "e0"), ("e5", "e0", "e7"), ("e5", "e6", "e2")),
+)
+
+
+@pytest.mark.parametrize(
+    "graph, seeds",
+    [(spine_graph_an(4), range(32)), (_RARE_CLOSED, range(2))],
+    ids=["a4", "capped"],
+)
+def test_one_draw_gives_each_count_its_own_draw(graph, seeds):
+    """The closed words that flips-classical draws once for both closed-word
+    checks are, at every seed, those of separate draws of 25 and of 15,
+    also where the ``count * 400`` walk cap stops a draw short."""
+    for seed in seeds:
+        traced, signed = random_closed_words(graph, (25, 15), seed)
+        assert traced == _one_draw(graph, 25, seed), seed
+        assert signed == _one_draw(graph, 15, seed), seed
+        if graph is _RARE_CLOSED:
+            assert len(signed) < min(15, len(traced)), seed
+
+
+def test_each_edge_factor_is_formed_once_per_shear_state(monkeypatch):
+    """One closed-trace check on the A4 spine reads all its words from one
+    state's edge table, which forms each edge's factor once; the two sides
+    of a classical identity share one table too."""
+    filled = []
+    missing = oracle.EdgeMaps.__missing__
+
+    def recording(table, name):
+        filled.append((table, name))
+        return missing(table, name)
+
+    monkeypatch.setattr(oracle.EdgeMaps, "__missing__", recording)
+    g = spine_graph_an(4)
+    (words,) = random_closed_words(g, (25,), 20240229)
+    assert closed_trace_minimum(g, words) >= 2.0 - 1e-9
+    tables = {id(table) for table, _ in filled}
+    names = [name for _, name in filled]
+    assert len(tables) == 1
+    assert len(names) == len(set(names)) and set(names) <= set(g.edges)
+    for ident in CLASSICAL_FLIP_IDENTITIES:
+        filled.clear()
+        assert numeric_identity_deviation(ident, 10) < 1e-10
+        names = [name for _, name in filled]
+        assert len({id(table) for table, _ in filled}) == 1, ident
+        assert len(names) == len(set(names)), ident
 
 
 def test_rejects_even_modulus():

@@ -291,6 +291,24 @@ def test_pair_is_both_products():
         assert xy.form is f and yx.form is f
 
 
+def test_minus_t_is_the_subtraction_of_a_scaled_element():
+    """x.minus_t(y, k) is x - t**k y term for term, cancelled terms
+    dropped, and does not touch y."""
+    rng = random.Random(32)
+    f = _PAIR_FORM
+    for trial in range(100):
+        x, y = _seeded_element(rng, f), _seeded_element(rng, f)
+        k = rng.choice((-8, -1, 0, 8))
+        if trial % 10 == 0:
+            x = Coefficient.t_power(k) * y  # every term cancels
+        before = dict(y.terms)
+        got = x.minus_t(y, k)
+        assert got.terms == (x - Coefficient.t_power(k) * y).terms, trial
+        assert y.terms == before
+        if trial % 10 == 0:
+            assert got.is_zero()
+
+
 def test_pair_of_two_monomials_differs_by_their_pairing():
     f = _PAIR_FORM
     x, y = ew(f, {"g0": 1}), ew(f, {"g1": 1, "g2": -1})
