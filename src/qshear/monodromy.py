@@ -316,49 +316,41 @@ def hermitian_relations(real):
         yield (f"G({i},{j})* = G({i},{j})", g.star(), g)
 
 
-def indexed_nelson_regge_relations(src, indices):
+def nelson_regge_supports(indices):
+    """The indices that each relation of :func:`nelson_regge_relations`
+    over ``indices`` involves, in its order: each four of them three times
+    (disjoint, nested, crossing), then each three once (adjacent)."""
+    idx = sorted(indices)
+    return [ix for ix in combinations(idx, 4) for _ in range(3)] + list(combinations(idx, 3))
+
+
+def nelson_regge_relations(src, indices):
     """All disjoint, nested, crossing and adjacent relations over the given
-    index range (root 0 allowed), each as (the indices it involves, label,
-    lhs, rhs)."""
+    index range (root 0 allowed), in the order of
+    :func:`nelson_regge_supports`."""
     idx = sorted(indices)
     G = {(i, j): geodesic_G(src, i, j) for i, j in combinations(idx, 2)}
     q, qi = src.q(1), src.q(-1)
     d = src.q(2) - src.q(-2)
-    for ix in combinations(idx, 4):
-        i, j, k, l = ix
+    for i, j, k, l in combinations(idx, 4):
         (outer, outer_rev), (inner, inner_rev) = G[i, j].pair(G[k, l]), G[i, l].pair(G[j, k])
-        yield (ix, f"[G({i},{j}),G({k},{l})] = 0 (disjoint)", outer, outer_rev)
-        yield (ix, f"[G({i},{l}),G({j},{k})] = 0 (nested)", inner, inner_rev)
+        yield (f"[G({i},{j}),G({k},{l})] = 0 (disjoint)", outer, outer_rev)
+        yield (f"[G({i},{l}),G({j},{k})] = 0 (nested)", inner, inner_rev)
         # the crossing commutator that matches the adjacent and disjoint
         # conventions takes the outer geodesic first
         jl_ik, ik_jl = G[j, l].pair(G[i, k])
         yield (
-            ix,
             f"[G({j},{l}),G({i},{k})] = (q^2-q^-2)(G({i},{j})G({k},{l}) - G({i},{l})G({j},{k})) (crossing)",
             jl_ik - ik_jl,
             d * (outer - inner),
         )
-    for ix in combinations(idx, 3):
-        i, j, k = ix
+    for i, j, k in combinations(idx, 3):
         ij_jk, jk_ij = G[i, j].pair(G[j, k])
         yield (
-            ix,
             f"q G({i},{j})G({j},{k}) - q^-1 G({j},{k})G({i},{j}) = (q^2-q^-2) G({i},{k}) (adjacent)",
             q * ij_jk - qi * jk_ij,
             d * G[i, k],
         )
-
-
-def nelson_regge_relations(src, indices):
-    for _, label, lhs, rhs in indexed_nelson_regge_relations(src, indices):
-        yield label, lhs, rhs
-
-
-def indexed_nelson_regge_defects(real, indices):
-    """The defects of :func:`nelson_regge_relations`, each as (the indices
-    its relation involves, label, defect)."""
-    relations = indexed_nelson_regge_relations(real, indices)
-    return [(ix, label, _defect(lhs, rhs)) for ix, label, lhs, rhs in relations]
 
 
 # -- R-matrix form -----------------------------------------------------------

@@ -1,6 +1,16 @@
 """Named verification suites: every identity in the catalog is checked
-exactly, and when oracle moduli are configured each suite also re-verifies
+exactly, and when oracle moduli are configured a suite also re-verifies
 its content numerically in clock-and-shift representations.
+
+Six suites are rows of one table, :data:`CATALOG`, read by one runner,
+:func:`run_catalog`.  A row names a built-in realization and relation
+families of ``monodromy.family_records``: each record of the families
+gives one exact record, '<realization>-<record>', and the row's oracle
+entry, if any, one oracle record per modulus over the same families.  Two
+records come from no family: ``ybe-8x8``, a zero test of its own
+(:data:`LONE_RECORDS`), and ``an4-nelson-regge-0123``, a row's part: the
+defects of its full Nelson-Regge record over the indices 0..3.  The other
+three suites have runners of their own.
 
 A run computes each shared input once: its :class:`RunStore`, made with
 its :class:`RunConfig`, builds each built-in realization on first use and
@@ -13,7 +23,9 @@ Nothing is cached at module level: two runs in one process share nothing.
 from __future__ import annotations
 
 import traceback
+from collections import namedtuple
 from functools import partial
+from itertools import compress
 
 from .fatgraph import load_graph, spine_graph_an
 from .flips import CLASSICAL_FLIP_IDENTITIES, classical_identity_witness
@@ -21,7 +33,7 @@ from .monodromy import (
     an_realization,
     catalog_defects,
     element_is_zero,
-    indexed_nelson_regge_defects,
+    nelson_regge_supports,
     pvi_realization,
     yang_baxter_defect,
 )
@@ -129,15 +141,6 @@ def _value_report(ident, anchor, key, value, ok, what):
     return IdentityReport(ident, anchor, ok, None if ok else f"{what} {value}", {key: value})
 
 
-def _catalog_reports(prefix, real, families):
-    """One exact record per record of the named families of ``real``, as
-    the record table of ``monodromy`` groups them."""
-    return [
-        _defect_report(f"{prefix}-{record}", anchor, defects)
-        for record, anchor, defects in catalog_defects(real, families)
-    ]
-
-
 def _numeric_pairs(real, config, families):
     """For each oracle modulus, in order, (modulus, pairs): the numeric
     pairs of the named relation families of ``real`` in the clock-and-shift
@@ -169,97 +172,14 @@ def _numeric_reports(prefix, anchor, real, config, families):
     out = []
     for modulus, pairs in _numeric_pairs(real, config, families):
         norms = oracle.numeric_pair_norms(pairs)
-        worst = oracle.worst_norm([n for _, n in norms])
         bad = [lbl for lbl, n in norms if not n <= 1e-9]  # a NaN norm fails too
-        out.append(
-            IdentityReport(
-                f"{prefix}-oracle-N{modulus}",
-                anchor,
-                not bad,
-                None if not bad else f"norms above 1e-9: {bad[:5]}",
-                {"pairs": len(norms), "max_norm": worst},
-            )
-        )
+        witness = f"norms above 1e-9: {bad[:5]}" if bad else None
+        extras = {"pairs": len(norms), "max_norm": oracle.worst_norm([n for _, n in norms])}
+        out.append(IdentityReport(f"{prefix}-oracle-N{modulus}", anchor, not bad, witness, extras))
     return out
 
 
 # -- suite runners ----------------------------------------------------------
-
-
-def run_an_core(config):
-    families = ("entry", "cross")
-    anchor = "numeric re-check of the entry algebra"
-    reports = []
-    for n in (3, 4):
-        real = config.store.realization(f"an{n}")
-        reports += _catalog_reports(f"an{n}", real, families)
-        reports += _numeric_reports(f"an{n}-core", anchor, real, config, families)
-    return reports
-
-
-def run_an_nelson_regge(config):
-    real = config.store.realization("an4")
-    # the 0..3 record reads its relations off the full family, in order
-    full = indexed_nelson_regge_defects(real, range(5))
-    reports = [
-        _defect_report(
-            "an4-nelson-regge-0123",
-            "geodesic function algebra over indices 0..3",
-            [(label, d) for ix, label, d in full if max(ix) <= 3],
-        ),
-        _defect_report(
-            "an4-nelson-regge-full",
-            "geodesic function algebra over all index tuples",
-            [(label, d) for _, label, d in full],
-        ),
-        *_catalog_reports("an4", real, ("hermitian",)),
-    ]
-    reports.extend(
-        _numeric_reports(
-            "an4-nr", "numeric re-check of the geodesic function algebra", real, config, ("nelson-regge",)
-        )
-    )
-    return reports
-
-
-def run_an_rmatrix(config):
-    families = ("reflection",)
-    [(_, _, four_point)] = catalog_defects(config.store.realization("pvi"), families)
-    reports = [
-        _bool_report(
-            "ybe-8x8",
-            "quantum Yang-Baxter equation on three tensor legs",
-            yang_baxter_defect().is_zero(),
-        ),
-        _defect_report(
-            "pvi-reflection-12",
-            "four-point monodromies satisfy the same reflection equation",
-            four_point,
-        ),
-    ]
-    for n in (3, 4):
-        real = config.store.realization(f"an{n}")
-        reports += _catalog_reports(f"an{n}", real, families)
-        if n == 3:  # the an4 reflection forms have no oracle record yet
-            anchor = "numeric reflection equations"
-            reports += _numeric_reports(f"an{n}-rmatrix", anchor, real, config, families)
-    return reports
-
-
-def run_an_braid(config):
-    reports = []
-    for n in (3, 4):
-        reports += _catalog_reports(f"an{n}", config.store.realization(f"an{n}"), ("braid",))
-    return reports
-
-
-def run_pvi(config):
-    families = ("pvi", "hermitian")
-    real = config.store.realization("pvi")
-    reports = _catalog_reports("pvi", real, families)
-    anchor = "numeric re-check of the four-point algebra"
-    reports += _numeric_reports("pvi", anchor, real, config, families)
-    return reports
 
 
 def run_flips_classical(config):
@@ -292,22 +212,11 @@ def run_flips_classical(config):
     low = oracle.closed_trace_minimum(g4, traced, traces, seed)
     anchor = "closed geodesic traces stay at or above two"
     ok = low >= 2.0 - 1e-9
-    reports.append(
-        _value_report("classical-closed-traces", anchor, "min_trace", low, ok, "minimum trace")
-    )
+    reports.append(_value_report("classical-closed-traces", anchor, "min_trace", low, ok, "minimum trace"))
     viol = oracle.sign_structure_violation(g4, signed, min(config.samples, 50), seed)
     anchor = "block products keep the alternating sign pattern"
     ok = viol < 1e-12
-    reports.append(
-        _value_report("classical-sign-structure", anchor, "max_violation", viol, ok, "violation")
-    )
-    return reports
-
-
-def run_flips_quantum(config):
-    reports = []
-    for n in (2, 3, 4):
-        reports += _catalog_reports(f"an{n}", config.store.realization(f"an{n}"), ("flip",))
+    reports.append(_value_report("classical-sign-structure", anchor, "max_violation", viol, ok, "violation"))
     return reports
 
 
@@ -336,37 +245,83 @@ def run_oracle_soundness(config):
     real = config.store.realization("an3")
     for modulus, pairs in _numeric_pairs(real, config, ("entry", "cross", "reflection")):
         caught = oracle.mutation_check(pairs, oracle.root_of_unity(modulus), config.seed)
-        reports.append(
-            IdentityReport(
-                f"mutations-N{modulus}",
-                "50 deliberately broken identities are all caught",
-                all(caught),
-                None if all(caught) else f"missed {caught.count(False)}",
-                {"caught": sum(caught), "total": len(caught)},
-            )
-        )
+        witness = None if all(caught) else f"missed {caught.count(False)}"
+        extras = {"caught": sum(caught), "total": len(caught)}
+        anchor = "50 deliberately broken identities are all caught"
+        reports.append(IdentityReport(f"mutations-N{modulus}", anchor, all(caught), witness, extras))
+    return reports
+
+
+# -- the catalog suites -----------------------------------------------------
+
+# A row of a catalog suite: ``oracle`` is a (record prefix, anchor),
+# ``anchor`` stands for the anchors of the families, and ``part`` is a
+# (record, anchor, indices) read off the row's one record.
+Row = namedtuple("Row", "realization families oracle anchor part", defaults=(None, None, None))
+
+CATALOG = {
+    "an-core": tuple(
+        Row(f"an{n}", ("entry", "cross"), (f"an{n}-core", "numeric re-check of the entry algebra"))
+        for n in (3, 4)
+    ),
+    "an-nelson-regge": (
+        Row("an4", ("nelson-regge",), ("an4-nr", "numeric re-check of the geodesic function algebra"),
+            part=("nelson-regge-0123", "geodesic function algebra over indices 0..3", range(4))),
+        Row("an4", ("hermitian",)),
+    ),
+    "an-rmatrix": (
+        Row("an3", ("reflection",), ("an3-rmatrix", "numeric reflection equations")),
+        Row("an4", ("reflection",)),
+        Row("pvi", ("reflection",), anchor="four-point monodromies satisfy the same reflection equation"),
+    ),
+    "an-braid": (Row("an3", ("braid",)), Row("an4", ("braid",))),
+    "pvi": (Row("pvi", ("pvi", "hermitian"), ("pvi", "numeric re-check of the four-point algebra")),),
+    "flips-quantum": tuple(Row(f"an{n}", ("flip",)) for n in (2, 3, 4)),
+}
+
+# the catalog records that no family yields, per suite: (id, anchor, defect)
+LONE_RECORDS = {
+    "an-rmatrix": (("ybe-8x8", "quantum Yang-Baxter equation on three tensor legs", yang_baxter_defect),),
+}
+
+
+def run_catalog(suite, config):
+    """The records of one suite of :data:`CATALOG`."""
+    lone = LONE_RECORDS.get(suite, ())
+    reports = [_bool_report(ident, anchor, defect().is_zero()) for ident, anchor, defect in lone]
+    for row in CATALOG[suite]:
+        real = config.store.realization(row.realization)
+        records = catalog_defects(real, row.families)
+        if row.part:
+            record, anchor, indices = row.part
+            [(_, _, full)] = records
+            inside = [set(ix) <= set(indices) for ix in nelson_regge_supports(range(real.n + 1))]
+            records.append((record, anchor, list(compress(full, inside))))
+        for record, anchor, defects in records:
+            reports.append(_defect_report(f"{row.realization}-{record}", row.anchor or anchor, defects))
+        if row.oracle:
+            reports += _numeric_reports(*row.oracle, real, config, row.families)
     return reports
 
 
 SUITES = {
-    "an-core": ("entry algebra and M^2 = -E on the order-2 chains", run_an_core),
-    "an-nelson-regge": ("geodesic function algebra (disjoint/nested/crossing/adjacent)", run_an_nelson_regge),
-    "an-rmatrix": ("R-matrix form: Yang-Baxter and reflection equations", run_an_rmatrix),
-    "an-braid": ("braid group action, determinants and invariants", run_an_braid),
-    "pvi": ("four-point sphere: deformed algebra, K elements, AW(3)", run_pvi),
+    "an-core": ("entry algebra and M^2 = -E on the order-2 chains", partial(run_catalog, "an-core")),
+    "an-nelson-regge": (
+        "geodesic function algebra (disjoint/nested/crossing/adjacent)",
+        partial(run_catalog, "an-nelson-regge"),
+    ),
+    "an-rmatrix": ("R-matrix form: Yang-Baxter and reflection equations", partial(run_catalog, "an-rmatrix")),
+    "an-braid": ("braid group action, determinants and invariants", partial(run_catalog, "an-braid")),
+    "pvi": ("four-point sphere: deformed algebra, K elements, AW(3)", partial(run_catalog, "pvi")),
     "flips-classical": ("classical flip identities, pentagon, trace positivity", run_flips_classical),
-    "flips-quantum": ("quantum substitutions and mutation invariance", run_flips_quantum),
+    "flips-quantum": ("quantum substitutions and mutation invariance", partial(run_catalog, "flips-quantum")),
     "graph-validate": ("structural validation of graph files", run_graph_validate),
     "oracle-soundness": ("mutation testing of the numeric oracle", run_oracle_soundness),
 }
 
 
 def list_suites():
-    lines = []
-    for name in sorted(SUITES):
-        anchor, _ = SUITES[name]
-        lines.append(f"{name:18s} {anchor}")
-    return "\n".join(lines)
+    return "\n".join(f"{name:18s} {SUITES[name][0]}" for name in sorted(SUITES))
 
 
 def run_suite(name, config):

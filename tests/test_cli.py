@@ -182,10 +182,13 @@ def test_nelson_regge_0123_record_reads_the_full_family(monkeypatch):
 
     monkeypatch.setattr(suites, "_defect_report", record)
     monkeypatch.setattr(suites, "_numeric_reports", lambda *args: [])
-    suites.run_an_nelson_regge(RunConfig())
+    suites.run_suite("an-nelson-regge", RunConfig())
     want = relation_defects(nelson_regge_relations(an_realization(4), [0, 1, 2, 3]))
     assert [label for label, _ in built["an4-nelson-regge-0123"]] == [label for label, _ in want]
     assert len(built["an4-nelson-regge-full"]) == 25
+    # the subset holds the full record's own defects: no relation is formed twice
+    full = {id(d) for _, d in built["an4-nelson-regge-full"]}
+    assert all(id(d) in full for _, d in built["an4-nelson-regge-0123"])
 
 
 def _fresh_python(code):
@@ -278,6 +281,8 @@ def test_all_suites_report_content_is_pinned(tmp_path, capsys):
         for key in ("max_norm", "max_deviation", "min_trace", "max_violation"):
             record.get("extras", {}).pop(key, None)
     assert len(doc["identities"]) == 121
+    # a table row that repeats a realization and family would give its ids twice
+    assert len({record["id"] for record in doc["identities"]}) == 121
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == "ec3ba65fd6b0c74b54356a33da0470b9ff786bf7622aa19d1c0f8846b53785b2"
 

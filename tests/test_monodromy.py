@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from itertools import combinations
 
@@ -26,6 +27,7 @@ from qshear.monodromy import (
     family_records,
     geodesic_G,
     nelson_regge_relations,
+    nelson_regge_supports,
     pvi_realization,
     reflection_ii_relations,
     reflection_relations,
@@ -36,7 +38,7 @@ from qshear.monodromy import (
 )
 from qshear.ore import OreElement, QDenominator
 from qshear.reports import witness_digest
-from qshear.suites import RunConfig, _defect_report, run_pvi
+from qshear.suites import RunConfig, _defect_report, run_suite
 from qshear.torus import TorusElement, commutative_shadow, ew
 
 from conftest import random_monomial
@@ -177,6 +179,17 @@ def test_nelson_regge_counts(an4):
 
     assert len(defects) == 3 * comb(5, 4) + comb(5, 3)
     assert_clean(defects)
+
+
+def test_nelson_regge_supports_follow_the_relations(an4):
+    """Each relation involves the geodesic functions over exactly its
+    support, in the generator's order."""
+    relations = list(nelson_regge_relations(an4, range(5)))
+    supports = nelson_regge_supports(range(5))
+    assert len(supports) == len(relations) == 25
+    for (label, _, _), ix in zip(relations, supports):
+        named = {int(k) for pair in re.findall(r"G\((\d),(\d)\)", label) for k in pair}
+        assert named == set(ix), label
 
 
 def test_yang_baxter():
@@ -548,7 +561,7 @@ def test_dropping_any_weight_term_fails_pvi_and_the_weighted_chain(monkeypatch):
             return x if site == drop else weighted(x, w, scale, y)
 
         monkeypatch.setattr(monodromy, "_weighted", traced)
-        pvi = {r.ident for r in run_pvi(RunConfig(oracle_moduli=(5,))) if r.status is not True}
+        pvi = {r.ident for r in run_suite("pvi", RunConfig(oracle_moduli=(5,))) if r.status is not True}
         defects = relation_defects(relation_families(chain, ("cross", "hermitian")))
         return sites, pvi, [label for label, d in defects if not d.is_zero()]
 
