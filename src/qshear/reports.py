@@ -1,24 +1,22 @@
 """Outcome records for verified identities."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 from .ore import OreElement
 from .torus import TorusElement
 
 
-@dataclass
 class IdentityReport:
     """One verified identity: stable id, source anchor, pass/fail (None
     when the check raised), and on failure a bounded digest of the nonzero
     witness or the exception."""
 
-    ident: str
-    anchor: str
-    status: bool | None
-    witness: str | None = None
-    extras: dict = field(default_factory=dict)
+    __slots__ = ("ident", "anchor", "status", "witness", "extras")
+
+    def __init__(self, ident, anchor, status, witness=None, extras=None):
+        self.ident = ident
+        self.anchor = anchor
+        self.status = status
+        self.witness = witness
+        self.extras = {} if extras is None else extras
 
     def to_json(self):
         out = {

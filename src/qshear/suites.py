@@ -22,7 +22,6 @@ Nothing is cached at module level: two runs in one process share nothing.
 
 from __future__ import annotations
 
-import traceback
 from collections import namedtuple
 from functools import partial
 from itertools import compress
@@ -331,6 +330,8 @@ def run_suite(name, config):
     try:
         reports = runner(config)
     except Exception as exc:
+        import traceback
+
         traceback.print_exc()
         return [IdentityReport(f"{name}-error", anchor, None, f"{type(exc).__name__}: {exc}")]
     return sorted(reports, key=lambda r: r.ident)

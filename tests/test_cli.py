@@ -169,7 +169,11 @@ def test_runner_exception_becomes_one_error_record(monkeypatch, tmp_path, capsys
     }
     # the suite after the failing one still runs
     assert [r["status"] for r in items[1:]] == ["pass"] * 3
-    assert "[ERROR] pvi: pvi-error" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "[ERROR] pvi: pvi-error" in out
+    # the traceback of the failing runner goes to stderr
+    assert "Traceback (most recent call last)" in err
+    assert "ArithmeticError: ore clearing budget exhausted" in err
 
 
 def test_nelson_regge_0123_record_reads_the_full_family(monkeypatch):
@@ -199,8 +203,11 @@ def _fresh_python(code):
 
 
 def test_cli_import_leaves_numpy_and_the_oracle_unloaded():
-    out = _fresh_python("import sys, qshear.cli; "
-                        "print([m for m in ('numpy', 'qshear.oracle') if m in sys.modules])")
+    # only what the import itself loads counts, not what site loaded before it;
+    # no run uses dataclasses (with inspect), and only a failing suite traceback
+    out = _fresh_python("import sys; before = set(sys.modules); import qshear.cli; "
+                        "print(sorted({'numpy', 'qshear.oracle', 'dataclasses', 'inspect', 'traceback'}"
+                        " & (set(sys.modules) - before)))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
