@@ -15,7 +15,6 @@ callers wrap these into reports.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain, combinations
 from math import prod
 
@@ -35,12 +34,8 @@ from .flips import (
 )
 from .matrices import AlgMatrix, r_matrix, scalar_tensor, tensor_embed
 from .ore import OreElement
+from .reports import witness_digest
 from .torus import SkewForm, TorusElement, even_check
-
-Q1 = Coefficient.q_power(1)
-QM1 = Coefficient.q_power(-1)
-Q2 = Coefficient.q_power(2)
-QM2 = Coefficient.q_power(-2)
 
 
 class MonodromyRealization:
@@ -113,12 +108,13 @@ class MonodromyRealization:
 def extract_entries(mat, omega):
     """(a, b, c) from [[q a + w, -b], [c, -q**-1 a]]; raises on shape
     mismatch."""
-    a = (-mat[1, 1]).scale(Q1)
+    q = Coefficient.q_power(1)
+    a = (-mat[1, 1]).scale(q)
     b = -mat[0, 1]
     c = mat[1, 0]
-    shape = mat[0, 0] - a.scale(Q1) - TorusElement.scalar(mat.form, omega)
+    shape = mat[0, 0] - a.scale(q) - TorusElement.scalar(mat.form, omega)
     if not shape.is_zero():
-        raise ValueError(f"matrix does not have the monodromy normal shape: {shape!r}")
+        raise ValueError(f"matrix does not have the monodromy normal shape: {witness_digest(shape)}")
     for x in (a, b, c):
         if not even_check(x, mat.form.names):
             raise ValueError("monodromy entries must lie on the even lattice")
@@ -456,9 +452,10 @@ def _braid_form_relations(real, i, image, g):
     mi = real.matrix(i)
     mj = real.matrix(i + 1)
     prod = image.matrix(i)
+    q, qi, q2, qi2 = (real.q(k) for k in (1, -1, 2, -2))
     # q is central: scaling G before the product scales fewer terms
-    yield (f"braid form {i}: q M G - q^2 M' [{{}}]", prod, mi.scalar_mul_right(Q1 * g) - Q2 * mj)
-    yield (f"braid form {i}: q^-1 G M - q^-2 M' [{{}}]", prod, mi.scalar_mul_left(QM1 * g) - QM2 * mj)
+    yield (f"braid form {i}: q M G - q^2 M' [{{}}]", prod, mi.scalar_mul_right(q * g) - q2 * mj)
+    yield (f"braid form {i}: q^-1 G M - q^-2 M' [{{}}]", prod, mi.scalar_mul_left(qi * g) - qi2 * mj)
 
 
 def quantum_determinant_relations(real):
@@ -466,7 +463,7 @@ def quantum_determinant_relations(real):
     Casimir in the order-2 case)."""
     for i in range(1, real.n + 1):
         a, b, c = (real.entry(k, i) for k in "abc")
-        yield (f"det {i}", b @ c - Q2 * (a @ a), real.one)
+        yield (f"det {i}", b @ c - real.q(2) * (a @ a), real.one)
 
 
 def _gm_relations(real, i, j, G):
@@ -474,18 +471,17 @@ def _gm_relations(real, i, j, G):
     relation for i < k < j; ``G`` maps index pairs to their geodesic
     functions."""
     g = G[i, j]
-    d2 = QM2 - Q2
+    q, qi, q2, qi2 = (real.q(k) for k in (1, -1, 2, -2))
+    d2 = qi2 - q2
     for k in range(1, real.n + 1):
         # h M_k and M_k h by entry pairs; q is central, so it scales g first
-        h = QM1 * g if k == i else Q1 * g if k == j else g
+        h = qi * g if k == i else q * g if k == j else g
         pairs = [[h.pair(x) for x in row] for row in real.matrix(k).rows]
         hm, mh = (AlgMatrix(real.form, [[p[side] for p in row] for row in pairs]) for side in (0, 1))
         if k == i:
-            # hm - q^2 mh (q^2 = t^8), the power applied as mh is subtracted
-            lhs, rhs = hm.entrywise(partial(TorusElement.minus_t, k=8), mh), d2 * real.matrix(j)
+            lhs, rhs = hm - q2 * mh, d2 * real.matrix(j)
         elif k == j:
-            # hm - q^-2 mh
-            lhs, rhs = hm.entrywise(partial(TorusElement.minus_t, k=-8), mh), -d2 * real.matrix(i)
+            lhs, rhs = hm - qi2 * mh, -d2 * real.matrix(i)
         elif i < k < j:
             mid = real.matrix(i).scalar_mul_right(G[k, j]) - real.matrix(j).scalar_mul_left(G[i, k])
             lhs, rhs = hm - mh, -d2 * mid

@@ -67,19 +67,6 @@ class RunStore:
             self.realizations[name] = real
         return real
 
-    def keep_pairs(self, key, pairs):
-        """Keep a family's pairs as two objects: the labels joined into one
-        string and the sides stacked into one (k, 2, 2, 2) array.  Kept as
-        a list of small tuples for the whole run, the pairs of the oracle
-        suites added about 90 KB more to the peak of traced allocations."""
-        import numpy as np
-
-        self.pairs[key] = ("\0".join(p[0] for p in pairs), np.array([p[1:] for p in pairs]))
-
-    def read_pairs(self, key):
-        labels, sides = self.pairs[key]
-        return [(label, lhs, rhs) for label, (lhs, rhs) in zip(labels.split("\0"), sides)]
-
 
 class RunConfig:
     """Suite selection plus oracle and sampling knobs, and the run's
@@ -159,8 +146,8 @@ def _numeric_pairs(real, config, families):
                 rep = oracle.ClockShiftRep(real.form, modulus, seed=config.seed)
                 src = store.sources[real, modulus] = oracle.numeric_realization(rep, real, _ORACLE_PARAMS)
             for family in missing:
-                store.keep_pairs((real, modulus, family), oracle.numeric_relation_pairs(src, (family,)))
-        yield modulus, [pair for family in families for pair in store.read_pairs((real, modulus, family))]
+                store.pairs[real, modulus, family] = oracle.numeric_relation_pairs(src, (family,))
+        yield modulus, [pair for family in families for pair in store.pairs[real, modulus, family]]
 
 
 def _numeric_reports(prefix, anchor, real, config, families):

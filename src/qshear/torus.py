@@ -169,7 +169,7 @@ class TorusElement:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        return self._merged(other, False, 0)
+        return self._merged(other, False)
 
     def __neg__(self):
         out = TorusElement(self.form)
@@ -177,22 +177,15 @@ class TorusElement:
         return out
 
     def __sub__(self, other):
-        return self._merged(other, True, 0)
+        return self._merged(other, True)
 
-    def minus_t(self, other, k):
-        """self - t**k other, the t-power applied in the one pass of the
-        subtraction: no scaled copy of other is made."""
-        return self._merged(other, True, k)
-
-    def _merged(self, other, subtract, k):
-        """self + t**k other, or self - t**k other, in one pass over the
-        terms of other: no negated or scaled copy of other is made."""
+    def _merged(self, other, subtract):
+        """self + other, or self - other, in one pass over the terms of
+        other: no negated copy of other is made."""
         _require_form(self.form, other)
         out = TorusElement(self.form)
         terms = dict(self.terms)
         for du, c in other.terms.items():
-            if k:
-                c = c.times_t(k)
             prev = terms.get(du)
             if prev is None:
                 nc = -c if subtract else c
@@ -223,7 +216,15 @@ class TorusElement:
         return self.scale(coeff)
 
     def scale(self, coeff):
+        """coeff * self.  A coeff that is exactly t**k, as every q-power
+        is, shifts the t-exponents of each coefficient in one pass; any
+        other is multiplied into each coefficient."""
         out = TorusElement(self.form)
+        if len(coeff._terms) == 1:
+            ((k, params), val), = coeff._terms.items()
+            if val == 1 and not params:
+                out.terms = {du: c.times_t(k) for du, c in self.terms.items()}
+                return out
         for du, c in self.terms.items():
             nc = c * coeff
             if nc:

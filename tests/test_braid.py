@@ -162,6 +162,18 @@ def test_braid_relation_compares_the_two_sides(monkeypatch, an3):
     assert calls == [2, 1, 1, 2]
 
 
+def test_a_wrong_matrix_is_refused_with_a_bounded_witness():
+    """A matrix off the normal shape names the defect's first 20 monomials
+    and the count of the rest, not its whole text: at an5 the square of the
+    ordered product leaves 75 monomials."""
+    real = an_realization(5)
+    mats = list(real.mats)
+    mats[0] = _WordProducts(real)[(1, 2, 3, 4, 5) * 2]
+    with pytest.raises(ValueError, match="normal shape") as err:
+        real.with_matrices(mats)
+    assert "(55 more terms)" in str(err.value)
+
+
 # -- the braid family: each image once, the verdict both ways ------------------
 
 

@@ -291,22 +291,50 @@ def test_pair_is_both_products():
         assert xy.form is f and yx.form is f
 
 
-def test_minus_t_is_the_subtraction_of_a_scaled_element():
-    """x.minus_t(y, k) is x - t**k y term for term, cancelled terms
-    dropped, and does not touch y."""
+def _check_scale(monkeypatch):
+    """coeff * x is the term-by-term Coefficient.mul product and leaves x
+    as it was, over seeded elements; t**k is applied by times_t, once per
+    monomial, and every other coefficient is multiplied without it."""
+    shifts = []
+    times_t = Coefficient.times_t
+    monkeypatch.setattr(Coefficient, "times_t", lambda c, k: shifts.append(k) or times_t(c, k))
     rng = random.Random(32)
     f = _PAIR_FORM
+    w = Coefficient.parameter("w")
     for trial in range(100):
-        x, y = _seeded_element(rng, f), _seeded_element(rng, f)
+        x = _seeded_element(rng, f)
         k = rng.choice((-8, -1, 0, 8))
-        if trial % 10 == 0:
-            x = Coefficient.t_power(k) * y  # every term cancels
-        before = dict(y.terms)
-        got = x.minus_t(y, k)
-        assert got.terms == (x - Coefficient.t_power(k) * y).terms, trial
-        assert y.terms == before
-        if trial % 10 == 0:
-            assert got.is_zero()
+        tk = Coefficient.t_power(k)
+        before = dict(x.terms)
+        for coeff in (tk, Coefficient.t_power(k, 2), tk + Coefficient.one(), w * tk, Coefficient.zero()):
+            shifts.clear()
+            got = coeff * x
+            want = {du: c.mul(coeff) for du, c in x.terms.items() if c.mul(coeff)}
+            assert got.terms == want and _flat(got) == _flat(TorusElement(f, want)), (trial, coeff)
+            assert x.terms == before, (trial, coeff)
+            assert shifts == ([k] * len(x.terms) if coeff is tk else []), (trial, coeff)
+        y = tk * x
+        assert (y - tk * x).is_zero() and Coefficient.t_power(-k) * y == x, trial
+
+
+def test_scale_by_a_t_power_shifts_and_by_any_other_coefficient_multiplies(monkeypatch):
+    _check_scale(monkeypatch)
+
+
+def test_scale_check_fails_a_rule_that_ignores_the_value(monkeypatch):
+    """The fail direction: a rule that shifts by t**k for 2 t**k too."""
+    scale = TorusElement.scale
+
+    def ignores_value(x, coeff):
+        if len(coeff.items()) == 1:
+            ((k, params), _), = coeff.items()
+            if not params:
+                return scale(x, Coefficient.t_power(k))
+        return scale(x, coeff)
+
+    monkeypatch.setattr(TorusElement, "scale", ignores_value)
+    with pytest.raises(AssertionError):
+        _check_scale(monkeypatch)
 
 
 def test_pair_of_two_monomials_differs_by_their_pairing():
