@@ -43,8 +43,8 @@ def run_flip_script_file(args):
     from .fatgraph import graph_to_dict, load_graph
     from .oracle import ShearState, run_flip_script
 
-    if len(args.graph) != 1:
-        print("error: --flip-script needs exactly one --graph", file=sys.stderr)
+    if len(args.graph) != 1 or args.suite:
+        print("error: --flip-script needs exactly one --graph and no --suite", file=sys.stderr)
         return 2
     try:
         check_report_target(args.report)

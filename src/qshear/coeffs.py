@@ -48,7 +48,6 @@ def _made(terms):
     integral ones stored as int, normalized parameter monomials."""
     out = Coefficient.__new__(Coefficient)
     out._terms = terms
-    out._key = None
     return out
 
 
@@ -60,7 +59,7 @@ class Coefficient:
     are immutable and hashable, so they can key denominator tables.
     """
 
-    __slots__ = ("_terms", "_key")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         clean = {}
@@ -76,17 +75,16 @@ class Coefficient:
                 elif k in clean:
                     del clean[k]
         self._terms = clean
-        self._key = None
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero():
-        return _ZERO
+        return ZERO
 
     @staticmethod
     def one():
-        return _ONE
+        return ONE
 
     @staticmethod
     def rational(x):
@@ -146,7 +144,7 @@ class Coefficient:
         """self * other; torus products multiply their coefficients in
         ``torus.weyl_sum`` instead."""
         if not self._terms or not other._terms:
-            return _ZERO
+            return ZERO
         acc = {}
         for (t1, p1), v1 in self._terms.items():
             for (t2, p2), v2 in other._terms.items():
@@ -198,9 +196,7 @@ class Coefficient:
         return self._terms.items()
 
     def key(self):
-        if self._key is None:
-            self._key = tuple(sorted(self._terms.items()))
-        return self._key
+        return tuple(sorted(self._terms.items()))
 
     def __eq__(self, other):
         if not isinstance(other, Coefficient):
@@ -235,8 +231,5 @@ class Coefficient:
         return " + ".join(bits)
 
 
-_ZERO = Coefficient()
-_ONE = Coefficient({(0, ()): 1})
-
-ZERO = _ZERO
-ONE = _ONE
+ZERO = Coefficient()
+ONE = Coefficient({(0, ()): 1})

@@ -36,16 +36,17 @@ from .torus import SkewForm
 
 
 class PendingInfo:
-    """Orbifold data of a pending edge: a weight coefficient and, when the
-    weight came from an integer order p, that order.  The order is kept
-    only so that the graph format can write it back; compilation uses the
-    weight alone."""
+    """Orbifold data of a pending edge: a weight coefficient and the order p
+    or the parameter name it came from.  The order or the name is kept so
+    that the graph format can write it back; compilation uses the weight
+    alone."""
 
-    __slots__ = ("weight", "p")
+    __slots__ = ("weight", "p", "param")
 
-    def __init__(self, weight, p=None):
+    def __init__(self, weight, p=None, param=None):
         self.weight = weight
         self.p = p
+        self.param = param
 
     @staticmethod
     def from_order(p):
@@ -60,10 +61,11 @@ class PendingInfo:
 
     @staticmethod
     def from_param(name):
-        return PendingInfo(Coefficient.parameter(str(name)), None)
+        name = str(name)
+        return PendingInfo(Coefficient.parameter(name), param=name)
 
     def __repr__(self):
-        return f"PendingInfo(weight={self.weight!r}, p={self.p})"
+        return f"PendingInfo(weight={self.weight!r}, p={self.p}, param={self.param!r})"
 
 
 class FatGraph:
@@ -422,18 +424,10 @@ def pending_flip_graph(graph, edge):
 
 
 def graph_to_dict(graph):
-    pending = {}
-    for e, info in graph.pending.items():
-        if info.p is not None:
-            pending[e] = {"p": info.p}
-        else:
-            name = None
-            for (_, params), val in info.weight.items():
-                if len(params) == 1 and params[0][1] == 1 and val == 1:
-                    name = params[0][0]
-            if name is None:
-                raise ValueError(f"pending weight of {e!r} is not a plain parameter")
-            pending[e] = {"param": name}
+    pending = {
+        e: {"p": info.p} if info.p is not None else {"param": info.param}
+        for e, info in graph.pending.items()
+    }
     out = {
         "edges": list(graph.edges),
         "vertices": [list(v) for v in graph.vertices],

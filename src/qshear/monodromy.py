@@ -173,13 +173,13 @@ def relation_defects(relations):
     entry, each as (label, element)."""
     out = []
     for label, lhs, rhs in relations:
-        diff = lhs.entrywise(_defect, rhs) if isinstance(lhs, AlgMatrix) else _defect(lhs, rhs)
-        if isinstance(diff, AlgMatrix):
-            out.extend(
-                (label.format(f"{r}{s}"), diff[r, s]) for r in range(diff.n) for s in range(diff.n)
-            )
+        if isinstance(lhs, AlgMatrix):
+            if lhs.n != rhs.n:
+                raise ValueError("size mismatch")
+            n = range(lhs.n)
+            out.extend((label.format(f"{r}{s}"), _defect(lhs[r, s], rhs[r, s])) for r in n for s in n)
         else:
-            out.append((label, diff))
+            out.append((label, _defect(lhs, rhs)))
     return out
 
 

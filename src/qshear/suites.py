@@ -88,6 +88,8 @@ class RunConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}; known: {sorted(SUITES)}")
+        if self.graphs and "graph-validate" not in self.suites:
+            raise ValueError(f"graphs {list(self.graphs)} are read only by the graph-validate suite")
         for what, values in (
             ("suites", self.suites), ("graphs", self.graphs), ("oracle moduli", self.oracle_moduli)
         ):

@@ -29,7 +29,7 @@ from operator import add as _add, mul as _mul
 from .coeffs import ONE, Coefficient, _made, _norm, param_product
 
 # the most pairing rows memoised per form; an exact-catalog pass, or a
-# pass of all nine suites, fills at most 475 in one form
+# pass of all nine suites, fills at most 476 in one form
 ROW_MEMO = 1024
 
 
@@ -68,16 +68,9 @@ class SkewForm:
             raise KeyError(f"unknown generator {name!r}") from None
 
     def pairing(self, du, dv):
-        """du . beta . dv on the doubled lattice (always an integer)."""
-        total = 0
-        beta = self.beta
-        for i, a in enumerate(du):
-            if a:
-                row = beta[i]
-                for j, b in enumerate(dv):
-                    if b:
-                        total += a * row[j] * b
-        return total
+        """du . beta . dv on the doubled lattice (always an integer): the
+        memoised row of du dotted with dv."""
+        return sum(map(_mul, self.row(tuple(du)), dv))
 
     def row(self, du):
         """The row du . beta, so that pairing(du, dv) is its dot product

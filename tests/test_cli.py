@@ -314,6 +314,38 @@ def test_repeated_suite_or_modulus_is_usage_error(monkeypatch, capsys):
     assert RunConfig(suites=("pvi", "an-core"), oracle_moduli=(7, 5)).oracle_moduli == (7, 5)
 
 
+def _refuse_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an input the run would ignore must stop before any work")
+
+    monkeypatch.setattr("qshear.cli.run_suite", refuse)
+    monkeypatch.setattr("qshear.fatgraph.load_graph", refuse)
+
+
+def test_graph_without_graph_validate_is_usage_error(monkeypatch, tmp_path, capsys):
+    """Only graph-validate and --flip-script read --graph: with any other
+    suite the file would go unread, even a missing one."""
+    _refuse_work(monkeypatch)
+    missing = str(tmp_path / "no-such.json")
+    assert main(["--suite", "pvi", "--graph", missing]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: graphs [{missing!r}] are read only by the graph-validate suite\n"
+    with pytest.raises(ValueError, match="read only by the graph-validate suite"):
+        RunConfig(graphs=(missing,))
+
+
+def test_flip_script_with_a_suite_is_usage_error(monkeypatch, tmp_path, capsys):
+    """--flip-script runs no suite, so a --suite beside it would be ignored."""
+    graph = tmp_path / "a3.json"
+    save_graph(spine_graph_an(3), graph)
+    script = tmp_path / "moves.txt"
+    script.write_text("flip X1\n")
+    _refuse_work(monkeypatch)
+    assert main(["--flip-script", str(script), "--graph", str(graph), "--suite", "an-core"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --flip-script needs exactly one --graph and no --suite\n"
+
+
 def test_flips_classical_at_one_sample(tmp_path):
     report = tmp_path / "r.json"
     assert main(["--suite", "flips-classical", "--samples", "1", "--report", str(report)]) == 0

@@ -52,12 +52,14 @@ def element_pairs(draw):
 
 
 def naive_mul(x, y):
-    """The Weyl product rule, one SkewForm.pairing per pair of terms."""
+    """The Weyl product rule, one double sum over form.beta per pair of
+    terms; it reads neither SkewForm.pairing nor its memoised rows."""
     form = x.form
     out = TorusElement.zero(form)
     for du, cu in x.terms.items():
         for dv, cv in y.terms.items():
-            tpow = Coefficient.t_power(form.pairing(du, dv))
+            shift = sum(a * form.beta[i][j] * b for i, a in enumerate(du) for j, b in enumerate(dv))
+            tpow = Coefficient.t_power(shift)
             dw = tuple(a + b for a, b in zip(du, dv))
             out = out + TorusElement.monomial(form, dw, cu * cv * tpow)
     return out

@@ -468,6 +468,17 @@ def test_graph_json_roundtrip(tmp_path):
     assert g2.edges == g.edges
     assert g2.vertices == g.vertices
     assert g2.meta == g.meta
+    # each pending edge writes back the order or the parameter name it came
+    # from: orders 2, 3 and 5 and a parameter other than the root's omega0
+    changed = {"S": PendingInfo.from_param("lam"), "Z2": PendingInfo.from_order(3), "Z3": PendingInfo.from_order(5)}
+    g = FatGraph(g.edges, g.vertices, dict(g.pending, **changed), g.meta)
+    d = graph_to_dict(g)
+    assert d["pending"] == {"S": {"param": "lam"}, "Z1": {"p": 2}, "Z2": {"p": 3}, "Z3": {"p": 5}}
+    g2 = graph_from_dict(json.loads(json.dumps(d)))
+    assert graph_to_dict(g2) == d
+    assert {e: (i.weight, i.p, i.param) for e, i in g2.pending.items()} == {
+        e: (i.weight, i.p, i.param) for e, i in g.pending.items()
+    }
 
 
 def test_graph_json_rejects_unknown_fields():

@@ -192,6 +192,69 @@ def test_nelson_regge_supports_follow_the_relations(an4):
         assert named == set(ix), label
 
 
+# -- ordering facts that no catalog record checks yet ----------------------------
+
+
+def _trace_d(src, x, s=1):
+    """The quantum trace tr_D X = q^-s X[00] + q^s X[11], D = diag(q^-s, q^s);
+    s = 1 is the U_q(sl2) trace, s = -1 its transposed D."""
+    return src.q(-s) * x[0, 0] + src.q(s) * x[1, 1]
+
+
+def test_geodesic_function_is_the_two_point_quantum_trace(an3, an4, pvi):
+    """G(i,j) = -q^2 tr_D(M_i M_j) for every pair i < j of an3 and an4 and
+    for pvi's pair; the transposed D gives none of the ten."""
+    cases = [(real, i, j) for real in (an3, an4) for i, j in combinations(range(1, real.n + 1), 2)]
+    cases.append((pvi, 1, 2))
+    assert len(cases) == 10
+    for real, i, j in cases:
+        g, mm = geodesic_G(real, i, j), real.matrix(i) @ real.matrix(j)
+        assert (g + real.q(2) * _trace_d(real, mm)).is_zero(), (real.n, i, j)
+        assert not (g + real.q(2) * _trace_d(real, mm, -1)).is_zero(), (real.n, i, j)
+
+
+def _chain_triples(*reals):
+    """(src, G_ij, G_ik, G_jk) for each non-root triple i < j < k."""
+    for real in reals:
+        for i, j, k in combinations(range(1, real.n + 1), 3):
+            yield real, geodesic_G(real, i, j), geodesic_G(real, i, k), geodesic_G(real, j, k)
+
+
+def _q_commutator_defect(src, x, y, z, s=1):
+    """q^s x y - q^-s y x - (q^2-q^-2) z."""
+    xy, yx = x.pair(y)
+    return src.q(s) * xy - src.q(-s) * yx - (src.q(2) - src.q(-2)) * z
+
+
+def test_all_three_cyclic_relations_hold_on_each_chain_triple(an3, an4):
+    """nelson_regge_relations checks the first cyclic relation of a triple;
+    the other two hold as well.  Swapping q and q^-1 in the second, or G_ik
+    for G_ij on the right of the third, fails every triple."""
+    triples = list(_chain_triples(an3, an4))
+    assert len(triples) == 5
+    for src, gij, gik, gjk in triples:
+        assert _q_commutator_defect(src, gij, gjk, gik).is_zero()
+        assert _q_commutator_defect(src, gik, gij, gjk).is_zero()
+        assert _q_commutator_defect(src, gjk, gik, gij).is_zero()
+        assert not _q_commutator_defect(src, gik, gij, gjk, -1).is_zero()
+        assert not _q_commutator_defect(src, gjk, gik, gik).is_zero()
+
+
+def test_markov_element_of_each_chain_triple_commutes_with_its_geodesics(an3, an4):
+    """Omega = G_ij G_ik G_jk - q^-1 G_ij^2 - q^3 G_ik^2 - q^-1 G_jk^2
+    commutes with G_ij, G_ik and G_jk on every non-root triple; with q^1
+    for its first q^-1 it commutes with all three on none."""
+
+    def commutes_with_all(omega, gs):
+        return all((x - y).is_zero() for x, y in (omega.pair(g) for g in gs))
+
+    for src, gij, gik, gjk in _chain_triples(an3, an4):
+        rest = gij @ gik @ gjk - src.q(3) * (gik @ gik) - src.q(-1) * (gjk @ gjk)
+        gs = (gij, gik, gjk)
+        assert commutes_with_all(rest - src.q(-1) * (gij @ gij), gs)
+        assert not commutes_with_all(rest - src.q(1) * (gij @ gij), gs)
+
+
 def test_yang_baxter():
     assert yang_baxter_defect().is_zero()
 

@@ -252,6 +252,31 @@ def test_kernel_rejects_mixed_forms():
     assert x.mul(ew(f2, {"Y": 1})) == ew(f, {"X": 1, "Y": 1}, Coefficient.q_power(1))
 
 
+def _check_pairing():
+    """pairing(du, dv) = sum du_i beta_ij dv_j on seeded forms and vectors,
+    for tuple inputs and then for list inputs, which read the memoised row."""
+    rng = random.Random(36)
+    for n in (1, 2, 3, 5, 8):
+        form = random_skew_form(rng, n)
+        for _ in range(20):
+            du, dv = ([rng.randint(-3, 3) for _ in range(n)] for _ in range(2))
+            want = sum(du[i] * form.beta[i][j] * dv[j] for i in range(n) for j in range(n))
+            assert form.pairing(tuple(du), tuple(dv)) == form.pairing(du, dv) == want
+
+
+def test_pairing_is_the_double_sum_over_beta():
+    _check_pairing()
+
+
+def test_pairing_check_fails_a_pairing_that_reads_beta_transposed(monkeypatch):
+    def transposed(self, du, dv):
+        return sum(a * self.beta[j][i] * b for i, a in enumerate(du) for j, b in enumerate(dv))
+
+    monkeypatch.setattr(SkewForm, "pairing", transposed)
+    with pytest.raises(AssertionError):
+        _check_pairing()
+
+
 # -- both orders from one pass --------------------------------------------------
 
 # beta with entries +-1 and +-2, so that the two orders differ by t-shifts of
