@@ -11,13 +11,16 @@ every product.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def _norm(val):
-    """An exact value as an int when it is integral, else as a Fraction."""
+    """An exact value as an int when it is integral, else as a Fraction;
+    ``fractions`` is imported only here and in :meth:`Coefficient.q_power`,
+    on the paths that need it, so a run over integral values never loads
+    it (nor ``decimal``, which it imports)."""
     if type(val) is int:
         return val
+    from fractions import Fraction
+
     val = Fraction(val)
     return val.numerator if val.denominator == 1 else val
 
@@ -99,6 +102,10 @@ class Coefficient:
     def q_power(k, val=1):
         """val * q**k with q = t**4; k may be a Fraction with denominator
         dividing 4 (so q**(1/4) = t is representable)."""
+        if type(k) is int:
+            return Coefficient.t_power(4 * k, val)
+        from fractions import Fraction
+
         tk = Fraction(k) * 4
         if tk.denominator != 1:
             raise ValueError(f"q-power {k} is not an integer t-power")

@@ -393,7 +393,32 @@ def reflection_ii_relations(src, i):
 # -- braid action (exact sources only) ---------------------------------------
 #
 # A braided matrix is a signed word (sign, indices) over the source's
-# matrices; a _WordProducts multiplies each distinct word once.
+# matrices; a _WordProducts multiplies each distinct word once.  The braid
+# relation and the product invariants are word identities: each side
+# reduces under M_k M_k = -E, which the entry record uqsl2-k checks at each
+# point k of weight zero, and equal reduced words need no product.
+
+
+def _joined(*words):
+    """The signed words joined in order, as one signed word."""
+    return prod(sign for sign, _ in words), tuple(chain.from_iterable(word for _, word in words))
+
+
+def _reduced(signed_word, omegas):
+    """The normal form of a signed word under M_k M_k = -E at the points k
+    of weight zero, as (sign, word, points): ``points`` are the k whose
+    squares it cancelled.  -E is central, so cancelling adjacent pairs
+    from the left gives the one normal form."""
+    sign, word = signed_word
+    out, points = [], set()
+    for k in word:
+        if out and out[-1] == k and not omegas[k]:
+            out.pop()
+            sign = -sign
+            points.add(k)
+        else:
+            out.append(k)
+    return sign, tuple(out), points
 
 
 class _WordProducts(dict):
@@ -403,6 +428,8 @@ class _WordProducts(dict):
 
     def __init__(self, src):
         self.letters = tuple((1, (k,)) for k in range(1, src.n + 1))
+        self.omegas = src.omegas
+        self.zero = TorusElement.zero(src.form)
         super().__init__((word, src.matrix(*word)) for _, word in self.letters)
 
     def __missing__(self, word):
@@ -410,10 +437,24 @@ class _WordProducts(dict):
         product = self[word] = self[word[:h]] @ self[word[h:]]
         return product
 
-    def signed(self, *words):
-        """The product of the signed ``words`` joined in order."""
-        product = self[tuple(chain.from_iterable(word for _, word in words))]
-        return product if prod(sign for sign, _ in words) > 0 else -product
+    def signed(self, signed_word):
+        """The product of one signed word."""
+        sign, word = signed_word
+        return self[word] if sign > 0 else -self[word]
+
+    def certificate(self, label, lhs, rhs):
+        """One check that the signed words ``lhs`` and ``rhs`` have equal
+        products.  Words with the same normal form (:func:`_reduced`) pass
+        with no product formed, and the label names the uqsl2 records the
+        reduction relies on; other words are compared by their products at
+        the first entry where they differ, which the label names."""
+        (sl, wl, pl), (sr, wr, pr) = (_reduced(side, self.omegas) for side in (lhs, rhs))
+        if (sl, wl) == (sr, wr):
+            used = ", ".join(f"uqsl2-{k}" for k in sorted(pl | pr))
+            return (f"{label} by {used}" if used else f"{label} as the same word", self.zero, self.zero)
+        lhs, rhs = self.signed(lhs), self.signed(rhs)
+        r, s = next(((r, s) for r in (0, 1) for s in (0, 1) if lhs[r, s] != rhs[r, s]), (0, 0))
+        return (f"{label} [{r}{s}]", lhs[r, s], rhs[r, s])
 
 
 def _braid_move(words, i):
@@ -435,13 +476,13 @@ def braid_apply(real, i):
 
 
 def _braid_relations(i, moved, next_moved, products):
-    """beta_i beta_{i+1} beta_i = beta_{i+1} beta_i beta_{i+1}, compared
-    matrix by matrix; ``moved`` and ``next_moved`` are the source's words
-    after the moves at i and at i+1."""
+    """beta_i beta_{i+1} beta_i = beta_{i+1} beta_i beta_{i+1}, one
+    word-reduction certificate per matrix; ``moved`` and ``next_moved`` are
+    the source's words after the moves at i and at i+1."""
     lhs = _braid_move(_braid_move(moved, i + 1), i)
     rhs = _braid_move(_braid_move(next_moved, i), i + 1)
     for k, sides in enumerate(zip(lhs, rhs), start=1):
-        yield (f"braid rel ({i},{i+1}) M{k}[{{}}]", *map(products.signed, sides))
+        yield products.certificate(f"braid rel ({i},{i+1}) M{k}", *sides)
 
 
 def _braid_form_relations(real, i, image, g):
@@ -458,10 +499,10 @@ def _braid_form_relations(real, i, image, g):
     yield (f"braid form {i}: q^-1 G M - q^-2 M' [{{}}]", prod, mi.scalar_mul_left(qi * g) - qi2 * mj)
 
 
-def quantum_determinant_relations(real):
-    """b_i c_i - q^2 a_i^2 = 1 for every matrix (the braid-preserved
-    Casimir in the order-2 case)."""
-    for i in range(1, real.n + 1):
+def quantum_determinant_relations(real, points):
+    """b_i c_i - q^2 a_i^2 = 1 for the matrix at each of ``points`` (the
+    braid-preserved Casimir in the order-2 case)."""
+    for i in points:
         a, b, c = (real.entry(k, i) for k in "abc")
         yield (f"det {i}", b @ c - real.q(2) * (a @ a), real.one)
 
@@ -490,12 +531,21 @@ def _gm_relations(real, i, j, G):
         yield (f"G({i},{j}) vs M{k} [{{}}]", lhs, rhs)
 
 
+def _new_pair_relations(image, i):
+    """The cross relations of each pair of the braid ``image`` at i that
+    holds its new matrix M_i: the n-1 pairs (k, i) and (i, l)."""
+    for k, l in combinations(range(1, image.n + 1), 2):
+        if i in (k, l):
+            yield from cross_relations(image, k, l)
+
+
 def _product_relations(i, moved, products):
     """The forward and reverse products M_1 ... M_n and M_n ... M_1 of the
-    source equal those of its braid image at i, whose words are ``moved``."""
+    source equal those of its braid image at i, whose words are ``moved``:
+    one word-reduction certificate each."""
     for label, step in (("forward", 1), ("reverse", -1)):
-        sides = (products.signed(*words[::step]) for words in (products.letters, moved))
-        yield (f"braid {i} {label} product [{{}}]", *sides)
+        sides = (_joined(*words[::step]) for words in (products.letters, moved))
+        yield products.certificate(f"braid {i} {label} product", *sides)
 
 
 # -- flip invariance (exact sources only) -------------------------------------
@@ -632,7 +682,7 @@ def family_records(src, family):
         moved = {i: _braid_move(products.letters, i) for i in range(1, src.n)}
         images = {i: src.with_matrices(map(products.signed, w)) for i, w in moved.items()}
         G = {(i, j): geodesic_G(src, i, j) for i, j in combinations(points, 2)}
-        anchor = "braid group relation compared matrix by matrix"
+        anchor = "braid group relation as word-reduction certificates by M_k^2 = -E (uqsl2-k)"
         for i in range(1, src.n - 1):
             relations = _braid_relations(i, moved[i], moved[i + 1], products)
             yield (f"braid-relation-{i}{i+1}", anchor, relations)
@@ -640,11 +690,14 @@ def family_records(src, family):
             image = images.pop(i)
             anchor = "braid image as a geodesic-function combination"
             yield (f"braid-alt-{i}", anchor, _braid_form_relations(src, i, image, G[i, i + 1]))
-            anchor = "quantum determinant preserved by the braid action"
-            yield (f"braid-det-{i}", anchor, quantum_determinant_relations(image))
-            anchor = "cross relations preserved by the braid action"
-            yield (f"braid-cross-{i}", anchor, relation_families(image, ("cross",)))
-            anchor = "ordered matrix products are braid invariants"
+            # the image's M_{i+1} is the source's M_i and the others are the
+            # source's own, so only M_i is new: its determinant and its pairs
+            # are checked here, the rest by the source's uqsl2 and cross records
+            anchor = "quantum determinant of the braid image's new matrix; the others are uqsl2-k"
+            yield (f"braid-det-{i}", anchor, quantum_determinant_relations(image, (i,)))
+            anchor = "cross relations of the braid image's new matrix; its other pairs are cross-kl"
+            yield (f"braid-cross-{i}", anchor, _new_pair_relations(image, i))
+            anchor = "ordered matrix products are braid invariants, as word-reduction certificates"
             yield (f"braid-product-{i}", anchor, _product_relations(i, moved[i], products))
         anchor = "commutation table of geodesic functions with monodromies"
         gm = (_gm_relations(src, i, j, G) for i, j in combinations(points, 2))

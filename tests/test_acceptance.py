@@ -117,7 +117,7 @@ def test_criterion_4_braid():
     real4 = an_realization(4)
     for i in range(1, 4):
         imaged = braid_apply(real4, i)
-        assert_clean(relation_defects(quantum_determinant_relations(imaged)))
+        assert_clean(relation_defects(quantum_determinant_relations(imaged, range(1, 5))))
         for x in range(1, 5):
             for y in range(x + 1, 5):
                 assert_clean(cross_relation_defects(imaged, x, y))

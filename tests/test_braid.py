@@ -1,4 +1,5 @@
 from functools import reduce
+from itertools import combinations
 from operator import matmul
 
 import pytest
@@ -12,18 +13,19 @@ from qshear.monodromy import (
     _braid_relations,
     _gm_relations,
     _product_relations,
+    _reduced,
     _WordProducts,
     an_realization,
     braid_apply,
     build_monodromy,
     catalog_defects,
     cross_relation_defects,
+    cross_relations,
     element_is_zero,
     family_records,
     geodesic_G,
     quantum_determinant_relations,
     relation_defects,
-    relation_families,
     uqsl2_defects,
 )
 
@@ -53,8 +55,9 @@ def an4_records(an4):
 
 
 def test_braid_relation(an4_records):
+    # one word-reduction certificate per matrix
     for record in ("braid-relation-12", "braid-relation-23"):
-        assert len(an4_records[record]) == 16
+        assert len(an4_records[record]) == 4
         assert_clean(an4_records[record])
 
 
@@ -66,7 +69,7 @@ def test_braid_alternative_form(an4_records):
 
 def test_braid_preserves_determinant(an4):
     for i in (1, 2, 3):
-        assert_clean(relation_defects(quantum_determinant_relations(braid_apply(an4, i))))
+        assert_clean(relation_defects(quantum_determinant_relations(braid_apply(an4, i), range(1, 5))))
 
 
 def test_braid_preserves_shape_and_relations(an4):
@@ -101,7 +104,7 @@ def test_g_commutes_with_far_matrix(an3):
 def test_products_are_braid_invariants(an3, an4_records):
     for records, n in ((_records(an3), 3), (an4_records, 4)):
         for i in range(1, n):
-            assert len(records[f"braid-product-{i}"]) == 8
+            assert len(records[f"braid-product-{i}"]) == 2
             assert_clean(records[f"braid-product-{i}"])
 
 
@@ -132,13 +135,13 @@ def test_unsigned_braid_image_breaks_product_invariance(an3):
     unsigned = tuple((1, word) for _, word in _braid_move(products.letters, 1))
     assert unsigned[0] == (1, (1, 2, 1))
     relations = _product_relations(1, unsigned, products)
-    assert _nonzero(relation_defects(relations)) == 6
+    assert _nonzero(relation_defects(relations)) == 2
 
 
 def test_order_three_point_breaks_the_determinant():
     graph = spine_graph_an(3)
     graph.pending["Z2"] = PendingInfo.from_order(3)  # w = 1 at Z2
-    defects = relation_defects(quantum_determinant_relations(build_monodromy(graph)))
+    defects = relation_defects(quantum_determinant_relations(build_monodromy(graph), range(1, 4)))
     assert [lbl for lbl, d in defects if not element_is_zero(d)] == ["det 2"]
 
 
@@ -147,7 +150,8 @@ def test_braid_relation_compares_the_two_sides(monkeypatch, an3):
     accepts (a dropped sign, a negated M_{i+1} and conjugation on the other
     side all satisfy it), so its fail direction is pinned by dropping the
     last generator of each side: beta_1 beta_2 against beta_2 beta_1
-    differs in all 12 entries."""
+    reduces to other words for all three matrices, and each certificate
+    fails at the first entry where the two products differ."""
     products = _WordProducts(an3)
     moved, next_moved = (_braid_move(products.letters, i) for i in (1, 2))
     calls = []
@@ -157,8 +161,10 @@ def test_braid_relation_compares_the_two_sides(monkeypatch, an3):
         return words if len(calls) % 2 == 0 else _braid_move(words, i)
 
     monkeypatch.setattr(monodromy, "_braid_move", one_short)
-    relations = _braid_relations(1, moved, next_moved, products)
-    assert _nonzero(relation_defects(relations)) == 12
+    defects = relation_defects(_braid_relations(1, moved, next_moved, products))
+    assert [lbl for lbl, d in defects if not element_is_zero(d)] == [
+        "braid rel (1,2) M1 [00]", "braid rel (1,2) M2 [00]", "braid rel (1,2) M3 [00]"
+    ]
     assert calls == [2, 1, 1, 2]
 
 
@@ -194,8 +200,12 @@ def test_braid_family_records_keep_their_order(an4):
         imaged = braid_apply(an4, i)
         form = _braid_form_relations(an4, i, imaged, geodesic_G(an4, i, i + 1))
         assert labels[f"braid-alt-{i}"] == labels_of(form)
-        assert labels[f"braid-det-{i}"] == ["det 1", "det 2", "det 3", "det 4"]
-        assert labels[f"braid-cross-{i}"] == labels_of(relation_families(imaged, ("cross",)))
+        # only the new matrix M_i: its determinant and the n-1 pairs that hold it
+        assert labels[f"braid-det-{i}"] == [f"det {i}"]
+        pairs = [(k, l) for k, l in combinations(range(1, 5), 2) if i in (k, l)]
+        assert len(pairs) == 3
+        cross = [lbl for k, l in pairs for lbl in labels_of(cross_relations(imaged, k, l))]
+        assert labels[f"braid-cross-{i}"] == cross
     pairs = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     G = {(i, j): geodesic_G(an4, i, j) for i, j in pairs}
     assert labels["gm-table"] == [lbl for i, j in pairs for lbl in labels_of(_gm_relations(an4, i, j, G))]
@@ -234,10 +244,22 @@ def _recording_products(monkeypatch):
     return memos, matrix_products
 
 
-def _assert_each_word_multiplied_once(memos, matrix_products):
+def _halves(word):
+    """``word`` and the halves the memo splits it into, down to letters."""
+    if len(word) < 2:
+        return set()
+    h = len(word) // 2
+    return {word} | _halves(word[:h]) | _halves(word[h:])
+
+
+def _assert_each_word_multiplied_once(memos, matrix_products, n):
     (memo,) = memos  # one memo per family run
     assert memo.formed and all(len(word) > 1 for word in memo.formed)
     assert len(set(memo.formed)) == len(memo.formed) == len(matrix_products)
+    # only the braid images' words: the passing braid-relation and product
+    # certificates form no product
+    images = {word for i in range(1, n) for _, word in _braid_move(memo.letters, i)}
+    assert set(memo.formed) == set().union(*map(_halves, images))
 
 
 def test_braid_family_images_the_source_once_per_index(monkeypatch, an4):
@@ -246,7 +268,8 @@ def test_braid_family_images_the_source_once_per_index(monkeypatch, an4):
     product is made."""
     memos, matrix_products = _recording_products(monkeypatch)
     catalog_defects(an4, ("braid",))
-    _assert_each_word_multiplied_once(memos, matrix_products)
+    _assert_each_word_multiplied_once(memos, matrix_products, 4)
+    assert sorted(memos[0].formed) == [(1, 2, 1), (2, 1), (2, 3, 2), (3, 2), (3, 4, 3), (4, 3)]
 
 
 def test_braid_family_records_read_late_image_the_source_once_per_index(monkeypatch, an4):
@@ -256,7 +279,7 @@ def test_braid_family_records_read_late_image_the_source_once_per_index(monkeypa
     records = list(family_records(an4, "braid"))
     for _, _, relations in records:
         relation_defects(relations)
-    _assert_each_word_multiplied_once(memos, matrix_products)
+    _assert_each_word_multiplied_once(memos, matrix_products, 4)
 
 
 def _terms(mat):
@@ -304,7 +327,56 @@ def test_a_wrong_braid_image_fails_the_family(monkeypatch, an4):
     assert {record for record, count in failing.items() if count} == {
         f"braid-{kind}-{i}" for i in (1, 2, 3) for kind in ("alt", "cross", "product")
     }
-    assert failing["braid-product-2"] == 8 and failing["braid-alt-2"] == 8
+    assert failing["braid-product-2"] == 2 and failing["braid-alt-2"] == 8
+    # of the pairs that hold the new matrix, only (i, i+1) is out of order,
+    # and it fails all 12 of its cross relations
+    assert failing["braid-cross-1"] == failing["braid-cross-2"] == failing["braid-cross-3"] == 12
+
+
+def _unsigned_move(words, i):
+    """A wrong braid move: M_i -> +M_i M_{i+1} M_i, the sign dropped."""
+    words = list(_braid_move(words, i))
+    sign, word = words[i - 1]
+    words[i - 1] = (-sign, word)
+    return tuple(words)
+
+
+def test_a_dropped_sign_fails_every_product_certificate(monkeypatch, an4):
+    """Without its sign, the image's ordered products reduce to the same
+    word as the source's with the other sign: both certificates of each
+    braid-product record fail, at the first entry where the two products
+    differ, and so does the braid form.  The other records cannot see the
+    sign.  The two products differ by their sign only, so an entry where
+    they agree is zero: the reverse product's [00] entry is."""
+    monkeypatch.setattr(monodromy, "_braid_move", _unsigned_move)
+    records = catalog_defects(an4, ("braid",))
+    failing = {record: _nonzero(defects) for record, _, defects in records}
+    assert {record for record, count in failing.items() if count} == {
+        f"braid-{kind}-{i}" for i in (1, 2, 3) for kind in ("alt", "product")
+    }
+    products = {record: defects for record, _, defects in records if "product" in record}
+    for i in (1, 2, 3):
+        assert [lbl for lbl, _ in products[f"braid-product-{i}"]] == [
+            f"braid {i} forward product [00]", f"braid {i} reverse product [01]"
+        ]
+        assert _nonzero(products[f"braid-product-{i}"]) == 2
+
+
+def test_a_pair_at_an_order_three_point_is_not_reduced():
+    """M_k M_k = -E holds at a point of weight zero only: at the order-3
+    point Z2 (w = 1) the pair stays in the word, and the certificate
+    compares the two products, which differ; at the order-2 point Z1 it
+    cancels, and no product is formed."""
+    graph = spine_graph_an(3)
+    graph.pending["Z2"] = PendingInfo.from_order(3)
+    real = build_monodromy(graph)
+    assert _reduced((1, (1, 2, 2, 3)), real.omegas) == (1, (1, 2, 2, 3), set())
+    assert _reduced((1, (3, 1, 1, 2)), real.omegas) == (-1, (3, 2), {1})
+    products = _WordProducts(real)
+    label, lhs, rhs = products.certificate("M2^2 = -E", (1, (2, 2)), (-1, (2, 2, 2, 2)))
+    assert label == "M2^2 = -E [00]" and not element_is_zero(lhs - rhs)
+    assert products.certificate("M1^2 = -E", (1, (1, 1, 3)), (-1, (3,)))[0] == "M1^2 = -E by uqsl2-1"
+    assert set(products) == {(1,), (2,), (3,), (2, 2), (2, 2, 2, 2)}
 
 
 # -- failure witnesses ---------------------------------------------------------
@@ -320,8 +392,11 @@ def test_witness_labels_are_pinned(an3):
     labels = {
         record: [lbl for lbl, _ in defects] for record, _, defects in catalog_defects(an3, ("braid",))
     }
+    # a passing certificate names the uqsl2 records its reduction relies on
     assert labels["braid-relation-12"] == [
-        label for k in (1, 2, 3) for label in _entries(f"braid rel (1,2) M{k}[")
+        "braid rel (1,2) M1 by uqsl2-1",
+        "braid rel (1,2) M2 as the same word",
+        "braid rel (1,2) M3 as the same word",
     ]
     assert _entries("G(1,3) vs M2 [") == [
         "G(1,3) vs M2 [00]", "G(1,3) vs M2 [01]", "G(1,3) vs M2 [10]", "G(1,3) vs M2 [11]"
@@ -332,10 +407,10 @@ def test_witness_labels_are_pinned(an3):
             *_entries(f"braid form {i}: q^-1 G M - q^-2 M' ["),
         ]
         assert labels[f"braid-product-{i}"] == [
-            *_entries(f"braid {i} forward product ["),
-            *_entries(f"braid {i} reverse product ["),
+            f"braid {i} forward product by uqsl2-{i}",
+            f"braid {i} reverse product by uqsl2-{i}",
         ]
-        assert labels[f"braid-det-{i}"] == ["det 1", "det 2", "det 3"]
+        assert labels[f"braid-det-{i}"] == [f"det {i}"]
     assert labels["gm-table"] == [
         label
         for i, j in ((1, 2), (1, 3), (2, 3))

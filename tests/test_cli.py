@@ -204,10 +204,11 @@ def _fresh_python(code):
 
 def test_cli_import_leaves_numpy_and_the_oracle_unloaded():
     # only what the import itself loads counts, not what site loaded before it;
-    # no run uses dataclasses (with inspect), and only a failing suite traceback
+    # no run uses dataclasses (with inspect), only a failing suite traceback, and
+    # only a non-integral coefficient fractions (with decimal)
     out = _fresh_python("import sys; before = set(sys.modules); import qshear.cli; "
-                        "print(sorted({'numpy', 'qshear.oracle', 'dataclasses', 'inspect', 'traceback'}"
-                        " & (set(sys.modules) - before)))")
+                        "print(sorted({'numpy', 'qshear.oracle', 'dataclasses', 'inspect', 'traceback',"
+                        " 'fractions', 'decimal'} & (set(sys.modules) - before)))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
@@ -231,7 +232,7 @@ def test_exact_report_bytes_are_pinned(tmp_path, capsys):
     names = ("an-braid", "flips-quantum", "graph-validate")
     assert main([arg for name in names for arg in ("--suite", name)] + ["--report", str(report)]) == 0
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
-    assert digest == "8d4a9a77288883a677d76eb1f16f5f2e41ea13d6fd489e109028ec07db2484da"
+    assert digest == "dddacfd92cf4d7ea57588fbc0de9ad22e96ca7da8a691f849b84488df77d3c85"
 
 
 def test_exact_records_of_the_oracle_suites_are_pinned(tmp_path, capsys):
@@ -291,7 +292,7 @@ def test_all_suites_report_content_is_pinned(tmp_path, capsys):
     # a table row that repeats a realization and family would give its ids twice
     assert len({record["id"] for record in doc["identities"]}) == 121
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == "ec3ba65fd6b0c74b54356a33da0470b9ff786bf7622aa19d1c0f8846b53785b2"
+    assert digest == "6ca4ecedc125d7e80b6208c93f226696df552e4ef9aa1a49f2e0aab670f1e10e"
 
 
 def test_repeated_suite_or_modulus_is_usage_error(monkeypatch, capsys):

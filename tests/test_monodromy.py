@@ -565,15 +565,15 @@ def test_exact_only_family_over_operators_is_named(an3, family):
 
 def test_an3_braid_records_keep_their_ids_and_check_counts(an3):
     assert [(record, len(defects)) for record, _, defects in catalog_defects(an3, ("braid",))] == [
-        ("braid-relation-12", 12),
+        ("braid-relation-12", 3),
         ("braid-alt-1", 8),
-        ("braid-det-1", 3),
-        ("braid-cross-1", 36),
-        ("braid-product-1", 8),
+        ("braid-det-1", 1),
+        ("braid-cross-1", 24),
+        ("braid-product-1", 2),
         ("braid-alt-2", 8),
-        ("braid-det-2", 3),
-        ("braid-cross-2", 36),
-        ("braid-product-2", 8),
+        ("braid-det-2", 1),
+        ("braid-cross-2", 24),
+        ("braid-product-2", 2),
         ("gm-table", 36),
     ]
 
@@ -663,7 +663,7 @@ def test_a_joint_pass_that_keeps_one_order_fails_the_records(monkeypatch, an3, p
         "uqsl2-1": 4, "uqsl2-2": 4, "uqsl2-3": 4,
         "cross-12": 10, "cross-13": 10, "cross-23": 10,
         "nelson-regge-full": 5,
-        "braid-cross-1": 30, "braid-cross-2": 30, "gm-table": 28,
+        "braid-cross-1": 20, "braid-cross-2": 20, "gm-table": 28,
         "entry-algebra": 19, "aw3": 3,
     }
 
